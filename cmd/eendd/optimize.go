@@ -3,10 +3,8 @@ package main
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"time"
 
-	"eend/internal/cache"
 	"eend/internal/exec"
 	"eend/internal/jobs"
 	"eend/internal/obs"
@@ -107,7 +105,7 @@ type optStatus struct {
 }
 
 // optSnapshot renders a job, optionally with its result.
-func optSnapshot(j *jobs.Job[optState], withResult bool) optStatus {
+func optSnapshot(j *jobs.Job[optState], withResult bool) (any, bool) {
 	status, errText, v := j.Snapshot()
 	st := optStatus{
 		ID: j.ID(), Status: string(status), Heuristic: v.heuristic, Objective: v.objective,
@@ -116,46 +114,19 @@ func optSnapshot(j *jobs.Job[optState], withResult bool) optStatus {
 	if withResult {
 		st.Result = v.result
 	}
-	return st
+	return st, status != jobs.Running
 }
 
-// optimizeManager wires the optimize endpoints to the generic job store,
-// mirroring the sweep manager: all lifecycle logic lives in
-// internal/jobs; this file only translates requests into searches.
-type optimizeManager struct {
-	store *jobs.Store[optState]
-	cache cache.Store
-	peers []string
-	sse   time.Duration
-	met   *metrics
+// optRoutes is the optimize endpoints' HTTP surface.
+var optRoutes = jobKind[optState]{
+	prefix: "opt", path: "/v1/optimize", listKey: "optimizations", noun: "optimization", gauge: "optimize",
+	snapshot: optSnapshot,
+	trace:    func(v optState) (string, *obs.MemSink) { return v.trace, v.sink },
 }
 
-func newOptimizeManager(base context.Context, cfg serverConfig, store cache.Store, met *metrics) (*optimizeManager, error) {
-	o := jobs.Options{Prefix: "opt", Retain: cfg.retainJobs}
-	js := jobs.NewStore[optState](base, o)
-	if cfg.stateDir != "" {
-		var err error
-		if js, err = jobs.NewJournaled[optState](base, cfg.stateDir, o); err != nil {
-			return nil, err
-		}
-	}
-	return &optimizeManager{store: js, cache: store, peers: cfg.peers, sse: cfg.sseCadence(), met: met}, nil
-}
-
-// inflight counts running optimize jobs (the /metrics gauge).
-func (m *optimizeManager) inflight() int {
-	n := 0
-	for _, j := range m.store.Jobs() {
-		if j.Status() == jobs.Running {
-			n++
-		}
-	}
-	return n
-}
-
-// start validates the request synchronously (configuration errors are
+// startOptimize validates the request synchronously (configuration errors are
 // 400s, not failed jobs) and launches the search in the background.
-func (m *optimizeManager) start(req optimizeRequest) (*jobs.Job[optState], error) {
+func startOptimize(m *jobManager[optState], req optimizeRequest) (*jobs.Job[optState], error) {
 	if req.Heuristic == "" {
 		req.Heuristic = "anneal"
 	}
@@ -292,66 +263,4 @@ func (m *optimizeManager) start(req optimizeRequest) (*jobs.Job[optState], error
 			})
 			return err
 		}), nil
-}
-
-// register installs the optimize endpoints on mux.
-func (m *optimizeManager) register(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/optimize", func(w http.ResponseWriter, r *http.Request) {
-		var req optimizeRequest
-		if !decodeJSONBody(w, r, &req) {
-			return
-		}
-		job, err := m.start(req)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		w.Header().Set("Location", "/v1/optimize/"+job.ID())
-		writeJSON(w, http.StatusAccepted, optSnapshot(job, false))
-	})
-
-	mux.HandleFunc("GET /v1/optimize", func(w http.ResponseWriter, r *http.Request) {
-		all := m.store.Jobs()
-		out := make([]optStatus, len(all))
-		for i, j := range all {
-			out[i] = optSnapshot(j, false)
-		}
-		writeJSON(w, http.StatusOK, map[string][]optStatus{"optimizations": out})
-	})
-
-	mux.HandleFunc("GET /v1/optimize/{id}", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := m.store.Get(r.PathValue("id"))
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown optimization %q", r.PathValue("id")))
-			return
-		}
-		if wantsSSE(r) {
-			serveSSE(w, r, m.sse, func() (any, bool) {
-				st := optSnapshot(job, true)
-				return st, st.Status != string(jobs.Running)
-			})
-			return
-		}
-		writeJSON(w, http.StatusOK, optSnapshot(job, true))
-	})
-
-	mux.HandleFunc("GET /v1/optimize/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := m.store.Get(r.PathValue("id"))
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown optimization %q", r.PathValue("id")))
-			return
-		}
-		status, _, v := job.Snapshot()
-		serveTrace(w, job.ID(), status, v.trace, v.sink)
-	})
-
-	mux.HandleFunc("DELETE /v1/optimize/{id}", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := m.store.Get(r.PathValue("id"))
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown optimization %q", r.PathValue("id")))
-			return
-		}
-		job.Cancel()
-		writeJSON(w, http.StatusOK, optSnapshot(job, false))
-	})
 }

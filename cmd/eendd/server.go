@@ -268,19 +268,17 @@ func newServerWith(base context.Context, cfg serverConfig) (http.Handler, error)
 	met := &metrics{store: store}
 
 	mux := http.NewServeMux()
-	sweeps, err := newSweepManager(base, cfg, store, met)
+	sweeps, err := newJobManager(base, cfg, sweepRoutes, store, met)
 	if err != nil {
 		return nil, err
 	}
-	sweeps.register(mux)
-	met.inflight = append(met.inflight, inflightGauge{"sweep", sweeps.inflight})
+	registerJobRoutes(mux, sweeps, startSweep)
 
-	opts, err := newOptimizeManager(base, cfg, store, met)
+	opts, err := newJobManager(base, cfg, optRoutes, store, met)
 	if err != nil {
 		return nil, err
 	}
-	opts.register(mux)
-	met.inflight = append(met.inflight, inflightGauge{"optimize", opts.inflight})
+	registerJobRoutes(mux, opts, startOptimize)
 
 	registerFleet(mux, store, met)
 	mux.HandleFunc("GET /metrics", met.serveHTTP)

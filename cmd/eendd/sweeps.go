@@ -3,11 +3,9 @@ package main
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sort"
 	"time"
 
-	"eend/internal/cache"
 	"eend/internal/exec"
 	"eend/internal/jobs"
 	"eend/internal/obs"
@@ -61,7 +59,7 @@ type sweepStatus struct {
 }
 
 // sweepSnapshot renders a job, optionally with its results.
-func sweepSnapshot(j *jobs.Job[sweepState], withResults bool) sweepStatus {
+func sweepSnapshot(j *jobs.Job[sweepState], withResults bool) (any, bool) {
 	status, errText, v := j.Snapshot()
 	st := sweepStatus{
 		ID: j.ID(), Status: string(status), Grid: v.grid, Workers: v.workers,
@@ -70,47 +68,20 @@ func sweepSnapshot(j *jobs.Job[sweepState], withResults bool) sweepStatus {
 	if withResults {
 		st.Results = v.results
 	}
-	return st
+	return st, status != jobs.Running
 }
 
-// sweepManager wires the sweep endpoints to the generic job store; all
-// job lifecycle (retention, eviction, status transitions, cancellation)
-// lives in internal/jobs.
-type sweepManager struct {
-	store *jobs.Store[sweepState]
-	cache cache.Store
-	peers []string
-	sse   time.Duration
-	met   *metrics
+// sweepRoutes is the sweep endpoints' HTTP surface.
+var sweepRoutes = jobKind[sweepState]{
+	prefix: "sweep", path: "/v1/sweeps", listKey: "sweeps", noun: "sweep", gauge: "sweep",
+	snapshot: sweepSnapshot,
+	trace:    func(v sweepState) (string, *obs.MemSink) { return v.trace, v.sink },
 }
 
-func newSweepManager(base context.Context, cfg serverConfig, store cache.Store, met *metrics) (*sweepManager, error) {
-	o := jobs.Options{Prefix: "sweep", Retain: cfg.retainJobs}
-	js := jobs.NewStore[sweepState](base, o)
-	if cfg.stateDir != "" {
-		var err error
-		if js, err = jobs.NewJournaled[sweepState](base, cfg.stateDir, o); err != nil {
-			return nil, err
-		}
-	}
-	return &sweepManager{store: js, cache: store, peers: cfg.peers, sse: cfg.sseCadence(), met: met}, nil
-}
-
-// inflight counts running sweep jobs (the /metrics gauge).
-func (m *sweepManager) inflight() int {
-	n := 0
-	for _, j := range m.store.Jobs() {
-		if j.Status() == jobs.Running {
-			n++
-		}
-	}
-	return n
-}
-
-// start validates the request synchronously (so configuration errors are
+// startSweep validates the request synchronously (so configuration errors are
 // 400s, not failed jobs) and launches the sweep's cache scan and
 // simulations in the background.
-func (m *sweepManager) start(req sweepRequest) (*jobs.Job[sweepState], error) {
+func startSweep(m *jobManager[sweepState], req sweepRequest) (*jobs.Job[sweepState], error) {
 	g, err := sweep.ParseGrid(req.Grid)
 	if err != nil {
 		return nil, err
@@ -182,66 +153,4 @@ func (m *sweepManager) start(req sweepRequest) (*jobs.Job[sweepState], error) {
 			}
 			return nil
 		}), nil
-}
-
-// register installs the sweep endpoints on mux.
-func (m *sweepManager) register(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		var req sweepRequest
-		if !decodeJSONBody(w, r, &req) {
-			return
-		}
-		job, err := m.start(req)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		w.Header().Set("Location", "/v1/sweeps/"+job.ID())
-		writeJSON(w, http.StatusAccepted, sweepSnapshot(job, false))
-	})
-
-	mux.HandleFunc("GET /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		all := m.store.Jobs()
-		out := make([]sweepStatus, len(all))
-		for i, j := range all {
-			out[i] = sweepSnapshot(j, false)
-		}
-		writeJSON(w, http.StatusOK, map[string][]sweepStatus{"sweeps": out})
-	})
-
-	mux.HandleFunc("GET /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := m.store.Get(r.PathValue("id"))
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
-			return
-		}
-		if wantsSSE(r) {
-			serveSSE(w, r, m.sse, func() (any, bool) {
-				st := sweepSnapshot(job, true)
-				return st, st.Status != string(jobs.Running)
-			})
-			return
-		}
-		writeJSON(w, http.StatusOK, sweepSnapshot(job, true))
-	})
-
-	mux.HandleFunc("GET /v1/sweeps/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := m.store.Get(r.PathValue("id"))
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
-			return
-		}
-		status, _, v := job.Snapshot()
-		serveTrace(w, job.ID(), status, v.trace, v.sink)
-	})
-
-	mux.HandleFunc("DELETE /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := m.store.Get(r.PathValue("id"))
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
-			return
-		}
-		job.Cancel()
-		writeJSON(w, http.StatusOK, sweepSnapshot(job, false))
-	})
 }

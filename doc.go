@@ -83,6 +83,7 @@
 //	internal/geom         placement geometry
 //	internal/topology     placement generators (uniform, grid, cluster, corridor)
 //	internal/cache        content-addressed on-disk result store
+//	internal/eval         the one evaluation path: fingerprint → cache, else simulate
 //	internal/radio        card models (Table 1) + energy meter (Eqs. 1-4)
 //	internal/phy          medium: propagation, collisions, carrier sense
 //	internal/mac          802.11 DCF + PSM (beacons, ATIM windows), TPC

@@ -39,12 +39,12 @@ type RetryEvent struct {
 }
 
 // Coordinator spreads a batch of scenarios across a fleet of workers. It
-// deduplicates by fingerprint, partitions the unique scenarios into
-// shards, dispatches shards concurrently on the shared execution
-// scheduler, retries failed shards on surviving workers with bounded
-// exponential backoff, and merges results back to input order. Because
-// every worker simulates from the same canonical encodings and the merge
-// is positional, a distributed run is bit-identical to a local one.
+// partitions the scenarios into shards, dispatches shards concurrently on
+// the shared execution scheduler, retries failed shards on surviving
+// workers with bounded exponential backoff, and merges results back to
+// input order. Because every worker simulates from the same canonical
+// encodings and the merge is positional, a distributed run is
+// bit-identical to a local one.
 //
 // The zero value is not usable; Workers must hold at least one Evaluator.
 // A Coordinator is safe for concurrent use and carries worker-health
@@ -52,9 +52,9 @@ type RetryEvent struct {
 type Coordinator struct {
 	// Workers are the fleet members shards are dispatched to.
 	Workers []Evaluator
-	// ShardSize is the maximum number of unique scenarios per shard
-	// (<= 0: 8). Smaller shards spread better and retry cheaper; larger
-	// shards amortize HTTP overhead.
+	// ShardSize is the maximum number of scenarios per shard (<= 0: 8).
+	// Smaller shards spread better and retry cheaper; larger shards
+	// amortize HTTP overhead.
 	ShardSize int
 	// Parallel bounds shards in flight (<= 0: 2 per worker).
 	Parallel int
@@ -80,6 +80,16 @@ type Coordinator struct {
 	once  sync.Once
 	fails []atomic.Int32 // consecutive failures per worker
 	rr    atomic.Uint64  // round-robin dispatch cursor
+}
+
+// NewCoordinator returns a Coordinator over the eendd workers at the given
+// base URLs (e.g. "http://host:8080"), with every knob at its default.
+func NewCoordinator(urls []string) *Coordinator {
+	workers := make([]Evaluator, len(urls))
+	for i, u := range urls {
+		workers[i] = NewClient(u, nil)
+	}
+	return &Coordinator{Workers: workers}
 }
 
 func (c *Coordinator) init() {
@@ -193,113 +203,71 @@ func (c *Coordinator) evaluateShard(ctx context.Context, shard int, scenarios []
 // compatibility and ignored: local worker-pool size is meaningless here,
 // and fleet concurrency is the Coordinator's Parallel.
 //
-// Scenarios are deduplicated by fingerprint before sharding, so a batch
-// with repeated scenarios costs one evaluation per unique fingerprint. A
-// worker whose reported fingerprint disagrees with the coordinator's —
-// divergent simulator builds — yields an error result, never a silently
-// wrong one.
+// Scenarios are sharded as given — deduplicating a batch by fingerprint is
+// the evaluator's job (internal/eval), which hands RunBatch unique
+// scenarios. A worker whose reported fingerprint disagrees with the
+// coordinator's — divergent simulator builds — yields an error result,
+// never a silently wrong one.
 func (c *Coordinator) RunBatch(ctx context.Context, scenarios []*eend.Scenario, _ ...eend.BatchOption) <-chan eend.BatchResult {
 	c.init()
 	out := make(chan eend.BatchResult, len(scenarios))
 
-	// Deduplicate: unique fingerprints in first-seen order, each carrying
-	// every input index it must fan back to.
-	type group struct {
-		text    string
-		indices []int
-	}
-	var order []string
-	groups := make(map[string]*group)
-	for i, sc := range scenarios {
-		fp := sc.Fingerprint()
-		g := groups[fp]
-		if g == nil {
-			g = &group{text: sc.Canonical()}
-			groups[fp] = g
-			order = append(order, fp)
-		}
-		g.indices = append(g.indices, i)
-	}
-
-	// Partition the unique scenarios into contiguous shards.
+	// Partition the batch into contiguous shards: shard k covers scenarios
+	// [k*size, (k+1)*size).
 	size := c.shardSize()
-	type shard struct {
-		fps   []string
-		texts []string
-	}
-	var shards []shard
-	for lo := 0; lo < len(order); lo += size {
-		hi := min(lo+size, len(order))
-		s := shard{fps: order[lo:hi]}
-		for _, fp := range s.fps {
-			s.texts = append(s.texts, groups[fp].text)
+	var items []exec.Item
+	for lo := 0; lo < len(scenarios); lo += size {
+		shard := len(items)
+		texts := make([]string, 0, size)
+		for _, sc := range scenarios[lo:min(lo+size, len(scenarios))] {
+			texts = append(texts, sc.Canonical())
 		}
-		shards = append(shards, s)
-	}
-
-	items := make([]exec.Item, len(shards))
-	for i, s := range shards {
-		items[i] = exec.Item{
-			Index:    i,
+		items = append(items, exec.Item{
+			Index:    shard,
 			Priority: exec.PriorityBatch,
 			Do: func(ctx context.Context) (any, error) {
-				return c.evaluateShard(ctx, i, s.texts)
+				return c.evaluateShard(ctx, shard, texts)
 			},
-		}
-	}
-
-	emit := func(sc *eend.Scenario, index int, dup bool, er EvalResult) {
-		br := eend.BatchResult{Index: index, Scenario: sc, Cached: er.Cached}
-		switch {
-		case er.Error != "":
-			br.Err = errors.New(er.Error)
-		case er.Results == nil:
-			br.Err = fmt.Errorf("dist: worker returned no results and no error")
-		default:
-			br.Results = er.Results
-			if dup {
-				br.Results = copyResults(er.Results)
-			}
-		}
-		out <- br
+		})
 	}
 
 	go func() {
 		defer close(out)
 		sched := exec.New(c.parallel())
 		for r := range sched.Stream(ctx, items) {
-			if r.Skipped {
-				continue
-			}
-			s := shards[r.Index]
-			if r.Err != nil {
-				// The whole shard failed: every index it covers errors.
-				for _, fp := range s.fps {
-					for _, i := range groups[fp].indices {
-						out <- eend.BatchResult{Index: i, Scenario: scenarios[i], Err: r.Err}
-					}
+			lo := r.Index * size
+			for j, sc := range scenarios[lo:min(lo+size, len(scenarios))] {
+				br := eend.BatchResult{Index: lo + j, Scenario: sc, Err: r.Err}
+				if r.Err == nil {
+					// The whole shard succeeded or failed in transport;
+					// per-scenario outcomes ride inside its results.
+					merge(&br, r.Value.([]EvalResult)[j])
 				}
-				continue
-			}
-			results := r.Value.([]EvalResult)
-			for j, fp := range s.fps {
-				er := results[j]
-				if er.Error == "" && er.Fingerprint != fp {
-					msg := fmt.Sprintf(
-						"dist: worker fingerprint %s disagrees with coordinator %s (divergent simulator builds?)",
-						er.Fingerprint, fp)
-					if er.WorkerVersion != "" {
-						msg = fmt.Sprintf(
-							"dist: worker fingerprint %s (worker build %s) disagrees with coordinator %s (coordinator build %s): divergent simulator builds",
-							er.Fingerprint, er.WorkerVersion, fp, buildinfo.Version())
-					}
-					er = EvalResult{Error: msg}
-				}
-				for n, i := range groups[fp].indices {
-					emit(scenarios[i], i, n > 0, er)
-				}
+				out <- br
 			}
 		}
 	}()
 	return out
+}
+
+// merge folds one worker result into its BatchResult, cross-checking the
+// worker's fingerprint against the coordinator's own.
+func merge(br *eend.BatchResult, er EvalResult) {
+	fp := br.Scenario.Fingerprint()
+	switch {
+	case er.Error != "":
+		br.Err = errors.New(er.Error)
+	case er.Fingerprint != fp && er.WorkerVersion != "":
+		br.Err = fmt.Errorf(
+			"dist: worker fingerprint %s (worker build %s) disagrees with coordinator %s (coordinator build %s): divergent simulator builds",
+			er.Fingerprint, er.WorkerVersion, fp, buildinfo.Version())
+	case er.Fingerprint != fp:
+		br.Err = fmt.Errorf(
+			"dist: worker fingerprint %s disagrees with coordinator %s (divergent simulator builds?)",
+			er.Fingerprint, fp)
+	case er.Results == nil:
+		br.Err = errors.New("dist: worker returned no results and no error")
+	default:
+		br.Results, br.Cached = er.Results, er.Cached
+	}
 }

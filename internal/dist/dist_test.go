@@ -12,6 +12,7 @@ import (
 
 	"eend"
 	"eend/internal/cache"
+	"eend/internal/eval"
 )
 
 // testScenarios builds n small, distinct scenarios.
@@ -39,17 +40,13 @@ func canonicals(scs []*eend.Scenario) []string {
 	return texts
 }
 
-// countSims swaps the engine's batch runner for one that counts simulator
-// invocations; restored on test cleanup.
+// countSims counts the scenarios the evaluator hands to the in-process
+// simulator, through its one test hook; restored on test cleanup.
 func countSims(t *testing.T) *atomic.Int64 {
 	t.Helper()
 	var sims atomic.Int64
-	orig := runBatch
-	runBatch = func(ctx context.Context, scs []*eend.Scenario, opts ...eend.BatchOption) <-chan eend.BatchResult {
-		sims.Add(int64(len(scs)))
-		return orig(ctx, scs, opts...)
-	}
-	t.Cleanup(func() { runBatch = orig })
+	eval.OnSimulate = func(*eend.Scenario) { sims.Add(1) }
+	t.Cleanup(func() { eval.OnSimulate = nil })
 	return &sims
 }
 
@@ -125,6 +122,16 @@ func TestEngineReportsPerScenarioErrors(t *testing.T) {
 	if res[1].Error != "" || res[1].Results == nil {
 		t.Errorf("valid scenario failed alongside a malformed one: %+v", res[1])
 	}
+
+	// A cancelled batch still answers every slot: scenarios the scheduler
+	// never dispatched report the cancellation, not an empty result.
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	for i, er := range (Engine{}).Evaluate(ctx, canonicals(testScenarios(t, 3))) {
+		if er.Fingerprint == "" || er.Results != nil || er.Error != context.Canceled.Error() {
+			t.Errorf("cancelled slot %d = %+v, want the context error", i, er)
+		}
+	}
 }
 
 // newWorkerServer serves the engine protocol the way eendd does, for
@@ -179,7 +186,9 @@ func TestClientTransportErrors(t *testing.T) {
 // machine.
 func TestCoordinatorMatchesLocalRun(t *testing.T) {
 	scs := testScenarios(t, 5)
-	scs = append(scs, scs[0]) // a duplicate, to cover dedup + fan-back
+	// A duplicate shards like any other scenario (deduplication is the
+	// evaluator's job) and still merges positionally.
+	scs = append(scs, scs[0])
 
 	want := make(map[int]string)
 	for br := range eend.RunBatch(t.Context(), scs, eend.Workers(1)) {

@@ -16,11 +16,11 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 
 	"eend"
 	"eend/internal/buildinfo"
 	"eend/internal/cache"
+	"eend/internal/eval"
 )
 
 // EvalRequest is the body of POST /v1/evaluate: a batch of scenarios in
@@ -67,114 +67,46 @@ type Engine struct {
 	Workers int
 }
 
-// runBatch is swapped by tests to prove cached batches never simulate.
-var runBatch = eend.RunBatch
-
-// Evaluate answers a batch: parse every canonical encoding, serve what the
-// cache holds, simulate the rest (deduplicated by fingerprint), and store
-// fresh results. Per-scenario failures are reported in their slot — one
-// malformed scenario cannot fail a batch. The response always has exactly
-// one result per request scenario, in request order.
+// Evaluate answers a batch: parse every canonical encoding and hand the
+// scenarios to the shared evaluator (cache pass, one deduplicated batch
+// over the misses, fresh results stored). Per-scenario failures are
+// reported in their slot — one malformed scenario cannot fail a batch. The
+// response always has exactly one result per request scenario, in request
+// order.
 func (e Engine) Evaluate(ctx context.Context, scenarios []string) []EvalResult {
 	out := make([]EvalResult, len(scenarios))
-
-	// Parse and deduplicate: identical scenarios (same fingerprint) in one
-	// batch simulate once and fan back to every slot.
-	type group struct {
-		sc      *eend.Scenario
-		indices []int
-	}
-	var order []string
-	groups := make(map[string]*group)
+	items := make([]eval.Item, 0, len(scenarios))
+	slots := make([]int, 0, len(scenarios)) // item index -> request slot
 	for i, text := range scenarios {
 		sc, err := eend.ParseCanonical(text)
 		if err != nil {
 			out[i].Error = err.Error()
 			continue
 		}
-		fp := sc.Fingerprint()
-		out[i].Fingerprint = fp
-		g := groups[fp]
-		if g == nil {
-			g = &group{sc: sc}
-			groups[fp] = g
-			order = append(order, fp)
-		}
-		g.indices = append(g.indices, i)
+		out[i].Fingerprint = sc.Fingerprint()
+		items = append(items, eval.Item{Scenario: sc})
+		slots = append(slots, i)
 	}
-
-	deliver := func(indices []int, res *eend.Results, cached bool) {
-		for n, i := range indices {
-			r := res
-			if n > 0 {
-				r = copyResults(res)
-			}
-			out[i].Results = r
-			out[i].Cached = cached
+	ev := eval.Evaluator{Store: e.Store, Workers: e.Workers}
+	simulate := ev.Stream(ctx, items, func(o eval.Outcome) {
+		r := &out[slots[o.Index]]
+		if o.Err != nil {
+			r.Error = o.Err.Error()
+			return
 		}
+		r.Results, r.Cached = o.Results, o.Cached
+	})
+	if simulate != nil {
+		simulate()
 	}
-
-	// Cache pass, then one batch over the misses.
-	var missFP []string
-	var missScs []*eend.Scenario
-	for _, fp := range order {
-		if data, ok := storeGet(e.Store, fp); ok {
-			var res eend.Results
-			if err := json.Unmarshal(data, &res); err == nil {
-				deliver(groups[fp].indices, &res, true)
-				continue
-			}
-			// A corrupt entry is a miss; the fresh result overwrites it.
+	// A cancelled batch never dispatches its queued scenarios, so their
+	// outcomes never arrive; those slots report the cancellation.
+	for _, i := range slots {
+		if r := &out[i]; r.Results == nil && r.Error == "" {
+			r.Error = ctx.Err().Error()
 		}
-		missFP = append(missFP, fp)
-		missScs = append(missScs, groups[fp].sc)
-	}
-	if len(missScs) == 0 {
-		return out
-	}
-	for br := range runBatch(ctx, missScs, eend.Workers(e.Workers)) {
-		fp := missFP[br.Index]
-		if br.Err != nil {
-			for _, i := range groups[fp].indices {
-				out[i].Error = br.Err.Error()
-			}
-			continue
-		}
-		if e.Store != nil {
-			if data, err := json.Marshal(br.Results); err == nil {
-				// A failed write only costs a future re-simulation.
-				_ = e.Store.Put(fp, data)
-			}
-		}
-		deliver(groups[fp].indices, br.Results, false)
 	}
 	return out
-}
-
-// storeGet is a nil-tolerant store read; I/O faults degrade to misses.
-func storeGet(store cache.Store, key string) ([]byte, bool) {
-	if store == nil {
-		return nil, false
-	}
-	data, ok, err := store.Get(key)
-	if err != nil || !ok {
-		return nil, false
-	}
-	return data, true
-}
-
-// copyResults clones a Results through its lossless JSON round trip, so
-// slots sharing a fingerprint never alias one mutable value.
-func copyResults(res *eend.Results) *eend.Results {
-	data, err := json.Marshal(res)
-	if err != nil {
-		return res
-	}
-	cp := new(eend.Results)
-	if err := json.Unmarshal(data, cp); err != nil {
-		return res
-	}
-	return cp
 }
 
 // Evaluator is one worker a coordinator can dispatch a shard to: a remote

@@ -1,0 +1,253 @@
+package eval
+
+import (
+	"context"
+	"errors"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"eend"
+	"eend/internal/cache"
+	"eend/internal/obs"
+)
+
+// testScenarios builds n small, distinct scenarios.
+func testScenarios(t *testing.T, n int) []*eend.Scenario {
+	t.Helper()
+	scs := make([]*eend.Scenario, n)
+	for i := range scs {
+		sc, err := eend.NewScenario(
+			eend.WithSeed(uint64(i+1)), eend.WithNodes(8), eend.WithField(250, 250),
+			eend.WithRandomFlows(2, 2048, 128), eend.WithDuration(10*time.Second),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scs[i] = sc
+	}
+	return scs
+}
+
+// countingBackend runs batches in process, counting the scenarios it is
+// handed; cached stamps every result the way a fleet worker answering from
+// its own cache does.
+func countingBackend(runs *atomic.Int64, cached bool) Backend {
+	return func(ctx context.Context, scs []*eend.Scenario, opts ...eend.BatchOption) <-chan eend.BatchResult {
+		runs.Add(int64(len(scs)))
+		out := make(chan eend.BatchResult, len(scs))
+		go func() {
+			defer close(out)
+			for br := range eend.RunBatch(ctx, scs, opts...) {
+				br.Cached = br.Cached || cached
+				out <- br
+			}
+		}()
+		return out
+	}
+}
+
+// putFails is a store whose writes always fail.
+type putFails struct{ cache.Store }
+
+func (putFails) Put(string, []byte) error { return errors.New("disk full") }
+
+// collect runs both of Stream's steps and returns the outcomes by item
+// index, failing the test on an item answered twice or not at all. early
+// marks the items answered by the cache pass, before simulate was called.
+func collect(t *testing.T, e *Evaluator, scs []*eend.Scenario) (out []Outcome, early []bool) {
+	t.Helper()
+	items := make([]Item, len(scs))
+	for i, sc := range scs {
+		items[i] = Item{Scenario: sc}
+	}
+	out = make([]Outcome, len(scs))
+	seen := make([]bool, len(scs))
+	simulate := e.Stream(context.Background(), items, func(o Outcome) {
+		if seen[o.Index] {
+			t.Errorf("item %d delivered twice", o.Index)
+		}
+		seen[o.Index] = true
+		out[o.Index] = o
+	})
+	early = append([]bool(nil), seen...)
+	if simulate != nil {
+		simulate()
+	}
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("item %d never delivered", i)
+		}
+		if out[i].Err != nil {
+			t.Fatalf("item %d: %v", i, out[i].Err)
+		}
+	}
+	return out, early
+}
+
+// TestStreamContract is the evaluation path's one contract, checked once
+// for all three callers (sweep, search, fleet worker).
+func TestStreamContract(t *testing.T) {
+	scs := testScenarios(t, 3)
+	want := make([]string, len(scs)) // Results fingerprint per scenario
+	cold, _ := collect(t, &Evaluator{}, scs)
+	for i, o := range cold {
+		want[i] = o.Results.Fingerprint()
+	}
+	warm := func() cache.Store {
+		m := cache.NewMem()
+		collect(t, &Evaluator{Store: m}, scs)
+		return m
+	}
+	corrupt := func() cache.Store {
+		m := warm().(*cache.Mem)
+		if err := m.Put(scs[1].Fingerprint(), []byte("{not results")); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	cases := []struct {
+		name       string
+		store      func() cache.Store
+		remoteHits bool  // the backend reports every result Cached
+		batch      []int // indices into scs; repeats are duplicate fingerprints
+		runs       int64 // scenarios the backend must be handed
+		cached     []bool
+	}{
+		{name: "uncached", batch: []int{0, 1, 2}, runs: 3, cached: []bool{false, false, false}},
+		{name: "cold", store: func() cache.Store { return cache.NewMem() }, batch: []int{0, 1, 2}, runs: 3, cached: []bool{false, false, false}},
+		{name: "warm", store: warm, batch: []int{0, 1, 2}, runs: 0, cached: []bool{true, true, true}},
+		{name: "corrupt entry is a miss", store: corrupt, batch: []int{0, 1, 2}, runs: 1, cached: []bool{true, false, true}},
+		{name: "failing put still delivers", store: func() cache.Store { return putFails{cache.NewMem()} }, batch: []int{0, 1}, runs: 2, cached: []bool{false, false}},
+		{name: "duplicates run once", store: func() cache.Store { return cache.NewMem() }, batch: []int{0, 1, 0, 0}, runs: 2, cached: []bool{false, false, false, false}},
+		{name: "warm duplicates look up once", store: warm, batch: []int{2, 2}, runs: 0, cached: []bool{true, true}},
+		{name: "remote cached propagates", remoteHits: true, batch: []int{0, 1}, runs: 2, cached: []bool{true, true}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var runs atomic.Int64
+			e := &Evaluator{Backend: countingBackend(&runs, tc.remoteHits), Workers: 2}
+			if tc.store != nil {
+				e.Store = tc.store()
+			}
+			batch := make([]*eend.Scenario, len(tc.batch))
+			for i, k := range tc.batch {
+				batch[i] = scs[k]
+			}
+			out, early := collect(t, e, batch)
+			if runs.Load() != tc.runs {
+				t.Fatalf("backend was handed %d scenarios, want %d", runs.Load(), tc.runs)
+			}
+			first := make(map[int]int) // scenario -> first slot carrying it
+			for i, o := range out {
+				k := tc.batch[i]
+				if o.Cached != tc.cached[i] {
+					t.Errorf("slot %d: cached=%v, want %v", i, o.Cached, tc.cached[i])
+				}
+				// Store hits — all of them — are delivered by the cache
+				// pass, before any simulation starts.
+				if hit := o.Cached && !tc.remoteHits; early[i] != hit {
+					t.Errorf("slot %d: delivered by the cache pass = %v, want %v", i, early[i], hit)
+				}
+				if got := o.Results.Fingerprint(); got != want[k] {
+					t.Errorf("slot %d: results %s, want %s", i, got, want[k])
+				}
+				if j, dup := first[k]; dup {
+					// Duplicate slots must not alias: mutate one, the
+					// other keeps its value.
+					if o.Results == out[j].Results {
+						t.Fatalf("slots %d and %d share one *Results", j, i)
+					}
+					o.Results.Sent++
+					if out[j].Results.Sent == o.Results.Sent {
+						t.Errorf("mutating slot %d changed slot %d", i, j)
+					}
+				} else {
+					first[k] = i
+				}
+			}
+			// Whatever the store held before, a store that accepts writes
+			// now answers the whole batch without the backend.
+			if _, broken := e.Store.(putFails); e.Store != nil && !broken {
+				before := runs.Load()
+				again, _ := collect(t, e, batch)
+				for i, o := range again {
+					if !o.Cached || o.Results.Fingerprint() != want[tc.batch[i]] {
+						t.Errorf("second pass slot %d: cached=%v", i, o.Cached)
+					}
+				}
+				if runs.Load() != before {
+					t.Errorf("second pass ran %d scenarios, want 0", runs.Load()-before)
+				}
+			}
+		})
+	}
+}
+
+// TestOne covers the single-scenario path the search objective uses: cold
+// simulates in process and stores, warm answers from the store without the
+// simulator, and a configured Backend replaces the in-process run.
+func TestOne(t *testing.T) {
+	sc := testScenarios(t, 1)[0]
+	var sims atomic.Int64
+	OnSimulate = func(*eend.Scenario) { sims.Add(1) }
+	t.Cleanup(func() { OnSimulate = nil })
+
+	e := &Evaluator{Store: cache.NewMem()}
+	cold, cached, err := e.One(context.Background(), sc)
+	if err != nil || cached || sims.Load() != 1 {
+		t.Fatalf("cold: cached=%v sims=%d err=%v, want one fresh run", cached, sims.Load(), err)
+	}
+	warmRes, cached, err := e.One(context.Background(), sc)
+	if err != nil || !cached || sims.Load() != 1 {
+		t.Fatalf("warm: cached=%v sims=%d err=%v, want a hit and no run", cached, sims.Load(), err)
+	}
+	if warmRes.Fingerprint() != cold.Fingerprint() {
+		t.Fatal("cached results differ from simulated ones")
+	}
+
+	var runs atomic.Int64
+	remote := &Evaluator{Backend: countingBackend(&runs, false)}
+	res, cached, err := remote.One(context.Background(), sc)
+	if err != nil || cached || runs.Load() != 1 || sims.Load() != 1 {
+		t.Fatalf("backend: cached=%v runs=%d sims=%d err=%v", cached, runs.Load(), sims.Load(), err)
+	}
+	if res.Fingerprint() != cold.Fingerprint() {
+		t.Fatal("backend results differ from in-process ones")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := (&Evaluator{}).One(ctx, sc); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled One returned %v, want context.Canceled", err)
+	}
+}
+
+// TestStreamSpans pins where the leaves are emitted: a "cache" span per
+// lookup and a "sim" span per simulation, under the item's own Span, once
+// per unique fingerprint.
+func TestStreamSpans(t *testing.T) {
+	scs := testScenarios(t, 2)
+	sink := obs.NewMemSink()
+	tr := obs.NewTracer(obs.TraceID("eval-test"), sink)
+	e := &Evaluator{Store: cache.NewMem(), Trace: tr}
+	parents := []obs.Span{tr.Start(obs.Span{}, "p", "0"), tr.Start(obs.Span{}, "p", "1"), tr.Start(obs.Span{}, "p", "2")}
+	items := []Item{{scs[0], parents[0]}, {scs[1], parents[1]}, {scs[0], parents[2]}}
+	e.Stream(context.Background(), items, func(Outcome) {})()
+
+	got := make(map[string]int) // "name/parent" -> count
+	for _, ev := range sink.Events() {
+		got[ev.Name+"/"+ev.Parent]++
+		if ev.Name == "cache" && ev.Attrs["hit"] != "false" {
+			t.Errorf("cold cache leaf reports hit=%q", ev.Attrs["hit"])
+		}
+	}
+	for _, name := range []string{"cache", "sim"} {
+		for i, want := range []int{1, 1, 0} {
+			if n := got[name+"/"+parents[i].ID()]; n != want {
+				t.Errorf("%d %q leaves under item %d, want %d", n, name, i, want)
+			}
+		}
+	}
+}

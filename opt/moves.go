@@ -64,8 +64,8 @@ type engine interface {
 }
 
 // newEngine picks the search kernel: the incremental one by default, the
-// retained full-recompute reference when the internal flag (or the
-// EEND_OPT_REFERENCE environment variable) asks for it.
+// retained full-recompute reference when the internal Options flag asks
+// for it.
 func newEngine(p *Problem, initial *Design, reference bool) engine {
 	if reference {
 		return newRefEngine(p, initial)

@@ -2,13 +2,13 @@ package opt
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 
 	"eend"
 	"eend/internal/cache"
 	"eend/internal/dist"
+	"eend/internal/eval"
 	"eend/internal/exec"
 )
 
@@ -84,20 +84,13 @@ type SimStats struct {
 // fingerprint into a single simulator run.
 type Simulated struct {
 	p          *Problem
-	store      cache.Store
-	remote     *dist.Coordinator
+	ev         eval.Evaluator // the store and backend candidates are answered from
 	replicates int
 
 	mu     sync.Mutex
 	memo   map[string]float64
 	stats  SimStats
 	flight exec.Flight
-}
-
-// runScenario is swapped by tests to prove that warm-cache searches never
-// touch the simulator.
-var runScenario = func(ctx context.Context, sc *eend.Scenario) (*eend.Results, error) {
-	return sc.Run(ctx)
 }
 
 // Simulated builds the simulator-backed objective for a problem derived
@@ -107,23 +100,14 @@ func (p *Problem) Simulated(cfg SimConfig) (*Simulated, error) {
 	if p.Scenario == nil {
 		return nil, fmt.Errorf("opt: problem has no deployment scenario; build it with opt.FromScenario")
 	}
-	s := &Simulated{p: p, memo: make(map[string]float64), replicates: cfg.Replicates}
-	if len(cfg.Remote) > 0 {
-		workers := make([]dist.Evaluator, len(cfg.Remote))
-		for i, u := range cfg.Remote {
-			workers[i] = dist.NewClient(u, nil)
-		}
-		s.remote = &dist.Coordinator{Workers: workers}
+	store, err := eval.OpenStore(cfg.Store, cfg.CacheDir)
+	if err != nil {
+		return nil, err
 	}
-	switch {
-	case cfg.Store != nil:
-		s.store = cfg.Store
-	case cfg.CacheDir != "":
-		store, err := cache.Open(cfg.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		s.store = store
+	s := &Simulated{p: p, memo: make(map[string]float64), replicates: cfg.Replicates}
+	s.ev.Store = store
+	if len(cfg.Remote) > 0 {
+		s.ev.Backend = dist.NewCoordinator(cfg.Remote).RunBatch
 	}
 	return s, nil
 }
@@ -138,65 +122,52 @@ func (s *Simulated) Stats() SimStats {
 	return s.stats
 }
 
-// scenario pins the candidate's routes into the deployment.
-func (s *Simulated) scenario(d *Design) (*eend.Scenario, error) {
-	return s.p.PinnedScenario(d, s.replicates)
+// memoHit answers fp from the in-run memo, counting the hit.
+func (s *Simulated) memoHit(fp string) (float64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.memo[fp]
+	if ok {
+		s.stats.CacheHits++
+	}
+	return e, ok
 }
 
 // Evaluate scores the design by simulation, answering repeated candidates
-// from the in-run memo or the on-disk cache and coalescing concurrent
-// evaluations of the same fingerprint into one simulator run.
+// from the in-run memo or the result cache and coalescing concurrent
+// evaluations of the same fingerprint into one simulator run (locally, or
+// on the remote fleet when configured with SimConfig.Remote).
 func (s *Simulated) Evaluate(ctx context.Context, d *Design) (float64, error) {
-	sc, err := s.scenario(d)
+	sc, err := s.p.PinnedScenario(d, s.replicates)
 	if err != nil {
 		return 0, err
 	}
 	fp := sc.Fingerprint()
 	s.mu.Lock()
 	s.stats.Evals++
-	if e, ok := s.memo[fp]; ok {
-		s.stats.CacheHits++
-		s.mu.Unlock()
+	s.mu.Unlock()
+	if e, ok := s.memoHit(fp); ok {
 		return e, nil
 	}
-	s.mu.Unlock()
 
 	v, err, shared := s.flight.DoContext(ctx, fp, func() (any, error) {
 		// Re-check the memo inside the flight: a previous leader for this
 		// fingerprint may have completed (and left the flight) between the
 		// caller's memo miss and this call winning the leadership.
-		s.mu.Lock()
-		if e, ok := s.memo[fp]; ok {
-			s.stats.CacheHits++
-			s.mu.Unlock()
+		if e, ok := s.memoHit(fp); ok {
 			return e, nil
 		}
-		s.mu.Unlock()
-		if s.store != nil {
-			if data, ok, _ := s.store.Get(fp); ok {
-				var res eend.Results
-				if err := json.Unmarshal(data, &res); err == nil {
-					s.mu.Lock()
-					s.stats.CacheHits++
-					s.mu.Unlock()
-					return energyOf(&res), nil
-				}
-				// A corrupt entry degrades to a miss and is overwritten below.
-			}
-		}
-		res, err := s.run(ctx, sc)
+		res, cached, err := s.ev.One(ctx, sc)
 		if err != nil {
 			return 0.0, err
 		}
 		s.mu.Lock()
-		s.stats.SimRuns++
-		s.mu.Unlock()
-		if s.store != nil {
-			if data, err := json.Marshal(res); err == nil {
-				// A failed write only costs a future re-simulation.
-				_ = s.store.Put(fp, data)
-			}
+		if cached {
+			s.stats.CacheHits++
+		} else {
+			s.stats.SimRuns++
 		}
+		s.mu.Unlock()
 		return energyOf(res), nil
 	})
 	if err != nil {
@@ -211,18 +182,6 @@ func (s *Simulated) Evaluate(ctx context.Context, d *Design) (float64, error) {
 	s.memo[fp] = e
 	s.mu.Unlock()
 	return e, nil
-}
-
-// run simulates a candidate locally, or on the remote fleet when the
-// objective was configured with SimConfig.Remote.
-func (s *Simulated) run(ctx context.Context, sc *eend.Scenario) (*eend.Results, error) {
-	if s.remote == nil {
-		return runScenario(ctx, sc)
-	}
-	for br := range s.remote.RunBatch(ctx, []*eend.Scenario{sc}) {
-		return br.Results, br.Err
-	}
-	return nil, fmt.Errorf("opt: remote evaluation returned no result")
 }
 
 // energyOf extracts the objective value from simulation results: total

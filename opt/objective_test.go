@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"eend"
+	"eend/internal/eval"
 )
 
 // simProblem is a deliberately small deployment so simulator-backed tests
@@ -94,13 +95,8 @@ func TestWarmCacheZeroSimRuns(t *testing.T) {
 		t.Fatal("cold run performed no simulations")
 	}
 
-	defer func(orig func(context.Context, *eend.Scenario) (*eend.Results, error)) {
-		runScenario = orig
-	}(runScenario)
-	runScenario = func(context.Context, *eend.Scenario) (*eend.Results, error) {
-		t.Fatal("warm-cache search invoked the simulator")
-		return nil, nil
-	}
+	defer func() { eval.OnSimulate = nil }()
+	eval.OnSimulate = func(*eend.Scenario) { t.Error("warm-cache search invoked the simulator") }
 
 	warm, err := p.Simulated(SimConfig{CacheDir: dir})
 	if err != nil {

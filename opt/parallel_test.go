@@ -10,6 +10,7 @@ import (
 
 	"eend"
 	"eend/internal/core"
+	"eend/internal/eval"
 	"eend/internal/exec"
 )
 
@@ -232,12 +233,10 @@ func TestSimulatedConcurrentSingleFlight(t *testing.T) {
 	}
 	var invocations atomic.Int32
 	release := make(chan struct{})
-	orig := runScenario
-	defer func() { runScenario = orig }()
-	runScenario = func(ctx context.Context, sc *eend.Scenario) (*eend.Results, error) {
+	defer func() { eval.OnSimulate = nil }()
+	eval.OnSimulate = func(*eend.Scenario) {
 		invocations.Add(1)
 		<-release
-		return orig(ctx, sc)
 	}
 	d, err := p.SolveApproach(core.IdleFirst)
 	if err != nil {
@@ -330,15 +329,13 @@ func TestParallelRestartSimReplicated(t *testing.T) {
 // and must land on the workers=1 design.
 func TestParallelRestartSimNoDuplicateRuns(t *testing.T) {
 	p := simProblem(t)
-	orig := runScenario
-	defer func() { runScenario = orig }()
+	defer func() { eval.OnSimulate = nil }()
 	var mu sync.Mutex
 	runs := make(map[string]int)
-	runScenario = func(ctx context.Context, sc *eend.Scenario) (*eend.Results, error) {
+	eval.OnSimulate = func(sc *eend.Scenario) {
 		mu.Lock()
 		runs[sc.Fingerprint()]++
 		mu.Unlock()
-		return orig(ctx, sc)
 	}
 	search := func(workers int) (*Result, map[string]int) {
 		mu.Lock()

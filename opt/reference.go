@@ -13,8 +13,7 @@ import (
 // (Graph.Enetwork for the analytic objective). This is the pre-incremental
 // kernel, kept verbatim behind refEngine so the differential suite can pin
 // the incremental engine bit-identical to it — trajectories, energies and
-// final fingerprints. Select it with the internal Options flag or
-// EEND_OPT_REFERENCE=1.
+// final fingerprints. Select it with the internal Options flag.
 
 // activeExcept returns which nodes appear on routes other than demand skip
 // (skip < 0 considers every route), plus the endpoints of every demand —

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"os"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"eend/internal/core"
@@ -191,15 +189,9 @@ type Options struct {
 
 	// reference (internal) forces the retained full-recompute engine:
 	// clone-per-proposal moves scored from scratch. The differential suite
-	// sets it to pin the incremental engine bit-identical; the
-	// EEND_OPT_REFERENCE=1 environment variable forces it process-wide.
+	// sets it to pin the incremental engine bit-identical.
 	reference bool
 }
-
-// referenceEngineEnv reads the EEND_OPT_REFERENCE escape hatch once.
-var referenceEngineEnv = sync.OnceValue(func() bool {
-	return os.Getenv("EEND_OPT_REFERENCE") == "1"
-})
 
 // Step is one search iteration's outcome.
 type Step struct {
@@ -388,9 +380,6 @@ func (p *Problem) Search(ctx context.Context, obj Objective, o Options) (*Result
 	}
 	if o.Restarts <= 0 {
 		o.Restarts = 3
-	}
-	if referenceEngineEnv() {
-		o.reference = true
 	}
 
 	res := &Result{

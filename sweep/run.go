@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -10,6 +9,7 @@ import (
 	"eend"
 	"eend/internal/cache"
 	"eend/internal/dist"
+	"eend/internal/eval"
 	"eend/internal/obs"
 )
 
@@ -81,10 +81,6 @@ type Runner struct {
 	// changes results.
 	Trace *obs.Tracer
 }
-
-// runBatch is swapped by tests to prove that fully cached sweeps never
-// touch the simulator.
-var runBatch = eend.RunBatch
 
 // Run expands the grid, answers cached points from disk, simulates the
 // rest concurrently, and returns every result in grid order along with the
@@ -171,13 +167,13 @@ func (r Runner) Stream(ctx context.Context, g *Grid) (<-chan Result, int, error)
 }
 
 // pointState tracks one grid point's replicate set while the sweep runs.
-// Each replicate is cached and simulated independently under its own
-// derived-seed fingerprint; the point completes when every replicate is in.
+// Each replicate is evaluated independently under its own derived-seed
+// fingerprint; the point completes when every replicate is in.
 type pointState struct {
 	seeds   []uint64        // derived seed per replicate
 	runs    []*eend.Results // filled per replicate (cache or simulation)
-	cached  int             // replicates answered from the cache
-	missing int             // replicates still being simulated
+	cached  int             // replicates answered without a fresh simulation
+	pending int             // replicates not yet answered
 	err     error           // first replicate failure, if any
 	span    obs.Span        // the point's span (inert when untraced)
 }
@@ -217,17 +213,14 @@ func (st *pointState) finish(sr Result) Result {
 func (p *Prepared) Stream(ctx context.Context) (<-chan Result, error) {
 	r := p.runner
 	results := p.results
-	store := r.Cache
-	if store == nil && r.CacheDir != "" {
-		disk, err := cache.Open(r.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		store = disk
+	store, err := eval.OpenStore(r.Cache, r.CacheDir)
+	if err != nil {
+		return nil, err
 	}
 
 	tr := r.Trace
 	sweepSp := tr.Start(obs.Span{}, "sweep", strconv.Itoa(len(results)))
+	ev := eval.Evaluator{Store: store, Backend: r.backend(sweepSp), Workers: r.Workers, Trace: tr}
 
 	out := make(chan Result, len(results))
 	progress := Progress{Total: len(results)}
@@ -252,22 +245,13 @@ func (p *Prepared) Stream(ctx context.Context) (<-chan Result, error) {
 			r.OnProgress(progress)
 		}
 	}
-	finishSweep := func() {
-		sweepSp.End(obs.AInt("points", int64(progress.Total)),
-			obs.AInt("cache_hits", int64(progress.CacheHits)),
-			obs.AInt("errors", int64(progress.Errors)))
-	}
 
-	// Expand every point into replicates, answer what the cache has, and
-	// collect the missing replicate scenarios for the batch. missPoint
-	// and missFP parallel the batch's scenario slice.
+	// Expand every point into its replicates: one evaluator item each,
+	// under a "replicate" span. owner parallels items.
+	type replicate struct{ point, k int }
 	states := make([]*pointState, len(results))
-	var missPoint []int
-	var missRep []int
-	var missFP []string
-	var missSpan []obs.Span // the replicate's span, ended when its result lands
-	var missSim []obs.Span  // the queued "sim" leaf under it
-	var scenarios []*eend.Scenario
+	items := make([]eval.Item, 0, len(results))
+	owner := make([]replicate, 0, len(results))
 	for i := range results {
 		sc := results[i].Scenario
 		n := sc.Replicates()
@@ -283,109 +267,69 @@ func (p *Prepared) Stream(ctx context.Context) (<-chan Result, error) {
 				break
 			}
 			st.seeds[k] = rep.Seed()
-			fp := rep.Fingerprint()
-			rsp := tr.Start(st.span, "replicate", fp)
-			csp := obs.Span{}
-			if store != nil {
-				csp = tr.Start(rsp, "cache", fp)
-			}
-			data, hit := cacheGet(store, fp)
-			if store != nil {
-				csp.End(obs.A("hit", strconv.FormatBool(hit)))
-			}
-			if hit {
-				var res eend.Results
-				if err := json.Unmarshal(data, &res); err == nil {
-					st.runs[k] = &res
-					st.cached++
-					rsp.End(obs.A("cached", "true"))
-					continue
-				}
-				// A corrupt entry is a miss; the fresh result overwrites it.
-			}
-			st.missing++
-			missPoint = append(missPoint, i)
-			missRep = append(missRep, k)
-			missFP = append(missFP, fp)
-			missSpan = append(missSpan, rsp)
-			missSim = append(missSim, tr.Start(rsp, "sim", fp))
-			scenarios = append(scenarios, rep)
+			st.pending++
+			items = append(items, eval.Item{Scenario: rep, Span: tr.Start(st.span, "replicate", rep.Fingerprint())})
+			owner = append(owner, replicate{i, k})
 		}
-		if st.missing == 0 {
+		if st.pending == 0 {
 			emit(st.finish(results[i]), st)
 		}
 	}
-	if len(scenarios) == 0 {
-		finishSweep()
-		close(out)
-		return out, nil
-	}
 
-	batch := r.batchFn(sweepSp)(ctx, scenarios, eend.Workers(r.Workers))
-	go func() {
-		defer close(out)
-		defer finishSweep()
-		for br := range batch {
-			i := missPoint[br.Index]
-			st := states[i]
-			if br.Err != nil {
-				missSim[br.Index].End(obs.A("error", br.Err.Error()))
-				missSpan[br.Index].End(obs.A("error", br.Err.Error()))
-				if st.err == nil {
-					st.err = br.Err
-				}
-			} else {
-				missSim[br.Index].End(obs.A("cached", strconv.FormatBool(br.Cached)))
-				missSpan[br.Index].End(obs.A("cached", strconv.FormatBool(br.Cached)))
-				st.runs[missRep[br.Index]] = br.Results
-				if br.Cached {
-					// A remote worker answered from the fleet cache; the
-					// point is as cached as a local hit would have been.
-					st.cached++
-				}
-				if store != nil {
-					if data, err := json.Marshal(br.Results); err == nil {
-						// A failed write only costs a future re-simulation.
-						_ = store.Put(missFP[br.Index], data)
-					}
-				}
+	// The cache pass runs here, so fully cached points are emitted before
+	// Stream returns and before any simulation starts.
+	simulate := ev.Stream(ctx, items, func(o eval.Outcome) {
+		i := owner[o.Index].point
+		st := states[i]
+		if o.Err != nil {
+			items[o.Index].Span.End(obs.A("error", o.Err.Error()))
+			if st.err == nil {
+				st.err = o.Err
 			}
-			if st.missing--; st.missing == 0 {
-				emit(st.finish(results[i]), st)
+		} else {
+			// Cached covers a local hit and a remote worker answering
+			// from the fleet cache alike.
+			items[o.Index].Span.End(obs.A("cached", strconv.FormatBool(o.Cached)))
+			st.runs[owner[o.Index].k] = o.Results
+			if o.Cached {
+				st.cached++
 			}
 		}
+		if st.pending--; st.pending == 0 {
+			emit(st.finish(results[i]), st)
+		}
+	})
+	finish := func() {
+		sweepSp.End(obs.AInt("points", int64(progress.Total)),
+			obs.AInt("cache_hits", int64(progress.CacheHits)),
+			obs.AInt("errors", int64(progress.Errors)))
+		close(out)
+	}
+	if simulate == nil {
+		finish()
+		return out, nil
+	}
+	go func() {
+		defer finish()
+		simulate()
 	}()
 	return out, nil
 }
 
-// batchFn selects the simulation backend: the local batch runner, or a
-// dist coordinator over the configured remote workers. parent is the span
-// the coordinator's shard spans attach under when the sweep is traced.
-func (r Runner) batchFn(parent obs.Span) func(context.Context, []*eend.Scenario, ...eend.BatchOption) <-chan eend.BatchResult {
+// backend selects the simulation backend: nil for the in-process batch
+// runner, or a dist coordinator over the configured remote workers. parent
+// is the span the coordinator's shard spans attach under when the sweep is
+// traced.
+func (r Runner) backend(parent obs.Span) eval.Backend {
 	if len(r.Remote) == 0 {
-		return runBatch
+		return nil
 	}
-	workers := make([]dist.Evaluator, len(r.Remote))
-	for i, u := range r.Remote {
-		workers[i] = dist.NewClient(u, nil)
-	}
-	co := &dist.Coordinator{Workers: workers, Parallel: r.Workers, Trace: r.Trace, Span: parent}
+	co := dist.NewCoordinator(r.Remote)
+	co.Parallel, co.Trace, co.Span = r.Workers, r.Trace, parent
 	if r.OnRetry != nil {
 		co.OnRetry = func(e dist.RetryEvent) { r.OnRetry(e.Worker, e.Err) }
 	}
 	return co.RunBatch
-}
-
-// cacheGet is a nil-tolerant store read; I/O faults degrade to misses.
-func cacheGet(store cache.Store, key string) ([]byte, bool) {
-	if store == nil {
-		return nil, false
-	}
-	data, ok, err := store.Get(key)
-	if err != nil || !ok {
-		return nil, false
-	}
-	return data, true
 }
 
 // hasHeuristicAxis reports whether the grid designs its points (and so

@@ -4,9 +4,11 @@ import (
 	"context"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"eend"
+	"eend/internal/eval"
 )
 
 // testGrid is small but multi-axis: 2 nodes values x 2 seeds = 4 points,
@@ -21,12 +23,14 @@ func testGrid(t *testing.T) *Grid {
 	return g
 }
 
-// countingRunner wraps eend.RunBatch and counts dispatched scenarios.
-func countingRunner(calls *int) func(context.Context, []*eend.Scenario, ...eend.BatchOption) <-chan eend.BatchResult {
-	return func(ctx context.Context, scs []*eend.Scenario, opts ...eend.BatchOption) <-chan eend.BatchResult {
-		*calls += len(scs)
-		return eend.RunBatch(ctx, scs, opts...)
-	}
+// countSims counts the scenarios the evaluator hands to the in-process
+// simulator, through its one test hook; restored on test cleanup.
+func countSims(t *testing.T) *atomic.Int64 {
+	t.Helper()
+	var sims atomic.Int64
+	eval.OnSimulate = func(*eend.Scenario) { sims.Add(1) }
+	t.Cleanup(func() { eval.OnSimulate = nil })
+	return &sims
 }
 
 func TestRunWithoutCache(t *testing.T) {
@@ -59,8 +63,8 @@ func TestRunWithoutCache(t *testing.T) {
 
 // TestRerunIsFullyCached is the subsystem's core guarantee: re-running an
 // unchanged grid completes with 100% cache hits and zero simulator
-// invocations — proven by swapping the batch runner for one that fails the
-// test if it is ever handed a scenario.
+// invocations — proven by counting the scenarios the evaluator hands to
+// the simulator.
 func TestRerunIsFullyCached(t *testing.T) {
 	dir := t.TempDir()
 	r := Runner{CacheDir: dir}
@@ -73,20 +77,14 @@ func TestRerunIsFullyCached(t *testing.T) {
 		t.Fatalf("first run had %d cache hits, want 0", prog.CacheHits)
 	}
 
-	orig := runBatch
-	defer func() { runBatch = orig }()
-	invoked := 0
-	runBatch = func(ctx context.Context, scs []*eend.Scenario, opts ...eend.BatchOption) <-chan eend.BatchResult {
-		invoked += len(scs)
-		return orig(ctx, scs, opts...)
-	}
+	invoked := countSims(t)
 
 	second, prog2, err := r.Run(context.Background(), testGrid(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if invoked != 0 {
-		t.Fatalf("re-run invoked the simulator for %d scenarios, want 0", invoked)
+	if invoked.Load() != 0 {
+		t.Fatalf("re-run invoked the simulator for %d scenarios, want 0", invoked.Load())
 	}
 	if prog2.CacheHits != prog2.Total || prog2.Done != prog2.Total {
 		t.Fatalf("re-run progress = %+v, want 100%% cache hits", prog2)
@@ -112,10 +110,7 @@ func TestChangedAxisSimulatesOnlyNewPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	orig := runBatch
-	defer func() { runBatch = orig }()
-	invoked := 0
-	runBatch = countingRunner(&invoked)
+	invoked := countSims(t)
 
 	// One more nodes value: 2 new points (x 2 seeds), 4 old ones cached.
 	wider, err := ParseGrid("nodes=5,8,12 seed=1..2 field=200 dur=25s flows=1 rate=2")
@@ -126,8 +121,8 @@ func TestChangedAxisSimulatesOnlyNewPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if invoked != 2 {
-		t.Fatalf("simulated %d points, want only the 2 new ones", invoked)
+	if invoked.Load() != 2 {
+		t.Fatalf("simulated %d points, want only the 2 new ones", invoked.Load())
 	}
 	if prog.CacheHits != 4 || prog.Done != 6 {
 		t.Fatalf("progress = %+v, want 4 hits of 6 points", prog)
@@ -149,18 +144,15 @@ func TestReplicatedPointsCachePerSeed(t *testing.T) {
 		return g
 	}
 
-	orig := runBatch
-	defer func() { runBatch = orig }()
-	invoked := 0
-	runBatch = countingRunner(&invoked)
+	invoked := countSims(t)
 
 	// 2 points x 3 replicates = 6 simulations.
 	results, prog, err := r.Run(context.Background(), grid(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if invoked != 6 {
-		t.Fatalf("first run simulated %d scenarios, want 6", invoked)
+	if invoked.Load() != 6 {
+		t.Fatalf("first run simulated %d scenarios, want 6", invoked.Load())
 	}
 	if prog.Done != 2 || prog.CacheHits != 0 {
 		t.Fatalf("first run progress = %+v, want 2 fresh points", prog)
@@ -176,13 +168,13 @@ func TestReplicatedPointsCachePerSeed(t *testing.T) {
 	}
 
 	// Unchanged grid: all 6 replicate results come from the cache.
-	invoked = 0
+	invoked.Store(0)
 	again, prog2, err := r.Run(context.Background(), grid(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if invoked != 0 {
-		t.Fatalf("re-run simulated %d scenarios, want 0", invoked)
+	if invoked.Load() != 0 {
+		t.Fatalf("re-run simulated %d scenarios, want 0", invoked.Load())
 	}
 	if prog2.CacheHits != 2 {
 		t.Fatalf("re-run progress = %+v, want both points cached", prog2)
@@ -197,13 +189,13 @@ func TestReplicatedPointsCachePerSeed(t *testing.T) {
 	}
 
 	// Widening 3 -> 5 replicates simulates only the 2x2 new seeds.
-	invoked = 0
+	invoked.Store(0)
 	_, prog3, err := r.Run(context.Background(), grid(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if invoked != 4 {
-		t.Fatalf("widened run simulated %d scenarios, want only the 4 new seeds", invoked)
+	if invoked.Load() != 4 {
+		t.Fatalf("widened run simulated %d scenarios, want only the 4 new seeds", invoked.Load())
 	}
 	// The points themselves are partially fresh, so they do not count as
 	// cache hits even though 6 of 10 replicates were.
