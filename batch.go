@@ -2,10 +2,10 @@ package eend
 
 import (
 	"context"
-	"encoding/json"
 	"time"
 
 	"eend/internal/exec"
+	"eend/internal/network"
 )
 
 // batchAbandonGrace is how long a cancelled batch keeps trying to deliver
@@ -106,7 +106,7 @@ func RunBatch(ctx context.Context, scenarios []*Scenario, opts ...BatchOption) <
 			if r.Err == nil {
 				res := r.Value.(*Results)
 				if r.Shared {
-					res = deepCopyResults(res)
+					res = network.Copy(res)
 				}
 				br.Results = res
 			}
@@ -163,21 +163,4 @@ func RunBatch(ctx context.Context, scenarios []*Scenario, opts ...BatchOption) <
 		}
 	}()
 	return out
-}
-
-// deepCopyResults clones a Results through its lossless JSON round-trip,
-// so a coalesced follower never shares mutable state (per-node slices,
-// replicate summaries) with the leader's value. A marshal fault — which
-// the round-trip tests rule out for facade-built scenarios — degrades to
-// sharing the value rather than dropping the result.
-func deepCopyResults(res *Results) *Results {
-	data, err := json.Marshal(res)
-	if err != nil {
-		return res
-	}
-	cp := new(Results)
-	if err := json.Unmarshal(data, cp); err != nil {
-		return res
-	}
-	return cp
 }

@@ -76,7 +76,7 @@ func registerFleet(mux *http.ServeMux, store cache.Store, met *metrics) {
 		results := engine.Evaluate(r.Context(), req.Scenarios)
 		for _, er := range results {
 			if er.Error == "" && !er.Cached {
-				met.evaluations.Add(1)
+				met.evaluations.Inc()
 			}
 		}
 		writeJSON(w, http.StatusOK, dist.EvalResponse{

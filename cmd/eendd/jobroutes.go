@@ -56,9 +56,9 @@ func newJobManager[V any](base context.Context, cfg serverConfig, k jobKind[V], 
 }
 
 // inflight counts a store's running jobs (the /metrics gauge).
-func inflight[V any](store *jobs.Store[V]) func() int {
-	return func() int {
-		n := 0
+func inflight[V any](store *jobs.Store[V]) func() float64 {
+	return func() float64 {
+		n := 0.0
 		for _, j := range store.Jobs() {
 			if j.Status() == jobs.Running {
 				n++
@@ -74,7 +74,8 @@ func inflight[V any](store *jobs.Store[V]) func() int {
 // and its in-flight gauge on the manager's metrics.
 func registerJobRoutes[Req, V any](mux *http.ServeMux, m *jobManager[V], start func(*jobManager[V], Req) (*jobs.Job[V], error)) {
 	k, store := m.kind, m.store
-	m.met.inflight = append(m.met.inflight, inflightGauge{k.gauge, inflight(store)})
+	m.met.reg.GaugeFunc("eend_jobs_inflight", "Async jobs currently running, by kind.",
+		inflight(store), obs.L("kind", k.gauge))
 	// lookup resolves {id}, answering 404 itself when it names no job.
 	lookup := func(w http.ResponseWriter, r *http.Request) (*jobs.Job[V], bool) {
 		job, ok := store.Get(r.PathValue("id"))

@@ -48,6 +48,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	"eend/internal/buildinfo"
 )
@@ -57,18 +58,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "eendd:", err)
 		os.Exit(1)
 	}
-}
-
-// splitHosts parses a comma-separated host list, trimming whitespace and
-// dropping empty entries so trailing commas are harmless.
-func splitHosts(s string) []string {
-	var hosts []string
-	for _, h := range strings.Split(s, ",") {
-		if h = strings.TrimSpace(h); h != "" {
-			hosts = append(hosts, h)
-		}
-	}
-	return hosts
 }
 
 func run(args []string) error {
@@ -100,7 +89,7 @@ func run(args []string) error {
 	handler, err := newServerWith(baseCtx, serverConfig{
 		cacheDir:   *cacheDir,
 		retainJobs: *retain,
-		peers:      splitHosts(*peers),
+		peers:      strings.FieldsFunc(*peers, func(c rune) bool { return c == ',' || unicode.IsSpace(c) }),
 		stateDir:   *stateDir,
 		pprof:      *pprofOn,
 	})

@@ -265,7 +265,7 @@ func newServerWith(base context.Context, cfg serverConfig) (http.Handler, error)
 	if err != nil {
 		return nil, err
 	}
-	met := &metrics{store: store}
+	met := newMetrics(store)
 
 	mux := http.NewServeMux()
 	sweeps, err := newJobManager(base, cfg, sweepRoutes, store, met)

@@ -96,7 +96,7 @@ func startSweep(m *jobManager[sweepState], req sweepRequest) (*jobs.Job[sweepSta
 		Workers: workers,
 		Cache:   m.cache,
 		Remote:  m.peers,
-		OnRetry: func(string, error) { m.met.shardRetries.Add(1) },
+		OnRetry: func(string, error) { m.met.shardRetries.Inc() },
 		Trace:   obs.NewTracer(traceID, sink),
 	}
 	prep, err := r.Prepare(g)

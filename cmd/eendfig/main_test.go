@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -95,5 +97,27 @@ func TestRunCancelledContext(t *testing.T) {
 	cancel()
 	if err := run(ctx, os.Stdout, []string{"-fig", "fig8"}); err == nil {
 		t.Fatal("cancelled context should abort the run with an error")
+	}
+}
+
+// TestGoldenFigures pins, byte for byte, what `-fig all` and `-fig
+// ablations` write at quick scale: the reproduction's headline output. The
+// digests were captured on go1.24 linux/amd64 from the per-figure functions
+// the experiment catalogue replaced, and hold at any GOMAXPROCS. If a change
+// legitimately moves a figure (a model fix, a new series), recapture them
+// and say so in the commit; if only the harness changed, a mismatch is a bug.
+func TestGoldenFigures(t *testing.T) {
+	for fig, want := range map[string]string{
+		"all":       "bf9df63168b364df519e3b74869b9be3b8bbc2a045c0fb619cd33c63c468bf44",
+		"ablations": "a9915fd44dadd45e6083028b57507fad690db4719ed9300a1d7a495dabb3f9cb",
+	} {
+		var out bytes.Buffer
+		if err := run(bg, &out, []string{"-fig", fig, "-scale", "quick", "-format", "json"}); err != nil {
+			t.Fatalf("-fig %s: %v", fig, err)
+		}
+		sum := sha256.Sum256(out.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("-fig %s: sha256 = %s, want %s", fig, got, want)
+		}
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	"eend"
 	"eend/internal/cliobs"
@@ -150,7 +151,8 @@ func run(ctx context.Context, out, errw io.Writer, args []string) (err error) {
 	case "analytic":
 		obj = p.Analytic()
 	case "sim":
-		sim, err := p.Simulated(opt.SimConfig{CacheDir: *cacheDir, Remote: splitHosts(*remote), Replicates: *replicates})
+		hosts := strings.FieldsFunc(*remote, func(c rune) bool { return c == ',' || unicode.IsSpace(c) })
+		sim, err := p.Simulated(opt.SimConfig{CacheDir: *cacheDir, Remote: hosts, Replicates: *replicates})
 		if err != nil {
 			return err
 		}
@@ -200,17 +202,6 @@ func run(ctx context.Context, out, errw io.Writer, args []string) (err error) {
 }
 
 // parseField accepts a square side ("600") or an explicit "WxH".
-// splitHosts parses a comma-separated host list, dropping empty entries.
-func splitHosts(s string) []string {
-	var hosts []string
-	for _, h := range strings.Split(s, ",") {
-		if h = strings.TrimSpace(h); h != "" {
-			hosts = append(hosts, h)
-		}
-	}
-	return hosts
-}
-
 func parseField(spec string) (w, h float64, err error) {
 	ws, hs, ok := strings.Cut(spec, "x")
 	if !ok {

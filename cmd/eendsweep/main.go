@@ -38,6 +38,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	"eend/internal/cliobs"
 	"eend/sweep"
@@ -94,7 +95,8 @@ func run(ctx context.Context, out, errw io.Writer, args []string) (err error) {
 		}
 	}()
 
-	r := sweep.Runner{Workers: *workers, CacheDir: *cacheDir, Remote: splitHosts(*remote), Trace: ob.Tracer()}
+	hosts := strings.FieldsFunc(*remote, func(c rune) bool { return c == ',' || unicode.IsSpace(c) })
+	r := sweep.Runner{Workers: *workers, CacheDir: *cacheDir, Remote: hosts, Trace: ob.Tracer()}
 	if !*quiet && len(r.Remote) > 0 {
 		r.OnRetry = func(worker string, err error) {
 			fmt.Fprintf(errw, "\neendsweep: retrying shard after %s failed: %v\n", worker, err)
@@ -146,17 +148,6 @@ func run(ctx context.Context, out, errw io.Writer, args []string) (err error) {
 		return fmt.Errorf("cancelled after %d of %d points", prog.Done, prog.Total)
 	}
 	return nil
-}
-
-// splitHosts parses a comma-separated host list, dropping empty entries.
-func splitHosts(s string) []string {
-	var hosts []string
-	for _, h := range strings.Split(s, ",") {
-		if h = strings.TrimSpace(h); h != "" {
-			hosts = append(hosts, h)
-		}
-	}
-	return hosts
 }
 
 // sweepOutput is the JSON envelope.

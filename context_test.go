@@ -78,3 +78,31 @@ func TestRunnerRunHonoursCancellation(t *testing.T) {
 		t.Fatal("cancelled context should abort Runner.All")
 	}
 }
+
+// TestRunExperimentDispatchesCatalogue walks both ID lists through the one
+// public dispatcher: every listed ID is an experiment ID and yields the
+// figure it names, whichever namespace it belongs to.
+func TestRunExperimentDispatchesCatalogue(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment at quick scale")
+	}
+	r := eend.Runner{Scale: eend.Quick}
+	for _, id := range append(eend.ExperimentIDs(), eend.AblationIDs()...) {
+		if !eend.IsExperimentID(id) {
+			t.Errorf("IsExperimentID(%q) = false", id)
+		}
+		f, err := eend.RunExperiment(context.Background(), r, id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if f.ID != id {
+			t.Errorf("%s dispatched to figure %q", id, f.ID)
+		}
+	}
+	if eend.IsExperimentID("fig99") {
+		t.Error(`IsExperimentID("fig99") = true`)
+	}
+	if _, err := eend.RunExperiment(context.Background(), r, "fig99"); err == nil {
+		t.Error("unknown id should fail")
+	}
+}

@@ -93,13 +93,12 @@
 //	internal/network      scenario assembly and metrics
 //	internal/core         the design problem: Enetwork, Steiner/MPC, m_opt
 //	internal/metrics      means and 95% confidence intervals (JSON-marshalable)
-//	internal/experiments  one runner per paper table/figure
+//	internal/experiments  one catalogue of the paper's tables/figures, one runner
 //	cmd/eendfig           regenerate all tables and figures (-format text|json|csv)
 //	cmd/eendsim           run a single scenario (-json, -topology)
 //	cmd/eendsweep         run a parameter grid with the result cache (CSV/JSON)
 //	cmd/eendopt           design-space search with CSV/JSON trajectories
 //	cmd/eendd             HTTP service: scenarios, figures, sweeps, optimizations
-//	cmd/mopt              the Section 5.1 analytical study
 //	tools/linkcheck       markdown cross-reference checker (the CI docs job)
 //
 // The benchmarks in bench_test.go regenerate each experiment at Quick

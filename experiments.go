@@ -2,12 +2,13 @@ package eend
 
 import (
 	"context"
+	"slices"
 
 	"eend/internal/experiments"
 )
 
-// The experiment harness (every table and figure of the paper's Section 5)
-// re-exported for public consumption.
+// The experiment harness (every table and figure of the paper's Section 5,
+// one catalogue in internal/experiments) re-exported for public consumption.
 
 type (
 	// Figure is a reproduced table or figure.
@@ -42,27 +43,15 @@ func AblationIDs() []string { return experiments.AblationIDs() }
 // IsExperimentID reports whether id names a paper experiment or an
 // ablation.
 func IsExperimentID(id string) bool {
-	for _, known := range ExperimentIDs() {
-		if known == id {
-			return true
-		}
-	}
-	for _, known := range AblationIDs() {
-		if known == id {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(ExperimentIDs(), id) || slices.Contains(AblationIDs(), id)
 }
 
 // RunExperiment dispatches a paper experiment or an ablation by ID on the
 // runner, whichever namespace the ID belongs to. A cancelled ctx aborts the
 // underlying sweep early and returns the context's error.
 func RunExperiment(ctx context.Context, r Runner, id string) (*Figure, error) {
-	for _, a := range AblationIDs() {
-		if a == id {
-			return r.RunAblation(ctx, id)
-		}
+	if slices.Contains(AblationIDs(), id) {
+		return r.RunAblation(ctx, id)
 	}
 	return r.Run(ctx, id)
 }

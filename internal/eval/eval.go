@@ -15,6 +15,7 @@ import (
 
 	"eend"
 	"eend/internal/cache"
+	"eend/internal/network"
 	"eend/internal/obs"
 )
 
@@ -90,21 +91,6 @@ func (e *Evaluator) put(fp string, res *eend.Results) {
 	if data, err := json.Marshal(res); err == nil {
 		_ = e.Store.Put(fp, data)
 	}
-}
-
-// clone copies a Results through its lossless encoding, so slots sharing a
-// fingerprint never alias one mutable value. An encoding fault — which the
-// round-trip tests rule out — degrades to sharing rather than dropping.
-func clone(res *eend.Results) *eend.Results {
-	data, err := json.Marshal(res)
-	if err != nil {
-		return res
-	}
-	cp := new(eend.Results)
-	if json.Unmarshal(data, cp) != nil {
-		return res
-	}
-	return cp
 }
 
 // One evaluates a single scenario: the store's answer when it has one
@@ -190,7 +176,7 @@ func (e *Evaluator) Stream(ctx context.Context, items []Item, deliver func(Outco
 		for _, i := range g.dups {
 			o.Index = i
 			if o.Results != nil {
-				o.Results = clone(o.Results)
+				o.Results = network.Copy(o.Results)
 			}
 			deliver(o)
 		}

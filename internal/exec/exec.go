@@ -1,7 +1,8 @@
 // Package exec is the unified execution runtime: one bounded work
 // scheduler under every layer that fans work out — eend.RunBatch,
-// WithReplicates replication, sweep.Runner, and eend/opt's random-restart
-// search all submit Items here instead of spinning private worker pools.
+// WithReplicates replication, sweep.Runner, eend/opt's random-restart
+// search and the paper experiments' runner (internal/experiments) all
+// submit Items here instead of spinning private worker pools.
 //
 // The scheduler's contract is determinism first: an Item's value never
 // depends on when or where it runs. Each item carries the seed it was

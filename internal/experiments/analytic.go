@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -10,10 +9,9 @@ import (
 	"eend/internal/radio"
 )
 
-// Table1 renders the radio parameters of the modelled cards (paper
-// Table 1), converted back to the paper's mW units. It is analytic (no
-// simulation); ctx is accepted for uniformity with the other experiments.
-func (r Runner) Table1(_ context.Context) *Figure {
+// table1 renders the radio parameters of the modelled cards, converted
+// back to the paper's mW units.
+func table1(f *Figure) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-24s %10s %10s %12s %14s %4s %8s\n",
 		"Card", "Pidle(mW)", "Prx(mW)", "Pbase(mW)", "alpha2(mW/m^n)", "n", "D(m)")
@@ -21,34 +19,16 @@ func (r Runner) Table1(_ context.Context) *Figure {
 		fmt.Fprintf(&b, "%-24s %10.1f %10.1f %12.1f %14.3g %4.0f %8.0f\n",
 			c.Name, c.Idle*1e3, c.Recv*1e3, c.Base*1e3, c.Alpha*1e3, c.PathLossExp, c.Range)
 	}
-	return &Figure{
-		ID:    "table1",
-		Title: "Radio parameters for the modelled wireless cards",
-		Text:  b.String(),
-		Notes: []string{"sleep power and switch energy are not in the paper's table; see radio package docs"},
-	}
+	f.Text = b.String()
 }
 
-// Fig7 reproduces the characteristic hop count study: m_opt vs bandwidth
-// utilization R/B for every card (Eq. 15). No simulation involved; ctx is
-// accepted for uniformity with the other experiments.
-func (r Runner) Fig7(_ context.Context) *Figure {
-	var series []*metrics.Series
+// fig7 plots m_opt against R/B for every card (Eq. 15).
+func fig7(f *Figure) {
 	for _, fc := range core.Fig7Cards() {
 		s := metrics.NewSeries(fmt.Sprintf("%s (D=%.0fm)", fc.Card.Name, fc.D))
 		for _, pt := range core.MoptCurve(fc.Card, fc.D, 0.10, 0.50, 0.05) {
 			s.Observe(pt.RB, pt.Mopt)
 		}
-		series = append(series, s)
-	}
-	return &Figure{
-		ID:     "fig7",
-		Title:  "Characteristic hop count m_opt vs bandwidth utilization R/B (Eq. 15)",
-		XLabel: "R/B",
-		Series: series,
-		Notes: []string{
-			"m_opt < 2 for every real card: relaying between nodes in range never saves energy",
-			"only the Hypothetical Cabletron reaches m_opt >= 2 (at R/B ~ 0.25)",
-		},
+		f.Series = append(f.Series, s)
 	}
 }

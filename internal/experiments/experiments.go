@@ -1,19 +1,20 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (Section 5). Each experiment has a Runner method returning a
-// Figure: the same series the paper plots, as mean ± 95% CI over seeded
-// runs. Experiments run at two scales: Quick (CI-sized: smaller fields,
-// fewer seeds, shorter horizons) and Full (the paper's parameters).
+// evaluation (Section 5). The evaluation is one ordered catalogue
+// (catalogue.go): each study declares its sizing per scale, its protocol
+// stacks, its scenario builder and the plots drawn from its runs, and one
+// runner (runner.go) expands a study into seeded jobs, executes them on the
+// shared scheduler (internal/exec) and assembles the Figures: the same
+// series the paper plots, as mean ± 95% CI over seeded runs. Every ID list,
+// dispatcher and Runner method is a lookup in that table. Experiments run
+// at two scales: Quick (CI-sized: smaller fields, fewer seeds, shorter
+// horizons) and Full (the paper's parameters).
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"eend/internal/metrics"
-	"eend/internal/network"
-	"eend/internal/power"
-	"eend/internal/traffic"
 )
 
 // Scale selects experiment sizing.
@@ -85,9 +86,10 @@ func (f *Figure) CSV() string {
 // Runner executes experiments at a given scale.
 type Runner struct {
 	Scale Scale
-	// Workers bounds the number of scenarios simulated concurrently;
-	// 0 means GOMAXPROCS. Each run owns its simulator, so results are
-	// independent of the worker count.
+	// Workers bounds the number of scenarios simulated concurrently on a
+	// scheduler of its own; 0 runs them on the ctx's ambient scheduler
+	// (GOMAXPROCS workers, shared with every other layer). Each run owns
+	// its simulator, so results are independent of the worker count.
 	Workers int
 	// Progress, if non-nil, receives human-readable status lines. It may be
 	// called from multiple goroutines.
@@ -101,33 +103,36 @@ func (r Runner) logf(format string, args ...any) {
 }
 
 // IDs lists every reproducible experiment in paper order.
-func IDs() []string {
-	return []string{
-		"table1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-		"table2", "fig13", "fig14", "fig15", "fig16",
+func IDs() []string { return plotIDs(false) }
+
+// AblationIDs lists the ablation experiments.
+func AblationIDs() []string { return plotIDs(true) }
+
+// plotIDs flattens one namespace of the catalogue in order.
+func plotIDs(ablation bool) []string {
+	var ids []string
+	for _, st := range catalogue {
+		if st.ablation == ablation {
+			for _, pl := range st.plots {
+				ids = append(ids, pl.id)
+			}
+		}
 	}
+	return ids
 }
 
-// All regenerates every paper experiment, sharing sweeps between figure
-// pairs that plot the same runs (8/9 and 11/12), in paper order. A
-// cancelled ctx stops between (and inside) experiments and returns the
-// figures completed so far with the context's error.
+// All regenerates every paper experiment in paper order, running each
+// study once however many figures plot its runs (8/9, 11/12, 13-16). A
+// cancelled ctx stops between (and inside) studies and returns the figures
+// completed so far with the context's error.
 func (r Runner) All(ctx context.Context) ([]*Figure, error) {
 	var out []*Figure
-	emit := func(figs ...*Figure) error {
-		out = append(out, figs...)
-		return ctx.Err()
-	}
-	fig8, fig9 := r.SmallNetworks(ctx)
-	if err := emit(r.Table1(ctx), r.Fig7(ctx), fig8, fig9, r.Fig10(ctx)); err != nil {
-		return out, err
-	}
-	fig11, fig12 := r.LargeNetworks(ctx)
-	if err := emit(fig11, fig12, r.Table2(ctx)); err != nil {
-		return out, err
-	}
-	for fig := 13; fig <= 16; fig++ {
-		if err := emit(r.GridFigure(ctx, fig)); err != nil {
+	for _, st := range catalogue {
+		if st.ablation {
+			continue
+		}
+		out = append(out, r.runStudy(ctx, st)...)
+		if err := ctx.Err(); err != nil {
 			return out, err
 		}
 	}
@@ -137,91 +142,111 @@ func (r Runner) All(ctx context.Context) ([]*Figure, error) {
 // Run dispatches an experiment by ID. A cancelled ctx aborts the underlying
 // simulation sweep early and returns the context's error.
 func (r Runner) Run(ctx context.Context, id string) (*Figure, error) {
-	var f *Figure
-	switch id {
-	case "table1":
-		f = r.Table1(ctx)
-	case "fig7":
-		f = r.Fig7(ctx)
-	case "fig8":
-		f, _ = r.SmallNetworks(ctx)
-	case "fig9":
-		_, f = r.SmallNetworks(ctx)
-	case "fig10":
-		f = r.Fig10(ctx)
-	case "fig11":
-		f, _ = r.LargeNetworks(ctx)
-	case "fig12":
-		_, f = r.LargeNetworks(ctx)
-	case "table2":
-		f = r.Table2(ctx)
-	case "fig13":
-		f = r.GridFigure(ctx, 13)
-	case "fig14":
-		f = r.GridFigure(ctx, 14)
-	case "fig15":
-		f = r.GridFigure(ctx, 15)
-	case "fig16":
-		f = r.GridFigure(ctx, 16)
-	default:
-		return nil, fmt.Errorf("experiments: unknown id %q (want one of %v)", id, IDs())
+	return r.dispatch(ctx, id, false)
+}
+
+// RunAblation dispatches an ablation experiment by ID. A cancelled ctx
+// aborts the underlying sweep early and returns the context's error.
+func (r Runner) RunAblation(ctx context.Context, id string) (*Figure, error) {
+	return r.dispatch(ctx, id, true)
+}
+
+// find returns the study that draws plot id and the plot's position among
+// the study's plots (nil when no study draws it).
+func find(id string) (*study, int) {
+	for _, st := range catalogue {
+		for i, pl := range st.plots {
+			if pl.id == id {
+				return st, i
+			}
+		}
 	}
+	return nil, 0
+}
+
+// dispatch runs the study that draws plot id, if the catalogue lists it in
+// the asked-for namespace, and returns that plot.
+func (r Runner) dispatch(ctx context.Context, id string, ablation bool) (*Figure, error) {
+	st, i := find(id)
+	if st == nil || st.ablation != ablation {
+		kind := "id"
+		if ablation {
+			kind = "ablation"
+		}
+		return nil, fmt.Errorf("experiments: unknown %s %q (want one of %v)", kind, id, plotIDs(ablation))
+	}
+	figs := r.runStudy(ctx, st)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return f, nil
+	return figs[i], nil
 }
 
-// line pairs a display label with a protocol stack.
-type line struct {
-	label string
-	stack network.Stack
+// figure runs the study that draws plot id and returns that plot; the
+// per-figure methods below are lookups through it. Unlike Run it hands the
+// figure back whatever ctx says: a failed sweep is an ERROR note.
+func (r Runner) figure(ctx context.Context, id string) *Figure {
+	st, i := find(id)
+	return r.runStudy(ctx, st)[i]
 }
 
-// The paper's protocol stacks.
-func stackTITANPC() network.Stack {
-	return network.Stack{Label: "TITAN-PC", Routing: network.ProtoTITAN, PM: network.PMODPM, PowerControl: true}
+// Table1 renders the radio parameters of the modelled cards (paper
+// Table 1). It is analytic (no simulation); ctx is accepted for uniformity
+// with the other experiments.
+func (r Runner) Table1(ctx context.Context) *Figure { return r.figure(ctx, "table1") }
+
+// Fig7 reproduces the characteristic hop count study: m_opt vs bandwidth
+// utilization R/B for every card (Eq. 15). No simulation involved.
+func (r Runner) Fig7(ctx context.Context) *Figure { return r.figure(ctx, "fig7") }
+
+// SmallNetworks reproduces Figs. 8 (delivery ratio) and 9 (energy goodput):
+// 50 nodes in 500x500 m2, 10 CBR flows, 2-6 Kbit/s, Cabletron cards.
+func (r Runner) SmallNetworks(ctx context.Context) (fig8, fig9 *Figure) {
+	st, _ := find("fig8")
+	figs := r.runStudy(ctx, st)
+	return figs[0], figs[1]
 }
 
-func stackDSRODPMPC() network.Stack {
-	return network.Stack{Label: "DSR-ODPM-PC", Routing: network.ProtoDSR, PM: network.PMODPM, PowerControl: true}
+// Fig10 reproduces the transmit-energy comparison: TITAN-PC vs DSR-ODPM in
+// both field sizes.
+func (r Runner) Fig10(ctx context.Context) *Figure { return r.figure(ctx, "fig10") }
+
+// LargeNetworks reproduces Figs. 11 (delivery ratio) and 12 (energy
+// goodput): 200 nodes in 1300x1300 m2, 20 CBR flows.
+func (r Runner) LargeNetworks(ctx context.Context) (fig11, fig12 *Figure) {
+	st, _ := find("fig11")
+	figs := r.runStudy(ctx, st)
+	return figs[0], figs[1]
 }
 
-func stackDSRODPM() network.Stack {
-	return network.Stack{Label: "DSR-ODPM", Routing: network.ProtoDSR, PM: network.PMODPM}
-}
+// Table2 reproduces the density study: DSR-ODPM-PC vs TITAN-PC at 4 Kbit/s
+// with increasing node counts in the large field, flow endpoints unchanged.
+func (r Runner) Table2(ctx context.Context) *Figure { return r.figure(ctx, "table2") }
 
-func stackDSRActive() network.Stack {
-	return network.Stack{Label: "DSR-Active", Routing: network.ProtoDSR, PM: network.PMAlwaysActive}
-}
-
-func stackDSRHNoRate() network.Stack {
-	return network.Stack{Label: "DSRH-ODPM(norate)", Routing: network.ProtoDSRHNoRate, PM: network.PMODPM}
-}
-
-func stackDSRHRate() network.Stack {
-	return network.Stack{Label: "DSRH-ODPM(rate)", Routing: network.ProtoDSRHRate, PM: network.PMODPM}
-}
-
-func stackDSDVHPSM() network.Stack {
-	return network.Stack{Label: "DSDVH-ODPM(5,10)-PSM", Routing: network.ProtoDSDVH, PM: network.PMODPM}
-}
-
-func stackDSDVHSpan() network.Stack {
-	return network.Stack{
-		Label:   "DSDVH-ODPM(0.6,1.2)-Span",
-		Routing: network.ProtoDSDVH,
-		PM:      network.PMODPM,
-		ODPM: power.ODPMConfig{
-			DataTimeout:  600 * time.Millisecond,
-			RouteTimeout: 1200 * time.Millisecond,
-		},
-		AdvertisedWindow: true,
+// GridFigure reproduces Figs. 13-16 (fig = 13, 14, 15 or 16).
+func (r Runner) GridFigure(ctx context.Context, fig int) *Figure {
+	id := fmt.Sprintf("fig%d", fig)
+	if fig < 13 || fig > 16 {
+		return &Figure{ID: id, Notes: []string{"unknown grid figure"}}
 	}
+	return r.figure(ctx, id)
 }
 
-// randomFlows draws n CBR flows with distinct random endpoints among nodes
-// [0, limit) at rate bit/s, starting in the paper's 20-25 s window.
-func randomFlows(n, limit int, rate float64, seed uint64) []traffic.Flow {
-	return traffic.RandomFlows(newEndpointRNG(seed), n, limit, rate, 128)
+// AblationTITAN disables TITAN's two discovery mechanisms one at a time.
+func (r Runner) AblationTITAN(ctx context.Context) *Figure {
+	return r.figure(ctx, "ablation-titan")
+}
+
+// AblationODPM sweeps the keep-alive pair across an order of magnitude.
+func (r Runner) AblationODPM(ctx context.Context) *Figure {
+	return r.figure(ctx, "ablation-odpm")
+}
+
+// AblationPC isolates transmission power control on the data path.
+func (r Runner) AblationPC(ctx context.Context) *Figure { return r.figure(ctx, "ablation-pc") }
+
+// AblationSpan isolates the advertised-traffic-window PSM improvement on a
+// broadcast-heavy proactive stack.
+func (r Runner) AblationSpan(ctx context.Context) *Figure {
+	return r.figure(ctx, "ablation-span")
 }

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -184,12 +187,11 @@ func TestTable2Density(t *testing.T) {
 }
 
 func TestGridFiguresShapes(t *testing.T) {
-	r := quickRunner()
-	fig13 := r.GridFigure(bg, 13)
-	fig14 := r.GridFigure(bg, 14)
-	fig15 := r.GridFigure(bg, 15)
-	fig16 := r.GridFigure(bg, 16)
-	for _, f := range []*Figure{fig13, fig14, fig15, fig16} {
+	grid, _ := find("fig13")
+	figs := quickRunner().runStudy(bg, grid)
+	fig13, fig14, fig15 := figs[0], figs[1], figs[2]
+	for _, f := range figs {
+		assertNoErrors(t, f)
 		if len(f.Series) != 6 {
 			t.Fatalf("%s has %d series, want 6", f.ID, len(f.Series))
 		}
@@ -223,18 +225,98 @@ func TestGridFiguresShapes(t *testing.T) {
 	}
 }
 
+// TestFailedStudyKeepsItsFigures: a sweep that fails (here: a cancelled
+// context) still yields every figure of the study with its title and
+// x-label, plus an ERROR note. Table 2 used to return an untitled figure.
+func TestFailedStudyKeepsItsFigures(t *testing.T) {
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	r := quickRunner()
+	fig8, fig9 := r.SmallNetworks(ctx)
+	for _, f := range []*Figure{r.Table2(ctx), fig8, fig9, r.Fig10(ctx), r.GridFigure(ctx, 14), r.AblationPC(ctx)} {
+		if f.Title == "" || f.XLabel == "" {
+			t.Errorf("%s lost its title or x-label: %+v", f.ID, f)
+		}
+		if n := f.Notes[len(f.Notes)-1]; !strings.HasPrefix(n, "ERROR: ") {
+			t.Errorf("%s: last note %q, want an ERROR note", f.ID, n)
+		}
+		for _, s := range f.Series {
+			if len(s.Xs()) != 0 {
+				t.Errorf("%s/%s carries points from a failed sweep", f.ID, s.Label)
+			}
+		}
+	}
+	if f := r.Table2(ctx); !strings.HasPrefix(f.Notes[0], "scale=quick: ") {
+		t.Errorf("table2 dropped its scale note: %v", f.Notes)
+	}
+	// Analytic studies have nothing to cancel.
+	assertNoErrors(t, r.Table1(ctx))
+	assertNoErrors(t, r.Fig7(ctx))
+}
+
+// TestAllRunsEachStudyOnce: All shares one sweep between the figures that
+// plot it (8/9, 11/12 and one route-stabilisation pass for 13-16), so it
+// simulates exactly the jobs the paper studies expand to.
+func TestAllRunsEachStudyOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every paper experiment at quick scale")
+	}
+	want := map[string]int{}
+	for _, st := range catalogue {
+		if st.ablation || st.sizing == nil {
+			continue
+		}
+		_, jobs := st.expand(Quick)
+		want[st.name] = len(jobs)
+	}
+	var mu sync.Mutex
+	got := map[string]int{}
+	r := quickRunner()
+	r.Progress = func(format string, args ...any) {
+		mu.Lock()
+		got[args[0].(string)]++
+		mu.Unlock()
+	}
+	figs, err := r.All(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("runs per study = %v, want %v", got, want)
+	}
+	if want["fig13-16"] != 6 {
+		t.Errorf("grid study expands to %d stabilisation runs, want one per stack (6)", want["fig13-16"])
+	}
+	var ids []string
+	for _, f := range figs {
+		ids = append(ids, f.ID)
+	}
+	if !slices.Equal(ids, IDs()) {
+		t.Errorf("All returned %v, want %v", ids, IDs())
+	}
+}
+
+// TestRunDispatchAll walks the whole catalogue: every listed ID must
+// dispatch, through the entry point of its namespace, to a figure carrying
+// that ID.
 func TestRunDispatchAll(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full dispatch is covered by individual tests")
+		t.Skip("runs every experiment at quick scale")
 	}
 	r := quickRunner()
-	for _, id := range []string{"table1", "fig7"} {
-		f, err := r.Run(bg, id)
-		if err != nil {
-			t.Fatalf("Run(%s): %v", id, err)
-		}
-		if f.Render() == "" {
-			t.Fatalf("Run(%s): empty render", id)
+	for _, ns := range []struct {
+		ids []string
+		run func(context.Context, string) (*Figure, error)
+	}{{IDs(), r.Run}, {AblationIDs(), r.RunAblation}} {
+		for _, id := range ns.ids {
+			f, err := ns.run(bg, id)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			assertNoErrors(t, f)
+			if f.ID != id || f.Title == "" || f.Render() == "" {
+				t.Errorf("%s dispatched to figure %q (title %q)", id, f.ID, f.Title)
+			}
 		}
 	}
 }

@@ -1,26 +1,17 @@
 package experiments
 
 import (
-	"context"
+	"errors"
 	"fmt"
-	"time"
 
 	"eend/internal/geom"
-	"eend/internal/metrics"
 	"eend/internal/network"
 	"eend/internal/phy"
 	"eend/internal/radio"
 	"eend/internal/routing"
-	"eend/internal/traffic"
 )
 
-// The hypothetical-card grid study (Section 5.2.3) follows the paper's own
-// methodology: routes are stabilized by simulation at 2 Kbit/s, then
-// Enetwork is computed for higher rates from the stabilized routes "to
-// understand the potential of each approach without the side effects of
-// high rates (e.g., packet losses due to buffer overflows)".
-
-// schedModel is the sleep-scheduling assumption of the projection.
+// schedModel is the sleep-scheduling assumption of the grid projection.
 type schedModel int
 
 const (
@@ -29,104 +20,40 @@ const (
 	schedActive                        // everyone idles (DSR-Active baseline)
 )
 
-// gridParams sizes the grid study.
-type gridParams struct {
-	rows, cols int
-	field      geom.Field
-	stabilize  time.Duration
-	horizon    float64 // projection duration (s)
-}
-
-func gridParamsFor(s Scale) gridParams {
-	if s == Full {
-		return gridParams{rows: 7, cols: 7,
-			field:     geom.Field{Width: 300, Height: 300},
-			stabilize: 120 * time.Second, horizon: 900}
-	}
-	return gridParams{rows: 5, cols: 5,
-		field:     geom.Field{Width: 300, Height: 300},
-		stabilize: 60 * time.Second, horizon: 300}
-}
-
-// gridFlows sends one flow per row, left column to right column.
-func gridFlows(p gridParams, rateKbps float64) []traffic.Flow {
-	flows := make([]traffic.Flow, p.rows)
-	for row := 0; row < p.rows; row++ {
-		flows[row] = traffic.Flow{
-			ID:  row + 1,
-			Src: row * p.cols, Dst: row*p.cols + p.cols - 1,
-			Rate: rateKbps * kbit, PacketBytes: 128,
-			StartMin: 20 * time.Second, StartMax: 25 * time.Second,
-		}
-	}
-	return flows
-}
-
-// gridLine is one curve of Figs. 13-16.
-type gridLine struct {
-	label string
-	stack network.Stack
-	pc    bool
-	// sched overrides the figure's scheduling model (DSR-Active always
-	// idles regardless of the figure).
-	alwaysActive bool
-}
-
-func gridLines() []gridLine {
-	mtpr := network.Stack{Label: "MTPR", Routing: network.ProtoMTPR, PM: network.PMODPM}
-	mtprPlus := network.Stack{Label: "MTPR+", Routing: network.ProtoMTPRPlus, PM: network.PMODPM}
-	// DSRH carries pc: the joint approach applies power control and power
-	// management "with equal emphasis" (Section 4.2), so its data frames go
-	// at the learned minimum power like the comm-first stacks'.
-	return []gridLine{
-		{label: "TITAN-PC", stack: stackTITANPC(), pc: true},
-		{label: "DSRH(norate)", stack: stackDSRHNoRate(), pc: true},
-		{label: "MTPR", stack: mtpr, pc: true},
-		{label: "MTPR+", stack: mtprPlus, pc: true},
-		{label: "DSR", stack: stackDSRODPM(), pc: false},
-		{label: "DSR-Active", stack: stackDSRActive(), pc: false, alwaysActive: true},
-	}
-}
-
-// stabilizeRoutes runs the grid at 2 Kbit/s and extracts each flow's
-// stabilized source route.
-func (r Runner) stabilizeRoutes(ctx context.Context, p gridParams, ln gridLine, seed uint64) ([][]int, []geom.Point, error) {
-	pts := geom.GridPlacement(p.field, p.rows, p.cols)
-	sc := network.Scenario{
-		Seed:      seed,
-		Field:     p.field,
-		Positions: pts,
-		Card:      radio.HypotheticalCabletron,
-		Stack:     ln.stack,
-		Flows:     gridFlows(p, 2),
-		Duration:  p.stabilize,
-	}
-	nw, err := network.Build(sc)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := nw.ExecuteContext(ctx); err != nil {
-		return nil, nil, err
-	}
+// stabilizedRoutes extracts each flow's source route from a grid network
+// that has run to its stabilization horizon.
+func stabilizedRoutes(nw *network.Network, sc network.Scenario) ([][]int, error) {
 	routes := make([][]int, len(sc.Flows))
 	for i, f := range sc.Flows {
 		dsr, ok := nw.Protocol(f.Src).(*routing.DSR)
 		if !ok {
-			return nil, nil, fmt.Errorf("grid stack %s is not DSR-family", ln.label)
+			return nil, errors.New("grid stack is not DSR-family")
 		}
 		route := dsr.CachedRoute(f.Dst)
 		if route == nil {
 			// Discovery did not complete (possible at Quick scale):
 			// fall back to the direct link if feasible.
-			if pts[f.Src].Dist(pts[f.Dst]) <= radio.HypotheticalCabletron.Range {
-				route = []int{f.Src, f.Dst}
-			} else {
-				return nil, nil, fmt.Errorf("%s: no stabilized route for flow %d", ln.label, f.ID)
+			if sc.Positions[f.Src].Dist(sc.Positions[f.Dst]) > sc.Card.Range {
+				return nil, fmt.Errorf("no stabilized route for flow %d", f.ID)
 			}
+			route = []int{f.Src, f.Dst}
 		}
 		routes[i] = route
 	}
-	return routes, pts, nil
+	return routes, nil
+}
+
+// projected is the field of Figs. 13-16: the energy goodput (Kbit/J, as in
+// the paper's axes) of a run's stabilized routes at the given rate under a
+// scheduling model. DSR-Active idles whatever the figure assumes.
+func projected(sched schedModel) func(run, float64) float64 {
+	return func(rn run, rateKbps float64) float64 {
+		model := sched
+		if rn.line.stack.PM == network.PMAlwaysActive {
+			model = schedActive
+		}
+		return projectEnergy(rn.sc.Card, rn.sc.Positions, rn.routes, rn.line.pc, rateKbps, model, rn.p.horizon) / 1000
+	}
 }
 
 // projectEnergy computes Enetwork for the stabilized routes at the given
@@ -186,60 +113,4 @@ func projectEnergy(card radio.Card, pts []geom.Point, routes [][]int, pc bool, r
 
 	delivered := float64(len(routes)) * rate * horizon
 	return delivered / (ecomm + epassive)
-}
-
-// GridFigure reproduces Figs. 13-16 (fig = 13, 14, 15 or 16).
-func (r Runner) GridFigure(ctx context.Context, fig int) *Figure {
-	p := gridParamsFor(r.Scale)
-	lowRates := []float64{2, 3, 4, 5}
-	highRates := []float64{50, 100, 150, 200}
-
-	var (
-		rates []float64
-		sched schedModel
-		title string
-	)
-	switch fig {
-	case 13:
-		rates, sched, title = lowRates, schedPerfect, "Energy goodput, low rates, perfect sleep scheduling"
-	case 14:
-		rates, sched, title = lowRates, schedODPM, "Energy goodput, low rates, ODPM scheduling"
-	case 15:
-		rates, sched, title = highRates, schedPerfect, "Energy goodput, high rates, perfect sleep scheduling"
-	case 16:
-		rates, sched, title = highRates, schedODPM, "Energy goodput, high rates, ODPM scheduling"
-	default:
-		return &Figure{ID: fmt.Sprintf("fig%d", fig), Notes: []string{"unknown grid figure"}}
-	}
-
-	var series []*metrics.Series
-	notes := []string{
-		fmt.Sprintf("scale=%s: %dx%d grid in %.0fx%.0f m2, Hypothetical Cabletron, routes stabilized at 2 Kbit/s then projected (paper Section 5.2.3)",
-			r.Scale, p.rows, p.cols, p.field.Width, p.field.Height),
-	}
-	for _, ln := range gridLines() {
-		s := metrics.NewSeries(ln.label)
-		series = append(series, s)
-		routes, pts, err := r.stabilizeRoutes(ctx, p, ln, 1)
-		if err != nil {
-			notes = append(notes, fmt.Sprintf("%s: %v", ln.label, err))
-			continue
-		}
-		model := sched
-		if ln.alwaysActive {
-			model = schedActive
-		}
-		for _, rate := range rates {
-			gp := projectEnergy(radio.HypotheticalCabletron, pts, routes, ln.pc, rate, model, p.horizon)
-			s.Observe(rate, gp/1000) // Kbit/J as in the paper's axes
-			r.logf("fig%d %-14s rate=%g: %.3f Kbit/J", fig, ln.label, rate, gp/1000)
-		}
-	}
-	return &Figure{
-		ID:     fmt.Sprintf("fig%d", fig),
-		Title:  title + " (Kbit/J)",
-		XLabel: "rate (Kbit/s)",
-		Series: series,
-		Notes:  notes,
-	}
 }

@@ -24,3 +24,20 @@ func (r Results) Fingerprint() string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
 }
+
+// Copy clones a Results through its lossless JSON round-trip, so two
+// holders of one outcome (a coalesced batch follower, evaluation slots
+// sharing a fingerprint) never share mutable state: per-node slices,
+// replicate summaries. An encoding fault — which the round-trip tests rule
+// out — degrades to sharing the value rather than dropping the result.
+func Copy(res *Results) *Results {
+	data, err := json.Marshal(res)
+	if err != nil {
+		return res
+	}
+	cp := new(Results)
+	if json.Unmarshal(data, cp) != nil {
+		return res
+	}
+	return cp
+}
