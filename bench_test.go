@@ -253,9 +253,13 @@ func (n *quietListener) RxEnd(*phy.Frame, bool) { n.rx++ }
 // op is one max-power broadcast frame through Transmit and completion
 // (fan-out, carrier-sense overlay, inbox bookkeeping, RxBegin/RxEnd to
 // every in-range listener) on a field at the paper's reference density.
-// With the spatial index the per-frame cost depends on the ~50-node
+// With the reach tables the per-frame cost depends on the ~40-node
 // neighborhood, not the field, so ns/op must stay roughly flat from 1k to
-// 10k nodes — the scaling curve BENCH_kernel.json tracks in CI.
+// 10k nodes — the scaling curve BENCH_kernel.json tracks in CI. It reads
+// the steady state: one Frame is reused (as a MAC reuses its own), and
+// before the timer starts every node has transmitted once, so the tables
+// are built, the pools warm and every inbox has its first slot. CI gates
+// both tiers at 0 allocs/op (tools/benchjson -assert-zero-allocs).
 func BenchmarkMediumScale(b *testing.B) {
 	for _, tier := range []struct {
 		name string
@@ -274,29 +278,24 @@ func BenchmarkMediumScale(b *testing.B) {
 				nodes[i] = &quietListener{id: i, pos: p}
 				med.Attach(nodes[i])
 			}
-			power := card.MaxTxPower()
-			sent := 0
-			var next func()
-			next = func() {
-				if sent >= b.N {
-					s.Stop()
-					return
-				}
-				end := med.Transmit(&phy.Frame{Src: sent % tier.n, Dst: phy.Broadcast, Bytes: 128, Power: power})
-				sent++
-				s.ScheduleAt(end+sim.Time(time.Microsecond), next)
+			f := &phy.Frame{Dst: phy.Broadcast, Bytes: 128, Power: card.MaxTxPower()}
+			for i := range nodes {
+				f.Src = i
+				s.Run(med.Transmit(f))
+			}
+			for _, n := range nodes {
+				n.rx = 0
 			}
 			b.ResetTimer()
-			s.Schedule(0, next)
-			s.Run(sim.Time(b.N+1) * sim.Time(10*time.Millisecond))
-			if sent < b.N {
-				b.Fatalf("transmitted %d frames, want %d", sent, b.N)
+			for i := 0; i < b.N; i++ {
+				f.Src = i % tier.n
+				s.Run(med.Transmit(f))
 			}
 			received := 0
 			for _, n := range nodes {
 				received += n.rx
 			}
-			b.ReportMetric(float64(received)/float64(sent), "rx/frame")
+			b.ReportMetric(float64(received)/float64(b.N), "rx/frame")
 		})
 	}
 }

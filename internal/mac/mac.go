@@ -263,7 +263,10 @@ type MAC struct {
 	respTimer sim.Timer // scheduled CTS/ACK/ATIMACK response
 	await     frameType // frame type current is waiting for (CTS/ACK/ATIMAck)
 	awaitTmr  sim.Timer
-	attemptFn func() // attempt pre-bound once so rescheduling never allocates
+	attemptFn func()    // attempt pre-bound once so rescheduling never allocates
+	txFrame   phy.Frame // the one frame this MAC can have on the air (see transmit)
+	txAfter   func()    // continuation of txFrame, run by txDone
+	txDoneFn  func()    // txDone pre-bound once, like attemptFn
 	seq       uint64
 	lastSeq   map[int]uint64 // duplicate filter per sender
 
@@ -275,7 +278,6 @@ type MAC struct {
 	announcedTo    map[int]uint64 // dst -> beacon interval our ATIM succeeded in
 	announcedBy    map[int]bool   // srcs whose announced broadcast we await
 	bcastAnnounced uint64         // interval in which our broadcast ATIM went out
-	neighborIDs    []int          // lazily cached static neighbor list
 
 	stats Stats
 }
@@ -302,6 +304,7 @@ func New(s *sim.Simulator, med *phy.Medium, coord *Coordinator, id int, pos geom
 		announcedBy: make(map[int]bool),
 	}
 	m.attemptFn = m.attempt
+	m.txDoneFn = m.txDone
 	med.Attach(m)
 	coord.register(m)
 	return m
@@ -355,28 +358,11 @@ func (m *MAC) LinkTxPower(neighbor int) float64 {
 	return m.cfg.Card.TxPower(m.med.Distance(m.id, neighbor))
 }
 
-// Neighbors returns node ids within maximum transmit range.
-func (m *MAC) Neighbors() []int {
-	return m.med.Neighbors(m.id, m.cfg.Card.Range)
-}
-
-// NeighborsInto is Neighbors appending into the caller's buffer (truncated
-// first), so repeat callers with a retained buffer allocate nothing.
-func (m *MAC) NeighborsInto(buf []int) []int {
-	return m.med.NeighborsInto(m.id, m.cfg.Card.Range, buf)
-}
-
-// NeighborsCached returns the node's static max-range neighbor list,
-// computed on first use — topologies are static in this simulator. Callers
-// must not mutate the returned slice.
+// NeighborsCached returns the node's static max-range neighbor list: its
+// row of the medium's reach table, the one copy of that fact. Callers must
+// not mutate the returned slice.
 func (m *MAC) NeighborsCached() []int {
-	if m.neighborIDs == nil {
-		m.neighborIDs = m.Neighbors()
-		if m.neighborIDs == nil {
-			m.neighborIDs = []int{}
-		}
-	}
-	return m.neighborIDs
+	return m.med.Neighbors(m.id, m.cfg.Card.Range)
 }
 
 // SetPowerMode switches between AM and PSM. Entering AM wakes the radio;
@@ -423,7 +409,6 @@ func (m *MAC) maybeSleep() {
 
 // anyPSMNeighbor reports whether any node in maximum transmit range is in
 // power-save mode; broadcasts must then be announced in the ATIM window.
-// The neighbor list is cached: topologies are static in this simulator.
 func (m *MAC) anyPSMNeighbor() bool {
 	for _, id := range m.NeighborsCached() {
 		if m.coord.PowerModeOf(id) == PSM {

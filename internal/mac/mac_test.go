@@ -360,9 +360,9 @@ func TestControlPacketsAtMaxPower(t *testing.T) {
 
 func TestNeighborsAndLinkPower(t *testing.T) {
 	tb := newTestbed(t, 1, Config{}, []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 600, Y: 0}})
-	nb := tb.macs[0].Neighbors()
+	nb := tb.macs[0].NeighborsCached()
 	if len(nb) != 1 || nb[0] != 1 {
-		t.Fatalf("Neighbors = %v, want [1]", nb)
+		t.Fatalf("NeighborsCached = %v, want [1]", nb)
 	}
 	want := radio.Cabletron.TxPower(100)
 	if got := tb.macs[0].LinkTxPower(1); got != want {

@@ -226,3 +226,29 @@ func TestPerfectSleepCardInMAC(t *testing.T) {
 		t.Fatalf("idle energy %v J; perfect sleep should price it at sleep power", e.Idle)
 	}
 }
+
+// TestRequeueParksAtHeadInPlace pins requeue's contract: the current job
+// goes back to the head of the queue, ahead of everything waiting, and the
+// queue's backing array is reused when it has room.
+func TestRequeueParksAtHeadInPlace(t *testing.T) {
+	tb := newTestbed(t, 1, Config{}, []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}})
+	tb.macs[1].SetPowerMode(PSM)
+	m := tb.macs[0]
+	tb.sim.Schedule(100*time.Millisecond, func() {
+		// Outside the ATIM window a PSM destination cannot be announced
+		// to, so none of these jobs is eligible and kick leaves them be.
+		a, b, c := &job{dst: 1, pkt: dataPkt(1)}, &job{dst: 1, pkt: dataPkt(2)}, &job{dst: 1, pkt: dataPkt(3)}
+		m.queue = append(make([]*job, 0, 8), a, b)
+		backing := &m.queue[:1][0]
+		m.current = c
+		m.requeue()
+		if m.current != nil || len(m.queue) != 3 || m.queue[0] != c || m.queue[1] != a || m.queue[2] != b {
+			t.Errorf("queue after requeue = %v (current %v), want [c a b]", m.queue, m.current)
+		}
+		if &m.queue[0] != backing {
+			t.Error("requeue reallocated a queue that had room")
+		}
+		m.queue = nil
+	})
+	tb.sim.Run(200 * time.Millisecond)
+}

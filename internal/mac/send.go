@@ -1,6 +1,8 @@
 package mac
 
 import (
+	"slices"
+
 	"eend/internal/phy"
 	"eend/internal/radio"
 	"eend/internal/sim"
@@ -115,7 +117,7 @@ func (m *MAC) kick() {
 func (m *MAC) requeue() {
 	j := m.current
 	m.current = nil
-	m.queue = append([]*job{j}, m.queue...)
+	m.queue = slices.Insert(m.queue, 0, j)
 	m.kick()
 }
 
@@ -181,19 +183,28 @@ func (m *MAC) attempt() {
 // airtime is shorthand for the medium's frame duration.
 func (m *MAC) airtime(bytes int) sim.Time { return m.med.Airtime(bytes) }
 
-// transmit puts one MAC frame on the air and runs after when it ends.
+// transmit puts one MAC frame on the air and runs after when it ends. The
+// frame lives in the MAC: radio.StartTx panics on a second concurrent
+// transmission, so at most one is on the air, and the medium and its
+// listeners drop their pointer at RxEnd, before txDone runs (the medium
+// schedules its end-of-frame event first, for the same instant).
 func (m *MAC) transmit(dst int, bytes int, power float64, kind radio.TxKind, fr *frame, after func()) {
 	now := m.sim.Now()
 	m.wake() // PSM nodes wake up to transmit
 	m.radio.StartTx(now, power, kind)
-	pf := &phy.Frame{Src: m.id, Dst: dst, Bytes: bytes, Power: power, Payload: fr}
-	end := m.med.Transmit(pf)
-	scheduleAt(m.sim, end, func() {
-		m.radio.EndTx(m.sim.Now())
-		if after != nil {
-			after()
-		}
-	})
+	m.txFrame = phy.Frame{Src: m.id, Dst: dst, Bytes: bytes, Power: power, Payload: fr}
+	m.txAfter = after
+	end := m.med.Transmit(&m.txFrame)
+	scheduleAt(m.sim, end, m.txDoneFn)
+}
+
+// txDone ends the in-flight frame's transmission and runs its continuation.
+func (m *MAC) txDone() {
+	m.radio.EndTx(m.sim.Now())
+	if after := m.txAfter; after != nil {
+		m.txAfter = nil
+		after()
+	}
 }
 
 // ---- unicast data path: RTS -> CTS -> DATA -> ACK ----

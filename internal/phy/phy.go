@@ -10,13 +10,17 @@
 // receptions.
 //
 // The medium is spatially indexed: attached positions are bucketed into a
-// geom.Grid whose cell side is the maximum radio range, so transmission
-// fan-out, carrier sense and neighbor queries visit only the candidate
-// cells around a point — O(neighbors) work per frame at fixed node density
-// instead of O(n). The index is an optimization only: candidates are
-// sorted back into attach order before any callback fires, so results are
-// bit-identical to the Config.Linear reference scan (the differential
-// tests pin this).
+// geom.Grid whose cell side is the maximum radio range, so carrier sense
+// reads one cell's list of ongoing transmissions. Positions are captured at
+// Attach and never move, so who can hear whom is static: the grid is
+// queried once per node to build a reach table — for every source, the
+// attach indices within maximum range, ascending, with the distance to
+// each — and transmission fan-out and neighbor queries walk that table,
+// comparing the stored distance with the frame's radius. A frame costs
+// O(neighbors) comparisons and no sort, no hypot and no allocation. The
+// tables are an optimization only: they hold the distances the
+// Config.Linear reference scan computes, in the order it visits them, so
+// results are bit-identical (the differential tests pin this).
 package phy
 
 import (
@@ -70,11 +74,12 @@ type Config struct {
 	// simplification). The spatial index sizes its cells to the maximum
 	// radius, RangeAt(+Inf).
 	RangeAt func(power float64) float64
-	// Linear disables the spatial index: every query falls back to the
-	// original O(n) scan over all attached listeners. Results are
-	// bit-identical either way — the index only prunes candidates and the
-	// visit order is attach order in both modes — which is exactly what
-	// the differential tests assert by running both media on one scenario.
+	// Linear disables the spatial index and the reach tables: every query
+	// falls back to the original O(n) scan over all attached listeners.
+	// Results are bit-identical either way — the index only prunes
+	// candidates and the visit order is attach order in both modes — which
+	// is exactly what the differential tests assert by running both media
+	// on one scenario.
 	Linear bool
 }
 
@@ -128,7 +133,6 @@ type Medium struct {
 	cfg       Config
 	listeners []Listener
 	pos       []geom.Point // attach index -> position, captured at Attach
-	byID      map[int]Listener
 	idxByID   map[int]int32
 
 	maxRange float64 // index cell side: cfg.RangeAt(+Inf)
@@ -140,6 +144,16 @@ type Medium struct {
 	grid        *geom.Grid
 	activeCells [][]*transmission
 	scratch     []int32 // reusable candidate buffer (see takeScratch)
+
+	// Reach tables in CSR layout, built and dropped with the grid: row i,
+	// [reachStart[i], reachStart[i+1]), lists the nodes within maxRange of
+	// attach index i (i itself excluded) in ascending attach order — their
+	// attach indices, node ids and distances from i. Nil when maxRange is
+	// not a positive finite number, where a table would be the whole field.
+	reachStart []int32
+	reachIdx   []int32
+	reachID    []int
+	reachDist  []float64
 
 	activeAll []*transmission // all ongoing transmissions, start order
 
@@ -168,30 +182,35 @@ func NewMedium(s *sim.Simulator, cfg Config) *Medium {
 	return &Medium{
 		sim:      s,
 		cfg:      cfg,
-		byID:     make(map[int]Listener),
 		idxByID:  make(map[int]int32),
 		maxRange: cfg.RangeAt(math.Inf(1)),
 	}
 }
 
 // Attach registers a listener. Node ids must be unique. Attaching
-// invalidates the spatial index; it is rebuilt (and ongoing transmissions
-// re-registered) on the next query.
+// invalidates the spatial index and the reach tables; they are rebuilt (and
+// ongoing transmissions re-registered) on the next query.
 func (m *Medium) Attach(l Listener) {
 	id := l.NodeID()
-	if _, dup := m.byID[id]; dup {
+	if _, dup := m.idxByID[id]; dup {
 		panic(fmt.Sprintf("phy: duplicate node id %d", id))
 	}
-	m.byID[id] = l
 	m.idxByID[id] = int32(len(m.listeners))
 	m.listeners = append(m.listeners, l)
 	m.pos = append(m.pos, l.Pos())
 	m.inboxes = append(m.inboxes, nil)
 	m.grid, m.activeCells = nil, nil
+	m.reachStart, m.reachIdx, m.reachID, m.reachDist = nil, nil, nil, nil
+	// The overlay is gone, so no frame on the air is registered in it: one
+	// that ends before the next query must not look for its old cells.
+	for _, tx := range m.activeAll {
+		tx.cells = tx.cells[:0]
+	}
 }
 
-// ensureIndex builds the spatial index over the attached positions and
-// re-registers every ongoing transmission in the carrier-sense overlay.
+// ensureIndex builds the spatial index and the reach tables over the
+// attached positions and re-registers every ongoing transmission in the
+// carrier-sense overlay.
 func (m *Medium) ensureIndex() {
 	if m.grid != nil {
 		return
@@ -199,9 +218,61 @@ func (m *Medium) ensureIndex() {
 	m.grid = geom.NewGrid(m.maxRange, m.pos)
 	m.activeCells = make([][]*transmission, m.grid.NumCells())
 	for _, tx := range m.activeAll {
-		tx.cells = tx.cells[:0]
 		m.registerActive(tx)
 	}
+	if m.maxRange > 0 && !math.IsInf(m.maxRange, 1) {
+		m.buildReach()
+	}
+}
+
+// buildReach fills the reach tables from the grid: one pass over the
+// sources counts their in-range candidates, the arrays are allocated at
+// their exact size, and a second pass stores each source's candidates —
+// sorted into attach order — with the distances the scan path would compute.
+func (m *Medium) buildReach() {
+	n := len(m.pos)
+	cand := m.takeScratch()
+	start := make([]int32, n+1)
+	for i, p := range m.pos {
+		cand = m.grid.Query(p, m.maxRange, cand[:0])
+		k := start[i]
+		for _, c := range cand {
+			if int(c) != i && p.Dist(m.pos[c]) <= m.maxRange {
+				k++
+			}
+		}
+		start[i+1] = k
+	}
+	idx := make([]int32, start[n])
+	ids := make([]int, start[n])
+	dist := make([]float64, start[n])
+	for i, p := range m.pos {
+		cand = m.appendCandidates(p, m.maxRange, cand[:0])
+		k := start[i]
+		for _, c := range cand {
+			if d := p.Dist(m.pos[c]); int(c) != i && d <= m.maxRange {
+				idx[k], ids[k], dist[k] = c, m.listeners[c].NodeID(), d
+				k++
+			}
+		}
+	}
+	m.releaseScratch(cand)
+	m.reachStart, m.reachIdx, m.reachID, m.reachDist = start, idx, ids, dist
+}
+
+// reach returns the bounds of attach index src's row in the reach tables
+// when the row covers a disk of the given radius. ok is false in linear
+// mode, without a finite maximum range, or for a radius beyond it; callers
+// then scan candidates instead.
+func (m *Medium) reach(src int32, radius float64) (lo, hi int32, ok bool) {
+	if m.cfg.Linear || !(radius <= m.maxRange) {
+		return 0, 0, false
+	}
+	m.ensureIndex()
+	if m.reachStart == nil {
+		return 0, 0, false
+	}
+	return m.reachStart[src], m.reachStart[src+1], true
 }
 
 // registerActive adds tx to the overlay list of every cell its disk can
@@ -254,7 +325,8 @@ func (m *Medium) releaseScratch(buf []int32) { m.scratch = buf }
 // appendCandidates appends the attach indices of all listeners that may
 // lie within radius of p — every listener in linear mode, the grid's
 // candidate cells otherwise — sorted ascending so callers visit them in
-// attach order, exactly like the reference scan.
+// attach order, exactly like the reference scan. It serves the reach-table
+// build and the scan path (linear mode, or a radius no table covers).
 func (m *Medium) appendCandidates(p geom.Point, radius float64, buf []int32) []int32 {
 	if m.cfg.Linear {
 		for i := range m.listeners {
@@ -266,6 +338,15 @@ func (m *Medium) appendCandidates(p geom.Point, radius float64, buf []int32) []i
 	buf = m.grid.Query(p, radius, buf)
 	slices.Sort(buf)
 	return buf
+}
+
+// index returns the attach index of node id.
+func (m *Medium) index(id int) int32 {
+	idx, ok := m.idxByID[id]
+	if !ok {
+		panic(fmt.Sprintf("phy: unknown node %d", id))
+	}
+	return idx
 }
 
 // Airtime returns the on-air duration of a frame of the given size.
@@ -280,10 +361,7 @@ func (m *Medium) Frames() uint64 { return m.frames }
 // Busy reports whether node id senses the channel busy: some ongoing
 // transmission (other than its own) covers its position.
 func (m *Medium) Busy(id int) bool {
-	idx, ok := m.idxByID[id]
-	if !ok {
-		panic(fmt.Sprintf("phy: unknown node %d", id))
-	}
+	idx := m.index(id)
 	p := m.pos[idx]
 	for _, t := range m.sensed(p) {
 		if t.frame.Src == id {
@@ -299,10 +377,7 @@ func (m *Medium) Busy(id int) bool {
 // BusyUntil returns the latest end time among ongoing transmissions sensed
 // by node id, or zero if the channel is clear.
 func (m *Medium) BusyUntil(id int) sim.Time {
-	idx, ok := m.idxByID[id]
-	if !ok {
-		panic(fmt.Sprintf("phy: unknown node %d", id))
-	}
+	idx := m.index(id)
 	p := m.pos[idx]
 	var until sim.Time
 	for _, t := range m.sensed(p) {
@@ -355,34 +430,51 @@ func (m *Medium) Transmit(f *Frame) sim.Time {
 		srcInbox[i].corrupted = true
 	}
 
-	// Deliver to in-range listeners in attach order. A listener already
-	// mid-reception suffers a collision: both frames corrupt.
-	cand := m.appendCandidates(tx.pos, radius, m.takeScratch())
-	for _, idx := range cand {
-		if idx == srcIdx {
-			continue
+	// Deliver to in-range listeners in attach order: the source's reach
+	// table filtered by the stored distance, or the candidate scan.
+	if lo, hi, ok := m.reach(srcIdx, radius); ok {
+		idxs, dists := m.reachIdx[lo:hi], m.reachDist[lo:hi]
+		for k, idx := range idxs {
+			if dists[k] > radius {
+				continue
+			}
+			m.deliver(tx, idx)
 		}
-		if tx.pos.Dist(m.pos[idx]) > radius {
-			continue
+	} else {
+		cand := m.appendCandidates(tx.pos, radius, m.takeScratch())
+		for _, idx := range cand {
+			if idx == srcIdx {
+				continue
+			}
+			if tx.pos.Dist(m.pos[idx]) > radius {
+				continue
+			}
+			m.deliver(tx, idx)
 		}
-		l := m.listeners[idx]
-		if !l.CanReceive() {
-			continue
-		}
-		inbox := m.inboxes[idx]
-		corrupted := len(inbox) > 0
-		for i := range inbox {
-			inbox[i].corrupted = true
-		}
-		m.inboxes[idx] = append(inbox, rxEntry{frame: f, corrupted: corrupted})
-		tx.recips = append(tx.recips, idx)
-		l.RxBegin(f)
+		m.releaseScratch(cand)
 	}
-	m.releaseScratch(cand)
 
 	fin := m.newFinisher(tx)
 	scheduleAt(m.sim, f.End, fin.fn)
 	return f.End
+}
+
+// deliver starts tx's reception at the in-range listener idx, if its radio
+// can lock on. A listener already mid-reception suffers a collision: both
+// frames corrupt.
+func (m *Medium) deliver(tx *transmission, idx int32) {
+	l := m.listeners[idx]
+	if !l.CanReceive() {
+		return
+	}
+	inbox := m.inboxes[idx]
+	corrupted := len(inbox) > 0
+	for i := range inbox {
+		inbox[i].corrupted = true
+	}
+	m.inboxes[idx] = append(inbox, rxEntry{frame: tx.frame, corrupted: corrupted})
+	tx.recips = append(tx.recips, idx)
+	l.RxBegin(tx.frame)
 }
 
 // newTransmission takes a transmission from the pool.
@@ -437,8 +529,15 @@ func (m *Medium) finish(tx *transmission) {
 // Neighbors returns the ids of all nodes within the given radius of node id,
 // in attach (= id) order. Routing layers use this as their (idealized)
 // neighbor table; the paper's protocols obtain the same information from
-// MAC-level beacons.
+// MAC-level beacons. The result is read-only: at the maximum range it is
+// the node's row of the reach table itself, not a copy. NeighborsInto
+// copies.
 func (m *Medium) Neighbors(id int, radius float64) []int {
+	if radius == m.maxRange {
+		if lo, hi, ok := m.reach(m.index(id), radius); ok {
+			return m.reachID[lo:hi:hi]
+		}
+	}
 	return m.NeighborsInto(id, radius, nil)
 }
 
@@ -446,12 +545,18 @@ func (m *Medium) Neighbors(id int, radius float64) []int {
 // first, grown as needed), so steady-state callers with a retained buffer
 // pay zero allocations per query.
 func (m *Medium) NeighborsInto(id int, radius float64, buf []int) []int {
-	idx, ok := m.idxByID[id]
-	if !ok {
-		panic(fmt.Sprintf("phy: unknown node %d", id))
+	idx := m.index(id)
+	buf = buf[:0]
+	if lo, hi, ok := m.reach(idx, radius); ok {
+		ids, dists := m.reachID[lo:hi], m.reachDist[lo:hi]
+		for k, d := range dists {
+			if d <= radius {
+				buf = append(buf, ids[k])
+			}
+		}
+		return buf
 	}
 	p := m.pos[idx]
-	buf = buf[:0]
 	cand := m.appendCandidates(p, radius, m.takeScratch())
 	for _, c := range cand {
 		if c == idx {
@@ -467,15 +572,7 @@ func (m *Medium) NeighborsInto(id int, radius float64, buf []int) []int {
 
 // Distance returns the distance between two attached nodes.
 func (m *Medium) Distance(a, b int) float64 {
-	ia, ok := m.idxByID[a]
-	if !ok {
-		panic(fmt.Sprintf("phy: unknown node %d", a))
-	}
-	ib, ok := m.idxByID[b]
-	if !ok {
-		panic(fmt.Sprintf("phy: unknown node %d", b))
-	}
-	return m.pos[ia].Dist(m.pos[ib])
+	return m.pos[m.index(a)].Dist(m.pos[m.index(b)])
 }
 
 // NodeIDs returns all attached node ids in attach order.
