@@ -2,6 +2,7 @@ package eend
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -227,6 +228,38 @@ func BenchmarkReplicatedRunFanout(b *testing.B) {
 					if br.Results.Replicates == nil || br.Results.Replicates.N != 8 {
 						b.Fatal("replicate summary missing")
 					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkResultsDecode is the warm read path's micro-row: one op decodes
+// one cache entry (the Results JSON of a paper-grid point) with the
+// schema-specific decoder every cache hit goes through. Its end-to-end
+// counterpart is paper-grid-warm in bench/.
+func BenchmarkResultsDecode(b *testing.B) {
+	for _, nodes := range []int{20, 50} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			sc, err := NewScenario(WithSeed(1), WithNodes(nodes), WithStack(TITAN, ODPM, PowerControl()),
+				WithRandomFlows(4, 4096, 128), WithDuration(40*time.Second))
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := sc.Run(benchCtx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			data, err := json.Marshal(res)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := network.DecodeResults(data); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

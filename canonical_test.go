@@ -137,3 +137,20 @@ func TestParseCanonicalErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestCanonicalAllocs bounds the encoder: one buffer and the returned
+// string, not two strings per coordinate. A search pays Canonical per
+// candidate and a warm sweep per point.
+func TestCanonicalAllocs(t *testing.T) {
+	pts := make([]Point, 50)
+	for i := range pts {
+		pts[i] = Point{X: 12.3456789 * float64(i), Y: 987.654321 / float64(i+1)}
+	}
+	sc, err := NewScenario(WithPositions(pts...), WithField(700, 1000), WithRandomFlows(10, 4096, 128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = sc.Canonical() }); allocs > 4 {
+		t.Fatalf("Canonical of a 50-node positions scenario costs %.0f allocations, want at most 4", allocs)
+	}
+}

@@ -15,6 +15,7 @@ import (
 
 	"eend"
 	"eend/internal/cache"
+	"eend/internal/exec"
 	"eend/internal/network"
 	"eend/internal/obs"
 )
@@ -57,10 +58,13 @@ type Evaluator struct {
 	Store cache.Store
 	// Backend runs the misses; nil is the in-process simulator.
 	Backend Backend
-	// Workers bounds a batch's concurrent simulations (<= 0: GOMAXPROCS).
+	// Workers bounds a batch's concurrent simulations and cache lookups
+	// (<= 0: GOMAXPROCS for simulations, ctx's ambient scheduler for
+	// lookups).
 	Workers int
 	// Trace, when non-nil, records a "cache" leaf per lookup and a "sim"
-	// leaf per simulation under the span the caller names.
+	// leaf per simulation under the span the caller names. A batch's cache
+	// leaves are emitted from scheduler workers.
 	Trace *obs.Tracer
 }
 
@@ -73,10 +77,7 @@ func (e *Evaluator) Lookup(parent obs.Span, fp string) (*eend.Results, bool) {
 	sp := e.Trace.Start(parent, "cache", fp)
 	var res *eend.Results
 	if data, ok, err := e.Store.Get(fp); ok && err == nil {
-		res = new(eend.Results)
-		if json.Unmarshal(data, res) != nil {
-			res = nil
-		}
+		res, _ = network.DecodeResults(data)
 	}
 	sp.End(obs.A("hit", strconv.FormatBool(res != nil)))
 	return res, res != nil
@@ -142,8 +143,11 @@ type Outcome struct {
 }
 
 // Stream evaluates a batch in two steps, calling deliver once per answered
-// item. The cache pass runs before Stream returns: every hit is delivered
-// on the calling goroutine, before any simulation starts. The returned
+// item. The cache pass runs before Stream returns: the unique fingerprints
+// are looked up in one contiguous chunk per worker (exec.New(Workers) when
+// Workers is set, else ctx's ambient scheduler; a single chunk runs
+// inline), and then every hit is delivered in item order on the calling
+// goroutine, before any simulation starts. The returned
 // simulate — nil when the cache answered everything — sends the misses to
 // the backend as one batch and blocks until it is done, storing and
 // delivering each result as it lands; the caller picks its goroutine.
@@ -182,16 +186,22 @@ func (e *Evaluator) Stream(ctx context.Context, items []Item, deliver func(Outco
 		}
 	}
 
+	hits := make([]*eend.Results, len(groups))
+	if e.Store != nil {
+		e.each(ctx, len(groups), func(g int) {
+			it := items[groups[g].first]
+			hits[g], _ = e.Lookup(it.Span, it.Scenario.Fingerprint())
+		})
+	}
 	var misses []*group
 	var scenarios []*eend.Scenario
 	for g := range groups {
-		it := items[groups[g].first]
-		fp := it.Scenario.Fingerprint()
-		if res, ok := e.Lookup(it.Span, fp); ok {
-			fan(&groups[g], Outcome{Results: res, Cached: true})
+		if hits[g] != nil {
+			fan(&groups[g], Outcome{Results: hits[g], Cached: true})
 			continue
 		}
-		groups[g].sim = e.Trace.Start(it.Span, "sim", fp)
+		it := items[groups[g].first]
+		groups[g].sim = e.Trace.Start(it.Span, "sim", it.Scenario.Fingerprint())
 		misses = append(misses, &groups[g])
 		scenarios = append(scenarios, it.Scenario)
 	}
@@ -218,4 +228,33 @@ func (e *Evaluator) Stream(ctx context.Context, items []Item, deliver func(Outco
 			fan(g, Outcome{Results: br.Results, Cached: br.Cached})
 		}
 	}
+}
+
+// each calls fn(0) … fn(n-1), split into one contiguous chunk per worker of
+// the caller's scheduler, and returns when all have run. Lookups are short
+// and bounded, so they are not abandoned on cancellation: what the cache
+// pass delivers does not depend on the worker count.
+func (e *Evaluator) each(ctx context.Context, n int, fn func(i int)) {
+	sched := exec.From(ctx)
+	if e.Workers > 0 {
+		sched = exec.New(e.Workers)
+	}
+	chunks := min(sched.WorkerCount(), n)
+	if chunks <= 1 {
+		for i := range n {
+			fn(i)
+		}
+		return
+	}
+	work := make([]exec.Item, chunks)
+	for c := range work {
+		lo, hi := c*n/chunks, (c+1)*n/chunks
+		work[c] = exec.Item{Index: c, Do: func(context.Context) (any, error) {
+			for i := lo; i < hi; i++ {
+				fn(i)
+			}
+			return nil, nil
+		}}
+	}
+	sched.Gather(context.WithoutCancel(ctx), work)
 }

@@ -3,6 +3,11 @@ package eval
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
+	"slices"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -52,9 +57,25 @@ type putFails struct{ cache.Store }
 
 func (putFails) Put(string, []byte) error { return errors.New("disk full") }
 
+// countingStore counts Get calls per key, from any goroutine.
+type countingStore struct {
+	cache.Store
+	mu   sync.Mutex
+	gets map[string]int
+}
+
+func (c *countingStore) Get(key string) ([]byte, bool, error) {
+	c.mu.Lock()
+	c.gets[key]++
+	c.mu.Unlock()
+	return c.Store.Get(key)
+}
+
 // collect runs both of Stream's steps and returns the outcomes by item
-// index, failing the test on an item answered twice or not at all. early
-// marks the items answered by the cache pass, before simulate was called.
+// index, failing the test on an item answered twice or not at all, or on a
+// cache pass that delivers out of item order or off the calling goroutine's
+// turn. early marks the items answered by the cache pass, before simulate
+// was called.
 func collect(t *testing.T, e *Evaluator, scs []*eend.Scenario) (out []Outcome, early []bool) {
 	t.Helper()
 	items := make([]Item, len(scs))
@@ -63,14 +84,22 @@ func collect(t *testing.T, e *Evaluator, scs []*eend.Scenario) (out []Outcome, e
 	}
 	out = make([]Outcome, len(scs))
 	seen := make([]bool, len(scs))
+	var order []int // no lock: the race detector polices the single-goroutine claim
 	simulate := e.Stream(context.Background(), items, func(o Outcome) {
 		if seen[o.Index] {
 			t.Errorf("item %d delivered twice", o.Index)
 		}
 		seen[o.Index] = true
 		out[o.Index] = o
+		order = append(order, o.Index)
 	})
 	early = append([]bool(nil), seen...)
+	// Duplicates ride with their group's first item, so the pass is ordered
+	// by the first occurrence of each fingerprint.
+	firstOf := func(i int) int { return slices.Index(scs, scs[i]) }
+	if !slices.IsSortedFunc(order, func(a, b int) int { return firstOf(a) - firstOf(b) }) {
+		t.Errorf("cache pass delivered items in order %v", order)
+	}
 	if simulate != nil {
 		simulate()
 	}
@@ -126,60 +155,75 @@ func TestStreamContract(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var runs atomic.Int64
-			e := &Evaluator{Backend: countingBackend(&runs, tc.remoteHits), Workers: 2}
-			if tc.store != nil {
-				e.Store = tc.store()
-			}
-			batch := make([]*eend.Scenario, len(tc.batch))
-			for i, k := range tc.batch {
-				batch[i] = scs[k]
-			}
-			out, early := collect(t, e, batch)
-			if runs.Load() != tc.runs {
-				t.Fatalf("backend was handed %d scenarios, want %d", runs.Load(), tc.runs)
-			}
-			first := make(map[int]int) // scenario -> first slot carrying it
-			for i, o := range out {
-				k := tc.batch[i]
-				if o.Cached != tc.cached[i] {
-					t.Errorf("slot %d: cached=%v, want %v", i, o.Cached, tc.cached[i])
-				}
-				// Store hits — all of them — are delivered by the cache
-				// pass, before any simulation starts.
-				if hit := o.Cached && !tc.remoteHits; early[i] != hit {
-					t.Errorf("slot %d: delivered by the cache pass = %v, want %v", i, early[i], hit)
-				}
-				if got := o.Results.Fingerprint(); got != want[k] {
-					t.Errorf("slot %d: results %s, want %s", i, got, want[k])
-				}
-				if j, dup := first[k]; dup {
-					// Duplicate slots must not alias: mutate one, the
-					// other keeps its value.
-					if o.Results == out[j].Results {
-						t.Fatalf("slots %d and %d share one *Results", j, i)
+			for _, workers := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					var runs atomic.Int64
+					e := &Evaluator{Backend: countingBackend(&runs, tc.remoteHits), Workers: workers}
+					gets := &countingStore{gets: make(map[string]int)}
+					if tc.store != nil {
+						gets.Store = tc.store()
+						e.Store = gets
 					}
-					o.Results.Sent++
-					if out[j].Results.Sent == o.Results.Sent {
-						t.Errorf("mutating slot %d changed slot %d", i, j)
+					// Every case has a Backend, so the in-process simulator stays
+					// idle: in particular it never fires on a warm batch.
+					OnSimulate = func(sc *eend.Scenario) { t.Errorf("in-process simulation of %s", sc.Fingerprint()) }
+					defer func() { OnSimulate = nil }()
+					batch := make([]*eend.Scenario, len(tc.batch))
+					for i, k := range tc.batch {
+						batch[i] = scs[k]
 					}
-				} else {
-					first[k] = i
-				}
-			}
-			// Whatever the store held before, a store that accepts writes
-			// now answers the whole batch without the backend.
-			if _, broken := e.Store.(putFails); e.Store != nil && !broken {
-				before := runs.Load()
-				again, _ := collect(t, e, batch)
-				for i, o := range again {
-					if !o.Cached || o.Results.Fingerprint() != want[tc.batch[i]] {
-						t.Errorf("second pass slot %d: cached=%v", i, o.Cached)
+					out, early := collect(t, e, batch)
+					if runs.Load() != tc.runs {
+						t.Fatalf("backend was handed %d scenarios, want %d", runs.Load(), tc.runs)
 					}
-				}
-				if runs.Load() != before {
-					t.Errorf("second pass ran %d scenarios, want 0", runs.Load()-before)
-				}
+					for fp, n := range gets.gets {
+						if n != 1 {
+							t.Errorf("fingerprint %s looked up %d times in one batch, want 1", fp, n)
+						}
+					}
+					first := make(map[int]int) // scenario -> first slot carrying it
+					for i, o := range out {
+						k := tc.batch[i]
+						if o.Cached != tc.cached[i] {
+							t.Errorf("slot %d: cached=%v, want %v", i, o.Cached, tc.cached[i])
+						}
+						// Store hits — all of them — are delivered by the cache
+						// pass, before any simulation starts.
+						if hit := o.Cached && !tc.remoteHits; early[i] != hit {
+							t.Errorf("slot %d: delivered by the cache pass = %v, want %v", i, early[i], hit)
+						}
+						if got := o.Results.Fingerprint(); got != want[k] {
+							t.Errorf("slot %d: results %s, want %s", i, got, want[k])
+						}
+						if j, dup := first[k]; dup {
+							// Duplicate slots must not alias: mutate one, the
+							// other keeps its value.
+							if o.Results == out[j].Results {
+								t.Fatalf("slots %d and %d share one *Results", j, i)
+							}
+							o.Results.Sent++
+							if out[j].Results.Sent == o.Results.Sent {
+								t.Errorf("mutating slot %d changed slot %d", i, j)
+							}
+						} else {
+							first[k] = i
+						}
+					}
+					// Whatever the store held before, a store that accepts writes
+					// now answers the whole batch without the backend.
+					if _, broken := gets.Store.(putFails); e.Store != nil && !broken {
+						before := runs.Load()
+						again, _ := collect(t, e, batch)
+						for i, o := range again {
+							if !o.Cached || o.Results.Fingerprint() != want[tc.batch[i]] {
+								t.Errorf("second pass slot %d: cached=%v", i, o.Cached)
+							}
+						}
+						if runs.Load() != before {
+							t.Errorf("second pass ran %d scenarios, want 0", runs.Load()-before)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -226,28 +270,42 @@ func TestOne(t *testing.T) {
 
 // TestStreamSpans pins where the leaves are emitted: a "cache" span per
 // lookup and a "sim" span per simulation, under the item's own Span, once
-// per unique fingerprint.
+// per unique fingerprint — and the same tree whichever worker emits a leaf.
 func TestStreamSpans(t *testing.T) {
 	scs := testScenarios(t, 2)
-	sink := obs.NewMemSink()
-	tr := obs.NewTracer(obs.TraceID("eval-test"), sink)
-	e := &Evaluator{Store: cache.NewMem(), Trace: tr}
-	parents := []obs.Span{tr.Start(obs.Span{}, "p", "0"), tr.Start(obs.Span{}, "p", "1"), tr.Start(obs.Span{}, "p", "2")}
-	items := []Item{{scs[0], parents[0]}, {scs[1], parents[1]}, {scs[0], parents[2]}}
-	e.Stream(context.Background(), items, func(Outcome) {})()
-
-	got := make(map[string]int) // "name/parent" -> count
-	for _, ev := range sink.Events() {
-		got[ev.Name+"/"+ev.Parent]++
-		if ev.Name == "cache" && ev.Attrs["hit"] != "false" {
-			t.Errorf("cold cache leaf reports hit=%q", ev.Attrs["hit"])
+	var base map[string]string // span id -> shape, at workers = 1
+	for _, workers := range []int{1, 2, 8} {
+		sink := obs.NewMemSink()
+		tr := obs.NewTracer(obs.TraceID("eval-test"), sink)
+		e := &Evaluator{Store: cache.NewMem(), Trace: tr, Workers: workers}
+		parents := []obs.Span{tr.Start(obs.Span{}, "p", "0"), tr.Start(obs.Span{}, "p", "1"), tr.Start(obs.Span{}, "p", "2")}
+		items := []Item{{scs[0], parents[0]}, {scs[1], parents[1]}, {scs[0], parents[2]}}
+		e.Stream(context.Background(), items, func(Outcome) {})()
+		cold := len(sink.Events())
+		if e.Stream(context.Background(), items, func(Outcome) {}) != nil {
+			t.Fatalf("workers=%d: warm pass wants to simulate", workers)
 		}
-	}
-	for _, name := range []string{"cache", "sim"} {
-		for i, want := range []int{1, 1, 0} {
-			if n := got[name+"/"+parents[i].ID()]; n != want {
-				t.Errorf("%d %q leaves under item %d, want %d", n, name, i, want)
+
+		got := make(map[string]int) // "name/parent" -> count
+		shape := make(map[string]string)
+		for i, ev := range sink.Events() {
+			got[ev.Name+"/"+ev.Parent]++
+			if want := strconv.FormatBool(i >= cold); ev.Name == "cache" && ev.Attrs["hit"] != want {
+				t.Errorf("workers=%d: cache leaf %d reports hit=%q, want %s", workers, i, ev.Attrs["hit"], want)
 			}
+			shape[ev.Span+"/"+ev.Attrs["hit"]] = ev.Name + "/" + ev.Parent
+		}
+		for name, perPass := range map[string]int{"cache": 2, "sim": 1} {
+			for i, want := range []int{1, 1, 0} {
+				if n := got[name+"/"+parents[i].ID()]; n != want*perPass {
+					t.Errorf("workers=%d: %d %q leaves under item %d, want %d", workers, n, name, i, want*perPass)
+				}
+			}
+		}
+		if base == nil {
+			base = shape
+		} else if !maps.Equal(shape, base) {
+			t.Errorf("workers=%d: span tree differs from workers=1:\n got %v\nwant %v", workers, shape, base)
 		}
 	}
 }

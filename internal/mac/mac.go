@@ -23,7 +23,6 @@
 package mac
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -54,24 +53,21 @@ func (m PowerMode) String() string {
 	}
 }
 
-// MarshalJSON encodes the mode as its symbolic name ("AM" or "PSM").
-func (m PowerMode) MarshalJSON() ([]byte, error) {
-	return json.Marshal(m.String())
+// MarshalText encodes the mode as its symbolic name ("AM" or "PSM"), which
+// encoding/json writes as a JSON string.
+func (m PowerMode) MarshalText() ([]byte, error) {
+	return []byte(m.String()), nil
 }
 
-// UnmarshalJSON decodes a symbolic power-mode name.
-func (m *PowerMode) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	switch s {
+// UnmarshalText decodes a symbolic power-mode name.
+func (m *PowerMode) UnmarshalText(b []byte) error {
+	switch string(b) {
 	case "AM":
 		*m = AM
 	case "PSM":
 		*m = PSM
 	default:
-		return fmt.Errorf("mac: unknown power mode %q", s)
+		return fmt.Errorf("mac: unknown power mode %q", b)
 	}
 	return nil
 }

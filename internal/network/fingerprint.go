@@ -35,8 +35,8 @@ func Copy(res *Results) *Results {
 	if err != nil {
 		return res
 	}
-	cp := new(Results)
-	if json.Unmarshal(data, cp) != nil {
+	cp, err := DecodeResults(data)
+	if err != nil {
 		return res
 	}
 	return cp

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -457,57 +456,101 @@ const canonicalVersion = "eend.scenario/2"
 // encodings exactly when they would produce identical Results; the
 // encoding (and therefore Fingerprint) is stable across processes,
 // platforms and repeated runs.
-func (s *Scenario) Canonical() string {
-	var w strings.Builder
-	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	fmt.Fprintf(&w, "%s\nseed=%d\nfield=%s,%s\n",
-		canonicalVersion, s.sc.Seed, num(s.sc.Field.Width), num(s.sc.Field.Height))
-	switch {
-	case s.sc.Positions != nil:
-		w.WriteString("placement=positions:")
-		for i, p := range s.sc.Positions {
-			if i > 0 {
-				w.WriteByte(';')
-			}
-			fmt.Fprintf(&w, "%s,%s", num(p.X), num(p.Y))
+func (s *Scenario) Canonical() string { return string(s.appendCanonical()) }
+
+// canonicalText accumulates the canonical encoding in one buffer: numbers
+// are appended in place, never formatted into strings of their own. Every
+// method writes a literal prefix and then its values.
+type canonicalText []byte
+
+func (c *canonicalText) str(v string) { *c = append(*c, v...) }
+
+func (c *canonicalText) flag(prefix string, v bool) {
+	*c = strconv.AppendBool(append(*c, prefix...), v)
+}
+
+// ints writes the values in decimal, separated by sep.
+func (c *canonicalText) ints(prefix string, sep byte, vs ...int64) {
+	c.str(prefix)
+	for i, v := range vs {
+		if i > 0 {
+			*c = append(*c, sep)
 		}
-		w.WriteByte('\n')
-	case s.sc.GridRows > 0 && s.sc.GridCols > 0:
-		fmt.Fprintf(&w, "placement=grid:%dx%d\n", s.sc.GridRows, s.sc.GridCols)
-	default:
-		fmt.Fprintf(&w, "placement=uniform:%d\n", s.sc.Nodes)
+		*c = strconv.AppendInt(*c, v, 10)
 	}
-	c := s.sc.Card
-	fmt.Fprintf(&w, "card=%s,%s,%s,%s,%s,%s,%s,%s,%s\n", c.Name,
-		num(c.Idle), num(c.Recv), num(c.Sleep), num(c.Base),
-		num(c.Alpha), num(c.PathLossExp), num(c.Range), num(c.SwitchEnergy))
-	fmt.Fprintf(&w, "bandwidth=%s\n", num(s.sc.Bandwidth))
-	st := s.sc.Stack
-	fmt.Fprintf(&w, "stack=%d,%d,pc=%t,span=%t,perfect=%t,odpm=%d/%d,custom=%t,label=%s\n",
-		st.Routing, st.PM, st.PowerControl, st.AdvertisedWindow, st.PerfectSleep,
-		st.ODPM.DataTimeout.Nanoseconds(), st.ODPM.RouteTimeout.Nanoseconds(),
-		st.Custom != nil, st.Label)
+}
+
+// nums writes the values in their shortest round-trip form, comma-separated.
+func (c *canonicalText) nums(prefix string, vs ...float64) {
+	c.str(prefix)
+	for i, v := range vs {
+		if i > 0 {
+			*c = append(*c, ',')
+		}
+		*c = strconv.AppendFloat(*c, v, 'g', -1, 64)
+	}
+}
+
+// appendCanonical renders Canonical's text.
+func (s *Scenario) appendCanonical() []byte {
+	sc, st, card := &s.sc, &s.sc.Stack, &s.sc.Card
+	size := 320 + len(card.Name) + len(st.Label) + 40*len(sc.Positions) + 72*len(sc.Flows)
+	for _, r := range st.Routes {
+		size += 16 + 8*len(r)
+	}
+	w := make(canonicalText, 0, size)
+
+	w.str(canonicalVersion)
+	w.str("\nseed=")
+	w = strconv.AppendUint(w, sc.Seed, 10)
+	w.nums("\nfield=", sc.Field.Width, sc.Field.Height)
+	switch {
+	case sc.Positions != nil:
+		w.str("\nplacement=positions:")
+		sep := ""
+		for _, p := range sc.Positions {
+			w.nums(sep, p.X, p.Y)
+			sep = ";"
+		}
+	case sc.GridRows > 0 && sc.GridCols > 0:
+		w.ints("\nplacement=grid:", 'x', int64(sc.GridRows), int64(sc.GridCols))
+	default:
+		w.ints("\nplacement=uniform:", 0, int64(sc.Nodes))
+	}
+	w.str("\ncard=")
+	w.str(card.Name)
+	w.nums(",", card.Idle, card.Recv, card.Sleep, card.Base, card.Alpha, card.PathLossExp, card.Range, card.SwitchEnergy)
+	w.nums("\nbandwidth=", sc.Bandwidth)
+	w.ints("\nstack=", ',', int64(st.Routing), int64(st.PM))
+	w.flag(",pc=", st.PowerControl)
+	w.flag(",span=", st.AdvertisedWindow)
+	w.flag(",perfect=", st.PerfectSleep)
+	w.ints(",odpm=", '/', st.ODPM.DataTimeout.Nanoseconds(), st.ODPM.RouteTimeout.Nanoseconds())
+	w.flag(",custom=", st.Custom != nil)
+	w.str(",label=")
+	w.str(st.Label)
 	// Static routes are part of simulation output, so they are part of the
 	// encoding; the lines are emitted only when routes are pinned, which
 	// keeps every pre-existing scenario's encoding (and fingerprint) stable.
 	for i, r := range st.Routes {
-		fmt.Fprintf(&w, "route=%d:", i)
-		for j, v := range r {
-			if j > 0 {
-				w.WriteByte('-')
-			}
-			fmt.Fprintf(&w, "%d", v)
+		w.ints("\nroute=", 0, int64(i))
+		w.str(":")
+		sep := ""
+		for _, v := range r {
+			w.ints(sep, 0, int64(v))
+			sep = "-"
 		}
-		w.WriteByte('\n')
 	}
-	fmt.Fprintf(&w, "duration=%d\nbattery=%s\nreplicates=%d\n",
-		s.sc.Duration.Nanoseconds(), num(s.sc.BatteryJ), s.Replicates())
-	for _, f := range s.sc.Flows {
-		fmt.Fprintf(&w, "flow=%d,%d,%d,%s,%d,%d,%d,%d\n",
-			f.ID, f.Src, f.Dst, num(f.Rate), f.PacketBytes,
-			f.StartMin.Nanoseconds(), f.StartMax.Nanoseconds(), f.Stop.Nanoseconds())
+	w.ints("\nduration=", 0, sc.Duration.Nanoseconds())
+	w.nums("\nbattery=", sc.BatteryJ)
+	w.ints("\nreplicates=", 0, int64(s.Replicates()))
+	for _, f := range sc.Flows {
+		w.ints("\nflow=", ',', int64(f.ID), int64(f.Src), int64(f.Dst))
+		w.nums(",", f.Rate)
+		w.ints(",", ',', int64(f.PacketBytes), f.StartMin.Nanoseconds(), f.StartMax.Nanoseconds(), f.Stop.Nanoseconds())
 	}
-	return w.String()
+	w.str("\n")
+	return w
 }
 
 // Fingerprint returns the hex SHA-256 of the scenario's canonical
@@ -518,7 +561,7 @@ func (s *Scenario) Canonical() string {
 // never reach here.
 func (s *Scenario) Fingerprint() string {
 	s.fpOnce.Do(func() {
-		sum := sha256.Sum256([]byte(s.Canonical()))
+		sum := sha256.Sum256(s.appendCanonical())
 		s.fp = hex.EncodeToString(sum[:])
 	})
 	return s.fp

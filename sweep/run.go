@@ -3,7 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"eend"
@@ -98,7 +98,7 @@ func (r Runner) Run(ctx context.Context, g *Grid) ([]Result, Progress, error) {
 	for sr := range ch {
 		results = append(results, sr)
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Point.Index < results[j].Point.Index })
+	slices.SortFunc(results, func(a, b Result) int { return a.Point.Index - b.Point.Index })
 	last = tally(total, results)
 	return results, last, nil
 }

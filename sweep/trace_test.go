@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"maps"
+	"strings"
 	"testing"
 
 	"eend/internal/cache"
@@ -120,26 +122,35 @@ func TestTraceRoundTripTree(t *testing.T) {
 		}
 	}
 
-	// Deterministic IDs: the same grid traced again yields the same tree.
-	sink2 := &obs.MemSink{}
-	r2 := Runner{Cache: cache.NewMem(), Trace: obs.NewTracer(obs.TraceID("sweep-test"), sink2)}
-	if _, _, err := r2.Run(ctx, tracedGrid(t)); err != nil {
-		t.Fatal(err)
-	}
-	ids := func(evs []obs.Event) map[string]string {
+	// Deterministic IDs: the same grid traced again yields the same tree,
+	// cold and then warm, whichever worker emits a cache leaf.
+	shapes := func(evs []obs.Event) map[string]string {
 		m := make(map[string]string)
 		for _, ev := range evs {
-			m[ev.Span] = ev.Name + "/" + ev.Parent
+			m[ev.Span] = ev.Name + "/" + ev.Parent + "/" + ev.Attrs["hit"] + ev.Attrs["cached"]
 		}
 		return m
 	}
-	a, b := ids(events), ids(sink2.Events())
-	if len(a) != len(b) {
-		t.Fatalf("rerun produced %d spans, want %d", len(b), len(a))
+	cold, warm := shapes(events), map[string]string(nil)
+	for _, workers := range []int{1, 2, 8} {
+		store := cache.NewMem()
+		for _, want := range []*map[string]string{&cold, &warm} {
+			sink := &obs.MemSink{}
+			r := Runner{Workers: workers, Cache: store, Trace: obs.NewTracer(obs.TraceID("sweep-test"), sink)}
+			if _, _, err := r.Run(ctx, tracedGrid(t)); err != nil {
+				t.Fatal(err)
+			}
+			got := shapes(sink.Events())
+			if *want == nil {
+				*want = got
+			} else if !maps.Equal(got, *want) {
+				t.Fatalf("workers=%d: span tree changed across reruns:\n got %v\nwant %v", workers, got, *want)
+			}
+		}
 	}
-	for id, shape := range a {
-		if b[id] != shape {
-			t.Fatalf("span %s changed shape across reruns: %q vs %q", id, shape, b[id])
+	for _, shape := range warm {
+		if strings.HasPrefix(shape, "sim/") {
+			t.Fatalf("warm rerun recorded a simulation: %s", shape)
 		}
 	}
 }
