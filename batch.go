@@ -25,9 +25,9 @@ type BatchResult struct {
 	Results *Results `json:"results,omitempty"`
 	// Err reports a failed or cancelled run.
 	Err error `json:"-"`
-	// Cached reports that Results was shared from a concurrent run of an
-	// identical scenario (same fingerprint) instead of a fresh simulation
-	// — the scheduler's single-flight coalescing at work.
+	// Cached reports that Results was shared from the run of an identical
+	// scenario (same fingerprint) earlier in the batch instead of a fresh
+	// simulation.
 	Cached bool `json:"cached,omitempty"`
 }
 
@@ -56,21 +56,28 @@ func Workers(n int) BatchOption {
 // results with Err set) and stops dispatching queued ones; scenarios never
 // dispatched simply don't appear.
 //
+// Scenarios with equal fingerprints share one simulator run: the batch is
+// grouped by Fingerprint() before anything is submitted, the lowest index
+// of each group runs, and every later duplicate is delivered right after
+// it with Cached set and its own unaliased copy of the Results (or the
+// leader's error). The sharing is a property of the input, so the Cached
+// flags and the number of runs are the same at every worker count. A
+// duplicate counts as queued until its leader lands: one whose leader is
+// still running when ctx is cancelled was never dispatched.
+//
 // Workers never block on a slow or departed consumer and, as long as the
 // consumer keeps reading, every deliverable result — including the error
 // results of runs aborted by cancellation — is delivered. The channel
-// buffer is bounded: backlog lives in a queue that grows only with
-// completed-but-unconsumed results, not with the batch size. The common
-// early-exit pattern — cancel ctx, then stop reading — is leak-free: a
-// cancelled batch whose backlog goes unclaimed for a one-second grace
-// discards it and frees the pipeline (so a post-cancellation consumer
-// that stalls longer than the grace per result forfeits the remaining
-// aborted-run results). Abandoning the channel without cancelling leaves
-// the simulations running to completion (exactly as before) and parks
-// one forwarding goroutine on the undelivered backlog.
+// buffer is bounded: backlog lives in the scheduler's stream queue, which
+// grows only with completed-but-unconsumed results, not with the batch
+// size. The common early-exit pattern — cancel ctx, then stop reading — is
+// leak-free: a cancelled batch with a result no consumer accepts for a
+// one-second grace discards its backlog and frees the pipeline (so a
+// post-cancellation consumer that stalls longer than the grace per result
+// forfeits the remaining aborted-run results). Abandoning the channel
+// without cancelling leaves the simulations running to completion and
+// parks the forwarding goroutines on the undelivered backlog.
 //
-// Two identical scenarios (equal fingerprints) in flight at the same time
-// share one simulator run; the follower's BatchResult reports Cached.
 // Replicated scenarios fan their replicates out on the same scheduler, so
 // the batch's worker budget holds end to end.
 func RunBatch(ctx context.Context, scenarios []*Scenario, opts ...BatchOption) <-chan BatchResult {
@@ -83,81 +90,69 @@ func RunBatch(ctx context.Context, scenarios []*Scenario, opts ...BatchOption) <
 	// batch's scheduler instead of spinning their own.
 	ctx = exec.With(ctx, sched)
 
-	items := make([]exec.Item, len(scenarios))
+	// One item per distinct fingerprint, carrying its leader's index; dups
+	// lists, by leader index, the later scenarios that share its run.
+	items := make([]exec.Item, 0, len(scenarios))
+	dups := make([][]int, len(scenarios))
+	leader := make(map[string]int, len(scenarios))
 	for i, sc := range scenarios {
-		items[i] = exec.Item{
+		fp := sc.Fingerprint()
+		if l, ok := leader[fp]; ok {
+			dups[l] = append(dups[l], i)
+			continue
+		}
+		leader[fp] = i
+		items = append(items, exec.Item{
 			Index:    i,
-			Seed:     sc.Seed(),
 			Priority: exec.PriorityBatch,
-			// The fingerprint is the scenario's content address: identical
-			// in-flight scenarios coalesce into one run.
-			Key: sc.Fingerprint(),
 			Do: func(ctx context.Context) (any, error) {
 				return sc.Run(ctx)
 			},
-		}
+		})
 	}
 
-	out := make(chan BatchResult, min(len(items), 16))
+	out := make(chan BatchResult, min(len(scenarios), 16))
 	go func() {
 		defer close(out)
-		convert := func(r exec.Result) BatchResult {
-			br := BatchResult{Index: r.Index, Scenario: scenarios[r.Index], Err: r.Err, Cached: r.Shared}
-			if r.Err == nil {
-				res := r.Value.(*Results)
-				if r.Shared {
-					res = network.Copy(res)
-				}
-				br.Results = res
-			}
-			return br
-		}
-		// The forwarder is always ready to receive from the scheduler, so
-		// workers and the stream merger can never be blocked by this
-		// channel's consumer; backlog accumulates in pending instead, and
-		// every result — including post-cancellation error results — is
-		// delivered to a consumer that keeps reading. After cancellation,
-		// a send that no consumer accepts for a full grace period marks
-		// the consumer departed: the backlog is discarded and the stream
-		// drained, so a cancelled-and-abandoned batch frees its pipeline.
-		in := sched.Stream(ctx, items)
-		cancelled := ctx.Done()
-		isCancelled := false
-		var graceC <-chan time.Time
-		var pending []BatchResult
-		for in != nil || len(pending) > 0 {
-			var sendCh chan BatchResult
-			var head BatchResult
-			if len(pending) > 0 {
-				sendCh = out
-				head = pending[0]
-				if isCancelled && graceC == nil {
-					graceC = time.After(batchAbandonGrace)
-				}
-			} else {
-				graceC = nil
-			}
-			// A nil in (stream closed) or nil sendCh (nothing pending)
-			// simply disables that case.
+		// Stream's merger queues whatever this goroutine has not taken, so
+		// blocking on the consumer here never blocks a worker. Only once
+		// ctx is cancelled can the consumer have legitimately left: a send
+		// nobody accepts for the grace period then reports false.
+		send := func(br BatchResult) bool {
 			select {
-			case r, ok := <-in:
-				if !ok {
-					in = nil
-					continue
+			case out <- br:
+				return true
+			case <-ctx.Done():
+			}
+			select {
+			case out <- br:
+				return true
+			case <-time.After(batchAbandonGrace):
+				return false
+			}
+		}
+		stream := sched.Stream(ctx, items)
+		for r := range stream {
+			res, _ := r.Value.(*Results) // nil when r.Err is set
+			group := make([]BatchResult, 1, 1+len(dups[r.Index]))
+			group[0] = BatchResult{Index: r.Index, Scenario: scenarios[r.Index], Results: res, Err: r.Err}
+			// Copies are taken before the leader is handed over: from then
+			// on its Results belong to the consumer.
+			for _, i := range dups[r.Index] {
+				d := BatchResult{Index: i, Scenario: scenarios[i], Err: r.Err, Cached: true}
+				if res != nil {
+					d.Results = network.Copy(res)
 				}
-				pending = append(pending, convert(r))
-			case sendCh <- head:
-				pending = pending[1:]
-				graceC = nil // progress proves the consumer alive
-			case <-cancelled:
-				cancelled, isCancelled = nil, true
-			case <-graceC:
-				pending = nil
-				graceC = nil
-				for in != nil {
-					if _, ok := <-in; !ok {
-						in = nil
+				group = append(group, d)
+			}
+			for k, br := range group {
+				if k > 0 && ctx.Err() != nil {
+					break // cancelled: the remaining duplicates were never dispatched
+				}
+				if !send(br) {
+					for range stream { // departed consumer: free the pipeline
 					}
+					return
 				}
 			}
 		}

@@ -47,8 +47,7 @@ func TestMetricsConformance(t *testing.T) {
 		"eend_sim_timers_total",
 		// Execution scheduler.
 		"eend_exec_queue_depth", "eend_exec_items_total",
-		"eend_exec_coalesced_total", "eend_exec_busy_seconds_total",
-		"eend_exec_item_seconds",
+		"eend_exec_busy_seconds_total", "eend_exec_item_seconds",
 		// Cache backends and tiering.
 		"eend_cache_backend_hits_total", "eend_cache_backend_misses_total",
 		"eend_cache_op_seconds", "eend_cache_backfills_total",

@@ -22,8 +22,9 @@
 // Batches of scenarios run concurrently through RunBatch, which streams
 // results as they complete over the shared execution runtime: one bounded
 // scheduler (internal/exec) carries batches, replicate fan-out and design
-// searches, coalescing identical in-flight scenarios into single runs
-// while keeping parallel output bit-identical to sequential. Results,
+// searches, keeping parallel output bit-identical to sequential. RunBatch
+// groups its input by Fingerprint first, so identical scenarios share one
+// run (the duplicates arrive Cached) at every worker count. Results,
 // Figure and the metric series marshal to stable JSON for machine
 // consumption (served over HTTP by cmd/eendd).
 //

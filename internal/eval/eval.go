@@ -137,7 +137,7 @@ type Outcome struct {
 	Results *eend.Results
 	// Cached reports the result was not freshly simulated for this batch:
 	// a store hit here, or a Backend result that itself reports Cached (a
-	// fleet worker's cache hit, an in-flight share).
+	// fleet worker's cache hit, a duplicate within the backend's batch).
 	Cached bool
 	Err    error
 }

@@ -5,12 +5,14 @@
 // submit Items here instead of spinning private worker pools.
 //
 // The scheduler's contract is determinism first: an Item's value never
-// depends on when or where it runs. Each item carries the seed it was
-// derived under at submission time, results merge back in item order
-// (Gather) or carry their index for the caller to reorder (Stream), and
-// single-flight coalescing only ever shares the one value a key's leader
-// computed — so parallel execution reproduces sequential output
-// bit-for-bit, at any worker count.
+// depends on when or where it runs. Whatever randomness an item's work
+// uses is fixed in its Do closure at submission time, and results merge
+// back in item order (Gather) or carry their index for the caller to
+// reorder (Stream) — so parallel execution reproduces sequential output
+// bit-for-bit, at any worker count. The scheduler runs every item it is
+// given: sharing one run between identical items is the submitter's
+// business (RunBatch groups its input by fingerprint) or, for callers
+// that really are concurrent, Flight's.
 //
 // Nested fan-out is first-class: an item that itself submits items (a
 // batched scenario fanning out its replicates, a restart search evaluating
@@ -22,7 +24,6 @@ package exec
 import (
 	"context"
 	"runtime"
-	"slices"
 	"sync"
 )
 
@@ -51,20 +52,10 @@ type Item struct {
 	// Index is the item's position within its submission; Gather returns
 	// results in Index order and Stream carries it for correlation.
 	Index int
-	// Seed is the random seed the item's work was derived under. The
-	// scheduler does not use it — it is fixed at submission time precisely
-	// so that scheduling order cannot influence it — and it is echoed on
-	// the item's Result for layers that assert the derivation.
-	Seed uint64
 	// Priority orders dispatch when items queue: lower runs earlier.
 	// Nested submissions default to PriorityNested so in-progress parents
 	// finish before fresh top-level work starts.
 	Priority int
-	// Key, when non-empty, enables single-flight coalescing: while an
-	// item with this key is running, other items with the same key wait
-	// for its value instead of recomputing it. Keys compose with the
-	// content-addressed result cache — a scenario fingerprint is a Key.
-	Key string
 	// Do performs the work. The ctx it receives derives from the
 	// submission's ctx and marks the goroutine as a scheduler worker, so
 	// nested Gather calls must pass it on.
@@ -84,16 +75,11 @@ const (
 type Result struct {
 	// Index is the submitting Item's Index.
 	Index int
-	// Seed echoes the submitting Item's Seed.
-	Seed uint64
 	// Value is Do's return value; nil when Err is set.
 	Value any
 	// Err is Do's error, or the submission ctx's error for items
 	// cancelled before or while running.
 	Err error
-	// Shared reports that the value came from another in-flight item's
-	// run via single-flight coalescing, not from this item's own Do.
-	Shared bool
 	// Skipped reports that the item was never started because the
 	// submission's ctx was already cancelled at dispatch time.
 	Skipped bool
@@ -110,15 +96,11 @@ type Scheduler struct {
 	seq     uint64
 	running int // live worker goroutines
 	parked  int // workers blocked in nested waits; they free a budget slot
-	flight  map[string]*flightCall
 }
 
 // New returns a scheduler bounded at Workers(workers).
 func New(workers int) *Scheduler {
-	return &Scheduler{
-		workers: Workers(workers),
-		flight:  make(map[string]*flightCall),
-	}
+	return &Scheduler{workers: Workers(workers)}
 }
 
 // WorkerCount returns the scheduler's normalized worker bound.
@@ -232,10 +214,9 @@ func (h *entryHeap) pop() (entry, bool) {
 // popOwn removes and returns sub's highest-priority queued entry. Helpers
 // joining a nested Gather use it to run their own children only: running
 // arbitrary foreign work from inside an item's call chain could wait on a
-// flight that chain itself leads — including flights (like the Simulated
-// objective's) the scheduler cannot see. Linear scan: queues hold
-// coarse-grained simulation work, never enough entries for this to
-// matter.
+// Flight that chain itself leads (the Simulated objective's), which the
+// scheduler cannot see. Linear scan: queues hold coarse-grained simulation
+// work, never enough entries for this to matter.
 func (h *entryHeap) popOwn(sub *submission) (entry, bool) {
 	best := -1
 	for i := range *h {
@@ -305,72 +286,30 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// park blocks the calling worker on wait() while releasing its budget
-// slot, so nested waits (single-flight followers, Gather joins) never
-// starve the queue of workers.
-func (s *Scheduler) park(wait func()) {
+// park blocks the calling worker until done closes while releasing its
+// budget slot, so a nested Gather's join never starves the queue of
+// workers.
+func (s *Scheduler) park(done <-chan struct{}) {
 	s.mu.Lock()
 	s.parked++
 	s.spawnLocked()
 	s.mu.Unlock()
-	wait()
+	<-done
 	s.mu.Lock()
 	s.parked--
 	s.mu.Unlock()
 }
 
-// runEntry executes one queued item: cancellation check, single-flight
-// coalescing, then delivery.
+// runEntry executes one queued item: cancellation check, then delivery.
 func (s *Scheduler) runEntry(e entry) {
 	it := &e.sub.items[e.idx]
 	ctx := e.sub.ctx
 	if ctx.Err() != nil {
-		e.sub.deliver(Result{Index: it.Index, Seed: it.Seed, Err: ctx.Err(), Skipped: true})
+		e.sub.deliver(Result{Index: it.Index, Err: ctx.Err(), Skipped: true})
 		return
 	}
-	if it.Key == "" {
-		v, err := timedDo(markWorker(ctx), it.Do)
-		e.sub.deliver(Result{Index: it.Index, Seed: it.Seed, Value: v, Err: err})
-		return
-	}
-	s.mu.Lock()
-	if c, ok := s.flight[it.Key]; ok {
-		s.mu.Unlock()
-		if slices.Contains(heldKeys(ctx), it.Key) {
-			// The in-flight leader is this very call chain (a nested item
-			// reusing its ancestor's key): waiting would deadlock, so run
-			// fresh — determinism makes the value identical anyway.
-			v, err := timedDo(markWorker(ctx), it.Do)
-			e.sub.deliver(Result{Index: it.Index, Seed: it.Seed, Value: v, Err: err})
-			return
-		}
-		cancelled := false
-		s.park(func() {
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				cancelled = true
-			}
-		})
-		if cancelled {
-			e.sub.deliver(Result{Index: it.Index, Seed: it.Seed, Err: ctx.Err()})
-			return
-		}
-		coalesced.Inc()
-		e.sub.deliver(Result{Index: it.Index, Seed: it.Seed, Value: c.val, Err: c.err, Shared: true})
-		return
-	}
-	c := &flightCall{done: make(chan struct{})}
-	s.flight[it.Key] = c
-	s.mu.Unlock()
-	// The Do ctx records the held key: if this call chain fans out and
-	// helps drain the queue, it must not wait on its own flight.
-	c.val, c.err = timedDo(withHeldKey(markWorker(ctx), it.Key), it.Do)
-	s.mu.Lock()
-	delete(s.flight, it.Key)
-	s.mu.Unlock()
-	close(c.done)
-	e.sub.deliver(Result{Index: it.Index, Seed: it.Seed, Value: c.val, Err: c.err})
+	v, err := timedDo(markWorker(ctx), it.Do)
+	e.sub.deliver(Result{Index: it.Index, Value: v, Err: err})
 }
 
 // markWorker tags ctx so nested Gather calls recognize they already hold
@@ -391,24 +330,6 @@ func onWorker(ctx context.Context) bool { return ctx.Value(workerKey{}) != nil }
 // blocking on a Stream from within a worker holds a budget slot without
 // parking, which starves small pools.
 func OnWorker(ctx context.Context) bool { return onWorker(ctx) }
-
-// heldKeysKey carries the single-flight keys held by the current call
-// chain: the leaders this goroutine is currently running for.
-type heldKeysKey struct{}
-
-// withHeldKey appends key to ctx's held-key chain (copy-on-write, so
-// sibling chains never share backing storage).
-func withHeldKey(ctx context.Context, key string) context.Context {
-	held, _ := ctx.Value(heldKeysKey{}).([]string)
-	held = append(held[:len(held):len(held)], key)
-	return context.WithValue(ctx, heldKeysKey{}, held)
-}
-
-// heldKeys returns the single-flight keys ctx's call chain holds.
-func heldKeys(ctx context.Context) []string {
-	held, _ := ctx.Value(heldKeysKey{}).([]string)
-	return held
-}
 
 // Gather schedules items and returns their results in Item.Index order —
 // the ordered merge the determinism contract depends on. Results index by
@@ -448,9 +369,8 @@ func (s *Scheduler) Gather(ctx context.Context, items []Item) []Result {
 		// budget slot, so a replacement worker covers any foreign work).
 		// Helping is deliberately restricted to our own entries — running
 		// arbitrary foreign work from inside this call chain could join a
-		// single-flight this chain itself leads (the scheduler's keyed
-		// items, or a layer's own Flight like the Simulated objective's)
-		// and deadlock on it.
+		// Flight this chain itself leads (the Simulated objective's) and
+		// deadlock on it.
 		for {
 			select {
 			case <-done:
@@ -464,7 +384,7 @@ func (s *Scheduler) Gather(ctx context.Context, items []Item) []Result {
 			}
 			s.mu.Unlock()
 			if !ok {
-				s.park(func() { <-done })
+				s.park(done)
 				return results
 			}
 			s.runEntry(e)

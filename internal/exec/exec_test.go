@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -39,7 +38,7 @@ func TestGatherOrderedMerge(t *testing.T) {
 	s := New(4)
 	items := make([]Item, 20)
 	for i := range items {
-		items[i] = Item{Index: i, Seed: uint64(i), Do: func(context.Context) (any, error) {
+		items[i] = Item{Index: i, Do: func(context.Context) (any, error) {
 			return i * i, nil
 		}}
 	}
@@ -181,64 +180,6 @@ func TestPriorityOrdersDispatch(t *testing.T) {
 	}
 }
 
-// TestSingleFlightCoalesces is the acceptance check: identical in-flight
-// keys perform exactly one invocation, and followers see Shared.
-func TestSingleFlightCoalesces(t *testing.T) {
-	s := New(8)
-	var invocations atomic.Int32
-	started := make(chan struct{})
-	release := make(chan struct{})
-	items := make([]Item, 8)
-	for i := range items {
-		items[i] = Item{Index: i, Key: "same-fingerprint", Do: func(context.Context) (any, error) {
-			if invocations.Add(1) == 1 {
-				close(started)
-			}
-			<-release
-			return "value", nil
-		}}
-	}
-	done := make(chan []Result, 1)
-	go func() { done <- s.Gather(context.Background(), items) }()
-	<-started
-	// All eight items are dispatched concurrently; give followers time to
-	// pile onto the leader's flight before releasing it.
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-	rs := <-done
-	if n := invocations.Load(); n != 1 {
-		t.Fatalf("%d invocations for one in-flight key, want 1", n)
-	}
-	shared := 0
-	for _, r := range rs {
-		if r.Err != nil || r.Value.(string) != "value" {
-			t.Fatalf("result %+v", r)
-		}
-		if r.Shared {
-			shared++
-		}
-	}
-	if shared != 7 {
-		t.Fatalf("%d shared results, want 7 followers", shared)
-	}
-}
-
-func TestSingleFlightDistinctKeysDoNotCoalesce(t *testing.T) {
-	s := New(4)
-	var invocations atomic.Int32
-	items := make([]Item, 6)
-	for i := range items {
-		items[i] = Item{Index: i, Key: fmt.Sprintf("fp-%d", i), Do: func(context.Context) (any, error) {
-			invocations.Add(1)
-			return nil, nil
-		}}
-	}
-	s.Gather(context.Background(), items)
-	if n := invocations.Load(); n != 6 {
-		t.Fatalf("%d invocations, want 6 distinct runs", n)
-	}
-}
-
 func TestFlightGroup(t *testing.T) {
 	var f Flight
 	var invocations atomic.Int32
@@ -249,7 +190,7 @@ func TestFlightGroup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err, shared := f.Do("k", func() (any, error) {
+			v, err, shared := f.DoContext(context.Background(), "k", func() (any, error) {
 				invocations.Add(1)
 				<-release
 				return 42, nil
@@ -276,7 +217,7 @@ func TestFlightGroup(t *testing.T) {
 		t.Fatalf("%d shared, want 4", sharedCount.Load())
 	}
 	// The key is forgotten after completion: a fresh call runs again.
-	_, _, shared := f.Do("k", func() (any, error) { return 1, nil })
+	_, _, shared := f.DoContext(context.Background(), "k", func() (any, error) { return 1, nil })
 	if shared {
 		t.Fatal("completed flight still coalescing")
 	}

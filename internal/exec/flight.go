@@ -12,30 +12,26 @@ type flightCall struct {
 	err  error
 }
 
-// Flight is a standalone single-flight group for layers that coalesce
-// duplicate work outside the scheduler's item path — the Simulated
-// objective uses one so concurrent evaluations of the same scenario
-// fingerprint share a single simulator run. The zero value is ready to
-// use.
+// Flight is the runtime's one in-flight coalescer, for layers whose
+// callers really are concurrent: the Simulated objective uses one so
+// parallel restarts evaluating the same scenario fingerprint share a
+// single simulator run. (A batch submitted in one piece needs none —
+// RunBatch groups its input by fingerprint before submission.) The zero
+// value is ready to use.
 type Flight struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
 }
 
-// Do runs fn under key, coalescing concurrent callers: while one call for
-// key is in flight, later callers wait for its value instead of invoking
-// fn. shared reports whether the result came from another caller's run.
-// Once a call completes, the key is forgotten — completed values are the
-// cache layer's business, Do only deduplicates the in-flight window.
-func (f *Flight) Do(key string, fn func() (any, error)) (v any, err error, shared bool) {
-	return f.DoContext(context.Background(), key, fn)
-}
-
-// DoContext is Do with a cancellable follower wait: a caller that joins
-// another call's flight stops waiting when ctx is done and returns ctx's
-// error (shared false — it got no value). The leader always runs fn to
-// completion under its own cancellation rules; a follower's cancellation
-// never aborts the shared run.
+// DoContext runs fn under key, coalescing concurrent callers: while one
+// call for key is in flight, later callers wait for its value instead of
+// invoking fn, and shared reports that the result came from another
+// caller's run. A follower stops waiting when ctx is done and returns
+// ctx's error (shared false — it got no value); the leader always runs fn
+// to completion under its own cancellation rules, so a follower's
+// cancellation never aborts the shared run. Once a call completes, the
+// key is forgotten — completed values are the cache layer's business,
+// DoContext only deduplicates the in-flight window.
 func (f *Flight) DoContext(ctx context.Context, key string, fn func() (any, error)) (v any, err error, shared bool) {
 	f.mu.Lock()
 	if f.calls == nil {

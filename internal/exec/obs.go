@@ -13,9 +13,7 @@ var (
 	queueDepth = obs.Default().Gauge("eend_exec_queue_depth",
 		"Items currently queued across all schedulers.")
 	itemsDone = obs.Default().Counter("eend_exec_items_total",
-		"Items executed to completion (own Do run; coalesced followers excluded).")
-	coalesced = obs.Default().Counter("eend_exec_coalesced_total",
-		"Items that received a single-flight leader's value instead of running.")
+		"Items executed to completion.")
 	busySeconds = obs.Default().FloatCounter("eend_exec_busy_seconds_total",
 		"Wall-clock seconds workers spent inside item Do functions.")
 	itemSeconds = obs.Default().Histogram("eend_exec_item_seconds",

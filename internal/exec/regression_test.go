@@ -3,77 +3,9 @@ package exec
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// TestLeaderHelpingPastOwnFlightKey: a single-flight leader whose Do fans
-// out (nested Gather) must not deadlock on a queued follower of its own
-// key — the help loop only runs the leader's own children, so the
-// follower is left for another worker (or for after the leader's flight
-// completes).
-//
-// Layout on a 2-worker scheduler: worker 1 runs A (key K, fans out two
-// children), worker 2 is pinned by a gated filler, so B (key K) is still
-// queued when A starts helping — the exact self-wait hazard.
-func TestLeaderHelpingPastOwnFlightKey(t *testing.T) {
-	s := New(2)
-	gate := make(chan struct{})
-	var fillerStarted atomic.Bool
-	items := []Item{
-		{Index: 0, Key: "K", Do: func(ctx context.Context) (any, error) {
-			// Wait for the filler to pin the other worker before helping,
-			// so B is guaranteed to still be in the queue.
-			for !fillerStarted.Load() {
-				time.Sleep(time.Millisecond)
-			}
-			children := []Item{
-				{Index: 0, Priority: PriorityNested, Do: func(context.Context) (any, error) { return 1, nil }},
-				{Index: 1, Priority: PriorityNested, Do: func(context.Context) (any, error) { return 2, nil }},
-			}
-			sum := 0
-			for _, r := range From(ctx).Gather(ctx, children) {
-				if r.Err != nil {
-					return nil, r.Err
-				}
-				sum += r.Value.(int)
-			}
-			return sum, nil
-		}},
-		{Index: 1, Do: func(context.Context) (any, error) {
-			fillerStarted.Store(true)
-			<-gate
-			return "filler", nil
-		}},
-		{Index: 2, Key: "K", Do: func(ctx context.Context) (any, error) {
-			return 100, nil
-		}},
-	}
-	done := make(chan []Result, 1)
-	ctx := With(context.Background(), s)
-	go func() { done <- s.Gather(ctx, items) }()
-	// Give A time to finish its nested fan-out, then release the filler.
-	time.Sleep(200 * time.Millisecond)
-	close(gate)
-	select {
-	case rs := <-done:
-		if rs[0].Err != nil || rs[0].Value.(int) != 3 {
-			t.Fatalf("leader result %+v", rs[0])
-		}
-		if rs[1].Err != nil || rs[2].Err != nil {
-			t.Fatalf("filler/follower failed: %+v %+v", rs[1], rs[2])
-		}
-		// B either shared A's flight (3) or — having been deferred past
-		// A's completed flight — ran fresh (100). Both are legal; a hang
-		// is the bug this test pins.
-		if v := rs[2].Value.(int); v != 3 && v != 100 {
-			t.Fatalf("follower value %v", v)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("leader deadlocked helping past its own flight key")
-	}
-}
 
 // TestFlightDoContextCancelledFollower: a follower joining a long flight
 // must return promptly when its own ctx is cancelled, without waiting for
@@ -83,7 +15,7 @@ func TestFlightDoContextCancelledFollower(t *testing.T) {
 	release := make(chan struct{})
 	leaderRunning := make(chan struct{})
 	go func() {
-		f.Do("k", func() (any, error) {
+		f.DoContext(context.Background(), "k", func() (any, error) {
 			close(leaderRunning)
 			<-release
 			return 1, nil

@@ -60,7 +60,7 @@ func (r Runner) execute(ctx context.Context, st *study, jobs []job) ([]run, erro
 	}
 	items := make([]exec.Item, len(jobs))
 	for i, j := range jobs {
-		items[i] = exec.Item{Index: i, Seed: j.sc.Seed, Do: func(ctx context.Context) (any, error) {
+		items[i] = exec.Item{Index: i, Do: func(ctx context.Context) (any, error) {
 			rn, err := st.measure(ctx, j)
 			if err != nil {
 				return nil, fmt.Errorf("%s %s x=%g seed=%d: %w", st.name, j.line.stack.Label, j.x, j.sc.Seed, err)

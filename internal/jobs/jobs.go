@@ -228,8 +228,13 @@ func (s *Store[V]) Start(init func(v *V), run func(ctx context.Context, j *Job[V
 			status, errText = Failed, err.Error()
 		}
 		// Journal before publishing: once a poller can observe the final
-		// status, a restart's replay agrees with it.
-		_ = s.jn.append(record{ID: j.id, Seq: j.seq, Status: status, Err: errText, Time: s.clock()})
+		// status, a restart's replay agrees with it. A job the dying store
+		// itself cancelled (base done) stays running on disk, so the next
+		// daemon resurrects it as interrupted; only a client's Cancel with
+		// the base alive is a terminal record.
+		if status != Cancelled || s.base.Err() == nil {
+			_ = s.jn.append(record{ID: j.id, Seq: j.seq, Status: status, Err: errText, Time: s.clock()})
+		}
 		j.mu.Lock()
 		defer j.mu.Unlock()
 		if j.finalize != nil {

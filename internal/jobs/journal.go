@@ -19,8 +19,10 @@ import (
 // On restart the store replays the journal: a job whose last record is
 // still "running" was interrupted by the crash or restart, and is
 // resurrected as Failed — a poller holding its id learns the truth instead
-// of a 404 that looks like an expired job. Replay also continues the id
-// sequence, so restarted daemons never reuse a live client's job id.
+// of a 404 that looks like an expired job. A job cancelled by the store's
+// own shutdown gets no second record for that reason (see Store.Start);
+// a client's Cancel does. Replay also continues the id sequence, so
+// restarted daemons never reuse a live client's job id.
 //
 // The journal is an availability aid, not a durability contract: records
 // are appended without fsync, and replay skips torn or unparsable lines

@@ -168,3 +168,41 @@ func waitStatus[V any](t *testing.T, j *Job[V], want Status) {
 	}
 	t.Fatalf("job %s never reached %s (now %s)", j.ID(), want, j.Status())
 }
+
+// TestJournalShutdownCancelIsNotTerminal: a job the store's own dying base
+// context cancelled stays "running" on disk and comes back interrupted,
+// however long its goroutine had to settle before the restart; a client's
+// Cancel with the base alive is a terminal record and is not resurrected.
+func TestJournalShutdownCancelIsNotTerminal(t *testing.T) {
+	dir := t.TempDir()
+	base, shutdown := context.WithCancel(context.Background())
+	s1, err := NewJournaled[payload](base, dir, Options{Prefix: "sweep"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	untilCancelled := func(ctx context.Context, _ *Job[payload]) error {
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	deleted := s1.Start(nil, untilCancelled)
+	deleted.Cancel()
+	waitStatus(t, deleted, Cancelled)
+	inflight := s1.Start(nil, untilCancelled)
+	shutdown()
+	waitStatus(t, inflight, Cancelled) // settled in the dying store, before the restart
+
+	s2, err := NewJournaled[payload](context.Background(), dir, Options{Prefix: "sweep"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s2.Get(inflight.ID())
+	if !ok {
+		t.Fatalf("job %s cancelled by shutdown not replayed", inflight.ID())
+	}
+	if status, errText, _ := got.Snapshot(); status != Failed || !strings.Contains(errText, "interrupted") {
+		t.Fatalf("replayed job = (%s, %q), want failed/interrupted", status, errText)
+	}
+	if _, ok := s2.Get(deleted.ID()); ok {
+		t.Error("client-cancelled job resurrected after restart")
+	}
+}

@@ -26,7 +26,7 @@ func (r Results) Fingerprint() string {
 }
 
 // Copy clones a Results through its lossless JSON round-trip, so two
-// holders of one outcome (a coalesced batch follower, evaluation slots
+// holders of one outcome (a batch duplicate, evaluation slots
 // sharing a fingerprint) never share mutable state: per-node slices,
 // replicate summaries. An encoding fault — which the round-trip tests rule
 // out — degrades to sharing the value rather than dropping the result.

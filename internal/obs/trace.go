@@ -259,9 +259,6 @@ func SortEvents(events []Event) {
 // tracerKey carries a *Tracer through a context.
 type tracerKey struct{}
 
-// spanKey carries the current parent Span through a context.
-type spanKey struct{}
-
 // WithTracer returns a context carrying t.
 func WithTracer(ctx context.Context, t *Tracer) context.Context {
 	if t == nil {
@@ -274,15 +271,4 @@ func WithTracer(ctx context.Context, t *Tracer) context.Context {
 func TracerFrom(ctx context.Context) *Tracer {
 	t, _ := ctx.Value(tracerKey{}).(*Tracer)
 	return t
-}
-
-// WithSpan returns a context carrying s as the current parent span.
-func WithSpan(ctx context.Context, s Span) context.Context {
-	return context.WithValue(ctx, spanKey{}, s)
-}
-
-// SpanFrom returns the context's current span (zero Span if none).
-func SpanFrom(ctx context.Context) Span {
-	s, _ := ctx.Value(spanKey{}).(Span)
-	return s
 }

@@ -136,18 +136,10 @@ func TestContextHelpers(t *testing.T) {
 	if TracerFrom(ctx) != nil {
 		t.Fatal("empty context carries a tracer")
 	}
-	if SpanFrom(ctx).ID() != "" {
-		t.Fatal("empty context carries a span")
-	}
 	tr := NewTracer("t", NewMemSink())
 	ctx = WithTracer(ctx, tr)
 	if TracerFrom(ctx) != tr {
 		t.Fatal("tracer not recovered from context")
-	}
-	sp := tr.Start(Span{}, "s", "k")
-	ctx = WithSpan(ctx, sp)
-	if SpanFrom(ctx).ID() != sp.ID() {
-		t.Fatal("span not recovered from context")
 	}
 	// WithTracer(nil) must not shadow the context with a nil value.
 	if TracerFrom(WithTracer(ctx, nil)) != tr {

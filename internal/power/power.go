@@ -157,6 +157,3 @@ func (o *ODPM) setMode(m mac.PowerMode) {
 		o.notify(m)
 	}
 }
-
-// Deadline returns the current keep-alive deadline (for tests).
-func (o *ODPM) Deadline() sim.Time { return o.deadline }

@@ -159,12 +159,6 @@ type Options struct {
 	// derives its own RNG stream at submission time and outcomes merge in
 	// restart order.
 	Workers int
-	// InitTemp is the annealing start temperature; <= 0 derives it as 2%
-	// of the initial energy, so acceptance odds are scale-free.
-	InitTemp float64
-	// Cooling is the geometric decay per iteration; <= 0 derives a rate
-	// that lands at InitTemp/1000 on the final iteration.
-	Cooling float64
 	// Initial seeds the search; nil starts from the best Section 4
 	// heuristic (the baselines are recorded in Result.Heuristics).
 	Initial *Design
@@ -516,23 +510,19 @@ func (st *searchState) runGreedy(ctx context.Context) error {
 	return nil
 }
 
-// runAnneal cools geometrically from InitTemp, drawing random moves and
-// accepting uphill ones with Metropolis probability. A streak of failed
-// proposals (every move degenerate: no alternative routes, no removable
-// relays) ends the search — otherwise a problem with a single frozen
-// design would spin forever without ever consuming the iteration budget.
+// runAnneal cools geometrically — from 2% of the initial energy, so
+// acceptance odds are scale-free, to 1/1000 of that on the final
+// iteration — drawing random moves and accepting uphill ones with
+// Metropolis probability. A streak of failed proposals (every move
+// degenerate: no alternative routes, no removable relays) ends the search
+// — otherwise a problem with a single frozen design would spin forever
+// without ever consuming the iteration budget.
 func (st *searchState) runAnneal(ctx context.Context) error {
-	t := st.o.InitTemp
-	if t <= 0 {
-		t = 0.02 * st.curE
-	}
+	t := 0.02 * st.curE
 	if t <= 0 {
 		t = 1 // degenerate zero-energy start: any positive temperature works
 	}
-	cool := st.o.Cooling
-	if cool <= 0 || cool >= 1 {
-		cool = math.Pow(1e-3, 1/float64(st.o.Iterations))
-	}
+	cool := math.Pow(1e-3, 1/float64(st.o.Iterations))
 	misses := 0
 	for !st.stopped && misses < maxProposalMisses {
 		if err := ctx.Err(); err != nil {
@@ -643,7 +633,6 @@ func (st *searchState) runRestart(ctx context.Context) error {
 		}
 		items[r] = exec.Item{
 			Index: r,
-			Seed:  stream,
 			Do: func(ctx context.Context) (any, error) {
 				return st.p.runOneRestart(ctx, st.obj, *o, a, stream, slice), nil
 			},

@@ -81,7 +81,6 @@ func (s *Scenario) runReplicated(ctx context.Context) (*Results, error) {
 		seeds[k] = rep.Seed()
 		items[k] = exec.Item{
 			Index:    k,
-			Seed:     rep.Seed(),
 			Priority: exec.PriorityNested,
 			Do: func(ctx context.Context) (any, error) {
 				res, err := network.RunContext(ctx, rep.sc)

@@ -2,12 +2,19 @@ package eend_test
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"eend"
+	"eend/internal/obs"
 )
+
+// runCount reads the process-wide count of completed simulator runs.
+func runCount() uint64 {
+	return obs.Default().Counter("eend_sim_runs_total", "").Value()
+}
 
 // batchScenarios builds a small mixed batch, including a replicated
 // scenario so the nested fan-out path is exercised.
@@ -61,57 +68,72 @@ func TestBatchDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestBatchSingleFlightSharesIdenticalScenarios: two in-flight scenarios
-// with equal fingerprints must share one simulator run, with the follower
-// marked Cached and carrying identical results.
+// TestBatchSingleFlightSharesIdenticalScenarios: scenarios with equal
+// fingerprints share one simulator run — the lowest index runs, every
+// duplicate is Cached with an equal, unaliased Results — and because the
+// grouping is done on the input, not by the schedule, the outcome is the
+// same at every worker count (at one worker nothing is ever concurrently
+// in flight, yet the duplicates still share).
 func TestBatchSingleFlightSharesIdenticalScenarios(t *testing.T) {
-	// The run must outlive the follower's dispatch latency by a wide
-	// margin (goroutine preemption is ~10ms), so the shared scenario is
-	// deliberately heavy: the follower joins the leader's flight long
-	// before the leader's simulation finishes.
-	mk := func() *eend.Scenario {
+	mk := func(seed uint64) *eend.Scenario {
 		sc, err := eend.NewScenario(
-			eend.WithSeed(7),
-			eend.WithField(700, 700),
-			eend.WithNodes(60),
+			eend.WithSeed(seed),
+			eend.WithField(250, 250),
+			eend.WithNodes(10),
 			eend.WithStack(eend.DSR, eend.ODPM),
-			eend.WithRandomFlows(6, 4096, 128),
-			eend.WithDuration(300*time.Second),
+			eend.WithRandomFlows(2, 2048, 128),
+			eend.WithDuration(40*time.Second),
 		)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sc
 	}
-	a, b := mk(), mk()
-	if a.Fingerprint() != b.Fingerprint() {
+	if mk(7).Fingerprint() != mk(7).Fingerprint() {
 		t.Fatal("identical options produced different fingerprints")
 	}
-	var results [2]*eend.Results
-	cached := 0
-	for br := range eend.RunBatch(context.Background(), []*eend.Scenario{a, b}, eend.Workers(2)) {
-		if br.Err != nil {
-			t.Fatalf("scenario %d: %v", br.Index, br.Err)
+	var want string
+	for _, workers := range []int{1, 2, 8} {
+		// Indices 0, 2 and 3 are one scenario; index 1 stands alone.
+		batch := []*eend.Scenario{mk(7), mk(8), mk(7), mk(7)}
+		results := make([]*eend.Results, len(batch))
+		cached := make([]bool, len(batch))
+		runs := runCount()
+		for br := range eend.RunBatch(context.Background(), batch, eend.Workers(workers)) {
+			if br.Err != nil {
+				t.Fatalf("workers=%d: scenario %d: %v", workers, br.Index, br.Err)
+			}
+			results[br.Index], cached[br.Index] = br.Results, br.Cached
 		}
-		results[br.Index] = br.Results
-		if br.Cached {
-			cached++
+		if got := runCount() - runs; got != 2 {
+			t.Errorf("workers=%d: %d simulator runs, want 2 (one per distinct fingerprint)", workers, got)
 		}
-	}
-	if cached != 1 {
-		t.Fatalf("%d results marked Cached, want exactly the follower", cached)
-	}
-	if results[0].Fingerprint() != results[1].Fingerprint() {
-		t.Fatal("coalesced results differ")
-	}
-	if results[0] == results[1] {
-		t.Fatal("follower aliases the leader's Results value")
+		if !reflect.DeepEqual(cached, []bool{false, false, true, true}) {
+			t.Errorf("workers=%d: Cached = %v, want only the duplicates", workers, cached)
+		}
+		for _, i := range []int{2, 3} {
+			if !reflect.DeepEqual(results[i], results[0]) {
+				t.Errorf("workers=%d: duplicate %d differs from its leader", workers, i)
+			}
+			if results[i] == results[0] || &results[i].PerNode[0] == &results[0].PerNode[0] {
+				t.Errorf("workers=%d: duplicate %d aliases the leader's Results", workers, i)
+			}
+		}
+		if &results[2].PerNode[0] == &results[3].PerNode[0] {
+			t.Errorf("workers=%d: the duplicates alias each other", workers)
+		}
+		if want == "" {
+			want = results[0].Fingerprint()
+		} else if got := results[0].Fingerprint(); got != want {
+			t.Errorf("workers=%d: leader fingerprint %s, want %s", workers, got, want)
+		}
 	}
 }
 
-// TestBatchSingleFlightFailedLeader: when the one shared run fails (here:
-// cancelled mid-flight), both the leader and the coalesced follower must
-// arrive as errors — not panic on a missing Results value.
+// TestBatchSingleFlightFailedLeader: when the one shared run is cancelled
+// mid-flight the leader arrives as an error without Results, and its
+// duplicate — still queued behind it, so never dispatched — does not
+// appear: the same single result at every worker count.
 func TestBatchSingleFlightFailedLeader(t *testing.T) {
 	mk := func() *eend.Scenario {
 		sc, err := eend.NewScenario(
@@ -127,16 +149,23 @@ func TestBatchSingleFlightFailedLeader(t *testing.T) {
 		}
 		return sc
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ch := eend.RunBatch(ctx, []*eend.Scenario{mk(), mk()}, eend.Workers(2))
-	time.Sleep(100 * time.Millisecond) // let both dispatch and coalesce
-	cancel()
-	for br := range ch {
-		if br.Err == nil {
-			t.Fatalf("scenario %d succeeded under a cancelled context", br.Index)
+	for _, workers := range []int{1, 2, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		ch := eend.RunBatch(ctx, []*eend.Scenario{mk(), mk()}, eend.Workers(workers))
+		time.Sleep(100 * time.Millisecond) // let the leader dispatch
+		cancel()
+		var got []int
+		for br := range ch {
+			if br.Err == nil {
+				t.Fatalf("workers=%d: scenario %d succeeded under a cancelled context", workers, br.Index)
+			}
+			if br.Results != nil {
+				t.Fatalf("workers=%d: failed result %d carries Results", workers, br.Index)
+			}
+			got = append(got, br.Index)
 		}
-		if br.Results != nil {
-			t.Fatalf("failed result %d carries Results", br.Index)
+		if !reflect.DeepEqual(got, []int{0}) {
+			t.Fatalf("workers=%d: results for %v, want the cancelled leader alone", workers, got)
 		}
 	}
 }

@@ -29,7 +29,7 @@ type Scenario struct {
 	// replicates is the seed-replication factor (>= 1; see WithReplicates).
 	replicates int
 	// fpOnce/fp memoize Fingerprint: the scenario is immutable, and the
-	// fingerprint sits on hot paths (cache scans, batch coalescing keys,
+	// fingerprint sits on hot paths (cache scans, batch grouping,
 	// per-candidate evaluation), so the canonical encoding is hashed once.
 	fpOnce sync.Once
 	fp     string
@@ -375,7 +375,7 @@ func (s *Scenario) Run(ctx context.Context) (*Results, error) {
 	// wall time only, so a traced run's Results (and fingerprint-keyed
 	// cache entries) are bit-identical to an untraced one's.
 	tr := obs.TracerFrom(ctx)
-	sp := tr.Start(obs.SpanFrom(ctx), "sim", s.Fingerprint())
+	sp := tr.Start(obs.Span{}, "sim", s.Fingerprint())
 	res, err := network.RunContext(ctx, s.sc)
 	if err != nil {
 		sp.End(obs.A("error", err.Error()))
