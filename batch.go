@@ -103,8 +103,7 @@ func RunBatch(ctx context.Context, scenarios []*Scenario, opts ...BatchOption) <
 		}
 		leader[fp] = i
 		items = append(items, exec.Item{
-			Index:    i,
-			Priority: exec.PriorityBatch,
+			Index: i,
 			Do: func(ctx context.Context) (any, error) {
 				return sc.Run(ctx)
 			},

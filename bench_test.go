@@ -377,7 +377,7 @@ func BenchmarkMACUnicastExchange(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New(1)
 	med := phy.NewMedium(s, phy.Config{RangeAt: radio.Cabletron.RangeAt})
-	coord := mac.NewCoordinator(s, 0, 0)
+	coord := mac.NewCoordinator(s)
 	delivered := 0
 	a := mac.New(s, med, coord, 0, geom.Point{X: 0, Y: 0}, mac.Config{Card: radio.Cabletron}, nil)
 	mac.New(s, med, coord, 1, geom.Point{X: 100, Y: 0}, mac.Config{Card: radio.Cabletron},

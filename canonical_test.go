@@ -1,6 +1,8 @@
 package eend
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 	"time"
@@ -9,7 +11,7 @@ import (
 // canonicalScenarios builds a spread of scenarios covering every canonical
 // encoding branch: placement kinds, explicit and random flows, stack
 // modifiers, static routes, replicates, battery, bandwidth.
-func canonicalScenarios(t *testing.T) map[string]*Scenario {
+func canonicalScenarios(t testing.TB) map[string]*Scenario {
 	t.Helper()
 	topo, err := ParseTopology("cluster")
 	if err != nil {
@@ -136,6 +138,29 @@ func TestParseCanonicalErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseCanonical: canonical text is the fleet's wire format, so it
+// arrives from outside (POST /v1/evaluate). Whatever the bytes, the parser
+// never panics, and what it accepts it accepts exactly: the scenario
+// re-encodes to the input byte for byte and its fingerprint is the input's
+// SHA-256 — a worker can only simulate what the coordinator fingerprinted.
+func FuzzParseCanonical(f *testing.F) {
+	for _, sc := range canonicalScenarios(f) {
+		f.Add(sc.Canonical())
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		sc, err := ParseCanonical(text)
+		if err != nil {
+			return
+		}
+		if got := sc.Canonical(); got != text {
+			t.Fatalf("accepted text re-encodes differently:\n--- input\n%s\n--- canonical\n%s", text, got)
+		}
+		if sum := sha256.Sum256([]byte(text)); sc.Fingerprint() != hex.EncodeToString(sum[:]) {
+			t.Fatalf("fingerprint %s is not the SHA-256 of the accepted text %q", sc.Fingerprint(), text)
+		}
+	})
 }
 
 // TestCanonicalAllocs bounds the encoder: one buffer and the returned

@@ -6,8 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strings"
 	"testing"
 
+	"eend"
+	"eend/internal/dist"
+	"eend/internal/eval"
 	"eend/internal/exec"
 )
 
@@ -148,5 +152,46 @@ func TestOptimizeRestartParallelDeterministic(t *testing.T) {
 	}
 	if a, b := run(1), run(4); a != b {
 		t.Fatalf("restart job fingerprints diverge across worker counts: %s vs %s", a, b)
+	}
+}
+
+// TestPanicsFailAlone: a panic inside a job body fails that job (status
+// "failed", the panic value as its error) and a panic inside a synchronous
+// handler answers 500 with the JSON error envelope; the daemon serves the
+// next request either way. The evaluator's test hook stands in for a
+// simulator invariant like "phy: unknown node".
+func TestPanicsFailAlone(t *testing.T) {
+	eval.OnSimulate = func(*eend.Scenario) { panic("phy: unknown node 7") }
+	t.Cleanup(func() { eval.OnSimulate = nil })
+	h := newServer(t.Context(), t.TempDir())
+
+	// The anneal driver evaluates candidates on the job's own goroutine.
+	w := post(t, h, "/v1/optimize", `{
+		"scenario": {"seed": 3, "nodes": 10, "topology": "cluster", "field": {"width": 400, "height": 400},
+			"duration": "40s", "random_flows": {"count": 2, "rate_bps": 2048}},
+		"heuristic": "anneal", "objective": "sim", "iterations": 6}`)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("POST /v1/optimize: status %d, body %s", w.Code, w.Body)
+	}
+	var created optStatus
+	if err := json.Unmarshal(w.Body.Bytes(), &created); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitOptDone(t, h, created.ID); st.Status != "failed" || !strings.Contains(st.Error, "phy: unknown node 7") {
+		t.Fatalf("panicking job = (%s, %q), want failed with the panic value", st.Status, st.Error)
+	}
+
+	body, _ := json.Marshal(dist.EvalRequest{Scenarios: []string{testCanonical(t, 1)}})
+	w = post(t, h, "/v1/evaluate", string(body))
+	var envelope errorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &envelope); err != nil {
+		t.Fatalf("panicking handler answered %d %q, want the JSON error envelope", w.Code, w.Body)
+	}
+	if w.Code != http.StatusInternalServerError || !strings.Contains(envelope.Error, "phy: unknown node 7") {
+		t.Fatalf("panicking handler = (%d, %q), want 500 with the panic value", w.Code, envelope.Error)
+	}
+
+	if w := get(t, h, "/healthz"); w.Code != http.StatusOK {
+		t.Fatalf("GET /healthz after two panics: status %d", w.Code)
 	}
 }

@@ -12,6 +12,16 @@ import (
 	"eend"
 )
 
+// newServer is newServerWith for tests that configure at most a cache
+// directory.
+func newServer(base context.Context, cacheDir string) http.Handler {
+	h, err := newServerWith(base, serverConfig{cacheDir: cacheDir})
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, path, nil)

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -227,7 +229,7 @@ func (cfg serverConfig) sseCadence() time.Duration {
 	return time.Second
 }
 
-// newServer builds the eendd HTTP API:
+// newServerWith builds the eendd HTTP API:
 //
 //	POST /v1/scenarios           run a scenario from a JSON body -> eend.Results
 //	GET  /v1/experiments         list experiment and ablation IDs
@@ -247,19 +249,8 @@ func (cfg serverConfig) sseCadence() time.Duration {
 // Synchronous simulations run under the request's context, so a dropped
 // client connection (or server shutdown) cancels the run. Sweeps and
 // optimizations are asynchronous: they run under base (the server's
-// lifetime context) and are polled by id, with results cached in cacheDir
-// when it is non-empty.
-func newServer(base context.Context, cacheDir string) http.Handler {
-	h, err := newServerWith(base, serverConfig{cacheDir: cacheDir})
-	if err != nil {
-		// Reachable only through an unusable cache directory; callers with
-		// user-supplied configuration go through newServerWith.
-		panic(err)
-	}
-	return h
-}
-
-// newServerWith is newServer with the full configuration surface.
+// lifetime context) and are polled by id, with results cached in
+// cfg.cacheDir when it is non-empty.
 func newServerWith(base context.Context, cfg serverConfig) (http.Handler, error) {
 	store, err := buildStore(cfg)
 	if err != nil {
@@ -345,7 +336,22 @@ func newServerWith(base context.Context, cfg serverConfig) (http.Handler, error)
 		writeJSON(w, http.StatusOK, res)
 	})
 
-	return mux, nil
+	return recoverPanics(mux), nil
+}
+
+// recoverPanics is the daemon's outermost boundary: a handler that panics
+// answers 500 with the JSON error envelope (net/http alone would drop the
+// connection) and the stack goes to stderr; every other request carries on.
+func recoverPanics(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			if v := recover(); v != nil {
+				fmt.Fprintf(os.Stderr, "eendd: %s %s panicked: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+				writeError(w, http.StatusInternalServerError, fmt.Errorf("internal error: %v", v))
+			}
+		}()
+		next.ServeHTTP(w, r)
+	})
 }
 
 // decodeJSONBody enforces the JSON content type and size cap, decodes the

@@ -127,6 +127,9 @@ func TestSweepRejectsBadRequests(t *testing.T) {
 		"bad value":     `{"grid": "nodes=ten"}`,
 		"unknown field": `{"grid": "nodes=5", "cache_dir": "/tmp"}`,
 		"too large":     `{"grid": "seed=1..5000 nodes=5,10,20"}`,
+		// 2^72 points: the product wraps an int to 0 and used to pass the limit.
+		"overflowing size": `{"grid": "seed=1..4096 nodes=1..4096 flows=1..4096 rate=1..4096 packet=1..4096 replicates=1..4096"}`,
+		"overflowing span": `{"grid": "seed=-2..9223372036854775807"}`,
 	} {
 		if w := post(t, h, "/v1/sweeps", body); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (body %s)", name, w.Code, w.Body)

@@ -86,12 +86,35 @@ func unseal(data []byte) ([]byte, bool) {
 	return payload, true
 }
 
-// counters is the atomic Stats backing shared by the implementations.
+// counters is the atomic Stats backing shared by the implementations,
+// together with the backend's process-wide instruments: every cache event
+// is counted in both by the one method that names it.
 type counters struct {
 	hits, remoteHits, misses, puts, corrupt atomic.Uint64
+	obs                                     *backendObs
 }
 
-func (c *counters) snapshot() Stats {
+func (c *counters) hit()       { c.hits.Add(1); c.obs.hits.Inc() }
+func (c *counters) remoteHit() { c.remoteHits.Add(1); c.obs.hits.Inc() }
+func (c *counters) miss()      { c.misses.Add(1); c.obs.misses.Inc() }
+
+// opened unseals a raw entry and counts the outcome: a hit, or a corrupt
+// entry served as a miss.
+func (c *counters) opened(data []byte) ([]byte, bool) {
+	payload, ok := unseal(data)
+	if !ok {
+		c.corrupt.Add(1)
+		c.miss()
+		return nil, false
+	}
+	c.hit()
+	return payload, true
+}
+
+// Stats returns a snapshot of the store's own counters; every
+// implementation embeds counters and serves Store.Stats through it (a
+// Tiered store's tiers keep their own Stats independently).
+func (c *counters) Stats() Stats {
 	return Stats{
 		Hits: c.hits.Load(), RemoteHits: c.remoteHits.Load(),
 		Misses: c.misses.Load(), Puts: c.puts.Load(), Corrupt: c.corrupt.Load(),
@@ -119,7 +142,7 @@ func Open(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
-	return &Disk{dir: dir}, nil
+	return &Disk{dir: dir, counters: counters{obs: &obsDisk}}, nil
 }
 
 // Dir returns the store's root directory.
@@ -152,23 +175,14 @@ func (s *Disk) Get(key string) ([]byte, bool, error) {
 	if err := ValidKey(key); err != nil {
 		return nil, false, err
 	}
-	defer obsDisk.gets.ObserveSince(time.Now())
+	defer s.obs.gets.ObserveSince(time.Now())
 	data, err := os.ReadFile(s.path(key))
 	switch {
 	case err == nil:
-		payload, ok := unseal(data)
-		if !ok {
-			s.corrupt.Add(1)
-			s.misses.Add(1)
-			obsDisk.misses.Inc()
-			return nil, false, nil
-		}
-		s.hits.Add(1)
-		obsDisk.hits.Inc()
-		return payload, true, nil
+		payload, ok := s.opened(data)
+		return payload, ok, nil
 	case os.IsNotExist(err):
-		s.misses.Add(1)
-		obsDisk.misses.Inc()
+		s.miss()
 		return nil, false, nil
 	default:
 		return nil, false, fmt.Errorf("cache: %w", err)
@@ -181,7 +195,7 @@ func (s *Disk) Put(key string, value []byte) error {
 	if err := ValidKey(key); err != nil {
 		return err
 	}
-	defer obsDisk.puts.ObserveSince(time.Now())
+	defer s.obs.puts.ObserveSince(time.Now())
 	dst := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return fmt.Errorf("cache: %w", err)
@@ -206,9 +220,6 @@ func (s *Disk) Put(key string, value []byte) error {
 	s.puts.Add(1)
 	return nil
 }
-
-// Stats returns a snapshot of the store's counters.
-func (s *Disk) Stats() Stats { return s.snapshot() }
 
 // Len walks the store and counts entries (for tools and tests; a sweep
 // never needs it on a hot path).

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -126,4 +127,26 @@ func TestConcurrentWritersSameKey(t *testing.T) {
 	if left != 0 {
 		t.Fatalf("%d temp files left behind", left)
 	}
+}
+
+// FuzzUnseal: sealed entries are read back from disk and off the wire (PUT
+// /v1/cache/{fp}), so unseal sees bytes from outside. It never panics; it
+// opens what seal wrote; and it rejects every single-bit flip of a sealed
+// entry — in the magic, the checksum, the separator or the payload.
+func FuzzUnseal(f *testing.F) {
+	f.Add([]byte(`{"delivery_ratio":0.97}`), uint(0))
+	f.Add([]byte{}, uint(7))
+	f.Add(seal([]byte("an envelope as the payload")), uint(13*8+5))
+	f.Fuzz(func(t *testing.T, data []byte, bit uint) {
+		unseal(data) // outside bytes: any answer but a panic
+		sealed := seal(data)
+		if got, ok := unseal(sealed); !ok || !bytes.Equal(got, data) {
+			t.Fatalf("unseal(seal(%q)) = (%q, %v)", data, got, ok)
+		}
+		bit %= uint(len(sealed)) * 8
+		sealed[bit/8] ^= 1 << (bit % 8)
+		if got, ok := unseal(sealed); ok {
+			t.Fatalf("bit %d of seal(%q) flipped and still opened as %q", bit, data, got)
+		}
+	})
 }

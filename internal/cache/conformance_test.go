@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -53,6 +54,20 @@ func corruptFile(path string) bool {
 	}
 	data[len(data)-1] ^= 0xff
 	return os.WriteFile(path, data, 0o644) == nil
+}
+
+// corruptEntry flips a byte of the raw stored entry.
+func (s *Mem) corruptEntry(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	data, ok := s.m[key]
+	if !ok || len(data) == 0 {
+		return false
+	}
+	cp := append([]byte(nil), data...)
+	cp[len(cp)-1] ^= 0xff
+	s.m[key] = cp
+	return true
 }
 
 func TestConformanceRoundTrip(t *testing.T) {
@@ -224,6 +239,41 @@ func TestHandlerRejectsCorruptUpload(t *testing.T) {
 	}
 	if _, ok, _ := served.Get("fp06poison"); ok {
 		t.Fatal("corrupt upload was stored")
+	}
+}
+
+// faulty is a Store whose storage has failed: a full disk, a permission
+// fault.
+type faulty struct{ Store }
+
+func (faulty) Get(string) ([]byte, bool, error) {
+	return nil, false, fmt.Errorf("read: input/output error")
+}
+func (faulty) Put(string, []byte) error { return fmt.Errorf("write: no space left on device") }
+
+// TestHandlerStoreFaultIs500: a store I/O fault is the server's failure, a
+// 500; only a key the store would never accept is the client's, a 400.
+func TestHandlerStoreFaultIs500(t *testing.T) {
+	srv := httptest.NewServer(Handler(faulty{}))
+	defer srv.Close()
+	for _, tc := range []struct {
+		method, key string
+		want        int
+	}{
+		{http.MethodPut, "fp09fault", http.StatusInternalServerError},
+		{http.MethodGet, "fp09fault", http.StatusInternalServerError},
+		{http.MethodPut, "ab", http.StatusBadRequest},
+		{http.MethodGet, "ab", http.StatusBadRequest},
+	} {
+		req, _ := http.NewRequest(tc.method, srv.URL+"/v1/cache/"+tc.key, bytes.NewReader(seal([]byte("x"))))
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s: status = %d, want %d", tc.method, tc.key, resp.StatusCode, tc.want)
+		}
 	}
 }
 

@@ -16,32 +16,25 @@ type Mem struct {
 }
 
 // NewMem returns an empty in-memory store.
-func NewMem() *Mem { return &Mem{m: make(map[string][]byte)} }
+func NewMem() *Mem {
+	return &Mem{m: make(map[string][]byte), counters: counters{obs: &obsMem}}
+}
 
 // Get returns the value stored under key.
 func (s *Mem) Get(key string) ([]byte, bool, error) {
 	if err := ValidKey(key); err != nil {
 		return nil, false, err
 	}
-	defer obsMem.gets.ObserveSince(time.Now())
+	defer s.obs.gets.ObserveSince(time.Now())
 	s.mu.RLock()
 	data, ok := s.m[key]
 	s.mu.RUnlock()
 	if !ok {
-		s.misses.Add(1)
-		obsMem.misses.Inc()
+		s.miss()
 		return nil, false, nil
 	}
-	payload, ok := unseal(data)
-	if !ok {
-		s.corrupt.Add(1)
-		s.misses.Add(1)
-		obsMem.misses.Inc()
-		return nil, false, nil
-	}
-	s.hits.Add(1)
-	obsMem.hits.Inc()
-	return payload, true, nil
+	payload, ok := s.opened(data)
+	return payload, ok, nil
 }
 
 // Put stores value under key, replacing any previous entry.
@@ -49,28 +42,11 @@ func (s *Mem) Put(key string, value []byte) error {
 	if err := ValidKey(key); err != nil {
 		return err
 	}
-	defer obsMem.puts.ObserveSince(time.Now())
+	defer s.obs.puts.ObserveSince(time.Now())
 	sealed := seal(value)
 	s.mu.Lock()
 	s.m[key] = sealed
 	s.mu.Unlock()
 	s.puts.Add(1)
 	return nil
-}
-
-// Stats returns a snapshot of the store's counters.
-func (s *Mem) Stats() Stats { return s.snapshot() }
-
-// corruptEntry flips a byte of the raw stored entry (tests only).
-func (s *Mem) corruptEntry(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, ok := s.m[key]
-	if !ok || len(data) == 0 {
-		return false
-	}
-	cp := append([]byte(nil), data...)
-	cp[len(cp)-1] ^= 0xff
-	s.m[key] = cp
-	return true
 }

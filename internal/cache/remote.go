@@ -33,7 +33,7 @@ func NewRemote(base string, hc *http.Client) *Remote {
 	if hc == nil {
 		hc = &http.Client{Timeout: 30 * time.Second}
 	}
-	return &Remote{base: strings.TrimSuffix(base, "/"), hc: hc}
+	return &Remote{base: strings.TrimSuffix(base, "/"), hc: hc, counters: counters{obs: &obsRemote}}
 }
 
 // Base returns the remote daemon's base URL.
@@ -47,36 +47,25 @@ func (s *Remote) Get(key string) ([]byte, bool, error) {
 	if err := ValidKey(key); err != nil {
 		return nil, false, err
 	}
-	defer obsRemote.gets.ObserveSince(time.Now())
+	defer s.obs.gets.ObserveSince(time.Now())
 	resp, err := s.hc.Get(s.url(key))
 	if err != nil {
-		s.misses.Add(1)
-		obsRemote.misses.Inc()
+		s.miss()
 		return nil, false, nil
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		s.misses.Add(1)
-		obsRemote.misses.Inc()
+		s.miss()
 		return nil, false, nil
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRemoteEntry))
 	if err != nil {
-		s.misses.Add(1)
-		obsRemote.misses.Inc()
+		s.miss()
 		return nil, false, nil
 	}
-	payload, ok := unseal(data)
-	if !ok {
-		s.corrupt.Add(1)
-		s.misses.Add(1)
-		obsRemote.misses.Inc()
-		return nil, false, nil
-	}
-	s.hits.Add(1)
-	obsRemote.hits.Inc()
-	return payload, true, nil
+	payload, ok := s.opened(data)
+	return payload, ok, nil
 }
 
 // Put stores value under key on the peer.
@@ -84,7 +73,7 @@ func (s *Remote) Put(key string, value []byte) error {
 	if err := ValidKey(key); err != nil {
 		return err
 	}
-	defer obsRemote.puts.ObserveSince(time.Now())
+	defer s.obs.puts.ObserveSince(time.Now())
 	req, err := http.NewRequest(http.MethodPut, s.url(key), bytes.NewReader(seal(value)))
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
@@ -103,23 +92,21 @@ func (s *Remote) Put(key string, value []byte) error {
 	return nil
 }
 
-// Stats returns a snapshot of the client's counters.
-func (s *Remote) Stats() Stats { return s.snapshot() }
-
 // Handler serves a Store over HTTP for Remote clients:
 //
 //	GET /v1/cache/{key}  the sealed entry (404 JSON error on a miss)
 //	PUT /v1/cache/{key}  store a sealed entry (400 on a corrupt upload)
 //
-// Errors are JSON envelopes ({"error": ...}) so the routes compose with
-// eendd's API surface.
+// An invalid key is a 400; any other Store error (a full disk, a
+// permission fault) is the server's, a 500. Errors are JSON envelopes
+// ({"error": ...}) so the routes compose with eendd's API surface.
 func Handler(s Store) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
 		key := r.PathValue("key")
 		payload, ok, err := s.Get(key)
 		if err != nil {
-			jsonError(w, http.StatusBadRequest, err)
+			jsonError(w, faultStatus(key), err)
 			return
 		}
 		if !ok {
@@ -146,13 +133,21 @@ func Handler(s Store) http.Handler {
 			return
 		}
 		if err := s.Put(key, payload); err != nil {
-			jsonError(w, http.StatusBadRequest, err)
+			jsonError(w, faultStatus(key), err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]string{"stored": key})
 	})
 	return mux
+}
+
+// faultStatus classifies a Store error by the key it was given.
+func faultStatus(key string) int {
+	if ValidKey(key) != nil {
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 // jsonError writes the JSON error envelope the eendd API uses.

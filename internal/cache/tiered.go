@@ -18,19 +18,18 @@ type Tiered struct {
 // NewTiered returns a tiered store. local must be non-nil; remotes may be
 // empty, in which case the store behaves exactly like local.
 func NewTiered(local Store, remotes ...Store) *Tiered {
-	return &Tiered{local: local, remotes: remotes}
+	return &Tiered{local: local, remotes: remotes, counters: counters{obs: &obsTiered}}
 }
 
 // Get returns the value stored under key in the nearest tier that has it.
 func (s *Tiered) Get(key string) ([]byte, bool, error) {
-	defer obsTiered.gets.ObserveSince(time.Now())
+	defer s.obs.gets.ObserveSince(time.Now())
 	payload, ok, err := s.local.Get(key)
 	if err != nil {
 		return nil, false, err
 	}
 	if ok {
-		s.hits.Add(1)
-		obsTiered.hits.Inc()
+		s.hit()
 		return payload, true, nil
 	}
 	for _, r := range s.remotes {
@@ -38,15 +37,13 @@ func (s *Tiered) Get(key string) ([]byte, bool, error) {
 		if err != nil || !ok {
 			continue
 		}
-		s.remoteHits.Add(1)
-		obsTiered.hits.Inc()
+		s.remoteHit()
 		// Backfill best-effort: a failed local write still served the hit.
 		s.local.Put(key, payload)
 		backfills.Inc()
 		return payload, true, nil
 	}
-	s.misses.Add(1)
-	obsTiered.misses.Inc()
+	s.miss()
 	return nil, false, nil
 }
 
@@ -60,7 +57,7 @@ func (s *Tiered) Local() Store { return s.local }
 // Put stores value in the local tier and writes it through to every peer
 // (best-effort: an unreachable peer does not fail the Put).
 func (s *Tiered) Put(key string, value []byte) error {
-	defer obsTiered.puts.ObserveSince(time.Now())
+	defer s.obs.puts.ObserveSince(time.Now())
 	if err := s.local.Put(key, value); err != nil {
 		return err
 	}
@@ -70,8 +67,3 @@ func (s *Tiered) Put(key string, value []byte) error {
 	s.puts.Add(1)
 	return nil
 }
-
-// Stats returns a snapshot of the tiered store's own counters (hits are
-// local-tier hits; RemoteHits are entries served by a peer). The tiers keep
-// their own Stats independently.
-func (s *Tiered) Stats() Stats { return s.snapshot() }

@@ -15,11 +15,15 @@ import (
 	"eend/internal/obs"
 )
 
-// Coordinator defaults.
+// The coordinator's fixed dispatch parameters.
 const (
-	defaultShardSize = 8
-	defaultBackoff   = 50 * time.Millisecond
-	maxBackoff       = 2 * time.Second
+	// shardSize is the maximum number of scenarios per shard: small enough
+	// to spread and to retry cheaply, large enough to amortize HTTP overhead.
+	shardSize = 8
+	// firstBackoff is the delay before a shard's first retry, doubling per
+	// attempt up to maxBackoff.
+	firstBackoff = 50 * time.Millisecond
+	maxBackoff   = 2 * time.Second
 	// suspectAfter consecutive failures sidelines a worker: later shards
 	// prefer its siblings, and it rejoins on its next success (retries
 	// still reach it when every worker is sidelined).
@@ -52,19 +56,8 @@ type RetryEvent struct {
 type Coordinator struct {
 	// Workers are the fleet members shards are dispatched to.
 	Workers []Evaluator
-	// ShardSize is the maximum number of scenarios per shard (<= 0: 8).
-	// Smaller shards spread better and retry cheaper; larger shards
-	// amortize HTTP overhead.
-	ShardSize int
 	// Parallel bounds shards in flight (<= 0: 2 per worker).
 	Parallel int
-	// Retries is the extra attempts a failed shard gets beyond its first
-	// (<= 0: 2 per worker). Each attempt prefers workers that haven't
-	// recently failed.
-	Retries int
-	// Backoff is the delay before the first retry, doubling per attempt
-	// up to a 2s cap (<= 0: 50ms).
-	Backoff time.Duration
 	// OnRetry, when non-nil, observes every failed attempt that will be
 	// retried. Calls may be concurrent (one per in-flight shard).
 	OnRetry func(RetryEvent)
@@ -83,7 +76,7 @@ type Coordinator struct {
 }
 
 // NewCoordinator returns a Coordinator over the eendd workers at the given
-// base URLs (e.g. "http://host:8080"), with every knob at its default.
+// base URLs (e.g. "http://host:8080").
 func NewCoordinator(urls []string) *Coordinator {
 	workers := make([]Evaluator, len(urls))
 	for i, u := range urls {
@@ -96,32 +89,11 @@ func (c *Coordinator) init() {
 	c.once.Do(func() { c.fails = make([]atomic.Int32, len(c.Workers)) })
 }
 
-func (c *Coordinator) shardSize() int {
-	if c.ShardSize > 0 {
-		return c.ShardSize
-	}
-	return defaultShardSize
-}
-
 func (c *Coordinator) parallel() int {
 	if c.Parallel > 0 {
 		return c.Parallel
 	}
 	return 2 * len(c.Workers)
-}
-
-func (c *Coordinator) retries() int {
-	if c.Retries > 0 {
-		return c.Retries
-	}
-	return 2 * len(c.Workers)
-}
-
-func (c *Coordinator) backoff() time.Duration {
-	if c.Backoff > 0 {
-		return c.Backoff
-	}
-	return defaultBackoff
 }
 
 // pick selects the n-th worker to try, preferring ones that haven't
@@ -153,8 +125,10 @@ func (c *Coordinator) evaluateShard(ctx context.Context, shard int, scenarios []
 		reqBytes += int64(len(s))
 	}
 	sp := c.Trace.Start(c.Span, "shard", strconv.Itoa(shard))
-	attempts := 1 + c.retries()
-	backoff := c.backoff()
+	// Two retries per worker beyond the first try, each preferring workers
+	// that haven't recently failed.
+	attempts := 1 + 2*len(c.Workers)
+	backoff := firstBackoff
 	start := int(c.rr.Add(1))
 	var lastErr error
 	for a := 0; a < attempts; a++ {
@@ -213,18 +187,16 @@ func (c *Coordinator) RunBatch(ctx context.Context, scenarios []*eend.Scenario, 
 	out := make(chan eend.BatchResult, len(scenarios))
 
 	// Partition the batch into contiguous shards: shard k covers scenarios
-	// [k*size, (k+1)*size).
-	size := c.shardSize()
+	// [k*shardSize, (k+1)*shardSize).
 	var items []exec.Item
-	for lo := 0; lo < len(scenarios); lo += size {
+	for lo := 0; lo < len(scenarios); lo += shardSize {
 		shard := len(items)
-		texts := make([]string, 0, size)
-		for _, sc := range scenarios[lo:min(lo+size, len(scenarios))] {
+		texts := make([]string, 0, shardSize)
+		for _, sc := range scenarios[lo:min(lo+shardSize, len(scenarios))] {
 			texts = append(texts, sc.Canonical())
 		}
 		items = append(items, exec.Item{
-			Index:    shard,
-			Priority: exec.PriorityBatch,
+			Index: shard,
 			Do: func(ctx context.Context) (any, error) {
 				return c.evaluateShard(ctx, shard, texts)
 			},
@@ -235,8 +207,8 @@ func (c *Coordinator) RunBatch(ctx context.Context, scenarios []*eend.Scenario, 
 		defer close(out)
 		sched := exec.New(c.parallel())
 		for r := range sched.Stream(ctx, items) {
-			lo := r.Index * size
-			for j, sc := range scenarios[lo:min(lo+size, len(scenarios))] {
+			lo := r.Index * shardSize
+			for j, sc := range scenarios[lo:min(lo+shardSize, len(scenarios))] {
 				br := eend.BatchResult{Index: lo + j, Scenario: sc, Err: r.Err}
 				if r.Err == nil {
 					// The whole shard succeeded or failed in transport;

@@ -185,7 +185,8 @@ func TestClientTransportErrors(t *testing.T) {
 // across two workers merges bit-identically to eend.RunBatch on one
 // machine.
 func TestCoordinatorMatchesLocalRun(t *testing.T) {
-	scs := testScenarios(t, 5)
+	// More than one shard, so the merge crosses a shard boundary.
+	scs := testScenarios(t, shardSize+3)
 	// A duplicate shards like any other scenario (deduplication is the
 	// evaluator's job) and still merges positionally.
 	scs = append(scs, scs[0])
@@ -203,7 +204,6 @@ func TestCoordinatorMatchesLocalRun(t *testing.T) {
 			&Local{Name: "w1", Engine: Engine{Store: cache.NewMem()}},
 			&Local{Name: "w2", Engine: Engine{Store: cache.NewMem()}},
 		},
-		ShardSize: 2,
 	}
 	got := make(map[int]string)
 	for br := range co.RunBatch(t.Context(), scs) {
@@ -248,16 +248,15 @@ func (dead) Evaluate(context.Context, []string) ([]EvalResult, error) {
 // TestCoordinatorRetriesOnSurvivor kills one of two workers and asserts
 // the batch still completes, with the retries observable via OnRetry.
 func TestCoordinatorRetriesOnSurvivor(t *testing.T) {
-	scs := testScenarios(t, 6)
+	// Two shards: round-robin dispatch starts one of them on the dead worker.
+	scs := testScenarios(t, shardSize+2)
 	var retries atomic.Int64
 	co := &Coordinator{
 		Workers: []Evaluator{
 			dead{},
 			&Local{Name: "survivor", Engine: Engine{Store: cache.NewMem()}},
 		},
-		ShardSize: 2,
-		Backoff:   time.Millisecond,
-		OnRetry:   func(RetryEvent) { retries.Add(1) },
+		OnRetry: func(RetryEvent) { retries.Add(1) },
 	}
 	n := 0
 	for br := range co.RunBatch(t.Context(), scs) {
@@ -281,7 +280,7 @@ func TestCoordinatorTransientFaultRecovers(t *testing.T) {
 	scs := testScenarios(t, 2)
 	f := &flaky{Evaluator: &Local{Name: "w", Engine: Engine{}}}
 	f.left.Store(1)
-	co := &Coordinator{Workers: []Evaluator{f}, Backoff: time.Millisecond}
+	co := &Coordinator{Workers: []Evaluator{f}}
 	for br := range co.RunBatch(t.Context(), scs) {
 		if br.Err != nil {
 			t.Fatalf("index %d: %v", br.Index, br.Err)
@@ -293,11 +292,7 @@ func TestCoordinatorTransientFaultRecovers(t *testing.T) {
 // error on every index it covered instead of hanging or panicking.
 func TestCoordinatorAllWorkersDead(t *testing.T) {
 	scs := testScenarios(t, 3)
-	co := &Coordinator{
-		Workers: []Evaluator{dead{}, dead{}},
-		Backoff: time.Microsecond,
-		Retries: 2,
-	}
+	co := &Coordinator{Workers: []Evaluator{dead{}, dead{}}}
 	n := 0
 	for br := range co.RunBatch(t.Context(), scs) {
 		if br.Err == nil {
@@ -347,7 +342,8 @@ func TestCoordinatorSharedRemoteCache(t *testing.T) {
 			Store: cache.NewTiered(cache.NewMem(), cache.NewRemote(srv.URL, srv.Client())),
 		}}
 	}
-	scs := testScenarios(t, 4)
+	// Two shards, so both workers of each fleet serve one.
+	scs := testScenarios(t, shardSize+2)
 	run := func(co *Coordinator) {
 		t.Helper()
 		for br := range co.RunBatch(t.Context(), scs) {
@@ -356,7 +352,7 @@ func TestCoordinatorSharedRemoteCache(t *testing.T) {
 			}
 		}
 	}
-	run(&Coordinator{Workers: []Evaluator{mk("w1"), mk("w2")}, ShardSize: 1})
+	run(&Coordinator{Workers: []Evaluator{mk("w1"), mk("w2")}})
 	cold := sims.Load()
 	if cold != int64(len(scs)) {
 		t.Fatalf("cold fleet ran %d sims, want %d", cold, len(scs))
@@ -365,7 +361,7 @@ func TestCoordinatorSharedRemoteCache(t *testing.T) {
 	// Fresh workers with cold local tiers, same shared remote: every
 	// result the first fleet computed was written through, so this pass
 	// must be answered entirely from the fleet cache — zero simulations.
-	co := &Coordinator{Workers: []Evaluator{mk("w3"), mk("w4")}, ShardSize: 1}
+	co := &Coordinator{Workers: []Evaluator{mk("w3"), mk("w4")}}
 	for br := range co.RunBatch(t.Context(), scs) {
 		if br.Err != nil {
 			t.Fatal(br.Err)

@@ -24,6 +24,7 @@ package exec
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -52,24 +53,15 @@ type Item struct {
 	// Index is the item's position within its submission; Gather returns
 	// results in Index order and Stream carries it for correlation.
 	Index int
-	// Priority orders dispatch when items queue: lower runs earlier.
-	// Nested submissions default to PriorityNested so in-progress parents
-	// finish before fresh top-level work starts.
-	Priority int
+	// Nested marks a fan-out from inside a running item (replicates under
+	// a batched scenario). Nested items dispatch ahead of every top-level
+	// one: finishing started work beats starting new work.
+	Nested bool
 	// Do performs the work. The ctx it receives derives from the
 	// submission's ctx and marks the goroutine as a scheduler worker, so
 	// nested Gather calls must pass it on.
 	Do func(ctx context.Context) (any, error)
 }
-
-// Dispatch priorities (lower dispatches earlier).
-const (
-	// PriorityBatch is the default for top-level submissions.
-	PriorityBatch = 0
-	// PriorityNested is used by nested fan-outs (replicates under a
-	// batched scenario): finishing started work beats starting new work.
-	PriorityNested = -1
-)
 
 // Result is one item's outcome.
 type Result struct {
@@ -91,9 +83,10 @@ type Result struct {
 type Scheduler struct {
 	workers int
 
-	mu      sync.Mutex
-	queue   entryHeap
-	seq     uint64
+	mu sync.Mutex
+	// queues holds the waiting entries: nested items in [0], top-level
+	// ones in [1]. Dispatch drains [0] first and is FIFO within each.
+	queues  [2][]entry
 	running int // live worker goroutines
 	parked  int // workers blocked in nested waits; they free a budget slot
 }
@@ -138,99 +131,35 @@ func From(ctx context.Context) *Scheduler {
 // entry is one queued item together with its submission.
 type entry struct {
 	sub *submission
-	idx int    // index into sub.items
-	seq uint64 // global FIFO tie-break within a priority
+	idx int // index into sub.items
 }
 
-// entryHeap orders entries by (Priority, seq): strict priority, FIFO
-// within.
-type entryHeap []entry
-
-func (h entryHeap) less(i, j int) bool {
-	pi, pj := h[i].sub.items[h[i].idx].Priority, h[j].sub.items[h[j].idx].Priority
-	if pi != pj {
-		return pi < pj
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *entryHeap) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *entryHeap) siftDown(i int) {
-	n := len(*h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && h.less(l, m) {
-			m = l
-		}
-		if r < n && h.less(r, m) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		(*h)[i], (*h)[m] = (*h)[m], (*h)[i]
-		i = m
-	}
-}
-
-func (h *entryHeap) push(e entry) {
-	*h = append(*h, e)
-	h.siftUp(len(*h) - 1)
-}
-
-// removeAt removes and returns the entry at heap position i.
-func (h *entryHeap) removeAt(i int) entry {
-	old := *h
-	e := old[i]
-	last := len(old) - 1
-	old[i] = old[last]
-	old[last] = entry{}
-	*h = old[:last]
-	if i < last {
-		h.siftUp(i)
-		h.siftDown(i)
-	}
-	return e
-}
-
-func (h *entryHeap) pop() (entry, bool) {
-	if len(*h) == 0 {
-		return entry{}, false
-	}
-	return h.removeAt(0), true
-}
-
-// popOwn removes and returns sub's highest-priority queued entry. Helpers
-// joining a nested Gather use it to run their own children only: running
-// arbitrary foreign work from inside an item's call chain could wait on a
-// Flight that chain itself leads (the Simulated objective's), which the
-// scheduler cannot see. Linear scan: queues hold coarse-grained simulation
-// work, never enough entries for this to matter.
-func (h *entryHeap) popOwn(sub *submission) (entry, bool) {
-	best := -1
-	for i := range *h {
-		if (*h)[i].sub != sub {
-			continue
-		}
-		if best == -1 || h.less(i, best) {
-			best = i
+// pop removes and returns the next entry to dispatch: the front of the
+// nested queue, else the front of the top-level one. With sub set it
+// considers sub's entries only — helpers joining a nested Gather run their
+// own children and nothing else, because running arbitrary foreign work
+// from inside an item's call chain could wait on a Flight that chain itself
+// leads (the Simulated objective's), which the scheduler cannot see. That
+// scan is linear; queues hold coarse-grained simulation work, never enough
+// entries for it to matter. Callers hold s.mu.
+func (s *Scheduler) pop(sub *submission) (entry, bool) {
+	for qi := range s.queues {
+		q := &s.queues[qi]
+		for i, e := range *q {
+			if sub != nil && e.sub != sub {
+				continue
+			}
+			if i == 0 {
+				(*q)[0] = entry{} // the worker's pop: reslice, never shift
+				*q = (*q)[1:]
+			} else {
+				*q = slices.Delete(*q, i, i+1)
+			}
+			queueDepth.Dec()
+			return e, true
 		}
 	}
-	if best == -1 {
-		return entry{}, false
-	}
-	return h.removeAt(best), true
+	return entry{}, false
 }
 
 // submission tracks one Stream or Gather call's items and results.
@@ -244,8 +173,11 @@ type submission struct {
 func (s *Scheduler) enqueue(sub *submission) {
 	s.mu.Lock()
 	for i := range sub.items {
-		s.seq++
-		s.queue.push(entry{sub: sub, idx: i, seq: s.seq})
+		qi := 1
+		if sub.items[i].Nested {
+			qi = 0
+		}
+		s.queues[qi] = append(s.queues[qi], entry{sub: sub, idx: i})
 	}
 	queueDepth.Add(int64(len(sub.items)))
 	s.spawnLocked()
@@ -256,7 +188,7 @@ func (s *Scheduler) enqueue(sub *submission) {
 // worker per queued entry (a worker that finds the queue drained simply
 // exits). Callers hold s.mu.
 func (s *Scheduler) spawnLocked() {
-	for n := len(s.queue); n > 0 && s.running-s.parked < s.workers; n-- {
+	for n := len(s.queues[0]) + len(s.queues[1]); n > 0 && s.running-s.parked < s.workers; n-- {
 		s.running++
 		go s.worker()
 	}
@@ -274,13 +206,12 @@ func (s *Scheduler) worker() {
 			s.mu.Unlock()
 			return
 		}
-		e, ok := s.queue.pop()
+		e, ok := s.pop(nil)
 		if !ok {
 			s.running--
 			s.mu.Unlock()
 			return
 		}
-		queueDepth.Dec()
 		s.mu.Unlock()
 		s.runEntry(e)
 	}
@@ -364,13 +295,9 @@ func (s *Scheduler) Gather(ctx context.Context, items []Item) []Result {
 	}
 	s.enqueue(sub)
 	if onWorker(ctx) {
-		// Help-first join: run our own queued children until the
-		// submission completes, then park (which frees this worker's
-		// budget slot, so a replacement worker covers any foreign work).
-		// Helping is deliberately restricted to our own entries — running
-		// arbitrary foreign work from inside this call chain could join a
-		// Flight this chain itself leads (the Simulated objective's) and
-		// deadlock on it.
+		// Help-first join: run our own queued children (and only those,
+		// see pop) until the submission completes, then park, which frees
+		// this worker's budget slot so a replacement covers foreign work.
 		for {
 			select {
 			case <-done:
@@ -378,10 +305,7 @@ func (s *Scheduler) Gather(ctx context.Context, items []Item) []Result {
 			default:
 			}
 			s.mu.Lock()
-			e, ok := s.queue.popOwn(sub)
-			if ok {
-				queueDepth.Dec()
-			}
+			e, ok := s.pop(sub)
 			s.mu.Unlock()
 			if !ok {
 				s.park(done)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -163,13 +164,13 @@ func TestPriorityOrdersDispatch(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		s.Gather(context.Background(), []Item{{Index: 0, Priority: PriorityBatch, Do: record(1)}})
+		s.Gather(context.Background(), []Item{{Index: 0, Nested: false, Do: record(1)}})
 	}()
 	// Give the first submission time to land in the queue, then jump it.
 	time.Sleep(20 * time.Millisecond)
 	go func() {
 		defer wg.Done()
-		s.Gather(context.Background(), []Item{{Index: 0, Priority: PriorityNested, Do: record(2)}})
+		s.Gather(context.Background(), []Item{{Index: 0, Nested: true, Do: record(2)}})
 	}()
 	time.Sleep(20 * time.Millisecond)
 	close(block)
@@ -233,7 +234,7 @@ func TestNestedGatherNoDeadlock(t *testing.T) {
 			outer[i] = Item{Index: i, Do: func(ctx context.Context) (any, error) {
 				inner := make([]Item, 4)
 				for k := range inner {
-					inner[k] = Item{Index: k, Priority: PriorityNested, Do: func(context.Context) (any, error) {
+					inner[k] = Item{Index: k, Nested: true, Do: func(context.Context) (any, error) {
 						return k + 100*i, nil
 					}}
 				}
@@ -384,4 +385,55 @@ func TestErrorsPropagatePerItem(t *testing.T) {
 			t.Fatalf("item %d = %+v", i, r)
 		}
 	}
+}
+
+// TestPanickingItemFailsAlone: a panic in one item's Do becomes that item's
+// error, with the panic value in the text; its siblings still run and the
+// scheduler stays usable. Gather and Stream both, with a nested child
+// panicking under a helping parent as well.
+func TestPanickingItemFailsAlone(t *testing.T) {
+	s := New(2)
+	items := func() []Item {
+		out := make([]Item, 6)
+		for i := range out {
+			out[i] = Item{Index: i, Do: func(ctx context.Context) (any, error) {
+				switch i {
+				case 2:
+					panic("phy: unknown node 7")
+				case 4:
+					rs := From(ctx).Gather(ctx, []Item{{Index: 0, Nested: true, Do: func(context.Context) (any, error) {
+						panic("nested boom")
+					}}})
+					return nil, rs[0].Err
+				}
+				return i, nil
+			}}
+		}
+		return out
+	}
+	check := func(how string, rs []Result) {
+		t.Helper()
+		if len(rs) != 6 {
+			t.Fatalf("%s: %d results, want 6", how, len(rs))
+		}
+		for _, r := range rs {
+			switch r.Index {
+			case 2:
+				if r.Err == nil || !strings.Contains(r.Err.Error(), "phy: unknown node 7") {
+					t.Errorf("%s: panicking item's error = %v, want the panic value", how, r.Err)
+				}
+			case 4:
+				if r.Err == nil || !strings.Contains(r.Err.Error(), "nested boom") {
+					t.Errorf("%s: parent of a panicking child got %v, want the child's panic", how, r.Err)
+				}
+			default:
+				if r.Err != nil || r.Value != r.Index {
+					t.Errorf("%s: healthy item %d = (%v, %v)", how, r.Index, r.Value, r.Err)
+				}
+			}
+		}
+	}
+	ctx := With(context.Background(), s)
+	check("Gather", s.Gather(ctx, items()))
+	check("Stream", collect(s.Stream(ctx, items())))
 }

@@ -2,8 +2,11 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"sync"
 )
+
+var errLeaderPanicked = errors.New("exec: flight leader panicked")
 
 // flightCall is one in-flight keyed computation.
 type flightCall struct {
@@ -46,13 +49,18 @@ func (f *Flight) DoContext(ctx context.Context, key string, fn func() (any, erro
 			return nil, ctx.Err(), false
 		}
 	}
-	c := &flightCall{done: make(chan struct{})}
+	// A leader whose fn panics still releases its followers, with an error:
+	// the panic travels on to whoever recovers it (a scheduler worker), and
+	// nobody is left waiting on a call that will never finish.
+	c := &flightCall{done: make(chan struct{}), err: errLeaderPanicked}
 	f.calls[key] = c
 	f.mu.Unlock()
+	defer func() {
+		f.mu.Lock()
+		delete(f.calls, key)
+		f.mu.Unlock()
+		close(c.done)
+	}()
 	c.val, c.err = fn()
-	f.mu.Lock()
-	delete(f.calls, key)
-	f.mu.Unlock()
-	close(c.done)
 	return c.val, c.err, false
 }

@@ -2,6 +2,9 @@ package exec
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"runtime/debug"
 	"time"
 
 	"eend/internal/obs"
@@ -20,13 +23,20 @@ var (
 		"Per-item Do latency in seconds.", obs.LatencyBuckets)
 )
 
-// timedDo runs an item's Do under the worker-busy and latency metrics.
-func timedDo(ctx context.Context, do func(context.Context) (any, error)) (any, error) {
+// timedDo runs an item's Do under the worker-busy and latency metrics. A
+// panic in Do fails that item alone: it becomes the item's error (the stack
+// goes to stderr), so its siblings, the worker and the process carry on.
+func timedDo(ctx context.Context, do func(context.Context) (any, error)) (v any, err error) {
 	start := time.Now()
-	v, err := do(ctx)
-	d := time.Since(start).Seconds()
-	busySeconds.Add(d)
-	itemSeconds.Observe(d)
-	itemsDone.Inc()
-	return v, err
+	defer func() {
+		if r := recover(); r != nil {
+			fmt.Fprintf(os.Stderr, "exec: item panicked: %v\n%s", r, debug.Stack())
+			v, err = nil, fmt.Errorf("exec: item panicked: %v", r)
+		}
+		d := time.Since(start).Seconds()
+		busySeconds.Add(d)
+		itemSeconds.Observe(d)
+		itemsDone.Inc()
+	}()
+	return do(ctx)
 }

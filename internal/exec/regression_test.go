@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -36,4 +37,39 @@ func TestFlightDoContextCancelledFollower(t *testing.T) {
 		t.Fatal("cancelled follower did not return promptly")
 	}
 	close(release)
+}
+
+// TestFlightLeaderPanicReleasesFollowers: with panics recovered at the item
+// boundary the process outlives a panicking leader, so its followers must
+// not be left waiting on a call that will never complete.
+func TestFlightLeaderPanicReleasesFollowers(t *testing.T) {
+	var f Flight
+	leaderRunning := make(chan struct{})
+	release := make(chan struct{})
+	go func() {
+		defer func() { recover() }()
+		f.DoContext(context.Background(), "k", func() (any, error) {
+			close(leaderRunning)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-leaderRunning
+	done := make(chan error, 1)
+	go func() {
+		_, err, _ := f.DoContext(context.Background(), "k", func() (any, error) { return 2, nil })
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the follower join the flight
+	close(release)
+	select {
+	case err := <-done:
+		// Joined the flight: the leader's failure; arrived after it: a
+		// fresh run. Either way it returned.
+		if err != nil && !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("follower error = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower still waiting on a leader that panicked")
+	}
 }

@@ -10,6 +10,8 @@ package jobs
 import (
 	"context"
 	"fmt"
+	"os"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -41,8 +43,6 @@ type Options struct {
 	// DefaultRetain). The oldest finished jobs are evicted first; running
 	// jobs never are, so the live set can exceed the cap.
 	Retain int
-	// Clock stamps job creation times (nil: time.Now). Injected by tests.
-	Clock func() time.Time
 }
 
 // Store owns a set of asynchronous jobs of one kind. Jobs run under the
@@ -53,7 +53,6 @@ type Store[V any] struct {
 	base   context.Context
 	prefix string
 	retain int
-	clock  func() time.Time
 
 	jn *journal
 
@@ -71,14 +70,10 @@ func NewStore[V any](base context.Context, o Options) *Store[V] {
 	if o.Retain <= 0 {
 		o.Retain = DefaultRetain
 	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
 	return &Store[V]{
 		base:   base,
 		prefix: o.Prefix,
 		retain: o.Retain,
-		clock:  o.Clock,
 		jobs:   make(map[string]*Job[V]),
 	}
 }
@@ -191,9 +186,9 @@ func (j *Job[V]) finished() bool { return j.Status() != Running }
 // totals without racing the runner. run's return value decides the final
 // status: nil means Done; any error after the job's context was cancelled
 // means Cancelled (the client asked for it — its error text is not a
-// failure); any other error means Failed with the error recorded. A
-// finalizer registered via Job.Finalize is applied atomically with the
-// status transition.
+// failure); any other error — a panic in run included — means Failed with
+// the error recorded. A finalizer registered via Job.Finalize is applied
+// atomically with the status transition.
 func (s *Store[V]) Start(init func(v *V), run func(ctx context.Context, j *Job[V]) error) *Job[V] {
 	ctx, cancel := context.WithCancel(s.base)
 	s.mu.Lock()
@@ -201,7 +196,7 @@ func (s *Store[V]) Start(init func(v *V), run func(ctx context.Context, j *Job[V
 	j := &Job[V]{
 		id:      fmt.Sprintf("%s-%d", s.prefix, s.seq),
 		seq:     s.seq,
-		created: s.clock(),
+		created: time.Now(),
 		ctx:     ctx,
 		cancel:  cancel,
 		status:  Running,
@@ -218,7 +213,18 @@ func (s *Store[V]) Start(init func(v *V), run func(ctx context.Context, j *Job[V
 
 	go func() {
 		defer cancel()
-		err := run(ctx, j)
+		// A panic in run is this job's failure, settled and journaled like
+		// any other (the stack goes to stderr) — not the process's, which
+		// would take every other job and tenant with it.
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					fmt.Fprintf(os.Stderr, "jobs: %s panicked: %v\n%s", j.id, r, debug.Stack())
+					err = fmt.Errorf("panic: %v", r)
+				}
+			}()
+			return run(ctx, j)
+		}()
 		status, errText := Done, ""
 		switch {
 		case err == nil:
@@ -233,7 +239,7 @@ func (s *Store[V]) Start(init func(v *V), run func(ctx context.Context, j *Job[V
 		// daemon resurrects it as interrupted; only a client's Cancel with
 		// the base alive is a terminal record.
 		if status != Cancelled || s.base.Err() == nil {
-			_ = s.jn.append(record{ID: j.id, Seq: j.seq, Status: status, Err: errText, Time: s.clock()})
+			_ = s.jn.append(record{ID: j.id, Seq: j.seq, Status: status, Err: errText, Time: time.Now()})
 		}
 		j.mu.Lock()
 		defer j.mu.Unlock()

@@ -206,3 +206,29 @@ func TestJournalShutdownCancelIsNotTerminal(t *testing.T) {
 		t.Error("client-cancelled job resurrected after restart")
 	}
 }
+
+// TestPanickingJobFailsAlone: a job body that panics settles as Failed with
+// the panic value as its error, its sibling finishes, and the failure is a
+// terminal journal record — the next daemon does not resurrect the job as
+// interrupted.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := NewJournaled[payload](context.Background(), dir, Options{Prefix: "sweep"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := s1.Start(nil, func(context.Context, *Job[payload]) error { panic("phy: unknown node 7") })
+	good := s1.Start(nil, func(context.Context, *Job[payload]) error { return nil })
+	waitStatus(t, bad, Failed)
+	waitStatus(t, good, Done)
+	if _, errText, _ := bad.Snapshot(); !strings.Contains(errText, "phy: unknown node 7") {
+		t.Fatalf("errText = %q, want the panic value", errText)
+	}
+	s2, err := NewJournaled[payload](context.Background(), dir, Options{Prefix: "sweep"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s2.Get(bad.ID()); ok {
+		t.Error("a job that failed by panicking was replayed as interrupted: its failure was not journaled")
+	}
+}

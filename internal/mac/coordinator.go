@@ -1,10 +1,6 @@
 package mac
 
-import (
-	"time"
-
-	"eend/internal/sim"
-)
+import "eend/internal/sim"
 
 // Coordinator drives the synchronized PSM beacon schedule shared by all
 // nodes: at every beacon-interval boundary the ATIM window opens and all
@@ -13,8 +9,6 @@ import (
 // only (documented simplification).
 type Coordinator struct {
 	sim    *sim.Simulator
-	bi     time.Duration
-	atim   time.Duration
 	macs   []*MAC
 	byID   map[int]*MAC
 	window bool
@@ -30,19 +24,8 @@ type Coordinator struct {
 
 // NewCoordinator creates the beacon scheduler. Call Start before running the
 // simulation.
-func NewCoordinator(s *sim.Simulator, beaconInterval, atimWindow time.Duration) *Coordinator {
-	if beaconInterval <= 0 {
-		beaconInterval = DefaultBeaconInterval
-	}
-	if atimWindow <= 0 || atimWindow >= beaconInterval {
-		atimWindow = DefaultATIMWindow
-	}
-	c := &Coordinator{
-		sim:  s,
-		bi:   beaconInterval,
-		atim: atimWindow,
-		byID: make(map[int]*MAC),
-	}
+func NewCoordinator(s *sim.Simulator) *Coordinator {
+	c := &Coordinator{sim: s, byID: make(map[int]*MAC)}
 	c.beaconFn = c.onBeacon
 	c.windowEndFn = c.onWindowEnd
 	return c
@@ -69,8 +52,8 @@ func (c *Coordinator) onBeacon() {
 	for _, m := range c.macs {
 		m.onBeacon()
 	}
-	schedule(c.sim, c.atim, c.windowEndFn)
-	schedule(c.sim, c.bi, c.beaconFn)
+	schedule(c.sim, atimWindow, c.windowEndFn)
+	schedule(c.sim, beaconInterval, c.beaconFn)
 }
 
 func (c *Coordinator) onWindowEnd() {
@@ -92,14 +75,8 @@ func (c *Coordinator) nextBeacon() sim.Time {
 	if c.iv == 0 {
 		return 0
 	}
-	return c.start + c.bi
+	return c.start + beaconInterval
 }
-
-// BeaconInterval returns the beacon period.
-func (c *Coordinator) BeaconInterval() time.Duration { return c.bi }
-
-// ATIMWindow returns the announcement window length.
-func (c *Coordinator) ATIMWindow() time.Duration { return c.atim }
 
 // PowerModeOf returns the power-management mode of a node, used by routing
 // layers that track neighbor state (the paper's protocols learn this from

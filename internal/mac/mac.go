@@ -90,69 +90,29 @@ type Packet struct {
 	Payload any
 }
 
-// Config holds MAC parameters. Zero values select the defaults below.
+// Config holds what a scenario decides about a MAC; everything else is the
+// model's fixed parameters below.
 type Config struct {
 	Card radio.Card
-
-	SlotTime time.Duration // backoff slot
-	SIFS     time.Duration
-	DIFS     time.Duration
-	CWMin    int // initial contention window (slots)
-	CWMax    int
-	Retry    int // max transmission attempts for unicast frames
-
-	QueueCap int // outgoing queue capacity (packets)
-
-	BeaconInterval time.Duration // PSM beacon period
-	ATIMWindow     time.Duration // announcement window at each beacon
 	// AdvertisedWindow enables the Span-style improvement (Section 5.2.1):
 	// nodes may sleep once all broadcasts announced to them have arrived.
 	AdvertisedWindow bool
 }
 
-// Defaults (802.11 DSSS timing; PSM parameters from the paper).
+// The model's fixed parameters: 802.11 DSSS timing and the paper's PSM
+// schedule (Section 5 varies the stack, the card and the deployment, never
+// these).
 const (
-	DefaultSlotTime       = 20 * time.Microsecond
-	DefaultSIFS           = 10 * time.Microsecond
-	DefaultDIFS           = 50 * time.Microsecond
-	DefaultCWMin          = 31
-	DefaultCWMax          = 1023
-	DefaultRetry          = 7
-	DefaultQueueCap       = 64
-	DefaultBeaconInterval = 300 * time.Millisecond
-	DefaultATIMWindow     = 20 * time.Millisecond
+	slotTime       = 20 * time.Microsecond // backoff slot
+	sifs           = 10 * time.Microsecond
+	difs           = 50 * time.Microsecond
+	cwMin          = 31 // initial contention window (slots)
+	cwMax          = 1023
+	retryLimit     = 7  // max transmission attempts for unicast frames
+	queueCap       = 64 // outgoing queue capacity (packets)
+	beaconInterval = 300 * time.Millisecond
+	atimWindow     = 20 * time.Millisecond // announcement window at each beacon
 )
-
-func (c Config) withDefaults() Config {
-	if c.SlotTime <= 0 {
-		c.SlotTime = DefaultSlotTime
-	}
-	if c.SIFS <= 0 {
-		c.SIFS = DefaultSIFS
-	}
-	if c.DIFS <= 0 {
-		c.DIFS = DefaultDIFS
-	}
-	if c.CWMin <= 0 {
-		c.CWMin = DefaultCWMin
-	}
-	if c.CWMax <= 0 {
-		c.CWMax = DefaultCWMax
-	}
-	if c.Retry <= 0 {
-		c.Retry = DefaultRetry
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = DefaultQueueCap
-	}
-	if c.BeaconInterval <= 0 {
-		c.BeaconInterval = DefaultBeaconInterval
-	}
-	if c.ATIMWindow <= 0 {
-		c.ATIMWindow = DefaultATIMWindow
-	}
-	return c
-}
 
 // frame types on the air.
 type frameType int
@@ -290,7 +250,7 @@ func New(s *sim.Simulator, med *phy.Medium, coord *Coordinator, id int, pos geom
 		sim:         s,
 		med:         med,
 		radio:       radio.NewRadio(cfg.Card),
-		cfg:         cfg.withDefaults(),
+		cfg:         cfg,
 		coord:       coord,
 		deliver:     deliver,
 		mode:        AM,

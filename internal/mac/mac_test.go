@@ -28,7 +28,7 @@ func newTestbed(t *testing.T, seed uint64, cfg Config, pts []geom.Point) *testbe
 	}
 	s := sim.New(seed)
 	med := phy.NewMedium(s, phy.Config{RangeAt: cfg.Card.RangeAt})
-	coord := NewCoordinator(s, cfg.BeaconInterval, cfg.ATIMWindow)
+	coord := NewCoordinator(s)
 	tb := &testbed{
 		sim:   s,
 		med:   med,
@@ -184,10 +184,9 @@ func TestContentionEventuallyDelivers(t *testing.T) {
 }
 
 func TestQueueOverflowDrops(t *testing.T) {
-	cfg := Config{QueueCap: 4}
-	tb := newTestbed(t, 1, cfg, []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}})
+	tb := newTestbed(t, 1, Config{}, []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}})
 	tb.sim.Schedule(10*time.Millisecond, func() {
-		for i := 0; i < 10; i++ {
+		for i := 0; i < queueCap+6; i++ {
 			tb.macs[0].SendUnicast(1, dataPkt(512), 0, nil)
 		}
 	})
@@ -196,8 +195,8 @@ func TestQueueOverflowDrops(t *testing.T) {
 	if st.QueueDrops != 6 {
 		t.Fatalf("QueueDrops = %d, want 6", st.QueueDrops)
 	}
-	if len(tb.recvd[1]) != 4 {
-		t.Fatalf("receiver got %d, want the 4 queued packets", len(tb.recvd[1]))
+	if len(tb.recvd[1]) != queueCap {
+		t.Fatalf("receiver got %d, want the %d queued packets", len(tb.recvd[1]), queueCap)
 	}
 }
 

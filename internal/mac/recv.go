@@ -62,7 +62,7 @@ func (m *MAC) RxEnd(f *phy.Frame, ok bool) {
 			m.awaitTmr.Cancel()
 			m.announcedTo[j.dst] = m.coord.interval()
 			j.attempts = 0
-			j.cw = m.cfg.CWMin
+			j.cw = cwMin
 			m.requeue()
 		}
 	}
@@ -88,7 +88,7 @@ func (m *MAC) respond(dst int, bytes int, fr *frame) {
 	if m.respTimer.Pending() {
 		return
 	}
-	m.respTimer = schedule(m.sim, m.cfg.SIFS, func() {
+	m.respTimer = schedule(m.sim, sifs, func() {
 		if m.radio.Transmitting() || m.radio.Asleep() {
 			return
 		}

@@ -28,14 +28,14 @@ func (m *MAC) SendUnicast(dst int, pkt *Packet, power float64, done DoneFunc) {
 	if pkt.Kind == PacketControl || power <= 0 {
 		power = m.MaxPower()
 	}
-	m.enqueue(&job{dst: dst, pkt: pkt, power: power, done: done, cw: m.cfg.CWMin})
+	m.enqueue(&job{dst: dst, pkt: pkt, power: power, done: done, cw: cwMin})
 }
 
 // SendBroadcast queues a broadcast packet, transmitted once at maximum power
 // with no acknowledgement. done, if non-nil, fires when the frame has been
 // put on the air (or the job is abandoned).
 func (m *MAC) SendBroadcast(pkt *Packet, done DoneFunc) {
-	m.enqueue(&job{dst: phy.Broadcast, pkt: pkt, power: m.MaxPower(), done: done, cw: m.cfg.CWMin})
+	m.enqueue(&job{dst: phy.Broadcast, pkt: pkt, power: m.MaxPower(), done: done, cw: cwMin})
 }
 
 func (m *MAC) enqueue(j *job) {
@@ -43,7 +43,7 @@ func (m *MAC) enqueue(j *job) {
 	if m.current != nil {
 		queued++
 	}
-	if queued >= m.cfg.QueueCap {
+	if queued >= queueCap {
 		m.stats.QueueDrops++
 		return
 	}
@@ -125,7 +125,7 @@ func (m *MAC) requeue() {
 func (m *MAC) scheduleAttempt() {
 	j := m.current
 	slots := m.sim.RNG().IntN(j.cw + 1)
-	delay := m.cfg.DIFS + sim.Time(slots)*m.cfg.SlotTime
+	delay := difs + sim.Time(slots)*slotTime
 	m.pending = schedule(m.sim, delay, m.attemptFn)
 }
 
@@ -148,7 +148,7 @@ func (m *MAC) attempt() {
 
 	// Defer to our own in-flight frame or pending CTS/ACK response.
 	if m.radio.Transmitting() || m.respTimer.Pending() {
-		m.pending = schedule(m.sim, m.cfg.SIFS+m.airtime(sizeCTS)+m.cfg.DIFS, m.attemptFn)
+		m.pending = schedule(m.sim, sifs+m.airtime(sizeCTS)+difs, m.attemptFn)
 		return
 	}
 
@@ -160,11 +160,11 @@ func (m *MAC) attempt() {
 		busyFor = nav - now
 	}
 	if m.radio.Receiving() && busyFor == 0 {
-		busyFor = m.cfg.SIFS // reception tail not covered by Busy (edge)
+		busyFor = sifs // reception tail not covered by Busy (edge)
 	}
 	if busyFor > 0 {
 		slots := m.sim.RNG().IntN(j.cw + 1)
-		m.pending = schedule(m.sim, busyFor+m.cfg.DIFS+sim.Time(slots)*m.cfg.SlotTime, m.attemptFn)
+		m.pending = schedule(m.sim, busyFor+difs+sim.Time(slots)*slotTime, m.attemptFn)
 		return
 	}
 
@@ -212,14 +212,14 @@ func (m *MAC) txDone() {
 func (m *MAC) sendRTS(j *job) {
 	dataAir := m.airtime(j.pkt.Bytes + sizeMACHdr)
 	nav := m.sim.Now() + m.airtime(sizeRTS) +
-		3*m.cfg.SIFS + m.airtime(sizeCTS) + dataAir + m.airtime(sizeAck)
+		3*sifs + m.airtime(sizeCTS) + dataAir + m.airtime(sizeAck)
 	fr := &frame{typ: frameRTS, navUntil: nav}
 	m.transmit(j.dst, sizeRTS, m.MaxPower(), radio.TxControl, fr, func() {
 		if m.current != j {
 			return
 		}
 		m.await = frameCTS
-		timeout := m.cfg.SIFS + m.airtime(sizeCTS) + 2*m.cfg.SlotTime
+		timeout := sifs + m.airtime(sizeCTS) + 2*slotTime
 		m.awaitTmr = schedule(m.sim, timeout, func() { m.retry(j) })
 	})
 }
@@ -230,7 +230,7 @@ func (m *MAC) gotCTS(j *job, power float64) {
 	if power > 0 && power < m.TxPowerFor(j.dst) {
 		m.tpc[j.dst] = power
 	}
-	schedule(m.sim, m.cfg.SIFS, func() {
+	schedule(m.sim, sifs, func() {
 		if m.current != j {
 			return
 		}
@@ -242,7 +242,7 @@ func (m *MAC) sendData(j *job) {
 	if m.radio.Transmitting() {
 		// A control response of ours is still on the air; try again as soon
 		// as it can have ended.
-		schedule(m.sim, m.airtime(sizeAck)+m.cfg.SIFS, func() {
+		schedule(m.sim, m.airtime(sizeAck)+sifs, func() {
 			if m.current == j {
 				m.sendData(j)
 			}
@@ -263,7 +263,7 @@ func (m *MAC) sendData(j *job) {
 			return
 		}
 		m.await = frameAck
-		timeout := m.cfg.SIFS + m.airtime(sizeAck) + 2*m.cfg.SlotTime
+		timeout := sifs + m.airtime(sizeAck) + 2*slotTime
 		m.awaitTmr = schedule(m.sim, timeout, func() { m.retry(j) })
 	})
 }
@@ -276,11 +276,11 @@ func (m *MAC) retry(j *job) {
 	m.await = 0
 	j.attempts++
 	m.stats.Retries++
-	if j.attempts >= m.cfg.Retry {
+	if j.attempts >= retryLimit {
 		m.finishJob(j, false)
 		return
 	}
-	j.cw = min(2*(j.cw+1)-1, m.cfg.CWMax)
+	j.cw = min(2*(j.cw+1)-1, cwMax)
 	m.scheduleAttempt()
 }
 
@@ -333,7 +333,7 @@ func (m *MAC) sendUnicastATIM(j *job) {
 			return
 		}
 		m.await = frameATIMAck
-		timeout := m.cfg.SIFS + m.airtime(sizeAck) + 2*m.cfg.SlotTime
+		timeout := sifs + m.airtime(sizeAck) + 2*slotTime
 		m.awaitTmr = schedule(m.sim, timeout, func() { m.retryATIM(j) })
 	})
 }
@@ -348,14 +348,14 @@ func (m *MAC) retryATIM(j *job) {
 		m.windowMiss(j)
 		return
 	}
-	j.cw = min(2*(j.cw+1)-1, m.cfg.CWMax)
+	j.cw = min(2*(j.cw+1)-1, cwMax)
 	m.scheduleAttempt()
 }
 
 // windowMiss records a failed announcement window for the current job.
 func (m *MAC) windowMiss(j *job) {
 	j.attempts = 0
-	j.cw = m.cfg.CWMin
+	j.cw = cwMin
 	j.windowTries++
 	if j.windowTries >= maxWindowTries {
 		m.finishJob(j, false)
@@ -373,7 +373,7 @@ func (m *MAC) sendBroadcastATIM(j *job) {
 		}
 		m.bcastAnnounced = m.coord.interval()
 		j.attempts = 0
-		j.cw = m.cfg.CWMin
+		j.cw = cwMin
 		m.requeue() // data phase becomes eligible once the window closes
 	})
 }

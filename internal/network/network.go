@@ -218,7 +218,7 @@ func Build(sc Scenario) (*Network, error) {
 		RangeAt:   card.RangeAt,
 		Linear:    sc.LinearMedium,
 	})
-	coord := mac.NewCoordinator(s, mac.DefaultBeaconInterval, mac.DefaultATIMWindow)
+	coord := mac.NewCoordinator(s)
 
 	positions := sc.Positions
 	switch {

@@ -67,8 +67,7 @@ type Listener interface {
 
 // Config holds channel parameters.
 type Config struct {
-	Bandwidth float64       // bit/s
-	Preamble  time.Duration // PHY preamble + PLCP header per frame
+	Bandwidth float64 // bit/s
 	// RangeAt maps transmit power (W) to communication radius (m); usually
 	// Card.RangeAt. Carrier-sense radius is assumed equal (documented
 	// simplification). The spatial index sizes its cells to the maximum
@@ -87,8 +86,8 @@ type Config struct {
 // models.
 const DefaultBandwidth = 2e6
 
-// DefaultPreamble is the 802.11 long preamble + PLCP header duration.
-const DefaultPreamble = 192 * time.Microsecond
+// preamble is the 802.11 long preamble + PLCP header duration of every frame.
+const preamble = 192 * time.Microsecond
 
 // rxEntry is one ongoing reception in a listener's inbox. Inboxes are tiny
 // (a handful of overlapping frames at worst), so a value slice beats the
@@ -172,9 +171,6 @@ type Medium struct {
 func NewMedium(s *sim.Simulator, cfg Config) *Medium {
 	if cfg.Bandwidth <= 0 {
 		cfg.Bandwidth = DefaultBandwidth
-	}
-	if cfg.Preamble <= 0 {
-		cfg.Preamble = DefaultPreamble
 	}
 	if cfg.RangeAt == nil {
 		panic("phy: Config.RangeAt is required")
@@ -352,7 +348,7 @@ func (m *Medium) index(id int) int32 {
 // Airtime returns the on-air duration of a frame of the given size.
 func (m *Medium) Airtime(bytes int) time.Duration {
 	bits := float64(bytes * 8)
-	return m.cfg.Preamble + time.Duration(bits/m.cfg.Bandwidth*float64(time.Second))
+	return preamble + time.Duration(bits/m.cfg.Bandwidth*float64(time.Second))
 }
 
 // Frames returns the number of frames transmitted so far.

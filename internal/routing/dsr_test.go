@@ -29,7 +29,7 @@ func newRTB(t *testing.T, seed uint64, card radio.Card, pts []geom.Point,
 	t.Helper()
 	s := sim.New(seed)
 	med := phy.NewMedium(s, phy.Config{RangeAt: card.RangeAt})
-	coord := mac.NewCoordinator(s, 0, 0)
+	coord := mac.NewCoordinator(s)
 	tb := &rtb{sim: s, med: med, coord: coord, delivered: make([]int, len(pts))}
 	for i, p := range pts {
 		i := i

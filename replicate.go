@@ -66,9 +66,9 @@ func (s *Scenario) Replicate(k int) (*Scenario, error) {
 // scheduler (the enclosing RunBatch's pool, or the process-wide default)
 // and folds the outcomes with an ordered merge. Each replicate is an
 // independent simulation under its seed derived at submission time, so
-// the fold is bit-identical at any worker count; replicate items carry
-// nested priority, so an in-progress scenario's replicates finish before
-// a batch starts fresh scenarios.
+// the fold is bit-identical at any worker count; replicate items are
+// Nested, so an in-progress scenario's replicates finish before a batch
+// starts fresh scenarios.
 func (s *Scenario) runReplicated(ctx context.Context) (*Results, error) {
 	n := s.Replicates()
 	seeds := make([]uint64, n)
@@ -80,8 +80,8 @@ func (s *Scenario) runReplicated(ctx context.Context) (*Results, error) {
 		}
 		seeds[k] = rep.Seed()
 		items[k] = exec.Item{
-			Index:    k,
-			Priority: exec.PriorityNested,
+			Index:  k,
+			Nested: true,
 			Do: func(ctx context.Context) (any, error) {
 				res, err := network.RunContext(ctx, rep.sc)
 				if err != nil {

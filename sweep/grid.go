@@ -23,6 +23,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -91,7 +92,12 @@ func (g *Grid) Size() int {
 	}
 	n := 1
 	for _, a := range g.axes {
-		n *= len(a.Values)
+		// Saturate: a limit checked against Size cannot be multiplied past.
+		l := len(a.Values)
+		if l > 0 && n > math.MaxInt/l {
+			return math.MaxInt
+		}
+		n *= l
 	}
 	return n
 }
@@ -123,6 +129,9 @@ type Point struct {
 func (g *Grid) Points() ([]Point, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
+	}
+	if g.Size() == math.MaxInt {
+		return nil, fmt.Errorf("sweep: grid size overflows int")
 	}
 	pts := make([]Point, g.Size())
 	for i := range pts {
@@ -163,15 +172,23 @@ func ParseGrid(spec string) (*Grid, error) {
 			if err != nil {
 				return nil, err
 			}
-			values = append(values, expanded...)
+			if values = append(values, expanded...); len(values) > maxAxisValues {
+				return nil, fmt.Errorf("sweep: axis %q has more than %d values", name, maxAxisValues)
+			}
 		}
-		g.Axis(name, values...)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
+		// Stop at the first bad axis: a spec repeating one axis a million
+		// times must not be expanded a million times before it is refused.
+		if err := g.Axis(name, values...).Validate(); err != nil {
+			return nil, err
+		}
 	}
 	return g, nil
 }
+
+// maxAxisValues bounds what one axis of a text spec may expand to, however
+// its spans and lists add up; with one axis per known name that bounds the
+// memory a spec from outside can claim.
+const maxAxisValues = 10000
 
 // expandSpan turns "lo..hi" into the inclusive integer range; any other
 // token passes through verbatim.
@@ -188,12 +205,15 @@ func expandSpan(v string) ([]any, error) {
 	if b < a {
 		return nil, fmt.Errorf("sweep: span %q is decreasing", v)
 	}
-	if b-a >= 10000 {
-		return nil, fmt.Errorf("sweep: span %q expands to %d values", v, b-a+1)
+	// Unsigned: b-a itself overflows int when the span crosses most of its
+	// range, and i <= b never ends when b is the largest int.
+	width := uint64(b) - uint64(a)
+	if width >= maxAxisValues {
+		return nil, fmt.Errorf("sweep: span %q expands to more than %d values", v, maxAxisValues)
 	}
-	out := make([]any, 0, b-a+1)
-	for i := a; i <= b; i++ {
-		out = append(out, i)
+	out := make([]any, 0, width+1)
+	for i := 0; i <= int(width); i++ {
+		out = append(out, a+i)
 	}
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -39,11 +41,89 @@ func TestParseGridErrors(t *testing.T) {
 		"bad span":        "seed=1..x",
 		"reversed span":   "seed=9..3",
 		"huge span":       "seed=1..99999",
+		// Widths that overflow int: b-a wraps negative and used to pass
+		// the cap, then append until the process died.
+		"whole-int span": "seed=-9223372036854775808..9223372036854775807",
+		"wrapping span":  "seed=-2..9223372036854775807",
+		// Under the span cap each, over the axis cap together; and a repeated
+		// axis is refused before its values are expanded again.
+		"huge list of spans": "seed=1..6000,1..6000",
+		"repeated axis":      "seed=1..9999 seed=1..9999 seed=1..9999",
 	}
 	for name, spec := range cases {
-		if _, err := ParseGrid(spec); err == nil {
+		if _, err := parseWithin(t, spec); err == nil {
 			t.Errorf("%s: ParseGrid(%q) accepted", name, spec)
 		}
+	}
+}
+
+// parseWithin is ParseGrid under a deadline: the specs it guards against
+// used to expand until the process died.
+func parseWithin(t *testing.T, spec string) (*Grid, error) {
+	t.Helper()
+	type parsed struct {
+		g   *Grid
+		err error
+	}
+	done := make(chan parsed, 1)
+	go func() {
+		g, err := ParseGrid(spec)
+		done <- parsed{g, err}
+	}()
+	select {
+	case p := <-done:
+		return p.g, p.err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("ParseGrid(%q) still running after 5s", spec)
+		return nil, nil
+	}
+}
+
+// FuzzParseGrid: the grid spec arrives from outside (POST /v1/sweeps,
+// eendsweep -grid). Whatever the bytes, ParseGrid returns promptly without
+// panicking, and a grid it accepts expands to exactly Size() points.
+func FuzzParseGrid(f *testing.F) {
+	f.Add("nodes=10,20 seed=1..3 stack=titan-pc/odpm topology=uniform,cluster rate=2")
+	f.Add("seed=-9223372036854775808..9223372036854775807")
+	f.Add("seed=9223372036854775805..9223372036854775807")
+	f.Add("seed=1..4096 nodes=1..4096 flows=1..4096 rate=1..4096 packet=1..4096 replicates=1..4096")
+	f.Fuzz(func(t *testing.T, spec string) {
+		g, err := parseWithin(t, spec)
+		if err != nil || g.Size() > 10000 {
+			return
+		}
+		pts, err := g.Points()
+		if err != nil || len(pts) != g.Size() {
+			t.Fatalf("ParseGrid(%q): Size() = %d but Points() = %d points, %v", spec, g.Size(), len(pts), err)
+		}
+	})
+}
+
+// TestSpanAtIntLimit: a short span ending at the largest int expands to its
+// values instead of looping past the wrap.
+func TestSpanAtIntLimit(t *testing.T) {
+	g, err := ParseGrid("seed=9223372036854775805..9223372036854775807")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"9223372036854775805", "9223372036854775806", "9223372036854775807"}
+	if got := g.Axes()[0].Values; !slices.Equal(got, want) {
+		t.Fatalf("span expanded to %v, want %v", got, want)
+	}
+}
+
+// TestSizeSaturates: six axes of 4096 values multiply to 2^72, which wraps
+// to 0 in an int and used to slip under any point limit.
+func TestSizeSaturates(t *testing.T) {
+	g, err := ParseGrid("seed=1..4096 nodes=1..4096 flows=1..4096 rate=1..4096 packet=1..4096 replicates=1..4096")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Size() != math.MaxInt {
+		t.Fatalf("Size() = %d, want saturation at math.MaxInt", g.Size())
+	}
+	if _, err := g.Points(); err == nil {
+		t.Fatal("Points expanded a grid whose size overflows")
 	}
 }
 

@@ -1,16 +1,13 @@
-// Command benchjson converts `go test -bench` text output (read from
-// stdin) into a stable JSON document mapping benchmark name to its
-// measurements — ns/op, B/op, allocs/op and any custom ReportMetric units.
-// CI's bench-smoke job pipes the kernel benchmarks through it to publish
-// BENCH_kernel.json as a build artifact, so every PR leaves a machine-
-// readable point on the performance trajectory.
+// Command benchjson is the zero-allocation gate over `go test -bench
+// -benchmem` text output (read from stdin): it keeps each benchmark's
+// allocs/op and B/op — the two columns that are exact — writes them as a
+// stable JSON document (BENCH_kernel.json, BENCH_exec.json), and with
+// -assert-zero-allocs name1,name2 exits non-zero unless every named
+// benchmark is present with allocs/op == 0. Speed is not its business:
+// ns/op from a handful of iterations is noise, and speed claims come from
+// paired bench/ runs.
 //
 //	go test -run=- -bench . -benchmem -benchtime=100000x ./internal/sim | go run ./tools/benchjson
-//
-// -assert-zero-allocs name1,name2 turns the converter into a gate: each
-// named benchmark must be present with allocs/op == 0 or the exit status
-// is non-zero. CI uses it to pin the disabled-tracer kernel hot path at
-// zero allocations.
 package main
 
 import (
@@ -25,66 +22,45 @@ import (
 	"strings"
 )
 
-// Measurements is one benchmark's parsed result line.
+// Measurements is the allocation half of one benchmark's result line.
 type Measurements struct {
-	Iterations  int64    `json:"iterations"`
-	NsPerOp     float64  `json:"ns_per_op"`
-	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	// Extra holds custom units from b.ReportMetric (e.g. "bit/J").
-	Extra map[string]float64 `json:"extra,omitempty"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
 // procSuffix strips the trailing GOMAXPROCS marker ("-8") go test appends
 // to benchmark names, so keys stay stable across runner shapes.
 var procSuffix = regexp.MustCompile(`-\d+$`)
 
-// Parse reads `go test -bench` output and returns the benchmarks in
-// encounter order (the map carries the data; order only matters for
-// duplicate handling, where the last run wins).
+// Parse reads `go test -bench` output and returns every benchmark that
+// reports allocs/op (run with -benchmem or b.ReportAllocs); when a name
+// repeats, the last run wins.
 func Parse(r io.Reader) (map[string]Measurements, error) {
 	out := make(map[string]Measurements)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		fields := strings.Fields(line)
 		// Name, iterations, then (value, unit) pairs.
-		if len(fields) < 4 || len(fields)%2 != 0 {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		m := Measurements{Iterations: iters}
-		valid := false
+		var m Measurements
+		measured := false
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				continue
 			}
 			switch fields[i+1] {
-			case "ns/op":
-				m.NsPerOp = v
-				valid = true
 			case "B/op":
-				b := v
-				m.BytesPerOp = &b
+				m.BytesPerOp = v
 			case "allocs/op":
-				a := v
-				m.AllocsPerOp = &a
-			default:
-				if m.Extra == nil {
-					m.Extra = make(map[string]float64)
-				}
-				m.Extra[fields[i+1]] = v
+				m.AllocsPerOp = v
+				measured = true
 			}
 		}
-		if valid {
+		if measured {
 			out[procSuffix.ReplaceAllString(fields[0], "")] = m
 		}
 	}
@@ -99,11 +75,9 @@ func AssertZeroAllocs(benches map[string]Measurements, names []string) error {
 		m, ok := benches[name]
 		switch {
 		case !ok:
-			return fmt.Errorf("benchmark %s not found in input", name)
-		case m.AllocsPerOp == nil:
-			return fmt.Errorf("benchmark %s has no allocs/op (run with -benchmem)", name)
-		case *m.AllocsPerOp != 0:
-			return fmt.Errorf("benchmark %s allocates: %g allocs/op, want 0", name, *m.AllocsPerOp)
+			return fmt.Errorf("benchmark %s has no allocs/op in the input (renamed, skipped, or run without -benchmem)", name)
+		case m.AllocsPerOp != 0:
+			return fmt.Errorf("benchmark %s allocates: %g allocs/op, want 0", name, m.AllocsPerOp)
 		}
 	}
 	return nil

@@ -21,33 +21,20 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3: %v", len(got), got)
+	// The bit/J line carries no allocs/op: it is not an allocation row.
+	if len(got) != 2 {
+		t.Fatalf("parsed %d benchmarks, want 2: %v", len(got), got)
 	}
-
-	sf, ok := got["BenchmarkScheduleFire"]
-	if !ok {
-		t.Fatalf("proc suffix not stripped: %v", got)
+	if sf, ok := got["BenchmarkScheduleFire"]; !ok || sf != (Measurements{}) {
+		t.Fatalf("ScheduleFire = %+v (found %v), want 0 B/op and 0 allocs/op under the name without its proc suffix", sf, ok)
 	}
-	if sf.NsPerOp != 21.24 || sf.Iterations != 100000 {
-		t.Fatalf("ScheduleFire = %+v", sf)
+	hot, err := Parse(strings.NewReader(
+		"BenchmarkRestartSearchSim/workers=4-2   	  3	  23592431 ns/op	  287.3 best_J	  5713797 B/op	  125683 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sf.AllocsPerOp == nil || *sf.AllocsPerOp != 0 {
-		t.Fatalf("ScheduleFire allocs = %v, want 0", sf.AllocsPerOp)
-	}
-	if sf.BytesPerOp == nil || *sf.BytesPerOp != 0 {
-		t.Fatalf("ScheduleFire bytes = %v, want 0", sf.BytesPerOp)
-	}
-
-	ab, ok := got["BenchmarkAblationODPMKeepAlive/5s-10s"]
-	if !ok {
-		t.Fatalf("sub-benchmark name mangled: %v", got)
-	}
-	if ab.Extra["bit/J"] != 9165 {
-		t.Fatalf("custom metric lost: %+v", ab)
-	}
-	if ab.AllocsPerOp != nil {
-		t.Fatal("allocs reported for a bench without -benchmem fields")
+	if m := hot["BenchmarkRestartSearchSim/workers=4"]; m.BytesPerOp != 5713797 || m.AllocsPerOp != 125683 {
+		t.Fatalf("sub-benchmark with a custom metric = %+v in %v", m, hot)
 	}
 }
 
