@@ -57,6 +57,7 @@ func TestMetricsConformance(t *testing.T) {
 		// Sweep and search layers.
 		"eend_sweep_points_total",
 		"eend_opt_steps_total", "eend_opt_eval_seconds", "eend_opt_searches_total",
+		"eend_opt_proposals_total", "eend_opt_reroutes_total",
 	}
 	for _, f := range families {
 		if !strings.Contains(body, "# TYPE "+f+" ") {

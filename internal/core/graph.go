@@ -82,9 +82,16 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 // weight, each entry carrying a packed undirected edge id. It turns
 // EdgeWeight's O(deg) scan into O(log deg) and gives per-edge bookkeeping
 // (the Ledger's traffic counts) an O(1) dense id space.
+//
+// arcs is the other view the index caches: the adjacency in insertion order
+// (the order Dijkstra relaxes in), flattened CSR-style — node u's entries
+// are arcs[off[u]:off[u+1]], parallel edges kept with their own weight, each
+// carrying its collapsed pair's id. pricedPath walks it.
 type edgeIndex struct {
 	nbr   [][]nbrEdge
 	edgeW []float64 // packed edge id -> weight
+	off   []int32
+	arcs  []nbrEdge
 }
 
 type nbrEdge struct {
@@ -149,6 +156,17 @@ func (g *Graph) index() *edgeIndex {
 			}
 		}
 	}
+	ix.off = make([]int32, g.n+1)
+	for u := range g.adj {
+		ix.off[u+1] = ix.off[u] + int32(len(g.adj[u]))
+	}
+	ix.arcs = make([]nbrEdge, 0, ix.off[g.n])
+	for u := range g.adj {
+		for _, e := range g.adj[u] {
+			pair, _ := ix.find(u, e.to)
+			ix.arcs = append(ix.arcs, nbrEdge{to: int32(e.to), id: pair.id, w: e.w})
+		}
+	}
 	g.idx.Store(ix)
 	return ix
 }
@@ -181,21 +199,6 @@ func (g *Graph) EdgeWeight(u, v int) (float64, bool) {
 	}
 	return math.Inf(1), false
 }
-
-// EdgeID returns the packed id of edge {u,v} — a dense [0, NumEdges)
-// label shared by both directions — and whether the edge exists.
-func (g *Graph) EdgeID(u, v int) (int, bool) {
-	g.check(u)
-	g.check(v)
-	if e, ok := g.index().find(u, v); ok {
-		return int(e.id), true
-	}
-	return -1, false
-}
-
-// NumEdges returns the number of distinct undirected edges (parallel edges
-// collapsed) — the size of the EdgeID space.
-func (g *Graph) NumEdges() int { return len(g.index().edgeW) }
 
 // Half is one (neighbor, weight) adjacency entry.
 type Half struct {
@@ -401,19 +404,69 @@ func (g *Graph) Dijkstra(src int, edgeCost EdgeCostFunc, nodeCost NodeCostFunc) 
 // a full Dijkstra's (see dijkstra).
 func (g *Graph) ShortestPathInto(s *SPScratch, src, dst int, edgeCost EdgeCostFunc, nodeCost NodeCostFunc, path []int) ([]int, float64) {
 	g.dijkstra(s, src, dst, edgeCost, nodeCost)
-	dist, parent := s.dist, s.parent
 	g.check(dst)
+	return s.pathTo(dst, path)
+}
+
+// pathTo walks the finished run's parent chain back from dst and returns
+// the path src..dst appended to path[:0] with its cost (empty and +Inf when
+// dst was not reached).
+func (s *SPScratch) pathTo(dst int, path []int) ([]int, float64) {
 	path = path[:0]
-	if math.IsInf(dist[dst], 1) {
+	if math.IsInf(s.dist[dst], 1) {
 		return path, math.Inf(1)
 	}
-	for v := dst; v != -1; v = parent[v] {
+	for v := dst; v != -1; v = s.parent[v] {
 		path = append(path, v)
 	}
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
 		path[i], path[j] = path[j], path[i]
 	}
-	return path, dist[dst]
+	return path, s.dist[dst]
+}
+
+// pricedPath is ShortestPathInto flattened for the one cost shape a reroute
+// has: crossing an arc costs scale·w — times penalty where stamp[arc id] ==
+// epoch — and entering node v costs price[v]. It makes the same comparisons
+// on the same floats in the same order as dijkstra run with closures
+// computing those prices (same reset, heap, strict-< relaxation in
+// insertion order, early exit at dst, panic on a negative cost), so path
+// and cost are bit-identical; it drops two indirect calls, the memo branch
+// and any per-arc lookup. Each product is converted to float64 on its own:
+// that forbids fusing it into the following add, which would round once
+// where the closures round twice.
+func (ix *edgeIndex) pricedPath(s *SPScratch, src, dst int, scale, penalty float64, stamp []uint32, epoch uint32, price []float64, path []int) ([]int, float64) {
+	s.reset(len(price))
+	dist, parent, done := s.dist, s.parent, s.done
+	dist[src] = 0
+	s.heapPush(pqItem{node: src, dist: 0})
+	for len(s.heap) > 0 {
+		u := s.heapPop().node
+		if done[u] {
+			continue
+		}
+		done[u] = true
+		if u == dst {
+			break
+		}
+		du := dist[u]
+		for _, e := range ix.arcs[ix.off[u]:ix.off[u+1]] {
+			c := float64(scale * e.w)
+			if stamp[e.id] == epoch {
+				c = float64(c * penalty)
+			}
+			c += price[e.to]
+			if c < 0 {
+				panic("core: negative cost in Dijkstra")
+			}
+			if nd := du + c; nd < dist[e.to] {
+				dist[e.to] = nd
+				parent[e.to] = u
+				s.heapPush(pqItem{node: int(e.to), dist: nd})
+			}
+		}
+	}
+	return s.pathTo(dst, path)
 }
 
 // ShortestPath returns the least-cost path src..dst and its cost, or nil if

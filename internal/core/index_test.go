@@ -53,15 +53,30 @@ func TestEdgeIndexMatchesNaiveScan(t *testing.T) {
 				if wok != iok || (wok && ww != iw) {
 					t.Fatalf("trial %d: EdgeWeight(%d,%d) = %v,%v want %v,%v", trial, u, v, iw, iok, ww, wok)
 				}
-				id1, ok1 := g.EdgeID(u, v)
-				id2, ok2 := g.EdgeID(v, u)
-				if ok1 != wok || ok2 != wok || id1 != id2 {
-					t.Fatalf("trial %d: EdgeID(%d,%d)=%d,%v EdgeID(%d,%d)=%d,%v (exists %v)", trial, u, v, id1, ok1, v, u, id2, ok2, wok)
+				e1, ok1 := g.index().find(u, v)
+				e2, ok2 := g.index().find(v, u)
+				if ok1 != wok || ok2 != wok || e1.id != e2.id {
+					t.Fatalf("trial %d: id{%d,%d}=%d,%v id{%d,%d}=%d,%v (exists %v)", trial, u, v, e1.id, ok1, v, u, e2.id, ok2, wok)
 				}
 			}
 		}
-		if ne := g.NumEdges(); ne <= 0 || ne > g.Len()*(g.Len()-1)/2 {
-			t.Fatalf("NumEdges = %d out of range", ne)
+		ix := g.index()
+		if ne := len(ix.edgeW); ne <= 0 || ne > g.Len()*(g.Len()-1)/2 {
+			t.Fatalf("%d edge ids, out of range", ne)
+		}
+		// The CSR view is the adjacency in insertion order, parallel edges
+		// kept, each arc carrying its collapsed pair's id.
+		for u := 0; u < g.Len(); u++ {
+			arcs := ix.arcs[ix.off[u]:ix.off[u+1]]
+			if len(arcs) != len(g.adj[u]) {
+				t.Fatalf("trial %d: node %d has %d arcs, adjacency %d", trial, u, len(arcs), len(g.adj[u]))
+			}
+			for k, e := range g.adj[u] {
+				pair, _ := ix.find(u, e.to)
+				if a := arcs[k]; int(a.to) != e.to || a.w != e.w || a.id != pair.id {
+					t.Fatalf("trial %d: arc %d of node %d = %+v, adjacency %+v with id %d", trial, k, u, a, e, pair.id)
+				}
+			}
 		}
 	}
 }

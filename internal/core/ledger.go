@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Ledger maintains the Enetwork (Eq. 5) terms of one evolving design
 // incrementally: per-node route reference counts and per-edge route counts,
@@ -16,9 +19,14 @@ import "fmt"
 // tolerance, while costing O(V + Σ|routes|) with zero allocations instead
 // of Enetwork's maps, sort and O(deg) weight scans.
 //
-// A Ledger captures the graph's edge index at construction; mutating the
-// graph (AddEdge) afterwards invalidates it. A Ledger must not be shared
-// between concurrent searches.
+// The ledger also keeps the idle price table a marginal-cost Reroute reads:
+// what entering node v adds to Eq. 5 given the installed design — nothing
+// for an endpoint or a node some route already keeps awake, TIdle·c(v)
+// otherwise. Add and Remove keep it in step.
+//
+// A Ledger captures the graph's edge index at construction and its node
+// weights at Reset; mutating the graph (AddEdge, SetNodeWeight) afterwards
+// invalidates it. A Ledger must not be shared between concurrent searches.
 type Ledger struct {
 	g   *Graph
 	ix  *edgeIndex
@@ -28,6 +36,13 @@ type Ledger struct {
 	endpoint []bool    // per node: some demand's source or destination
 	refcount []int32   // per node: routes currently crossing it
 	edgeUse  []int32   // per edge id: routes currently crossing it
+	price    []float64 // per node: idlePrice(v), kept in step with refcount
+
+	// Reroute's scratch. stamp[id] == epoch marks the edges of the route a
+	// run penalizes; a new epoch per run clears them for free.
+	stamp []uint32
+	epoch uint32
+	sp    SPScratch
 }
 
 // NewLedger builds an empty ledger for designs over these demands. Install
@@ -46,6 +61,8 @@ func (g *Graph) NewLedger(demands []Demand, cfg EvalConfig) *Ledger {
 		endpoint: make([]bool, g.n),
 		refcount: make([]int32, g.n),
 		edgeUse:  make([]int32, len(ix.edgeW)),
+		price:    make([]float64, g.n),
+		stamp:    make([]uint32, len(ix.edgeW)),
 	}
 	for i, dm := range demands {
 		p := cfg.PacketsPerDemand
@@ -56,6 +73,7 @@ func (g *Graph) NewLedger(demands []Demand, cfg EvalConfig) *Ledger {
 		l.endpoint[dm.Src] = true
 		l.endpoint[dm.Dst] = true
 	}
+	l.Reset(&Design{})
 	return l
 }
 
@@ -67,16 +85,40 @@ func (l *Ledger) Reset(d *Design) {
 	for i := range l.edgeUse {
 		l.edgeUse[i] = 0
 	}
+	for v := range l.price {
+		l.price[v] = l.idlePrice(v)
+	}
 	for _, r := range d.Routes {
 		l.Add(r)
 	}
 }
 
-// Add accounts a route's nodes and edges into the ledger.
-func (l *Ledger) Add(route []int) {
+// idlePrice is v's Eq. 5 idling term if no route keeps it awake yet.
+func (l *Ledger) idlePrice(v int) float64 {
+	if l.endpoint[v] || l.refcount[v] > 0 {
+		return 0
+	}
+	return l.cfg.TIdle * l.g.nodeWeight[v]
+}
+
+// wake and release are the node halves of Add and Remove.
+func (l *Ledger) wake(route []int) {
 	for _, v := range route {
 		l.refcount[v]++
+		l.price[v] = 0
 	}
+}
+
+func (l *Ledger) release(route []int) {
+	for _, v := range route {
+		l.refcount[v]--
+		l.price[v] = l.idlePrice(v)
+	}
+}
+
+// Add accounts a route's nodes and edges into the ledger.
+func (l *Ledger) Add(route []int) {
+	l.wake(route)
 	for j := 0; j+1 < len(route); j++ {
 		e, ok := l.ix.find(route[j], route[j+1])
 		if !ok {
@@ -88,9 +130,7 @@ func (l *Ledger) Add(route []int) {
 
 // Remove un-accounts a route previously Added.
 func (l *Ledger) Remove(route []int) {
-	for _, v := range route {
-		l.refcount[v]--
-	}
+	l.release(route)
 	for j := 0; j+1 < len(route); j++ {
 		e, ok := l.ix.find(route[j], route[j+1])
 		if !ok {
@@ -99,6 +139,42 @@ func (l *Ledger) Remove(route []int) {
 		l.edgeUse[e.id]--
 	}
 }
+
+// Reroute returns the marginal-cost optimal path src..dst (appended to
+// path[:0]; empty when dst is unreachable) and its cost, for a demand whose
+// installed route is cur (nil: none): each edge is priced scale·w — times
+// penalty on cur's own edges when penalty > 1 — and each node entered at
+// its idle price with cur taken out of the design, so a node only cur keeps
+// awake costs its idling again while one it shares stays free. forbidden
+// (when >= 0) is priced out of reach. The ledger is unchanged on return:
+// the run's three adjustments are made and undone in O(|cur|).
+func (l *Ledger) Reroute(src, dst int, cur []int, scale, penalty float64, forbidden int, path []int) ([]int, float64) {
+	l.epoch++
+	if l.epoch == 0 { // wrapped: stale stamps could alias
+		clear(l.stamp)
+		l.epoch = 1
+	}
+	if penalty > 1 {
+		for j := 0; j+1 < len(cur); j++ {
+			if e, ok := l.ix.find(cur[j], cur[j+1]); ok {
+				l.stamp[e.id] = l.epoch
+			}
+		}
+	}
+	l.release(cur)
+	if forbidden >= 0 {
+		l.price[forbidden] = math.Inf(1)
+	}
+	path, cost := l.ix.pricedPath(&l.sp, src, dst, scale, penalty, l.stamp, l.epoch, l.price, path)
+	l.wake(cur)
+	if forbidden >= 0 {
+		l.price[forbidden] = l.idlePrice(forbidden)
+	}
+	return path, cost
+}
+
+// Price returns the idle price a reroute pays to enter node v (see Reroute).
+func (l *Ledger) Price(v int) float64 { return l.price[v] }
 
 // RefCount returns how many installed routes cross node v.
 func (l *Ledger) RefCount(v int) int { return int(l.refcount[v]) }

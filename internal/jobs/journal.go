@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -93,9 +94,10 @@ func openJournal(dir, prefix string) (*journal, []record, int, error) {
 	return &journal{path: path, f: f}, interrupted, maxSeq, nil
 }
 
-// replay scans a journal and reduces it to each job's last known state.
-// It returns the jobs still marked running (oldest first) and the highest
-// sequence number seen. A missing journal is an empty one.
+// maxLine is the longest line replay parses (the store's are ~100 bytes).
+const maxLine = 1 << 20
+
+// replay scans the journal at path; a missing journal is an empty one.
 func replay(path string) ([]record, int, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -105,32 +107,46 @@ func replay(path string) ([]record, int, error) {
 		return nil, 0, fmt.Errorf("jobs: %w", err)
 	}
 	defer f.Close()
+	return replayFrom(f, maxLine)
+}
 
+// replayFrom reduces a journal to each job's last known state. It returns
+// the jobs still marked running (oldest first) and the highest sequence
+// number seen. Only a read error fails it: a torn tail, a foreign line and
+// a line over limit bytes are each skipped and the rest replayed.
+func replayFrom(r io.Reader, limit int) ([]record, int, error) {
 	last := make(map[string]record)
 	var order []string
 	maxSeq := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		var r record
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil || r.ID == "" {
-			continue // torn tail or foreign line; replay what parses
+	br := bufio.NewReader(r)
+	var line []byte
+	for {
+		chunk, err := br.ReadSlice('\n')
+		if line = append(line, chunk...); err == bufio.ErrBufferFull {
+			// Still inside the line: past the limit, keep only that fact.
+			line = line[:min(len(line), limit+1)]
+			continue
 		}
-		if _, seen := last[r.ID]; !seen {
-			order = append(order, r.ID)
+		var rec record
+		if len(line) <= limit && json.Unmarshal(line, &rec) == nil && rec.ID != "" {
+			if _, seen := last[rec.ID]; !seen {
+				order = append(order, rec.ID)
+			}
+			last[rec.ID] = rec
+			maxSeq = max(maxSeq, rec.Seq)
 		}
-		last[r.ID] = r
-		if r.Seq > maxSeq {
-			maxSeq = r.Seq
+		line = line[:0]
+		if err == io.EOF {
+			break
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("jobs: %w", err)
+		if err != nil {
+			return nil, 0, fmt.Errorf("jobs: %w", err)
+		}
 	}
 	var interrupted []record
 	for _, id := range order {
-		if r := last[id]; r.Status == Running {
-			interrupted = append(interrupted, r)
+		if rec := last[id]; rec.Status == Running {
+			interrupted = append(interrupted, rec)
 		}
 	}
 	return interrupted, maxSeq, nil

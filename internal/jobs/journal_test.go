@@ -1,7 +1,9 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -132,6 +134,88 @@ func TestJournalSurvivesTornTail(t *testing.T) {
 	if _, ok := s2.Get(j.ID()); !ok {
 		t.Fatal("record before the torn tail was lost")
 	}
+}
+
+// TestJournalSkipsOverlongLine: a line longer than replay will buffer is a
+// foreign line like any other — the records on either side of it replay and
+// the store starts. (A 1 MiB scanner cap used to turn it into "token too
+// long" and a daemon that would not start.)
+func TestJournalSkipsOverlongLine(t *testing.T) {
+	dir := t.TempDir()
+	journal := `{"id":"t-1","seq":1,"status":"running"}` + "\n" +
+		strings.Repeat("x", 2<<20) + "\n" +
+		`{"id":"t-2","seq":2,"status":"running"}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "t.journal"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewJournaled[payload](context.Background(), dir, Options{Prefix: "t"})
+	if err != nil {
+		t.Fatalf("store refused a journal with an over-long line: %v", err)
+	}
+	for _, id := range []string{"t-1", "t-2"} {
+		if _, ok := s.Get(id); !ok {
+			t.Errorf("record %s beside the over-long line was lost", id)
+		}
+	}
+}
+
+// FuzzJournalReplay: the journal is read back after a crash, so replay sees
+// whatever the crash left. On bytes alone it never fails and never panics.
+// And for a journal the store could have written — valid records, here
+// derived from the input, with foreign lines between them, some over the
+// line limit (96 bytes here, so that they are cheap to make) — every prefix,
+// a crash at any byte, recovers only jobs that journal holds, and the
+// highest sequence number recovered never falls as the prefix grows.
+func FuzzJournalReplay(f *testing.F) {
+	const limit = 96
+	f.Add([]byte(`{"id":"t-1","seq":1,"status":"running"}` + "\n" + `{"id":"t-1","seq":1,"stat`))
+	f.Add(bytes.Repeat([]byte("over-long "), 20))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, _, err := replayFrom(bytes.NewReader(data), limit); err != nil {
+			t.Fatalf("replay failed on bytes alone: %v", err)
+		}
+		// One record per input byte, eight at most: the byte picks the job
+		// and whether the record is terminal. Every third is followed by
+		// the input itself as a foreign line ('#' first and no newline
+		// inside, so it is never a record).
+		foreign := append([]byte{'#'}, bytes.ReplaceAll(data[:min(len(data), limit+32)], []byte{'\n'}, []byte{' '})...)
+		var journal []byte
+		ids := map[string]bool{}
+		for i, b := range data[:min(len(data), 8)] {
+			rec := record{ID: fmt.Sprintf("t-%d", b%4), Seq: i + 1, Status: Running}
+			if b&4 != 0 {
+				rec.Status = Done
+			}
+			line, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			journal = append(append(journal, line...), '\n')
+			if i%3 == 2 {
+				journal = append(append(journal, foreign...), '\n')
+			}
+			ids[rec.ID] = true
+		}
+		prevSeq := 0
+		for cut := 0; cut <= len(journal); cut++ {
+			recs, maxSeq, err := replayFrom(bytes.NewReader(journal[:cut]), limit)
+			if err != nil {
+				t.Fatalf("replay of a %d-byte prefix failed: %v", cut, err)
+			}
+			if maxSeq < prevSeq {
+				t.Fatalf("maxSeq fell from %d to %d at prefix %d of %q", prevSeq, maxSeq, cut, journal)
+			}
+			prevSeq = maxSeq
+			for _, r := range recs {
+				if !ids[r.ID] {
+					t.Fatalf("prefix %d of %q recovered job %q, which the journal never held", cut, journal, r.ID)
+				}
+			}
+		}
+		if _, maxSeq, _ := replayFrom(bytes.NewReader(journal), limit); maxSeq != min(len(data), 8) {
+			t.Fatalf("the whole journal %q replays to maxSeq %d, want %d: a record was lost", journal, maxSeq, min(len(data), 8))
+		}
+	})
 }
 
 // TestJournaledStoreStillEvicts: replayed failures count as finished jobs

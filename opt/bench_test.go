@@ -13,9 +13,9 @@ import (
 // benchProblem is the scheduler-bench deployment: big enough that each
 // simulator-backed evaluation carries real work, small enough that an
 // 8-restart search finishes in seconds.
-func benchProblem(b *testing.B) *Problem {
+func benchProblem(b testing.TB) *Problem {
 	b.Helper()
-	sc, err := eend.NewScenario(
+	return scenarioProblem(b,
 		eend.WithSeed(2),
 		eend.WithNodes(24),
 		eend.WithField(550, 550),
@@ -23,14 +23,6 @@ func benchProblem(b *testing.B) *Problem {
 		eend.WithRandomFlows(10, 2048, 128),
 		eend.WithDuration(40*time.Second),
 	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := FromScenario(sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p
 }
 
 // BenchmarkRestartSearchSim is the scheduler's headline benchmark: an
@@ -67,14 +59,32 @@ func BenchmarkRestartSearchSim(b *testing.B) {
 	}
 }
 
+// field1kProblem is the bench harness's search-analytic instance: the
+// field-1k preset with 40 flows.
+func field1kProblem(tb testing.TB) *Problem {
+	tb.Helper()
+	preset, err := eend.ParseFieldPreset("field-1k")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return scenarioProblem(tb, append(preset.Options(), eend.WithSeed(1),
+		eend.WithRandomFlows(40, 4096, 128), eend.WithDuration(60*time.Second))...)
+}
+
 // BenchmarkSearchStep measures the steady-state inner step of the
-// incremental kernel: propose (Dijkstra over the marginal-cost graph),
-// score through the term ledger, and undo — the hot path every driver
-// spends its iterations in. After warmup grows the engine's scratch
-// buffers to their high-water marks, the steady state must run at zero
-// allocations per step; CI gates on that via benchjson -assert-zero-allocs.
+// incremental kernel: propose (the priced shortest-path kernel over the
+// marginal-cost graph), score through the term ledger, and undo — the hot
+// path every driver spends its iterations in — on the 24-node scheduler
+// instance and on field-1k, the size the bench harness searches. After
+// warmup grows the engine's scratch buffers to their high-water marks, the
+// steady state must run at zero allocations per step; CI gates on both
+// sizes via benchjson -assert-zero-allocs.
 func BenchmarkSearchStep(b *testing.B) {
-	p := benchProblem(b)
+	b.Run("nodes=24", func(b *testing.B) { benchSearchStep(b, benchProblem(b)) })
+	b.Run("nodes=1000", func(b *testing.B) { benchSearchStep(b, field1kProblem(b)) })
+}
+
+func benchSearchStep(b *testing.B, p *Problem) {
 	init, _, err := p.bestHeuristic()
 	if err != nil {
 		b.Fatal(err)

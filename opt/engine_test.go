@@ -16,51 +16,93 @@ import (
 // retained full-recompute reference: same accept/reject trajectory (every
 // step's move, energy bits, best bits, acceptance and temperature), same
 // energies, same final fingerprint — across all three drivers and several
-// seeds. This is the determinism contract's entry 9; it runs under the
-// race job too.
+// seeds, and on an instance (400 nodes, 30 demands) whose relays are shared
+// enough that a power-down reroutes four demands on average, each seeing
+// the relays the one before recruited. This is the
+// determinism contract's entry 9; it runs under the race job too.
 func TestEngineDifferential(t *testing.T) {
 	p := clusteredProblem(t)
 	for _, alg := range []Algorithm{Greedy, Anneal, Restart} {
 		for _, seed := range []uint64{1, 5, 9} {
 			t.Run(fmt.Sprintf("%s/seed=%d", alg, seed), func(t *testing.T) {
-				run := func(reference bool) *Result {
-					res, err := p.Search(context.Background(), p.Analytic(), Options{
-						Algorithm: alg, Seed: seed, Iterations: 200, Trace: true,
-						reference: reference,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
-				}
-				inc, ref := run(false), run(true)
-				if math.Float64bits(inc.Initial) != math.Float64bits(ref.Initial) {
-					t.Fatalf("initial energies differ: %v vs %v", inc.Initial, ref.Initial)
-				}
-				if len(inc.Trajectory) != len(ref.Trajectory) {
-					t.Fatalf("trajectory lengths differ: %d vs %d", len(inc.Trajectory), len(ref.Trajectory))
-				}
-				for i := range inc.Trajectory {
-					a, b := inc.Trajectory[i], ref.Trajectory[i]
-					if a.Iter != b.Iter || a.Move != b.Move || a.Accepted != b.Accepted ||
-						math.Float64bits(a.Energy) != math.Float64bits(b.Energy) ||
-						math.Float64bits(a.Best) != math.Float64bits(b.Best) ||
-						math.Float64bits(a.Temp) != math.Float64bits(b.Temp) {
-						t.Fatalf("step %d differs:\nincremental %+v\nreference   %+v", i, a, b)
-					}
-				}
-				if math.Float64bits(inc.BestEnergy) != math.Float64bits(ref.BestEnergy) {
-					t.Fatalf("best energies differ: %v vs %v", inc.BestEnergy, ref.BestEnergy)
-				}
-				if inc.BestFingerprint != ref.BestFingerprint {
-					t.Fatalf("final fingerprints differ: %s vs %s", inc.BestFingerprint, ref.BestFingerprint)
-				}
-				if inc.Accepted != ref.Accepted || inc.Rejected != ref.Rejected {
-					t.Fatalf("accept/reject counts differ: %d/%d vs %d/%d",
-						inc.Accepted, inc.Rejected, ref.Accepted, ref.Rejected)
-				}
+				enginesAgree(t, p, Options{Algorithm: alg, Seed: seed, Iterations: 200, Trace: true})
 			})
 		}
+	}
+	dense := scenarioProblem(t, eend.WithSeed(4), eend.WithNodes(400), eend.WithField(2000, 2000),
+		eend.WithTopology(eend.UniformTopology()), eend.WithRandomFlows(30, 2048, 128))
+	for _, alg := range []Algorithm{Greedy, Anneal} {
+		t.Run(fmt.Sprintf("dense/%s", alg), func(t *testing.T) {
+			enginesAgree(t, dense, Options{Algorithm: alg, Seed: 2, Iterations: 300, Trace: true})
+		})
+	}
+}
+
+// TestEngineDifferentialField1k holds the engines together at the size the
+// bench harness searches: a 3,000-step anneal of field-1k with 40 flows, at
+// three seeds.
+func TestEngineDifferentialField1k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three 3,000-step searches of a 1,000-node instance on the reference engine")
+	}
+	p := field1kProblem(t)
+	for _, seed := range []uint64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			enginesAgree(t, p, Options{Algorithm: Anneal, Seed: seed, Iterations: 3000})
+		})
+	}
+}
+
+func scenarioProblem(tb testing.TB, opts ...eend.Option) *Problem {
+	tb.Helper()
+	sc, err := eend.NewScenario(opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := FromScenario(sc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// enginesAgree runs one search on each engine and requires bit-equal
+// results, step by step when o.Trace is set.
+func enginesAgree(t *testing.T, p *Problem, o Options) {
+	t.Helper()
+	run := func(reference bool) *Result {
+		o.reference = reference
+		res, err := p.Search(context.Background(), p.Analytic(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	inc, ref := run(false), run(true)
+	if math.Float64bits(inc.Initial) != math.Float64bits(ref.Initial) {
+		t.Fatalf("initial energies differ: %v vs %v", inc.Initial, ref.Initial)
+	}
+	if len(inc.Trajectory) != len(ref.Trajectory) {
+		t.Fatalf("trajectory lengths differ: %d vs %d", len(inc.Trajectory), len(ref.Trajectory))
+	}
+	for i := range inc.Trajectory {
+		a, b := inc.Trajectory[i], ref.Trajectory[i]
+		if a.Iter != b.Iter || a.Move != b.Move || a.Accepted != b.Accepted ||
+			math.Float64bits(a.Energy) != math.Float64bits(b.Energy) ||
+			math.Float64bits(a.Best) != math.Float64bits(b.Best) ||
+			math.Float64bits(a.Temp) != math.Float64bits(b.Temp) {
+			t.Fatalf("step %d differs:\nincremental %+v\nreference   %+v", i, a, b)
+		}
+	}
+	if math.Float64bits(inc.BestEnergy) != math.Float64bits(ref.BestEnergy) {
+		t.Fatalf("best energies differ: %v vs %v", inc.BestEnergy, ref.BestEnergy)
+	}
+	if inc.BestFingerprint != ref.BestFingerprint {
+		t.Fatalf("final fingerprints differ: %s vs %s", inc.BestFingerprint, ref.BestFingerprint)
+	}
+	if inc.Accepted != ref.Accepted || inc.Rejected != ref.Rejected {
+		t.Fatalf("accept/reject counts differ: %d/%d vs %d/%d",
+			inc.Accepted, inc.Rejected, ref.Accepted, ref.Rejected)
 	}
 }
 
@@ -100,7 +142,7 @@ func (o funcObjective) Evaluate(_ context.Context, d *Design) (float64, error) {
 // undoInstance builds one seeded problem for the apply/undo property test.
 func undoInstance(t *testing.T, seed uint64) *Problem {
 	t.Helper()
-	sc, err := eend.NewScenario(
+	return scenarioProblem(t,
 		eend.WithSeed(seed),
 		eend.WithNodes(14+int(seed%8)),
 		eend.WithField(450, 450),
@@ -108,18 +150,11 @@ func undoInstance(t *testing.T, seed uint64) *Problem {
 		eend.WithRandomFlows(5+int(seed%4), 2048, 128),
 		eend.WithDuration(200*time.Second),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := FromScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 // ledgerMatches cross-checks the engine's ledger against a fresh one built
-// from the current design: refcounts and edge uses must be exactly equal.
+// from the current design: refcounts, idle prices and edge uses must be
+// exactly equal.
 func ledgerMatches(t *testing.T, m *incEngine, where string) {
 	t.Helper()
 	chk := m.p.Graph.NewLedger(m.p.Demands, m.p.Eval)
@@ -127,6 +162,9 @@ func ledgerMatches(t *testing.T, m *incEngine, where string) {
 	for v := 0; v < m.p.Graph.Len(); v++ {
 		if m.led.RefCount(v) != chk.RefCount(v) {
 			t.Fatalf("%s: refcount[%d] = %d, fresh ledger says %d", where, v, m.led.RefCount(v), chk.RefCount(v))
+		}
+		if math.Float64bits(m.led.Price(v)) != math.Float64bits(chk.Price(v)) {
+			t.Fatalf("%s: price[%d] = %v, fresh ledger says %v", where, v, m.led.Price(v), chk.Price(v))
 		}
 	}
 	for u := 0; u < m.p.Graph.Len(); u++ {
@@ -220,10 +258,10 @@ func TestPowerDownBatchFailureRevertsPrefix(t *testing.T) {
 
 	// Sanity: demand 0 can detour around relay 1 (so the batch stages it),
 	// demand 1 cannot (so the batch must fail and roll back).
-	if _, ok := m.reroute(0, 1, 1); !ok {
+	if _, ok := m.reroute(movePowerDown, 0, 1, 1); !ok {
 		t.Fatal("demand 0 should have a detour around node 1")
 	}
-	if _, ok := m.reroute(1, 1, 1); ok {
+	if _, ok := m.reroute(movePowerDown, 1, 1, 1); ok {
 		t.Fatal("demand 1 should be unroutable without node 1")
 	}
 

@@ -88,35 +88,13 @@ func routesEqual(a, b []int) bool {
 
 // incEngine is the incremental search kernel. It keeps one live design in
 // sync with a core.Ledger (node refcounts, per-edge route counts, Eq. 5
-// terms) and re-routes over a reusable Dijkstra scratch. The reroute cost
-// closures are bound once at construction and read their per-proposal
-// parameters (packet factor, penalty, forbidden node, staged-route
-// exclusion counts) from engine fields, so a steady-state proposal
-// allocates nothing.
+// terms, the idle price table) and re-routes through the ledger's priced
+// shortest-path kernel, so a steady-state proposal allocates nothing.
 type incEngine struct {
 	p   *Problem
 	pp  *problemPrep
 	cur *Design
 	led *core.Ledger
-	sp  core.SPScratch
-
-	// Per-proposal reroute parameters, read by edgeCostFn/nodeCostFn.
-	// costK is pkts*TData — Go associates a*b*c as (a*b)*c, so hoisting
-	// the product out of the closure keeps every edge price bit-identical.
-	costK     float64
-	penalty   float64
-	forbidden int
-	// onCur marks (by epoch stamp, so clearing is free) the edge ids of
-	// the rerouted demand's current route — the edges a swap penalizes.
-	onCurEpoch uint32
-	onCur      []uint32
-	// exCount is the rerouted demand's own node occurrence count: a node
-	// is "already paid for" iff it is an endpoint or other routes cross it
-	// (refcount > exCount), which is exactly activeExcept's semantics.
-	exCount []int32
-
-	edgeCostFn core.EdgeCostFunc
-	nodeCostFn core.NodeCostFunc
 
 	pathBuf  []int
 	relayBuf []int
@@ -136,34 +114,13 @@ type stagedRoute struct {
 
 func newIncEngine(p *Problem, initial *Design) *incEngine {
 	m := &incEngine{
-		p:         p,
-		pp:        p.prepared(),
-		cur:       clone(initial),
-		led:       p.Graph.NewLedger(p.Demands, p.Eval),
-		forbidden: -1,
-		onCur:     make([]uint32, p.Graph.NumEdges()),
-		exCount:   make([]int32, p.Graph.Len()),
-		spare:     make([][]int, len(p.Demands)),
+		p:     p,
+		pp:    p.prepared(),
+		cur:   clone(initial),
+		led:   p.Graph.NewLedger(p.Demands, p.Eval),
+		spare: make([][]int, len(p.Demands)),
 	}
 	m.led.Reset(m.cur)
-	m.edgeCostFn = func(u, v int, w float64) float64 {
-		c := m.costK * w
-		if m.penalty > 1 {
-			if id, ok := m.p.Graph.EdgeID(u, v); ok && m.onCur[id] == m.onCurEpoch {
-				c *= m.penalty
-			}
-		}
-		return c
-	}
-	m.nodeCostFn = func(v int) float64 {
-		if v == m.forbidden {
-			return math.Inf(1)
-		}
-		if m.pp.endpoint[v] || m.led.RefCount(v) > int(m.exCount[v]) {
-			return 0
-		}
-		return m.p.Eval.TIdle * m.p.Graph.NodeWeight(v)
-	}
 	return m
 }
 
@@ -189,32 +146,14 @@ func (m *incEngine) relays() []int {
 // priced out of reach, and penalty > 1 multiplies the traffic cost of the
 // current route's edges to force the search onto alternatives. The
 // returned path aliases the engine's path buffer.
-func (m *incEngine) reroute(i, forbidden int, penalty float64) ([]int, bool) {
-	m.costK = m.pp.pkts[i] * m.p.Eval.TData
-	m.penalty = penalty
-	m.forbidden = forbidden
-	cur := m.cur.Routes[i]
-	if penalty > 1 && cur != nil {
-		m.onCurEpoch++
-		if m.onCurEpoch == 0 { // epoch wrapped: stale stamps could alias
-			clear(m.onCur)
-			m.onCurEpoch = 1
-		}
-		for j := 0; j+1 < len(cur); j++ {
-			if id, ok := m.p.Graph.EdgeID(cur[j], cur[j+1]); ok {
-				m.onCur[id] = m.onCurEpoch
-			}
-		}
-	}
-	for _, v := range cur {
-		m.exCount[v]++
-	}
+func (m *incEngine) reroute(move string, i, forbidden int, penalty float64) ([]int, bool) {
+	statsFor(move).reroutes.Inc()
 	dm := m.p.Demands[i]
-	path, cost := m.p.Graph.ShortestPathInto(&m.sp, dm.Src, dm.Dst, m.edgeCostFn, m.nodeCostFn, m.pathBuf[:0])
+	// Go associates a*b*c as (a*b)*c, so scaling each weight by the hoisted
+	// pkts*TData keeps every edge price bit-identical to the reference's.
+	path, cost := m.led.Reroute(dm.Src, dm.Dst, m.cur.Routes[i],
+		m.pp.pkts[i]*m.p.Eval.TData, penalty, forbidden, m.pathBuf[:0])
 	m.pathBuf = path
-	for _, v := range cur {
-		m.exCount[v]--
-	}
 	if len(path) == 0 || math.IsInf(cost, 1) {
 		return nil, false
 	}
@@ -253,7 +192,7 @@ func (m *incEngine) revert() {
 }
 
 func (m *incEngine) tryRewire(i int) bool {
-	path, ok := m.reroute(i, -1, 1)
+	path, ok := m.reroute(moveRewire, i, -1, 1)
 	if !ok || routesEqual(path, m.cur.Routes[i]) {
 		return false
 	}
@@ -262,7 +201,7 @@ func (m *incEngine) tryRewire(i int) bool {
 }
 
 func (m *incEngine) trySwap(i int, rng *rand.Rand) bool {
-	path, ok := m.reroute(i, -1, 2+6*rng.Float64())
+	path, ok := m.reroute(moveSwap, i, -1, 2+6*rng.Float64())
 	if !ok || routesEqual(path, m.cur.Routes[i]) {
 		return false
 	}
@@ -288,7 +227,7 @@ func (m *incEngine) tryPowerDown(v int) bool {
 		if !uses {
 			continue
 		}
-		path, ok := m.reroute(i, v, 1)
+		path, ok := m.reroute(movePowerDown, i, v, 1)
 		if !ok {
 			m.revert()
 			return false

@@ -38,7 +38,8 @@ func (p *Problem) activeExcept(d *Design, skip int) []bool {
 
 // reroute computes the marginal-cost optimal route for demand i given the
 // rest of the design; see incEngine.reroute for the pricing rationale.
-func (p *Problem) reroute(d *Design, i int, forbidden int, penalty float64) ([]int, bool) {
+func (p *Problem) reroute(move string, d *Design, i int, forbidden int, penalty float64) ([]int, bool) {
+	statsFor(move).reroutes.Inc()
 	dm := p.Demands[i]
 	pkts := p.Eval.PacketsPerDemand
 	if pkts == 0 {
@@ -91,7 +92,7 @@ func (p *Problem) reroute(d *Design, i int, forbidden int, penalty float64) ([]i
 
 // proposeRewire re-routes demand i along its marginal-cost optimal path.
 func (p *Problem) proposeRewire(d *Design, i int) (*Design, bool) {
-	path, ok := p.reroute(d, i, -1, 1)
+	path, ok := p.reroute(moveRewire, d, i, -1, 1)
 	if !ok || routesEqual(path, d.Routes[i]) {
 		return nil, false
 	}
@@ -104,7 +105,7 @@ func (p *Problem) proposeRewire(d *Design, i int) (*Design, bool) {
 // random factor, forcing a genuinely different path for the annealer to
 // judge.
 func (p *Problem) proposeSwap(d *Design, i int, rng *rand.Rand) (*Design, bool) {
-	path, ok := p.reroute(d, i, -1, 2+6*rng.Float64())
+	path, ok := p.reroute(moveSwap, d, i, -1, 2+6*rng.Float64())
 	if !ok || routesEqual(path, d.Routes[i]) {
 		return nil, false
 	}
@@ -149,7 +150,7 @@ func (p *Problem) proposePowerDown(d *Design, v int) (*Design, bool) {
 		if !uses {
 			continue
 		}
-		path, ok := p.reroute(cand, i, v, 1)
+		path, ok := p.reroute(movePowerDown, cand, i, v, 1)
 		if !ok {
 			return nil, false
 		}

@@ -328,8 +328,10 @@ func (st *searchState) consider(ctx context.Context, move string, temp float64) 
 		if e < st.bestE {
 			st.best, st.bestE = st.eng.snapshot(), e
 		}
+		statsFor(move).accepted.Inc()
 	} else {
 		st.eng.revert()
+		statsFor(move).rejected.Inc()
 	}
 	st.step(move, e, accept, temp)
 	return nil
@@ -342,15 +344,12 @@ func (st *searchState) consider(ctx context.Context, move string, temp float64) 
 func (st *searchState) propose() (string, bool) {
 	switch k := st.rng.IntN(10); {
 	case k < 5:
-		return moveRewire, st.eng.tryRewire(st.rng.IntN(len(st.p.Demands)))
+		return moveRewire, proposed(moveRewire, st.eng.tryRewire(st.rng.IntN(len(st.p.Demands))))
 	case k < 8:
-		return moveSwap, st.eng.trySwap(st.rng.IntN(len(st.p.Demands)), st.rng)
+		return moveSwap, proposed(moveSwap, st.eng.trySwap(st.rng.IntN(len(st.p.Demands)), st.rng))
 	default:
 		rel := st.eng.relays()
-		if len(rel) == 0 {
-			return movePowerDown, false
-		}
-		return movePowerDown, st.eng.tryPowerDown(rel[st.rng.IntN(len(rel))])
+		return movePowerDown, proposed(movePowerDown, len(rel) > 0 && st.eng.tryPowerDown(rel[st.rng.IntN(len(rel))]))
 	}
 }
 
@@ -482,7 +481,7 @@ func (st *searchState) runGreedy(ctx context.Context) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if !st.eng.tryRewire(i) {
+			if !proposed(moveRewire, st.eng.tryRewire(i)) {
 				continue
 			}
 			if err := st.consider(ctx, moveRewire, 0); err != nil {
@@ -496,7 +495,7 @@ func (st *searchState) runGreedy(ctx context.Context) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if !st.eng.tryPowerDown(v) {
+			if !proposed(movePowerDown, st.eng.tryPowerDown(v)) {
 				continue
 			}
 			if err := st.consider(ctx, movePowerDown, 0); err != nil {
