@@ -58,7 +58,7 @@ func registerFleet(mux *http.ServeMux, store cache.Store, met *metrics) {
 
 	mux.HandleFunc("POST /v1/evaluate", func(w http.ResponseWriter, r *http.Request) {
 		var req dist.EvalRequest
-		if !decodeJSONBodyLimit(w, r, &req, maxEvaluateBody) {
+		if !decodeJSONBody(w, r, &req, maxEvaluateBody) {
 			return
 		}
 		if len(req.Scenarios) == 0 {

@@ -308,7 +308,7 @@ func TestFleetSweepSurvivesDeadWorker(t *testing.T) {
 // TestSweepSSE: GET /v1/sweeps/{id} with Accept: text/event-stream
 // streams progress frames and closes after the terminal snapshot.
 func TestSweepSSE(t *testing.T) {
-	h, err := newServerWith(t.Context(), serverConfig{sseInterval: 5 * time.Millisecond})
+	h, err := newServerWith(t.Context(), serverConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestSweepSSE(t *testing.T) {
 
 // TestOptimizeSSE mirrors the sweep stream on the optimize endpoint.
 func TestOptimizeSSE(t *testing.T) {
-	h, err := newServerWith(t.Context(), serverConfig{sseInterval: 5 * time.Millisecond})
+	h, err := newServerWith(t.Context(), serverConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

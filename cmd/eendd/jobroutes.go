@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"time"
 
 	"eend/internal/cache"
 	"eend/internal/jobs"
@@ -36,7 +35,6 @@ type jobManager[V any] struct {
 	store *jobs.Store[V]
 	cache cache.Store
 	peers []string
-	sse   time.Duration
 	met   *metrics
 }
 
@@ -44,7 +42,7 @@ type jobManager[V any] struct {
 // under cfg.stateDir when the daemon has one (jobs survive restarts), in
 // memory otherwise.
 func newJobManager[V any](base context.Context, cfg serverConfig, k jobKind[V], store cache.Store, met *metrics) (*jobManager[V], error) {
-	m := &jobManager[V]{kind: k, cache: store, peers: cfg.peers, sse: cfg.sseCadence(), met: met}
+	m := &jobManager[V]{kind: k, cache: store, peers: cfg.peers, met: met}
 	o := jobs.Options{Prefix: k.prefix, Retain: cfg.retainJobs}
 	if cfg.stateDir == "" {
 		m.store = jobs.NewStore[V](base, o)
@@ -69,10 +67,10 @@ func inflight[V any](store *jobs.Store[V]) func() float64 {
 }
 
 // registerJobRoutes installs a job family's endpoints on mux — POST to
-// start (start validates synchronously, so configuration errors are 400s,
-// not failed jobs), list, get (JSON or SSE), trace and DELETE to cancel —
-// and its in-flight gauge on the manager's metrics.
-func registerJobRoutes[Req, V any](mux *http.ServeMux, m *jobManager[V], start func(*jobManager[V], Req) (*jobs.Job[V], error)) {
+// start (start validates synchronously, under the request's context, so
+// configuration errors are 400s, not failed jobs), list, get (JSON or
+// SSE), trace and DELETE to cancel — and its in-flight gauge.
+func registerJobRoutes[Req, V any](mux *http.ServeMux, m *jobManager[V], start func(context.Context, *jobManager[V], Req) (*jobs.Job[V], error)) {
 	k, store := m.kind, m.store
 	m.met.reg.GaugeFunc("eend_jobs_inflight", "Async jobs currently running, by kind.",
 		inflight(store), obs.L("kind", k.gauge))
@@ -91,10 +89,10 @@ func registerJobRoutes[Req, V any](mux *http.ServeMux, m *jobManager[V], start f
 
 	mux.HandleFunc("POST "+k.path, func(w http.ResponseWriter, r *http.Request) {
 		var req Req
-		if !decodeJSONBody(w, r, &req) {
+		if !decodeJSONBody(w, r, &req, maxScenarioBody) {
 			return
 		}
-		job, err := start(m, req)
+		job, err := start(r.Context(), m, req)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -118,7 +116,7 @@ func registerJobRoutes[Req, V any](mux *http.ServeMux, m *jobManager[V], start f
 			return
 		}
 		if wantsSSE(r) {
-			serveSSE(w, r, m.sse, func() (any, bool) { return k.snapshot(job, true) })
+			serveSSE(w, r, func() (any, bool) { return k.snapshot(job, true) })
 			return
 		}
 		st, _ := k.snapshot(job, true)

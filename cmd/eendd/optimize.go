@@ -124,9 +124,13 @@ var optRoutes = jobKind[optState]{
 	trace:    func(v optState) (string, *obs.MemSink) { return v.trace, v.sink },
 }
 
+// maxOptimizeNodes bounds the deployment of one design search: its problem
+// graph is built synchronously, O(n²) in time and, on a dense field, space.
+const maxOptimizeNodes = 10000
+
 // startOptimize validates the request synchronously (configuration errors are
 // 400s, not failed jobs) and launches the search in the background.
-func startOptimize(m *jobManager[optState], req optimizeRequest) (*jobs.Job[optState], error) {
+func startOptimize(_ context.Context, m *jobManager[optState], req optimizeRequest) (*jobs.Job[optState], error) {
 	if req.Heuristic == "" {
 		req.Heuristic = "anneal"
 	}
@@ -139,6 +143,9 @@ func startOptimize(m *jobManager[optState], req optimizeRequest) (*jobs.Job[optS
 	// letting opt.FromScenario fail with facade advice.
 	if req.Scenario.Grid != nil {
 		return nil, fmt.Errorf("optimize does not support grid placement; use \"topology\" (e.g. \"grid\") instead")
+	}
+	if n := req.Scenario.Nodes; n != nil && *n > maxOptimizeNodes {
+		return nil, fmt.Errorf("optimize: %d nodes, limit %d", *n, maxOptimizeNodes)
 	}
 	if req.Scenario.Topology == "" {
 		req.Scenario.Topology = "uniform"

@@ -14,6 +14,7 @@ import (
 
 	"eend"
 	"eend/internal/buildinfo"
+	"eend/internal/dist"
 )
 
 // scenarioRequest is the JSON body of POST /v1/scenarios. Every field is
@@ -82,11 +83,16 @@ func scenarioFromRequest(req scenarioRequest) (*eend.Scenario, error) {
 	if req.Nodes != nil && req.Grid != nil {
 		return nil, errors.New("nodes and grid are mutually exclusive")
 	}
+	nodes, flows := 0, len(req.Flows)
 	if req.Nodes != nil {
-		opts = append(opts, eend.WithNodes(*req.Nodes))
+		nodes = *req.Nodes
+		opts = append(opts, eend.WithNodes(nodes))
 	}
-	if req.Grid != nil {
-		opts = append(opts, eend.WithGrid(req.Grid.Rows, req.Grid.Cols))
+	if g := req.Grid; g != nil {
+		if g.Rows > 0 && g.Cols > dist.MaxNodes/g.Rows { // the product may not fit an int
+			return nil, fmt.Errorf("grid %dx%d, limit %d nodes", g.Rows, g.Cols, dist.MaxNodes)
+		}
+		opts = append(opts, eend.WithGrid(g.Rows, g.Cols))
 	}
 	if req.Topology != "" {
 		topo, err := eend.ParseTopology(req.Topology)
@@ -120,6 +126,7 @@ func scenarioFromRequest(req scenarioRequest) (*eend.Scenario, error) {
 		opts = append(opts, eend.WithFlows(req.Flows...))
 	}
 	if rf := req.RandomFlows; rf != nil {
+		flows = max(flows, rf.Count)
 		packetBytes := rf.PacketBytes
 		if packetBytes == 0 {
 			packetBytes = 128
@@ -141,6 +148,11 @@ func scenarioFromRequest(req scenarioRequest) (*eend.Scenario, error) {
 	}
 	if req.Replicates != 0 {
 		opts = append(opts, eend.WithReplicates(req.Replicates))
+	}
+	// Sizes are checked before the facade acts on them: a topology generator
+	// and the random-flow draw allocate by them at build time.
+	if err := dist.CheckSize(nodes, flows); err != nil {
+		return nil, err
 	}
 	return eend.NewScenario(opts...)
 }
@@ -213,20 +225,9 @@ type serverConfig struct {
 	// restarted daemon reports interrupted jobs as failed instead of
 	// forgetting them.
 	stateDir string
-	// sseInterval is the snapshot cadence of the text/event-stream
-	// progress endpoints (<= 0: 1s). Tests shrink it.
-	sseInterval time.Duration
 	// pprof registers net/http/pprof's handlers under /debug/pprof/ (off
 	// by default; the -pprof flag).
 	pprof bool
-}
-
-// sseCadence returns the effective SSE snapshot interval.
-func (cfg serverConfig) sseCadence() time.Duration {
-	if cfg.sseInterval > 0 {
-		return cfg.sseInterval
-	}
-	return time.Second
 }
 
 // newServerWith builds the eendd HTTP API:
@@ -320,7 +321,7 @@ func newServerWith(base context.Context, cfg serverConfig) (http.Handler, error)
 
 	mux.HandleFunc("POST /v1/scenarios", func(w http.ResponseWriter, r *http.Request) {
 		var req scenarioRequest
-		if !decodeJSONBody(w, r, &req) {
+		if !decodeJSONBody(w, r, &req, maxScenarioBody) {
 			return
 		}
 		sc, err := scenarioFromRequest(req)
@@ -354,16 +355,11 @@ func recoverPanics(next http.Handler) http.Handler {
 	})
 }
 
-// decodeJSONBody enforces the JSON content type and size cap, decodes the
-// body strictly into v, and writes the error response itself when it
+// decodeJSONBody enforces the JSON content type and the caller's size cap
+// (maxScenarioBody, or maxEvaluateBody for whole scenario batches), decodes
+// the body strictly into v, and writes the error response itself when it
 // returns false.
-func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	return decodeJSONBodyLimit(w, r, v, maxScenarioBody)
-}
-
-// decodeJSONBodyLimit is decodeJSONBody with a caller-chosen size cap
-// (the evaluate endpoint accepts whole scenario batches).
-func decodeJSONBodyLimit(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
 	if ct := r.Header.Get("Content-Type"); ct != "" && !strings.HasPrefix(ct, "application/json") {
 		writeError(w, http.StatusUnsupportedMediaType, fmt.Errorf("want application/json, got %q", ct))
 		return false

@@ -33,12 +33,15 @@ func containsToken(header, token string) bool {
 	return false
 }
 
+// sseInterval is the snapshot cadence of the event streams.
+const sseInterval = time.Second
+
 // serveSSE streams job progress as Server-Sent Events: one "data:" line
-// per snapshot every interval, a final snapshot when the job leaves
+// per snapshot every sseInterval, a final snapshot when the job leaves
 // Running, then the stream closes. snap returns the current snapshot and
 // whether it is final. A dropped client (or server shutdown) ends the
 // stream through the request context.
-func serveSSE(w http.ResponseWriter, r *http.Request, interval time.Duration, snap func() (any, bool)) {
+func serveSSE(w http.ResponseWriter, r *http.Request, snap func() (any, bool)) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by this connection"))
@@ -61,7 +64,7 @@ func serveSSE(w http.ResponseWriter, r *http.Request, interval time.Duration, sn
 	if send() {
 		return
 	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(sseInterval)
 	defer t.Stop()
 	for {
 		select {

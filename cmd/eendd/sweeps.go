@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
+	"eend/internal/dist"
 	"eend/internal/exec"
 	"eend/internal/jobs"
 	"eend/internal/obs"
@@ -80,14 +82,26 @@ var sweepRoutes = jobKind[sweepState]{
 
 // startSweep validates the request synchronously (so configuration errors are
 // 400s, not failed jobs) and launches the sweep's cache scan and
-// simulations in the background.
-func startSweep(m *jobManager[sweepState], req sweepRequest) (*jobs.Job[sweepState], error) {
+// simulations in the background. ctx is the request's and bounds the
+// validation only — a heuristic= grid runs its design searches there.
+func startSweep(ctx context.Context, m *jobManager[sweepState], req sweepRequest) (*jobs.Job[sweepState], error) {
 	g, err := sweep.ParseGrid(req.Grid)
 	if err != nil {
 		return nil, err
 	}
 	if g.Size() > maxSweepPoints {
 		return nil, fmt.Errorf("grid expands to %d points, limit %d", g.Size(), maxSweepPoints)
+	}
+	// The size axes, before any point is built (a value that is not a
+	// number is PrepareContext's error to report).
+	limits := map[string]int{"nodes": dist.MaxNodes, "flows": dist.MaxFlows}
+	for _, ax := range g.Axes() {
+		limit, sized := limits[ax.Name]
+		for _, v := range ax.Values {
+			if n, err := strconv.Atoi(v); sized && err == nil && n > limit {
+				return nil, fmt.Errorf("axis %s=%d, limit %d", ax.Name, n, limit)
+			}
+		}
 	}
 	workers := exec.Workers(req.Workers)
 	sink := obs.NewMemSink()
@@ -99,7 +113,7 @@ func startSweep(m *jobManager[sweepState], req sweepRequest) (*jobs.Job[sweepSta
 		OnRetry: func(string, error) { m.met.shardRetries.Inc() },
 		Trace:   obs.NewTracer(traceID, sink),
 	}
-	prep, err := r.Prepare(g)
+	prep, err := r.PrepareContext(ctx, g)
 	if err != nil {
 		return nil, err
 	}

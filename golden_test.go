@@ -56,6 +56,30 @@ var goldenRuns = []struct {
 			WithDuration(60 * time.Second),
 		},
 	},
+	{
+		// Pinned routes (PR 19; captured on the parent commit, when static
+		// routing was its own forwarding loop): flow 1 is delivered over two
+		// hops, flow 2's relay 1 is 500 m from node 4 so every packet fails
+		// at the MAC with no repair, flow 3 has no route and is dropped at
+		// its source.
+		name:        "static-odpm-pc",
+		fingerprint: "ac065c55ded107e1952d07a6c989f9df5810b443c365ba73787ea25dac00008c",
+		opts: []Option{
+			WithSeed(5),
+			WithField(800, 200),
+			WithPositions(
+				Point{X: 0, Y: 50}, Point{X: 200, Y: 50}, Point{X: 395, Y: 50},
+				Point{X: 200, Y: 150}, Point{X: 700, Y: 150},
+			),
+			WithFlows(
+				Flow{ID: 1, Src: 0, Dst: 2, Rate: 2048, PacketBytes: 128, StartMin: 2 * time.Second, StartMax: 3 * time.Second},
+				Flow{ID: 2, Src: 3, Dst: 4, Rate: 2048, PacketBytes: 128, StartMin: 2 * time.Second, StartMax: 3 * time.Second},
+				Flow{ID: 3, Src: 2, Dst: 3, Rate: 2048, PacketBytes: 128, StartMin: 2 * time.Second, StartMax: 3 * time.Second},
+			),
+			WithStack(StaticRoutes([]int{0, 1, 2}, []int{3, 1, 4}), ODPM, PowerControl()),
+			WithDuration(30 * time.Second),
+		},
+	},
 }
 
 func TestGoldenFingerprints(t *testing.T) {

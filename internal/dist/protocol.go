@@ -16,6 +16,7 @@ package dist
 
 import (
 	"context"
+	"fmt"
 
 	"eend"
 	"eend/internal/buildinfo"
@@ -56,6 +57,26 @@ type EvalResponse struct {
 	Version string `json:"version,omitempty"`
 }
 
+// MaxNodes and MaxFlows bound a scenario accepted from outside the process
+// (a daemon's JSON bodies and sweep axes, a worker's canonical batch): ten
+// times the largest preset, more flows than any experiment. Sizes drive
+// allocation, so one unchecked request could take the machine's memory.
+const (
+	MaxNodes = 100_000
+	MaxFlows = 10_000
+)
+
+// CheckSize reports a scenario size beyond MaxNodes or MaxFlows.
+func CheckSize(nodes, flows int) error {
+	if nodes > MaxNodes {
+		return fmt.Errorf("%d nodes, limit %d", nodes, MaxNodes)
+	}
+	if flows > MaxFlows {
+		return fmt.Errorf("%d flows, limit %d", flows, MaxFlows)
+	}
+	return nil
+}
+
 // Engine evaluates batches of canonical scenarios. It is the worker side
 // of the protocol, shared by the eendd HTTP handler and the in-process
 // Local evaluator.
@@ -79,6 +100,9 @@ func (e Engine) Evaluate(ctx context.Context, scenarios []string) []EvalResult {
 	slots := make([]int, 0, len(scenarios)) // item index -> request slot
 	for i, text := range scenarios {
 		sc, err := eend.ParseCanonical(text)
+		if err == nil {
+			err = CheckSize(sc.NodeCount(), len(sc.Flows()))
+		}
 		if err != nil {
 			out[i].Error = err.Error()
 			continue

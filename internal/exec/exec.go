@@ -42,10 +42,7 @@ func Workers(n int) int {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n > MaxWorkers {
-		n = MaxWorkers
-	}
-	return n
+	return min(n, MaxWorkers)
 }
 
 // Item is one schedulable unit of work.
@@ -99,14 +96,12 @@ func New(workers int) *Scheduler {
 // WorkerCount returns the scheduler's normalized worker bound.
 func (s *Scheduler) WorkerCount() int { return s.workers }
 
-// defaultScheduler serves layers that fan out without an enclosing
-// scheduler in their context (a bare Scenario.Run with replicates). One
-// process-wide pool keeps the total concurrency of independent callers
-// bounded by the machine, which is the point of a unified runtime.
-var defaultScheduler = sync.OnceValue(func() *Scheduler { return New(0) })
-
-// Default returns the process-wide scheduler (GOMAXPROCS workers).
-func Default() *Scheduler { return defaultScheduler() }
+// Default returns the process-wide scheduler (GOMAXPROCS workers). It
+// serves layers that fan out without an enclosing scheduler in their
+// context (a bare Scenario.Run with replicates): one pool keeps the total
+// concurrency of independent callers bounded by the machine, which is the
+// point of a unified runtime.
+var Default = sync.OnceValue(func() *Scheduler { return New(0) })
 
 // ctxKey carries the ambient scheduler; workerKey marks worker goroutines.
 type ctxKey struct{}
@@ -246,7 +241,7 @@ func (s *Scheduler) runEntry(e entry) {
 // markWorker tags ctx so nested Gather calls recognize they already hold
 // a worker slot (and must help instead of just blocking).
 func markWorker(ctx context.Context) context.Context {
-	if ctx.Value(workerKey{}) != nil {
+	if onWorker(ctx) {
 		return ctx // already marked by an outer frame
 	}
 	return context.WithValue(ctx, workerKey{}, true)
@@ -254,13 +249,6 @@ func markWorker(ctx context.Context) context.Context {
 
 // onWorker reports whether ctx belongs to a scheduler worker goroutine.
 func onWorker(ctx context.Context) bool { return ctx.Value(workerKey{}) != nil }
-
-// OnWorker reports whether ctx belongs to one of the runtime's worker
-// goroutines — the caller is running inside a scheduled item. Layers use
-// this to choose Gather's help-first join over consuming a Stream:
-// blocking on a Stream from within a worker holds a budget slot without
-// parking, which starves small pools.
-func OnWorker(ctx context.Context) bool { return onWorker(ctx) }
 
 // Gather schedules items and returns their results in Item.Index order —
 // the ordered merge the determinism contract depends on. Results index by

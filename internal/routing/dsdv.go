@@ -75,18 +75,6 @@ func NewDSDVH(env *Env, powerControl bool) *DSDV {
 	return &DSDV{env: env, hCost: true, powerControl: powerControl, table: make(map[int]*dsdvEntry)}
 }
 
-// Name implements Protocol.
-func (d *DSDV) Name() string {
-	name := "DSDV"
-	if d.hCost {
-		name = "DSDVH"
-	}
-	if d.powerControl {
-		name += "-PC"
-	}
-	return name
-}
-
 // Stats implements Protocol.
 func (d *DSDV) Stats() Stats { return d.stats }
 

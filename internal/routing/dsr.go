@@ -19,11 +19,14 @@ const (
 	dataTTL          = 64
 )
 
-// Variant parameterizes the DSR engine into the paper's reactive protocols.
+// Variant parameterizes the DSR engine into the paper's reactive protocols
+// and, with Pinned, into static routing.
 type Variant struct {
-	// BaseName of the protocol (e.g. "MTPR"); "-PC" is appended when
-	// PowerControl is set.
-	BaseName string
+	// Pinned takes the control plane out (NewStatic): the route cache is
+	// filled at construction and never changes. A destination missing from
+	// it, or a hop that fails at the MAC, costs DataDropped++ and nothing
+	// else — no send buffer, no RREQ, no purge, no RERR.
+	Pinned bool
 
 	// LinkCost returns the discovery cost of the link from->me, evaluated
 	// at the receiving node (paper: "updates the cost using f(u,v)").
@@ -112,24 +115,16 @@ type DSR struct {
 
 var _ Protocol = (*DSR)(nil)
 
-// NewDSRVariant builds a DSR-engine protocol from a variant description.
+// NewDSRVariant builds a DSR-engine protocol from a variant description
+// (a pinned one never discovers: its three discovery maps stay nil).
 func NewDSRVariant(env *Env, v Variant) *DSR {
-	return &DSR{
-		env:      env,
-		v:        v,
-		cache:    make(map[int]*cachedRoute),
-		seen:     make(map[reqKey]float64),
-		answered: make(map[reqKey]float64),
-		pending:  make(map[int]*discovery),
+	d := &DSR{env: env, v: v, cache: make(map[int]*cachedRoute)}
+	if !v.Pinned {
+		d.seen = make(map[reqKey]float64)
+		d.answered = make(map[reqKey]float64)
+		d.pending = make(map[int]*discovery)
 	}
-}
-
-// Name implements Protocol.
-func (d *DSR) Name() string {
-	if d.v.PowerControl {
-		return d.v.BaseName + "-PC"
-	}
-	return d.v.BaseName
+	return d
 }
 
 // Start implements Protocol. DSR is fully reactive: nothing to schedule.
@@ -138,29 +133,33 @@ func (d *DSR) Start() {}
 // Stats implements Protocol.
 func (d *DSR) Stats() Stats { return d.stats }
 
-// Send implements Protocol.
+// Send implements Protocol. The packet stays on the stack unless it has to
+// wait for a route: forward sends a copy, and only the buffer keeps one.
 func (d *DSR) Send(dst int, bytes int, payload any, rate float64) {
 	d.stats.DataSent++
 	d.env.PM.OnActivity(power.ActivityData)
 	d.seq++
-	pkt := &dataPacket{
+	pkt := dataPacket{
 		Src: d.env.ID, Dst: dst, Seq: d.seq,
 		AppBytes: bytes, Payload: payload, Rate: rate, TTL: dataTTL,
 	}
 	if dst == d.env.ID {
-		d.deliver(pkt)
+		d.deliver(&pkt)
 		return
 	}
 	if r, ok := d.cache[dst]; ok {
 		pkt.Route = r.path
-		pkt.Hop = 0
-		d.forward(pkt)
+		d.forward(&pkt)
+		return
+	}
+	if d.v.Pinned {
+		d.stats.DataDropped++
 		return
 	}
 	d.bufferAndDiscover(pkt)
 }
 
-func (d *DSR) bufferAndDiscover(pkt *dataPacket) {
+func (d *DSR) bufferAndDiscover(pkt dataPacket) {
 	dst := pkt.Dst
 	disc, ok := d.pending[dst]
 	if !ok {
@@ -173,7 +172,7 @@ func (d *DSR) bufferAndDiscover(pkt *dataPacket) {
 		disc.buffer = disc.buffer[1:]
 		d.stats.DataDropped++
 	}
-	disc.buffer = append(disc.buffer, pkt)
+	disc.buffer = append(disc.buffer, &pkt)
 }
 
 func (d *DSR) sendRREQ(dst int, rate float64) {
@@ -373,7 +372,7 @@ func (d *DSR) forward(pkt *dataPacket) {
 		Kind: mac.PacketData, Bytes: fwd.bytes(), Payload: &fwd,
 	}, txPower, func(ok bool) {
 		if !ok {
-			d.linkBroken(d.env.ID, next, pkt)
+			d.linkBroken(d.env.ID, next, &fwd) // same Src and Route as pkt
 		}
 	})
 }
@@ -387,9 +386,13 @@ func (d *DSR) deliver(pkt *dataPacket) {
 }
 
 // linkBroken reacts to a MAC-layer delivery failure: purge routes through
-// the link and notify the packet source.
+// the link and notify the packet source. A pinned variant does neither: a
+// static design fails where it fails, which is part of what is measured.
 func (d *DSR) linkBroken(u, v int, pkt *dataPacket) {
 	d.stats.DataDropped++
+	if d.v.Pinned {
+		return
+	}
 	d.purgeLink(u, v)
 	if pkt.Src == d.env.ID {
 		return

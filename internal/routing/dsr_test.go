@@ -319,44 +319,54 @@ func TestCostBasedRREQPrefersCheaperLateRoute(t *testing.T) {
 	}
 }
 
-func TestVariantNames(t *testing.T) {
-	envs := func() *Env {
-		tb := newRTB(t, 1, radio.Cabletron, []geom.Point{{X: 0, Y: 0}}, func(e *Env) Protocol {
-			return NewDSR(e, false)
-		})
-		return tb.protos[0].(*DSR).env
+// TestPinnedVariantHasNoControlPlane: static routing is the DSR engine with
+// Variant.Pinned. A send without a route and a hop that fails at the MAC —
+// at the source or at a relay — each cost one DataDropped and nothing else:
+// no RREQ, no RERR, and the cached route is still there for the next packet.
+func TestPinnedVariantHasNoControlPlane(t *testing.T) {
+	// 0, 1, 2 in a 200 m chain; 3 is 700 m from its nearest neighbour, so
+	// any hop to it fails at the MAC (Cabletron range 250 m).
+	pts := []geom.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 400, Y: 0}, {X: 1100, Y: 0}}
+	routes := [][]int{{0, 1, 2}, {0, 1, 3}, {2, 3}}
+	tb := newRTB(t, 1, radio.Cabletron, pts, func(e *Env) Protocol {
+		return NewStatic(e, routes, true)
+	})
+	dropped := func(id int) uint64 { return tb.protos[id].Stats().DataDropped }
+
+	tb.protos[1].Send(0, 128, nil, 0) // node 1 originates no route
+	if got := dropped(1); got != 1 {
+		t.Fatalf("routeless send: DataDropped = %d, want 1", got)
 	}
-	e := envs()
-	cases := map[string]Protocol{
-		"DSR":          NewDSR(e, false),
-		"DSR-PC":       NewDSR(e, true),
-		"MTPR-PC":      NewMTPR(e),
-		"MTPR+-PC":     NewMTPRPlus(e),
-		"DSRH(norate)": NewDSRH(e, false, false),
-		"DSRH(rate)":   NewDSRH(e, true, false),
-		"TITAN":        NewTITAN(e, false),
-		"TITAN-PC":     NewTITAN(e, true),
+	tb.sim.Schedule(10*time.Millisecond, func() {
+		tb.protos[0].Send(2, 128, nil, 0) // delivered over two hops
+		tb.protos[0].Send(3, 128, nil, 0) // fails at relay 1
+		tb.protos[2].Send(3, 128, nil, 0) // fails at its source
+	})
+	tb.sim.Run(2 * time.Second)
+	if tb.delivered[2] != 1 || tb.delivered[3] != 0 {
+		t.Fatalf("delivered = %v, want one packet at node 2 only", tb.delivered)
 	}
-	for want, p := range cases {
-		if p.Name() != want {
-			t.Errorf("Name = %q, want %q", p.Name(), want)
+	if dropped(0) != 0 || dropped(1) != 2 || dropped(2) != 1 {
+		t.Fatalf("DataDropped = %d/%d/%d at nodes 0/1/2, want 0/2/1", dropped(0), dropped(1), dropped(2))
+	}
+	tb.protos[2].Send(3, 128, nil, 0) // the pinned route is used again, and fails again
+	tb.sim.Run(4 * time.Second)
+	if got := dropped(2); got != 2 {
+		t.Fatalf("second failed hop: DataDropped = %d, want 2", got)
+	}
+	for id, p := range tb.protos {
+		if st := p.Stats(); st.RREQSent != 0 || st.RREPSent != 0 || st.RERRSent != 0 {
+			t.Errorf("node %d sent control traffic: %+v", id, st)
 		}
 	}
-}
-
-func TestDSDVNames(t *testing.T) {
-	tb := newRTB(t, 1, radio.Cabletron, []geom.Point{{X: 0, Y: 0}}, func(e *Env) Protocol {
-		return NewDSDV(e, false)
-	})
-	e := tb.protos[0].(*DSDV).env
-	if got := NewDSDV(e, false).Name(); got != "DSDV" {
-		t.Errorf("got %q", got)
+	if got := tb.protos[0].(*DSR).CachedRoute(3); len(got) != 3 {
+		t.Errorf("node 0 route to 3 = %v, want the pinned [0 1 3] kept after its relay failed", got)
 	}
-	if got := NewDSDV(e, true).Name(); got != "DSDV-PC" {
-		t.Errorf("got %q", got)
+	if got := tb.protos[2].(*DSR).CachedRoute(3); len(got) != 2 {
+		t.Errorf("node 2 route to 3 = %v, want the pinned [2 3] kept after two MAC failures", got)
 	}
-	if got := NewDSDVH(e, false).Name(); got != "DSDVH" {
-		t.Errorf("got %q", got)
+	if d := tb.protos[0].(*DSR); d.seen != nil || d.answered != nil || d.pending != nil {
+		t.Error("pinned variant allocated discovery state")
 	}
 }
 

@@ -43,8 +43,6 @@ func (e *Env) RNG() *rand.Rand { return e.Sim.RNG() }
 
 // Protocol is a network-layer routing protocol instance bound to one node.
 type Protocol interface {
-	// Name identifies the protocol stack variant (e.g. "TITAN-PC").
-	Name() string
 	// Start schedules the protocol's initial activity.
 	Start()
 	// Send originates an application payload of the given size to dst.

@@ -1,148 +1,24 @@
 package routing
 
-import (
-	"eend/internal/mac"
-	"eend/internal/power"
-)
-
-// Static is a routing protocol with no control plane at all: every route is
-// pinned at construction time. It exists to put *designs* — solutions of the
-// formal network design problem (one route per demand, Section 3) — in
-// front of the packet-level simulator: the opt subsystem evaluates candidate
-// designs by simulating them under Static routing, so the measured energy
-// reflects exactly the relays the design keeps awake and the links it
-// crosses, with MAC/PSM overheads included and no discovery traffic.
+// NewStatic returns static routing for one node: the DSR engine with its
+// control plane taken out (Variant.Pinned) and its route cache filled from
+// a design — a solution of the formal network design problem, one route per
+// demand (Section 3). The opt subsystem simulates candidate designs under
+// it, so the measured energy reflects exactly the relays the design keeps
+// awake and the links it crosses, MAC/PSM overheads included; and because
+// the data plane is DSR's own, a design set beside a reactive protocol
+// differs from it in routes and in nothing else.
 //
-// Packets are source-routed along the pinned path, DSR-style. There is no
-// route repair: a MAC-layer delivery failure drops the packet and counts it
-// in Stats.DataDropped, because a static design's performance under failure
-// is part of what is being measured.
-type Static struct {
-	env          *Env
-	powerControl bool
-	// routes maps a destination to the pinned path (starting at this node)
-	// for packets originated here. Forwarders follow the packet's embedded
-	// route and need no table.
-	routes map[int][]int
-	stats  Stats
-	seq    uint64
-}
-
-// NewStatic returns a Static protocol instance for one node. routes holds
-// the full route set of the design (each a node path src..dst); the node
-// keeps the ones that originate at it. When two routes share an origin and
-// destination, the later one wins — the design vocabulary has one route per
-// demand, and demands with identical endpoints are interchangeable here.
-func NewStatic(env *Env, routes [][]int, powerControl bool) *Static {
-	s := &Static{
-		env:          env,
-		powerControl: powerControl,
-		routes:       make(map[int][]int),
-	}
+// routes is the design's full route set (node paths src..dst); the node
+// keeps those that originate at it, a later route to the same destination
+// replacing an earlier one — demands with identical endpoints are
+// interchangeable here.
+func NewStatic(env *Env, routes [][]int, powerControl bool) *DSR {
+	d := NewDSRVariant(env, Variant{Pinned: true, PowerControl: powerControl})
 	for _, r := range routes {
 		if len(r) >= 1 && r[0] == env.ID {
-			s.routes[r[len(r)-1]] = r
+			d.cache[r[len(r)-1]] = &cachedRoute{path: r}
 		}
 	}
-	return s
-}
-
-// Name identifies the stack variant.
-func (s *Static) Name() string {
-	if s.powerControl {
-		return "Static-PC"
-	}
-	return "Static"
-}
-
-// Start is a no-op: a static design has no control plane to boot.
-func (s *Static) Start() {}
-
-// Stats returns the protocol counters.
-func (s *Static) Stats() Stats { return s.stats }
-
-// Send originates an application payload along the pinned route to dst. A
-// destination the design has no route for is dropped immediately.
-func (s *Static) Send(dst int, bytes int, payload any, rate float64) {
-	s.stats.DataSent++
-	s.env.PM.OnActivity(power.ActivityData)
-	s.seq++
-	pkt := &dataPacket{
-		Src: s.env.ID, Dst: dst, Seq: s.seq,
-		AppBytes: bytes, Payload: payload, Rate: rate, TTL: dataTTL,
-	}
-	if dst == s.env.ID {
-		s.deliver(pkt)
-		return
-	}
-	route, ok := s.routes[dst]
-	if !ok {
-		s.stats.DataDropped++
-		return
-	}
-	pkt.Route = route
-	pkt.Hop = 0
-	s.forward(pkt)
-}
-
-// HandlePacket processes a network-layer packet handed up by the MAC.
-func (s *Static) HandlePacket(from int, pkt *mac.Packet) {
-	data, ok := pkt.Payload.(*dataPacket)
-	if !ok {
-		return
-	}
-	s.forward(data)
-}
-
-// forward moves the packet one hop along its embedded route, or delivers it.
-func (s *Static) forward(pkt *dataPacket) {
-	if pkt.Dst == s.env.ID {
-		s.deliver(pkt)
-		return
-	}
-	i := pkt.Hop
-	if i >= len(pkt.Route) || pkt.Route[i] != s.env.ID {
-		i = indexOf(pkt.Route, s.env.ID)
-		if i < 0 {
-			s.stats.DataDropped++
-			return
-		}
-	}
-	if i+1 >= len(pkt.Route) {
-		s.stats.DataDropped++
-		return
-	}
-	pkt.TTL--
-	if pkt.TTL <= 0 {
-		s.stats.DataDropped++
-		return
-	}
-	if pkt.Src != s.env.ID {
-		s.stats.DataForwarded++
-		s.env.PM.OnActivity(power.ActivityData)
-	}
-	next := pkt.Route[i+1]
-	fwd := *pkt
-	fwd.Hop = i + 1
-	var txPower float64
-	if s.powerControl {
-		txPower = s.env.MAC.TxPowerFor(next)
-	}
-	s.env.MAC.SendUnicast(next, &mac.Packet{
-		Kind: mac.PacketData, Bytes: fwd.bytes(), Payload: &fwd,
-	}, txPower, func(ok bool) {
-		if !ok {
-			// No repair: a static design fails where it fails.
-			s.stats.DataDropped++
-		}
-	})
-}
-
-// deliver hands the payload to the local sink.
-func (s *Static) deliver(pkt *dataPacket) {
-	s.stats.DataDelivered++
-	s.env.PM.OnActivity(power.ActivityData)
-	if s.env.Deliver != nil {
-		s.env.Deliver(pkt.Src, pkt.Payload, pkt.AppBytes)
-	}
+	return d
 }

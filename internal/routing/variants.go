@@ -9,17 +9,13 @@ import (
 // NewDSR returns plain reactive shortest-path DSR. With powerControl the
 // stack is the paper's DSR-ODPM-PC (power management first, then TPC).
 func NewDSR(env *Env, powerControl bool) *DSR {
-	return NewDSRVariant(env, Variant{
-		BaseName:     "DSR",
-		PowerControl: powerControl,
-	})
+	return NewDSRVariant(env, Variant{PowerControl: powerControl})
 }
 
 // NewMTPR returns MTPR (Eq. 10): route cost f(u,v) = Pt(u,v), the
 // transmit power level of the link, minimizing total radiated power.
 func NewMTPR(env *Env) *DSR {
 	return NewDSRVariant(env, Variant{
-		BaseName:  "MTPR",
 		CostBased: true,
 		LinkCost: func(d *DSR, from int, _ *rreq) float64 {
 			card := d.env.MAC.Card()
@@ -33,7 +29,6 @@ func NewMTPR(env *Env) *DSR {
 // charging the fixed transmitter and receiver costs per hop.
 func NewMTPRPlus(env *Env) *DSR {
 	return NewDSRVariant(env, Variant{
-		BaseName:  "MTPR+",
 		CostBased: true,
 		LinkCost: func(d *DSR, from int, _ *rreq) float64 {
 			card := d.env.MAC.Card()
@@ -62,12 +57,7 @@ func hCost(d *DSR, from int, rb float64) float64 {
 // With withRate the flow rate r from the packet header sets r/B; otherwise
 // r/B = 1 (the paper's "norate" variant).
 func NewDSRH(env *Env, withRate bool, powerControl bool) *DSR {
-	name := "DSRH(norate)"
-	if withRate {
-		name = "DSRH(rate)"
-	}
 	return NewDSRVariant(env, Variant{
-		BaseName:  name,
 		CostBased: true,
 		LinkCost: func(d *DSR, from int, req *rreq) float64 {
 			rb := 1.0
@@ -106,10 +96,7 @@ func NewTITAN(env *Env, powerControl bool) *DSR {
 
 // NewTITANVariant returns TITAN with individual mechanisms ablated.
 func NewTITANVariant(env *Env, powerControl bool, opts TITANOptions) *DSR {
-	v := Variant{
-		BaseName:     "TITAN",
-		PowerControl: powerControl,
-	}
+	v := Variant{PowerControl: powerControl}
 	if !opts.DisableProbability {
 		v.Participate = func(d *DSR) bool {
 			if d.env.MAC.PowerMode() == mac.AM {

@@ -92,7 +92,6 @@ func routesEqual(a, b []int) bool {
 // shortest-path kernel, so a steady-state proposal allocates nothing.
 type incEngine struct {
 	p   *Problem
-	pp  *problemPrep
 	cur *Design
 	led *core.Ledger
 
@@ -115,7 +114,6 @@ type stagedRoute struct {
 func newIncEngine(p *Problem, initial *Design) *incEngine {
 	m := &incEngine{
 		p:     p,
-		pp:    p.prepared(),
 		cur:   clone(initial),
 		led:   p.Graph.NewLedger(p.Demands, p.Eval),
 		spare: make([][]int, len(p.Demands)),
@@ -131,7 +129,7 @@ func (m *incEngine) snapshot() *Design { return clone(m.cur) }
 func (m *incEngine) relays() []int {
 	m.relayBuf = m.relayBuf[:0]
 	for v := 0; v < m.p.Graph.Len(); v++ {
-		if m.led.Active(v) && !m.pp.endpoint[v] {
+		if m.led.Active(v) && !m.led.Endpoint(v) {
 			m.relayBuf = append(m.relayBuf, v)
 		}
 	}
@@ -152,7 +150,7 @@ func (m *incEngine) reroute(move string, i, forbidden int, penalty float64) ([]i
 	// Go associates a*b*c as (a*b)*c, so scaling each weight by the hoisted
 	// pkts*TData keeps every edge price bit-identical to the reference's.
 	path, cost := m.led.Reroute(dm.Src, dm.Dst, m.cur.Routes[i],
-		m.pp.pkts[i]*m.p.Eval.TData, penalty, forbidden, m.pathBuf[:0])
+		m.led.Pkts(i)*m.p.Eval.TData, penalty, forbidden, m.pathBuf[:0])
 	m.pathBuf = path
 	if len(path) == 0 || math.IsInf(cost, 1) {
 		return nil, false

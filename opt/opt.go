@@ -31,7 +31,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"eend"
 	"eend/internal/core"
@@ -67,47 +66,6 @@ type Problem struct {
 
 	// Scenario is the deployment behind Graph, or nil.
 	Scenario *eend.Scenario
-
-	// prep caches the search precomputes (see prepared). Atomic because
-	// parallel restarts build their engines concurrently; Problems built
-	// as struct literals (design.Optimize) fill it lazily.
-	prep atomic.Pointer[problemPrep]
-}
-
-// problemPrep is the immutable per-problem search state computed once and
-// shared by every engine: the endpoint table (nodes whose idling is always
-// free) and each demand's Eq. 5 packet factor.
-type problemPrep struct {
-	endpoint []bool
-	pkts     []float64
-}
-
-// prepared returns the problem's search precomputes, building them on
-// first use. FromScenario builds them eagerly at construction.
-func (p *Problem) prepared() *problemPrep {
-	if pp := p.prep.Load(); pp != nil {
-		return pp
-	}
-	pp := &problemPrep{
-		endpoint: make([]bool, p.Graph.Len()),
-		pkts:     make([]float64, len(p.Demands)),
-	}
-	ppd := p.Eval.PacketsPerDemand
-	if ppd == 0 {
-		ppd = 1
-	}
-	for i, dm := range p.Demands {
-		pp.endpoint[dm.Src] = true
-		pp.endpoint[dm.Dst] = true
-		k := ppd
-		if dm.Rate > 0 {
-			k *= dm.Rate
-		}
-		pp.pkts[i] = k
-	}
-	// Concurrent builders compute identical values; first store wins.
-	p.prep.CompareAndSwap(nil, pp)
-	return p.prep.Load()
 }
 
 // FromScenario derives a design-problem instance from a deployment built by
@@ -156,14 +114,12 @@ func FromScenario(sc *eend.Scenario) (*Problem, error) {
 		demands[i] = Demand{Src: f.Src, Dst: f.Dst, Rate: f.Rate}
 	}
 	dur := sc.Duration().Seconds()
-	p := &Problem{
+	return &Problem{
 		Graph:    g,
 		Demands:  demands,
 		Eval:     EvalConfig{TIdle: dur, TData: dur, PacketsPerDemand: 1},
 		Scenario: sc,
-	}
-	p.prepared() // endpoint table and packet factors, once per Problem
-	return p, nil
+	}, nil
 }
 
 // Enetwork evaluates the closed-form objective (Eq. 5) for a design.

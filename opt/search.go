@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"eend/internal/core"
@@ -170,7 +171,10 @@ type Options struct {
 	// live progress snapshots, say — leave this zero and use ApplyBound.
 	Bound BoundTier
 	// OnStep, when non-nil, observes every step as it happens (live
-	// best-so-far for the HTTP surface). Calls are sequential.
+	// best-so-far for the HTTP surface). Calls are sequential: on Search's
+	// own goroutine for Greedy and Anneal; for Restart under the merge's
+	// mutex, on whichever goroutine — a scheduler worker or Search's own —
+	// finished the restart that completed the merged prefix.
 	OnStep func(Step)
 	// Tracer, when non-nil, records the search's span tree: one root
 	// "search" span, an "evaluate" span per objective evaluation, and a
@@ -262,24 +266,33 @@ type searchState struct {
 
 // step records one candidate evaluation and its verdict.
 func (st *searchState) step(move string, e float64, accepted bool, temp float64) {
-	st.iter++
 	if accepted {
-		st.res.Accepted++
 		stepsAccepted.Inc()
 	} else {
-		st.res.Rejected++
 		stepsRejected.Inc()
 	}
-	st.markBest(st.bestE, move)
-	s := Step{Iter: st.iter, Move: move, Energy: e, Best: st.bestE, Accepted: accepted, Temp: temp}
+	st.record(Step{Move: move, Energy: e, Best: st.bestE, Accepted: accepted, Temp: temp})
+	if st.iter >= st.o.Iterations {
+		st.stopped = true
+	}
+}
+
+// record numbers a step and files it with the result, the tracer and the
+// observer (the restart merge files its restarts' steps through it too).
+func (st *searchState) record(s Step) {
+	st.iter++
+	s.Iter = st.iter
+	if s.Accepted {
+		st.res.Accepted++
+	} else {
+		st.res.Rejected++
+	}
+	st.markBest(s.Best, s.Move)
 	if st.o.Trace {
 		st.res.Trajectory = append(st.res.Trajectory, s)
 	}
 	if st.o.OnStep != nil {
 		st.o.OnStep(s)
-	}
-	if st.iter >= st.o.Iterations {
-		st.stopped = true
 	}
 }
 
@@ -582,8 +595,8 @@ func (p *Problem) runOneRestart(ctx context.Context, obj Objective, o Options, a
 		return out
 	}
 	// The restart records its own trajectory (Trace on) for the ordered
-	// merge; OnStep stays with the merging parent so observer calls remain
-	// sequential and deterministic.
+	// merge; OnStep stays with the merge so observer calls remain
+	// sequential and in restart order.
 	local := Options{Algorithm: Greedy, Seed: o.Seed, Iterations: budget, Trace: true, reference: o.reference}
 	st := &searchState{
 		p: p, obj: obj, o: &local, rng: rng,
@@ -616,12 +629,34 @@ func (st *searchState) runRestart(ctx context.Context) error {
 	// the iteration budget would overrun it; cap the dispatch count and
 	// slice the budget with the remainder spread over the first restarts,
 	// so the slices sum to exactly Iterations.
-	restarts := o.Restarts
-	if restarts > o.Iterations {
-		restarts = o.Iterations
-	}
+	restarts := min(o.Restarts, o.Iterations)
 	budget := o.Iterations / restarts
 	extra := o.Iterations % restarts
+
+	var firstErr error
+	mergeOutcome := func(oc *restartOutcome) {
+		for _, s := range oc.steps {
+			if st.bestE < s.Best {
+				s.Best = st.bestE // best-so-far is monotone across restarts
+			}
+			st.record(s)
+		}
+		if oc.best != nil && oc.bestE < st.bestE {
+			st.best, st.bestE = oc.best, oc.bestE
+		}
+		if firstErr == nil && oc.err != nil {
+			firstErr = oc.err
+		}
+	}
+
+	// Each restart files its outcome and merges the contiguous finished
+	// prefix, under one mutex: OnStep observers (live HTTP progress) see a
+	// restart's steps as soon as every earlier restart is in, and the
+	// merged trajectory is strictly in restart order — bit-identical at
+	// any worker count. Cancellation is folded into outcome.err.
+	var mu sync.Mutex
+	outcomes := make([]*restartOutcome, restarts)
+	merged := 0
 	items := make([]exec.Item, restarts)
 	for r := range items {
 		stream := restartStream(r)
@@ -633,7 +668,15 @@ func (st *searchState) runRestart(ctx context.Context) error {
 		items[r] = exec.Item{
 			Index: r,
 			Do: func(ctx context.Context) (any, error) {
-				return st.p.runOneRestart(ctx, st.obj, *o, a, stream, slice), nil
+				oc := st.p.runOneRestart(ctx, st.obj, *o, a, stream, slice)
+				mu.Lock()
+				defer mu.Unlock()
+				outcomes[r] = oc
+				for merged < len(outcomes) && outcomes[merged] != nil {
+					mergeOutcome(outcomes[merged])
+					merged++
+				}
+				return nil, nil
 			},
 		}
 	}
@@ -641,78 +684,17 @@ func (st *searchState) runRestart(ctx context.Context) error {
 	if o.Workers > 0 {
 		sched = exec.New(o.Workers)
 	}
-
-	var firstErr error
-	mergeOutcome := func(oc *restartOutcome) {
-		for _, s := range oc.steps {
-			st.iter++
-			if s.Accepted {
-				st.res.Accepted++
-			} else {
-				st.res.Rejected++
-			}
-			best := st.bestE
-			if s.Best < best {
-				best = s.Best
-			}
-			st.markBest(best, s.Move)
-			ms := Step{Iter: st.iter, Move: s.Move, Energy: s.Energy, Best: best, Accepted: s.Accepted}
-			if st.o.Trace {
-				st.res.Trajectory = append(st.res.Trajectory, ms)
-			}
-			if st.o.OnStep != nil {
-				st.o.OnStep(ms)
-			}
-		}
-		if oc.best != nil && oc.bestE < st.bestE {
-			st.best, st.bestE = oc.best, oc.bestE
-		}
-		if firstErr == nil && oc.err != nil {
-			firstErr = oc.err
-		}
-	}
-
-	// Merge outcomes incrementally as the contiguous restart prefix
-	// completes: OnStep observers (live HTTP progress) see steps as soon
-	// as every earlier restart is in, and the merged trajectory is still
-	// strictly in restart order — bit-identical at any worker count.
-	outcomes := make([]*restartOutcome, len(items))
-	merged := 0
-	mergeReady := func() {
-		for merged < len(outcomes) && outcomes[merged] != nil {
-			mergeOutcome(outcomes[merged])
-			merged++
-		}
-	}
-	// Dispatched restarts always carry an outcome (cancellation is folded
-	// into outcome.err); skipped ones carry none.
-	handle := func(r exec.Result) {
-		if oc, ok := r.Value.(*restartOutcome); ok {
-			outcomes[r.Index] = oc
-			mergeReady()
-		}
-	}
-	if exec.OnWorker(ctx) {
-		// This search runs inside a scheduler worker (a batched scenario
-		// evaluating designs): consuming a Stream here would pin a worker
-		// slot without parking and starve small pools, so use Gather's
-		// help-first join — whichever scheduler the restarts land on.
-		// Live step streaming is a top-level nicety.
-		for _, r := range sched.Gather(exec.With(ctx, sched), items) {
-			handle(r)
-		}
-	} else {
-		for r := range sched.Stream(exec.With(ctx, sched), items) {
-			handle(r)
-		}
-	}
-	// Anything still missing was never dispatched: ctx was cancelled.
-	// Merge the stragglers past the gap so their progress is kept.
+	// Gather is the one join: help-first when this search itself runs on a
+	// scheduler worker (a batched scenario evaluating designs), a plain
+	// wait elsewhere.
+	results := sched.Gather(exec.With(ctx, sched), items)
+	// A restart still missing was never dispatched (ctx cancelled) or
+	// panicked; its Result says which. Stragglers past the gap still merge.
 	for i := merged; i < len(outcomes); i++ {
 		if outcomes[i] != nil {
 			mergeOutcome(outcomes[i])
 		} else if firstErr == nil {
-			firstErr = ctx.Err()
+			firstErr = results[i].Err
 		}
 	}
 	return firstErr

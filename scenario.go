@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -93,6 +94,9 @@ func WithGrid(rows, cols int) Option {
 	return func(b *builder) error {
 		if rows <= 0 || cols <= 0 {
 			return fmt.Errorf("eend: grid %dx%d is not positive", rows, cols)
+		}
+		if rows > math.MaxInt/cols {
+			return fmt.Errorf("eend: grid %dx%d overflows the node count", rows, cols)
 		}
 		b.sc.GridRows, b.sc.GridCols = rows, cols
 		b.sc.Nodes = 0

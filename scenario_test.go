@@ -74,6 +74,7 @@ func TestNewScenarioRejectsBadOptions(t *testing.T) {
 		"negative field":         {eend.WithField(-1, 100)},
 		"zero nodes":             {eend.WithNodes(0)},
 		"zero grid":              {eend.WithGrid(0, 3)},
+		"grid product overflows": {eend.WithGrid(3, 6148914691236517206)},
 		"empty positions":        {eend.WithPositions()},
 		"no routing":             {eend.WithStack(eend.ODPM)},
 		"zero duration":          {eend.WithDuration(0)},

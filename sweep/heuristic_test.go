@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -72,16 +73,19 @@ func TestHeuristicAxisBadValue(t *testing.T) {
 }
 
 // TestHeuristicAxisCancellation: preparing a heuristic point runs a design
-// search, which a cancelled context must abort.
+// search, which a cancelled context must abort — also for a Section 4
+// method, whose single evaluation never looks at the context itself.
 func TestHeuristicAxisCancellation(t *testing.T) {
-	g, err := ParseGrid("nodes=20 seed=1 topology=cluster field=600 flows=8 heuristic=anneal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := (Runner{}).PrepareContext(ctx, g); err == nil {
-		t.Fatal("PrepareContext ignored a cancelled context while searching")
+	for _, method := range []string{"anneal", "idle-first"} {
+		g, err := ParseGrid("nodes=20 seed=1 topology=cluster field=600 flows=8 heuristic=" + method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := (Runner{}).PrepareContext(ctx, g); !errors.Is(err, context.Canceled) {
+			t.Fatalf("heuristic=%s: PrepareContext under a cancelled context returned %v", method, err)
+		}
 	}
 }
 

@@ -282,6 +282,10 @@ func (p Point) materialize(ctx context.Context) (*eend.Scenario, *Quality, error
 // runs on the same instance (Lagrangian tier, seeded with the scenario
 // seed), so a sweep's CSV can report gap per heuristic value.
 func (p Point) designedScenario(ctx context.Context, c pointConfig) (*eend.Scenario, *Quality, error) {
+	// A Section 4 method and the bound never look at ctx themselves.
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	if _, ok := p.Params["stack"]; ok {
 		return nil, nil, fmt.Errorf("sweep: point %d: heuristic axis conflicts with stack axis (the heuristic pins its own static stack)", p.Index)
 	}
