@@ -44,6 +44,22 @@ var goldenRuns = []struct {
 		},
 	},
 	{
+		// One point of the paper's Section 5 grid (PR 20; captured on the
+		// parent commit, when DSDV's table was a map and the MAC's exchange
+		// lived in closures): ~13 neighbours each walking 50-row
+		// advertisements, PM-triggered dumps, ten multi-hop flows.
+		name:        "dsdvh-odpm",
+		fingerprint: "b3b8d4923cc8671be674a5d6c7bc456a20767209738e5c38780a82ddbe159d87",
+		opts: []Option{
+			WithSeed(2),
+			WithField(500, 500),
+			WithNodes(50),
+			WithStack(DSDVH, ODPM),
+			WithRandomFlows(10, 4096, 128),
+			WithDuration(120 * time.Second),
+		},
+	},
+	{
 		name:        "dsr-active-battery",
 		fingerprint: "9320763a994219f316e181772edb63bbc1b658e4d7bd0d8fc1eb53d3c8d56bec",
 		opts: []Option{

@@ -37,9 +37,6 @@ func (c *Coordinator) register(m *MAC) {
 	c.byID[m.id] = m
 }
 
-// mac returns the MAC of a node id, or nil.
-func (c *Coordinator) mac(id int) *MAC { return c.byID[id] }
-
 // Start schedules the repeating beacon. The first beacon fires immediately.
 func (c *Coordinator) Start() {
 	schedule(c.sim, 0, c.beaconFn)
@@ -64,7 +61,7 @@ func (c *Coordinator) onWindowEnd() {
 }
 
 // inWindow reports whether the ATIM window is currently open.
-func (c *Coordinator) inWindow(sim.Time) bool { return c.window }
+func (c *Coordinator) inWindow() bool { return c.window }
 
 // interval returns the current beacon interval index (1-based; 0 before the
 // first beacon).

@@ -154,7 +154,8 @@ const (
 	sizeMACHdr = 28 // added to network-layer bytes for DATA frames
 )
 
-// frame is the MAC-level payload carried in a phy.Frame.
+// frame is the MAC-level payload carried in a phy.Frame. It is a value: the
+// one frame a MAC can have on the air lives in MAC.txFr (see transmit).
 type frame struct {
 	typ frameType
 	seq uint64 // per-sender sequence for duplicate filtering
@@ -168,6 +169,19 @@ type frame struct {
 	// RTS (TPC feedback), set on CTS frames.
 	ctsPower float64
 }
+
+// txThen says what txDone does once the frame on the air has ended, for the
+// job in MAC.txJob.
+type txThen uint8
+
+const (
+	thenNothing      txThen = iota // a control response: nothing follows
+	thenAwaitCTS                   // RTS sent
+	thenAwaitAck                   // unicast DATA sent
+	thenAwaitATIMAck               // unicast ATIM sent
+	thenFinish                     // broadcast DATA sent: the job is done
+	thenAnnounced                  // broadcast ATIM sent: park until the window closes
+)
 
 // Stats counts MAC-level activity.
 type Stats struct {
@@ -215,16 +229,42 @@ type MAC struct {
 	navUntil  sim.Time
 	queue     []*job
 	current   *job
+	freeJobs  []*job    // finished jobs, reused by enqueue
 	pending   sim.Timer // backoff / retry timer for current
-	respTimer sim.Timer // scheduled CTS/ACK/ATIMACK response
-	await     frameType // frame type current is waiting for (CTS/ACK/ATIMAck)
-	awaitTmr  sim.Timer
 	attemptFn func()    // attempt pre-bound once so rescheduling never allocates
-	txFrame   phy.Frame // the one frame this MAC can have on the air (see transmit)
-	txAfter   func()    // continuation of txFrame, run by txDone
-	txDoneFn  func()    // txDone pre-bound once, like attemptFn
 	seq       uint64
 	lastSeq   map[int]uint64 // duplicate filter per sender
+
+	// The exchange in flight (ARCHITECTURE "Exchange state"). Each of the
+	// four slots below has at most one timer outstanding and one pre-bound
+	// callback that reads the slot's fields; none of them allocates.
+
+	// On the air: the one frame this MAC can be transmitting (see transmit).
+	txFrame  phy.Frame
+	txFr     frame  // txFrame's payload
+	txThen   txThen // what txDone does next ...
+	txJob    *job   // ... and for which job (nil for a response)
+	txDoneFn func()
+
+	// Owed: the one CTS/ACK/ATIMACK scheduled SIFS after a reception.
+	respTimer sim.Timer
+	respDst   int
+	respBytes int
+	respFr    frame
+	respondFn func()
+
+	// Awaited: the reply current is waiting for, and its timeout.
+	await       frameType // CTS, ACK or ATIMACK; 0 when none
+	awaitTmr    sim.Timer
+	awaitJob    *job
+	retryFn     func()
+	retryATIMFn func()
+
+	// Deferred: the DATA frame due SIFS after the CTS (or once a response
+	// of ours has left the air).
+	dataTmr    sim.Timer
+	dataJob    *job
+	sendDataFn func()
 
 	// TPC table: minimum data power per neighbor learned from CTS.
 	tpc map[int]float64
@@ -261,6 +301,10 @@ func New(s *sim.Simulator, med *phy.Medium, coord *Coordinator, id int, pos geom
 	}
 	m.attemptFn = m.attempt
 	m.txDoneFn = m.txDone
+	m.respondFn = m.sendResponse
+	m.retryFn = m.retry
+	m.retryATIMFn = m.retryATIM
+	m.sendDataFn = m.sendData
 	med.Attach(m)
 	coord.register(m)
 	return m
@@ -351,7 +395,7 @@ func (m *MAC) wake() {
 func (m *MAC) maybeSleep() {
 	now := m.sim.Now()
 	if m.mode != PSM ||
-		m.coord.inWindow(now) ||
+		m.coord.inWindow() ||
 		now < m.awakeUntil ||
 		len(m.announcedBy) > 0 ||
 		m.radio.Transmitting() ||

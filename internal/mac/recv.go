@@ -40,8 +40,7 @@ func (m *MAC) RxEnd(f *phy.Frame, ok bool) {
 	case frameCTS:
 		if forMe && m.await == frameCTS && m.current != nil && m.current.dst == f.Src {
 			j := m.current
-			m.await = 0
-			m.awaitTmr.Cancel()
+			m.replyArrived()
 			m.gotCTS(j, fr.ctsPower)
 		}
 	case frameData:
@@ -49,8 +48,7 @@ func (m *MAC) RxEnd(f *phy.Frame, ok bool) {
 	case frameAck:
 		if forMe && m.await == frameAck && m.current != nil && m.current.dst == f.Src {
 			j := m.current
-			m.await = 0
-			m.awaitTmr.Cancel()
+			m.replyArrived()
 			m.finishJob(j, true)
 		}
 	case frameATIM:
@@ -58,8 +56,7 @@ func (m *MAC) RxEnd(f *phy.Frame, ok bool) {
 	case frameATIMAck:
 		if forMe && m.await == frameATIMAck && m.current != nil && m.current.dst == f.Src {
 			j := m.current
-			m.await = 0
-			m.awaitTmr.Cancel()
+			m.replyArrived()
 			m.announcedTo[j.dst] = m.coord.interval()
 			j.attempts = 0
 			j.cw = cwMin
@@ -78,22 +75,25 @@ const tpcMargin = 1.05
 // power measurement for the data frame.
 func (m *MAC) respondCTS(src int, rts *frame) {
 	power := m.cfg.Card.TxPower(m.med.Distance(m.id, src) * tpcMargin)
-	cts := &frame{typ: frameCTS, navUntil: rts.navUntil, ctsPower: power}
-	m.respond(src, sizeCTS, cts)
+	m.respond(src, sizeCTS, frame{typ: frameCTS, navUntil: rts.navUntil, ctsPower: power})
 }
 
 // respond schedules a SIFS-separated control response if no other response
-// is already pending.
-func (m *MAC) respond(dst int, bytes int, fr *frame) {
+// is already pending; the response waits in the MAC until sendResponse.
+func (m *MAC) respond(dst int, bytes int, fr frame) {
 	if m.respTimer.Pending() {
 		return
 	}
-	m.respTimer = schedule(m.sim, sifs, func() {
-		if m.radio.Transmitting() || m.radio.Asleep() {
-			return
-		}
-		m.transmit(dst, bytes, m.MaxPower(), radio.TxControl, fr, nil)
-	})
+	m.respDst, m.respBytes, m.respFr = dst, bytes, fr
+	m.respTimer = schedule(m.sim, sifs, m.respondFn)
+}
+
+// sendResponse puts the owed response on the air, if the radio still can.
+func (m *MAC) sendResponse() {
+	if m.radio.Transmitting() || m.radio.Asleep() {
+		return
+	}
+	m.transmit(m.respDst, m.respBytes, m.MaxPower(), radio.TxControl, m.respFr, thenNothing, nil)
 }
 
 // handleData delivers decoded data frames and acknowledges unicasts.
@@ -102,7 +102,7 @@ func (m *MAC) handleData(f *phy.Frame, fr *frame, forMe, broadcast bool) {
 		return // overheard
 	}
 	if forMe {
-		m.respond(f.Src, sizeAck, &frame{typ: frameAck})
+		m.respond(f.Src, sizeAck, frame{typ: frameAck})
 	}
 	if broadcast && m.cfg.AdvertisedWindow && m.announcedBy[f.Src] {
 		// Span-style advertised traffic window: once all announced
@@ -129,7 +129,7 @@ func (m *MAC) handleATIM(f *phy.Frame, forMe, broadcast bool) {
 	switch {
 	case forMe:
 		m.awakeUntil = m.coord.nextBeacon()
-		m.respond(f.Src, sizeAck, &frame{typ: frameATIMAck})
+		m.respond(f.Src, sizeAck, frame{typ: frameATIMAck})
 	case broadcast:
 		if m.cfg.AdvertisedWindow {
 			// Revocable hold: wait only for the announced broadcasts.

@@ -28,25 +28,30 @@ func (m *MAC) SendUnicast(dst int, pkt *Packet, power float64, done DoneFunc) {
 	if pkt.Kind == PacketControl || power <= 0 {
 		power = m.MaxPower()
 	}
-	m.enqueue(&job{dst: dst, pkt: pkt, power: power, done: done, cw: cwMin})
+	m.enqueue(dst, pkt, power, done)
 }
 
 // SendBroadcast queues a broadcast packet, transmitted once at maximum power
 // with no acknowledgement. done, if non-nil, fires when the frame has been
 // put on the air (or the job is abandoned).
 func (m *MAC) SendBroadcast(pkt *Packet, done DoneFunc) {
-	m.enqueue(&job{dst: phy.Broadcast, pkt: pkt, power: m.MaxPower(), done: done, cw: cwMin})
+	m.enqueue(phy.Broadcast, pkt, m.MaxPower(), done)
 }
 
-func (m *MAC) enqueue(j *job) {
-	queued := len(m.queue)
-	if m.current != nil {
-		queued++
-	}
-	if queued >= queueCap {
+// enqueue admits a packet unless the queue is full. Jobs come from the free
+// list finishJob feeds, so a steady stream of packets allocates none.
+func (m *MAC) enqueue(dst int, pkt *Packet, power float64, done DoneFunc) {
+	if m.QueueLen() >= queueCap {
 		m.stats.QueueDrops++
 		return
 	}
+	var j *job
+	if n := len(m.freeJobs); n > 0 {
+		j, m.freeJobs = m.freeJobs[n-1], m.freeJobs[:n-1]
+	} else {
+		j = new(job)
+	}
+	*j = job{dst: dst, pkt: pkt, power: power, done: done, cw: cwMin}
 	m.queue = append(m.queue, j)
 	m.kick()
 }
@@ -63,8 +68,7 @@ func (m *MAC) QueueLen() int {
 // eligible reports whether job j may contend for the channel right now, and
 // whether the next step is an announcement (ATIM) rather than data.
 func (m *MAC) eligible(j *job) (ok, announce bool) {
-	now := m.sim.Now()
-	inWindow := m.coord.inWindow(now)
+	inWindow := m.coord.inWindow()
 	iv := m.coord.interval()
 	if j.dst == phy.Broadcast {
 		if !m.anyPSMNeighbor() {
@@ -174,7 +178,7 @@ func (m *MAC) attempt() {
 	case announce:
 		m.sendUnicastATIM(j)
 	case j.dst == phy.Broadcast:
-		m.sendBroadcastData(j)
+		m.transmitData(j, thenFinish) // unacknowledged: done once on the air
 	default:
 		m.sendRTS(j)
 	}
@@ -183,28 +187,69 @@ func (m *MAC) attempt() {
 // airtime is shorthand for the medium's frame duration.
 func (m *MAC) airtime(bytes int) sim.Time { return m.med.Airtime(bytes) }
 
-// transmit puts one MAC frame on the air and runs after when it ends. The
-// frame lives in the MAC: radio.StartTx panics on a second concurrent
-// transmission, so at most one is on the air, and the medium and its
-// listeners drop their pointer at RxEnd, before txDone runs (the medium
-// schedules its end-of-frame event first, for the same instant).
-func (m *MAC) transmit(dst int, bytes int, power float64, kind radio.TxKind, fr *frame, after func()) {
+// transmit puts one MAC frame on the air; when it ends, txDone does what
+// then says for job j. The frame and its payload live in the MAC:
+// radio.StartTx panics on a second concurrent transmission, so at most one
+// is on the air, and the medium and its listeners drop their pointers at
+// RxEnd, before txDone runs (the medium schedules its end-of-frame event
+// first, for the same instant).
+func (m *MAC) transmit(dst int, bytes int, power float64, kind radio.TxKind, fr frame, then txThen, j *job) {
 	now := m.sim.Now()
 	m.wake() // PSM nodes wake up to transmit
 	m.radio.StartTx(now, power, kind)
-	m.txFrame = phy.Frame{Src: m.id, Dst: dst, Bytes: bytes, Power: power, Payload: fr}
-	m.txAfter = after
+	m.txFr = fr
+	m.txFrame = phy.Frame{Src: m.id, Dst: dst, Bytes: bytes, Power: power, Payload: &m.txFr}
+	m.txThen, m.txJob = then, j
 	end := m.med.Transmit(&m.txFrame)
 	scheduleAt(m.sim, end, m.txDoneFn)
 }
 
-// txDone ends the in-flight frame's transmission and runs its continuation.
+// txDone ends the in-flight frame's transmission and runs its continuation,
+// unless the job it belonged to is no longer the one in service.
 func (m *MAC) txDone() {
 	m.radio.EndTx(m.sim.Now())
-	if after := m.txAfter; after != nil {
-		m.txAfter = nil
-		after()
+	then, j := m.txThen, m.txJob
+	m.txThen, m.txJob = thenNothing, nil
+	if then == thenNothing || m.current != j {
+		return
 	}
+	switch then {
+	case thenAwaitCTS:
+		m.awaitReply(j, frameCTS, sizeCTS)
+	case thenAwaitAck:
+		m.awaitReply(j, frameAck, sizeAck)
+	case thenAwaitATIMAck:
+		m.awaitReply(j, frameATIMAck, sizeAck)
+	case thenFinish:
+		m.finishJob(j, true)
+	case thenAnnounced:
+		m.bcastAnnounced = m.coord.interval()
+		j.attempts = 0
+		j.cw = cwMin
+		m.requeue() // data phase becomes eligible once the window closes
+	}
+}
+
+// awaitReply arms the timeout for the reply to the frame just sent. The
+// reply either arrives first (RxEnd calls replyArrived) or the timeout
+// fires; both empty the slot before the exchange sends another frame.
+func (m *MAC) awaitReply(j *job, reply frameType, replyBytes int) {
+	if m.awaitTmr.Pending() {
+		panic("mac: reply timeout armed while another is pending")
+	}
+	m.await, m.awaitJob = reply, j
+	onTimeout := m.retryFn
+	if reply == frameATIMAck {
+		onTimeout = m.retryATIMFn
+	}
+	m.awaitTmr = schedule(m.sim, sifs+m.airtime(replyBytes)+2*slotTime, onTimeout)
+}
+
+// replyArrived empties the await slot when the awaited frame came in.
+func (m *MAC) replyArrived() {
+	m.await = 0
+	m.awaitTmr.Cancel()
+	m.awaitJob = nil
 }
 
 // ---- unicast data path: RTS -> CTS -> DATA -> ACK ----
@@ -213,15 +258,7 @@ func (m *MAC) sendRTS(j *job) {
 	dataAir := m.airtime(j.pkt.Bytes + sizeMACHdr)
 	nav := m.sim.Now() + m.airtime(sizeRTS) +
 		3*sifs + m.airtime(sizeCTS) + dataAir + m.airtime(sizeAck)
-	fr := &frame{typ: frameRTS, navUntil: nav}
-	m.transmit(j.dst, sizeRTS, m.MaxPower(), radio.TxControl, fr, func() {
-		if m.current != j {
-			return
-		}
-		m.await = frameCTS
-		timeout := sifs + m.airtime(sizeCTS) + 2*slotTime
-		m.awaitTmr = schedule(m.sim, timeout, func() { m.retry(j) })
-	})
+	m.transmit(j.dst, sizeRTS, m.MaxPower(), radio.TxControl, frame{typ: frameRTS, navUntil: nav}, thenAwaitCTS, j)
 }
 
 // gotCTS continues the exchange after the CTS arrived, recording the TPC
@@ -230,25 +267,37 @@ func (m *MAC) gotCTS(j *job, power float64) {
 	if power > 0 && power < m.TxPowerFor(j.dst) {
 		m.tpc[j.dst] = power
 	}
-	schedule(m.sim, sifs, func() {
-		if m.current != j {
-			return
-		}
-		m.sendData(j)
-	})
+	m.sendDataAfter(j, sifs)
 }
 
-func (m *MAC) sendData(j *job) {
+// sendDataAfter arms the deferred DATA frame of job j.
+func (m *MAC) sendDataAfter(j *job, d sim.Time) {
+	if m.dataTmr.Pending() {
+		panic("mac: data frame deferred while another is pending")
+	}
+	m.dataJob = j
+	m.dataTmr = schedule(m.sim, d, m.sendDataFn)
+}
+
+// sendData transmits the DATA frame of the job sendDataAfter deferred.
+func (m *MAC) sendData() {
+	j := m.dataJob
+	m.dataJob = nil
+	if m.current != j {
+		return
+	}
 	if m.radio.Transmitting() {
 		// A control response of ours is still on the air; try again as soon
 		// as it can have ended.
-		schedule(m.sim, m.airtime(sizeAck)+sifs, func() {
-			if m.current == j {
-				m.sendData(j)
-			}
-		})
+		m.sendDataAfter(j, m.airtime(sizeAck)+sifs)
 		return
 	}
+	m.transmitData(j, thenAwaitAck)
+}
+
+// transmitData puts job j's DATA frame on the air (for a broadcast j.dst is
+// phy.Broadcast), assigning its sequence number on the first transmission.
+func (m *MAC) transmitData(j *job, then txThen) {
 	kind := radio.TxData
 	if j.pkt.Kind == PacketControl {
 		kind = radio.TxControl
@@ -257,19 +306,14 @@ func (m *MAC) sendData(j *job) {
 		m.seq++
 		j.seq = m.seq
 	}
-	fr := &frame{typ: frameData, seq: j.seq, pkt: j.pkt}
-	m.transmit(j.dst, j.pkt.Bytes+sizeMACHdr, j.power, kind, fr, func() {
-		if m.current != j {
-			return
-		}
-		m.await = frameAck
-		timeout := sifs + m.airtime(sizeAck) + 2*slotTime
-		m.awaitTmr = schedule(m.sim, timeout, func() { m.retry(j) })
-	})
+	m.transmit(j.dst, j.pkt.Bytes+sizeMACHdr, j.power, kind, frame{typ: frameData, seq: j.seq, pkt: j.pkt}, then, j)
 }
 
-// retry backs off and reattempts the current job, or fails it.
-func (m *MAC) retry(j *job) {
+// retry is the CTS/ACK timeout: back off and reattempt the current job, or
+// fail it.
+func (m *MAC) retry() {
+	j := m.awaitJob
+	m.awaitJob = nil
 	if m.current != j {
 		return
 	}
@@ -297,54 +341,39 @@ func (m *MAC) finishJob(j *job, ok bool) {
 	}
 	m.await = 0
 	m.current = nil
-	if j.done != nil {
-		j.done(ok)
+	// The job goes back to the free list before done runs, so a callback
+	// that sends the next packet (every routing layer's does) is handed this
+	// very pointer. No exchange slot may still name it: the slots compare
+	// their job with m.current by pointer.
+	if m.txJob == j || m.awaitJob == j || m.dataJob == j {
+		panic("mac: finished job still named by a pending exchange step")
+	}
+	done := j.done
+	*j = job{}
+	m.freeJobs = append(m.freeJobs, j)
+	if done != nil {
+		done(ok)
 	}
 	m.kick()
-}
-
-// ---- broadcast data path ----
-
-func (m *MAC) sendBroadcastData(j *job) {
-	kind := radio.TxData
-	if j.pkt.Kind == PacketControl {
-		kind = radio.TxControl
-	}
-	if j.seq == 0 {
-		m.seq++
-		j.seq = m.seq
-	}
-	fr := &frame{typ: frameData, seq: j.seq, pkt: j.pkt}
-	m.transmit(phy.Broadcast, j.pkt.Bytes+sizeMACHdr, j.power, kind, fr, func() {
-		if m.current != j {
-			return
-		}
-		m.finishJob(j, true)
-	})
 }
 
 // ---- announcement (ATIM) path ----
 
 func (m *MAC) sendUnicastATIM(j *job) {
 	m.stats.ATIMSent++
-	fr := &frame{typ: frameATIM}
-	m.transmit(j.dst, sizeATIM, m.MaxPower(), radio.TxControl, fr, func() {
-		if m.current != j {
-			return
-		}
-		m.await = frameATIMAck
-		timeout := sifs + m.airtime(sizeAck) + 2*slotTime
-		m.awaitTmr = schedule(m.sim, timeout, func() { m.retryATIM(j) })
-	})
+	m.transmit(j.dst, sizeATIM, m.MaxPower(), radio.TxControl, frame{typ: frameATIM}, thenAwaitATIMAck, j)
 }
 
-func (m *MAC) retryATIM(j *job) {
+// retryATIM is the ATIMACK timeout.
+func (m *MAC) retryATIM() {
+	j := m.awaitJob
+	m.awaitJob = nil
 	if m.current != j {
 		return
 	}
 	m.await = 0
 	j.attempts++
-	if j.attempts >= maxATIMAttempts || !m.coord.inWindow(m.sim.Now()) {
+	if j.attempts >= maxATIMAttempts || !m.coord.inWindow() {
 		m.windowMiss(j)
 		return
 	}
@@ -366,16 +395,7 @@ func (m *MAC) windowMiss(j *job) {
 
 func (m *MAC) sendBroadcastATIM(j *job) {
 	m.stats.ATIMSent++
-	fr := &frame{typ: frameATIM}
-	m.transmit(phy.Broadcast, sizeATIM, m.MaxPower(), radio.TxControl, fr, func() {
-		if m.current != j {
-			return
-		}
-		m.bcastAnnounced = m.coord.interval()
-		j.attempts = 0
-		j.cw = cwMin
-		m.requeue() // data phase becomes eligible once the window closes
-	})
+	m.transmit(phy.Broadcast, sizeATIM, m.MaxPower(), radio.TxControl, frame{typ: frameATIM}, thenAnnounced, j)
 }
 
 // ---- beacon hooks (called by the Coordinator) ----

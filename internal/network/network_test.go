@@ -182,14 +182,13 @@ func TestDSDVChainDelivery(t *testing.T) {
 	if !ok {
 		t.Fatal("protocol is not DSDV")
 	}
-	tbl := d.Table()
+	tbl := d.Table() // rows in ascending destination order, node 0's own first
+	if len(tbl) != 5 {
+		t.Fatalf("node 0 has %d routes, want one per node: %+v", len(tbl), tbl)
+	}
 	for dst := 1; dst < 5; dst++ {
-		e, ok := tbl[dst]
-		if !ok {
-			t.Fatalf("node 0 has no route to %d", dst)
-		}
-		if e.Next != 1 {
-			t.Errorf("route to %d via %d, want via 1", dst, e.Next)
+		if e := tbl[dst]; e.Dst != dst || e.Next != 1 {
+			t.Errorf("row %d is a route to %d via %d, want to %d via 1", dst, e.Dst, e.Next, dst)
 		}
 	}
 }

@@ -127,13 +127,14 @@ func (o *ODPM) OnActivity(a Activity) {
 	o.arm()
 }
 
-// arm schedules the expiry check at the current deadline.
+// arm moves the expiry check to the current deadline: a check already
+// pending at exactly that instant is kept, any other is cancelled and a new
+// one scheduled. (expire re-arms itself when it fires early, so keeping an
+// earlier check would also be correct — but every golden fingerprint pins
+// the kernel's sequence numbers, and with them this cancel-and-reschedule.)
 func (o *ODPM) arm() {
-	if o.timer.Pending() && o.timer.At() <= o.deadline {
-		// An earlier check exists; it will re-arm if needed.
-		if o.timer.At() == o.deadline {
-			return
-		}
+	if o.timer.Pending() && o.timer.At() == o.deadline {
+		return
 	}
 	o.timer.Cancel()
 	o.timer = scheduleAt(o.sim, o.deadline, o.expireFn)

@@ -172,3 +172,33 @@ func TestODPMUnknownActivityIgnored(t *testing.T) {
 		t.Fatal("unknown activity must not wake the node")
 	}
 }
+
+// TestODPMArmReschedulesPerDeadlineMove pins arm's timer count, which every
+// golden fingerprint depends on through the kernel's sequence numbers: an
+// activity that moves the deadline cancels the pending check and schedules a
+// new one; an activity that leaves the deadline where it is (a shorter hold,
+// or a second activity at the same instant) keeps the pending check.
+func TestODPMArmReschedulesPerDeadlineMove(t *testing.T) {
+	s := sim.New(1)
+	n := &fakeNode{}
+	o := NewODPM(s, n, ODPMConfig{})
+	o.Start()
+	before := timers.Value()
+	s.Schedule(1*time.Second, func() { o.OnActivity(ActivityData) })  // deadline 6 s: timer 1
+	s.Schedule(2*time.Second, func() { o.OnActivity(ActivityRoute) }) // deadline 12 s: timer 2 replaces it
+	s.Schedule(3*time.Second, func() {
+		o.OnActivity(ActivityData) // 8 s < 12 s: deadline and timer stay
+		o.OnActivity(ActivityData)
+	})
+	s.Run(11900 * time.Millisecond)
+	if got := timers.Value() - before; got != 2 {
+		t.Fatalf("three overlapping activities scheduled %d expiry checks, want 2", got)
+	}
+	if n.mode != mac.AM || s.Pending() != 1 {
+		t.Fatalf("at 11.9 s: mode %v with %d events pending, want AM with the one check at 12 s", n.mode, s.Pending())
+	}
+	s.Run(12100 * time.Millisecond)
+	if n.mode != mac.PSM || timers.Value()-before != 2 {
+		t.Fatalf("at 12.1 s: mode %v after %d checks, want PSM after 2", n.mode, timers.Value()-before)
+	}
+}

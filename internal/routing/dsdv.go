@@ -2,7 +2,6 @@ package routing
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"eend/internal/mac"
@@ -17,11 +16,13 @@ const (
 	dsdvDataTTL    = 32
 )
 
-// dsdvEntry is one routing-table row.
+// dsdvEntry is one routing-table row. The table is indexed by destination
+// id, so a row that is not present is a destination never heard of.
 type dsdvEntry struct {
-	next   int
-	metric float64 // hops (DSDV) or accumulated h cost (DSDVH)
-	seq    uint64  // destination sequence number; odd marks a broken route
+	present bool
+	next    int
+	metric  float64 // hops (DSDV) or accumulated h cost (DSDVH)
+	seq     uint64  // destination sequence number; odd marks a broken route
 }
 
 // advEntry is one advertised row in an update packet.
@@ -50,11 +51,13 @@ type DSDV struct {
 	// PowerControl transmits data at learned minimum power.
 	powerControl bool
 
-	table      map[int]*dsdvEntry
-	mySeq      uint64
-	lastTrig   sim.Time
-	trigArm    sim.Timer
-	periodicFn func() // pre-bound periodic so the repeating dump never allocates
+	table       []dsdvEntry // indexed by destination id; see row
+	rows        int         // present rows: the size of a full advertisement
+	mySeq       uint64
+	lastTrig    sim.Time
+	trigArm     sim.Timer
+	periodicFn  func() // pre-bound so the repeating dump never allocates
+	triggeredFn func() // likewise for the triggered dump
 
 	stats Stats
 }
@@ -63,7 +66,14 @@ var _ Protocol = (*DSDV)(nil)
 
 // NewDSDV returns plain DSDV (hop-count metric).
 func NewDSDV(env *Env, powerControl bool) *DSDV {
-	return &DSDV{env: env, powerControl: powerControl, table: make(map[int]*dsdvEntry)}
+	return newDSDV(env, false, powerControl)
+}
+
+func newDSDV(env *Env, hCost, powerControl bool) *DSDV {
+	d := &DSDV{env: env, hCost: hCost, powerControl: powerControl}
+	d.periodicFn = d.periodic
+	d.triggeredFn = d.triggered
+	return d
 }
 
 // NewDSDVH returns DSDVH, the proactive joint-optimization variant. Wire its
@@ -72,7 +82,15 @@ func NewDSDV(env *Env, powerControl bool) *DSDV {
 // update is ... needed when ... the power management state of a node
 // changes").
 func NewDSDVH(env *Env, powerControl bool) *DSDV {
-	return &DSDV{env: env, hCost: true, powerControl: powerControl, table: make(map[int]*dsdvEntry)}
+	return newDSDV(env, true, powerControl)
+}
+
+// row returns the table row of dst, growing the table to reach it.
+func (d *DSDV) row(dst int) *dsdvEntry {
+	if dst >= len(d.table) {
+		d.table = append(d.table, make([]dsdvEntry, dst+1-len(d.table))...)
+	}
+	return &d.table[dst]
 }
 
 // Stats implements Protocol.
@@ -81,8 +99,8 @@ func (d *DSDV) Stats() Stats { return d.stats }
 // Start implements Protocol: install the self route and begin periodic
 // full-table dumps at a phase chosen randomly to desynchronize nodes.
 func (d *DSDV) Start() {
-	d.table[d.env.ID] = &dsdvEntry{next: d.env.ID, metric: 0, seq: 0}
-	d.periodicFn = d.periodic
+	*d.row(d.env.ID) = dsdvEntry{present: true, next: d.env.ID}
+	d.rows++
 	first := jitter(d.env.RNG(), dsdvPeriod)
 	schedule(d.env.Sim, first, d.periodicFn)
 }
@@ -95,15 +113,11 @@ func (d *DSDV) periodic() {
 }
 
 func (d *DSDV) broadcastFull() {
-	entries := make([]advEntry, 0, len(d.table))
-	dsts := make([]int, 0, len(d.table))
-	for dst := range d.table {
-		dsts = append(dsts, dst)
-	}
-	sort.Ints(dsts)
-	for _, dst := range dsts {
-		e := d.table[dst]
-		entries = append(entries, advEntry{dst: dst, metric: e.metric, seq: e.seq})
+	entries := make([]advEntry, 0, d.rows)
+	for dst := range d.table { // ascending destination id
+		if e := &d.table[dst]; e.present {
+			entries = append(entries, advEntry{dst: dst, metric: e.metric, seq: e.seq})
+		}
 	}
 	d.sendUpdate(entries)
 }
@@ -129,10 +143,12 @@ func (d *DSDV) trigger() {
 	if next := d.lastTrig + dsdvTrigMinGap; next > now {
 		wait = next - now
 	}
-	d.trigArm = schedule(d.env.Sim, wait, func() {
-		d.lastTrig = d.env.Sim.Now()
-		d.broadcastFull()
-	})
+	d.trigArm = schedule(d.env.Sim, wait, d.triggeredFn)
+}
+
+func (d *DSDV) triggered() {
+	d.lastTrig = d.env.Sim.Now()
+	d.broadcastFull()
 }
 
 // PMChanged is DSDVH's power-management hook: a mode transition changes the
@@ -181,10 +197,11 @@ func (d *DSDV) handleUpdate(from int, u *dsdvUpdate) {
 		if math.IsInf(adv.metric, 1) {
 			cand = math.Inf(1)
 		}
-		cur, ok := d.table[adv.dst]
+		cur := d.row(adv.dst)
 		switch {
-		case !ok:
-			d.table[adv.dst] = &dsdvEntry{next: from, metric: cand, seq: adv.seq}
+		case !cur.present:
+			*cur = dsdvEntry{present: true, next: from, metric: cand, seq: adv.seq}
+			d.rows++
 			changed = true
 		case adv.seq > cur.seq:
 			if cur.next != from && math.IsInf(cand, 1) {
@@ -230,8 +247,8 @@ func (d *DSDV) forward(pkt *dataPacket) {
 		d.stats.DataDropped++
 		return
 	}
-	e, ok := d.table[pkt.Dst]
-	if !ok || math.IsInf(e.metric, 1) {
+	e := d.row(pkt.Dst)
+	if !e.present || math.IsInf(e.metric, 1) {
 		d.stats.DataDropped++
 		return
 	}
@@ -267,8 +284,9 @@ func (d *DSDV) deliver(pkt *dataPacket) {
 func (d *DSDV) neighborLost(n int) {
 	d.stats.DataDropped++
 	changed := false
-	for dst, e := range d.table {
-		if dst != d.env.ID && e.next == n && !math.IsInf(e.metric, 1) {
+	for dst := range d.table {
+		e := &d.table[dst]
+		if e.present && dst != d.env.ID && e.next == n && !math.IsInf(e.metric, 1) {
 			e.metric = math.Inf(1)
 			e.seq++ // odd: broken
 			changed = true
@@ -279,23 +297,23 @@ func (d *DSDV) neighborLost(n int) {
 	}
 }
 
-// Table returns a copy of the routing table (for tests).
-func (d *DSDV) Table() map[int]struct {
-	Next   int
-	Metric float64
-	Seq    uint64
+// Table returns a copy of the routing table's rows in ascending destination
+// order (for tests).
+func (d *DSDV) Table() []struct {
+	Dst, Next int
+	Metric    float64
+	Seq       uint64
 } {
-	out := make(map[int]struct {
-		Next   int
-		Metric float64
-		Seq    uint64
-	}, len(d.table))
+	type route = struct {
+		Dst, Next int
+		Metric    float64
+		Seq       uint64
+	}
+	out := make([]route, 0, d.rows)
 	for dst, e := range d.table {
-		out[dst] = struct {
-			Next   int
-			Metric float64
-			Seq    uint64
-		}{e.next, e.metric, e.seq}
+		if e.present {
+			out = append(out, route{dst, e.next, e.metric, e.seq})
+		}
 	}
 	return out
 }

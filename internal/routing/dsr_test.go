@@ -375,8 +375,8 @@ func TestDSDVNeighborLostPoisonsRoutes(t *testing.T) {
 		return NewDSDV(e, false)
 	})
 	d := tb.protos[0].(*DSDV)
-	d.table[2] = &dsdvEntry{next: 1, metric: 2, seq: 4}
-	d.table[3] = &dsdvEntry{next: 1, metric: 3, seq: 6}
+	*d.row(2) = dsdvEntry{present: true, next: 1, metric: 2, seq: 4}
+	*d.row(3) = dsdvEntry{present: true, next: 1, metric: 3, seq: 6}
 	d.neighborLost(1)
 	for _, dst := range []int{2, 3} {
 		e := d.table[dst]
@@ -398,7 +398,7 @@ func TestDSDVUpdateRules(t *testing.T) {
 
 	// New destination learned.
 	d.handleUpdate(1, &dsdvUpdate{entries: []advEntry{{dst: 3, metric: 2, seq: 10}}})
-	if e := d.table[3]; e == nil || e.next != 1 || e.metric != 3 {
+	if e := d.table[3]; !e.present || e.next != 1 || e.metric != 3 {
 		t.Fatalf("entry = %+v", d.table[3])
 	}
 	// Same seq, worse metric: ignored.
