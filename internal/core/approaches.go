@@ -64,17 +64,34 @@ func (g *Graph) degreeBias() func(v int) float64 {
 // like the reactive protocols, the heuristics are greedy and order-
 // dependent.
 func (g *Graph) Solve(demands []Demand, a Approach) (*Design, error) {
-	active := make([]bool, g.n)
-
-	// big dominates any possible path's communication cost, making node
-	// activation the primary objective for IdleFirst.
-	var big float64 = 1
-	for v := 0; v < g.n; v++ {
-		for _, e := range g.adj[v] {
-			big += e.w
+	switch a {
+	case CommFirst:
+		return g.sequential(demands, 0, nil)
+	case Joint:
+		return g.sequential(demands, 1, nil)
+	case IdleFirst:
+		// big dominates any possible path's communication cost, making node
+		// activation the primary objective.
+		var big float64 = 1
+		for v := 0; v < g.n; v++ {
+			for _, e := range g.adj[v] {
+				big += e.w
+			}
 		}
+		return g.sequential(demands, big, nil)
 	}
+	return nil, fmt.Errorf("core: unknown approach %d", int(a))
+}
 
+// sequential is the one greedy pass behind Solve and SteinerForest: each
+// demand in turn takes its least-cost path, where entering a node no earlier
+// route activated (and that is not the demand's own endpoint) costs
+// idleScale times its idle weight — 0 ignores idling, 1 weighs it beside
+// the edge costs, a scale above every path's edge cost puts it first — and
+// crossing an edge costs edgeCost, or with nil the edge weight times the
+// demand's rate.
+func (g *Graph) sequential(demands []Demand, idleScale float64, edgeCost EdgeCostFunc) (*Design, error) {
+	active := make([]bool, g.n)
 	bias := g.degreeBias()
 	d := &Design{Routes: make([][]int, len(demands))}
 	var sp SPScratch // one Dijkstra scratch across all demands
@@ -86,31 +103,25 @@ func (g *Graph) Solve(demands []Demand, a Approach) (*Design, error) {
 		if rate <= 0 {
 			rate = 1
 		}
-		var nodeCost NodeCostFunc
-		switch a {
-		case CommFirst:
-			nodeCost = nil
-		case Joint:
-			nodeCost = func(v int) float64 {
-				if active[v] || v == dm.Src || v == dm.Dst {
-					return 0
-				}
-				return g.nodeWeight[v] * bias(v)
-			}
-		case IdleFirst:
-			nodeCost = func(v int) float64 {
-				if active[v] || v == dm.Src || v == dm.Dst {
-					return 0
-				}
-				return g.nodeWeight[v] * big * bias(v)
-			}
-		default:
-			return nil, fmt.Errorf("core: unknown approach %d", int(a))
+		// Both closures are created here and only passed down, so neither
+		// is heap-allocated; a cost handed in per demand by the caller (a
+		// func(Demand) EdgeCostFunc) would be, once per demand per pass.
+		cost := edgeCost
+		if cost == nil {
+			cost = func(_, _ int, w float64) float64 { return w * rate }
 		}
-		edgeCost := func(_, _ int, w float64) float64 { return w * rate }
-		path, cost := g.ShortestPathInto(&sp, dm.Src, dm.Dst, edgeCost, nodeCost, pathBuf)
+		var nodeCost NodeCostFunc
+		if idleScale != 0 {
+			nodeCost = func(v int) float64 {
+				if active[v] || v == dm.Src || v == dm.Dst {
+					return 0
+				}
+				return g.nodeWeight[v] * idleScale * bias(v)
+			}
+		}
+		path, _ := g.ShortestPathInto(&sp, dm.Src, dm.Dst, cost, nodeCost, pathBuf)
 		pathBuf = path
-		if len(path) == 0 || math.IsInf(cost, 1) {
+		if len(path) == 0 {
 			return nil, fmt.Errorf("core: demand %d (%d->%d) unroutable", i, dm.Src, dm.Dst)
 		}
 		for _, v := range path {
@@ -121,16 +132,30 @@ func (g *Graph) Solve(demands []Demand, a Approach) (*Design, error) {
 	return d, nil
 }
 
-// CompareApproaches solves the demands with all three approaches and
-// returns the Enetwork of each (indexed by Approach).
-func (g *Graph) CompareApproaches(demands []Demand, cfg EvalConfig) (map[Approach]float64, error) {
-	out := make(map[Approach]float64, 3)
+// BestApproach solves the demands with the three approaches — CommFirst,
+// Joint, IdleFirst, in that order — and returns the design of least
+// Enetwork (the earliest approach wins a tie) beside the Enetwork of each.
+func (g *Graph) BestApproach(demands []Demand, cfg EvalConfig) (*Design, map[Approach]float64, error) {
+	energies := make(map[Approach]float64, 3)
+	var best *Design
+	bestE := math.Inf(1)
 	for _, a := range []Approach{CommFirst, Joint, IdleFirst} {
 		d, err := g.Solve(demands, a)
 		if err != nil {
-			return nil, fmt.Errorf("%v: %w", a, err)
+			return nil, nil, fmt.Errorf("%v: %w", a, err)
 		}
-		out[a] = g.Enetwork(demands, d, cfg)
+		e := g.Enetwork(demands, d, cfg)
+		energies[a] = e
+		if e < bestE {
+			best, bestE = d, e
+		}
 	}
-	return out, nil
+	return best, energies, nil
+}
+
+// CompareApproaches solves the demands with all three approaches and
+// returns the Enetwork of each (indexed by Approach).
+func (g *Graph) CompareApproaches(demands []Demand, cfg EvalConfig) (map[Approach]float64, error) {
+	_, energies, err := g.BestApproach(demands, cfg)
+	return energies, err
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -162,16 +163,24 @@ func TestSteinerTreeUnreachable(t *testing.T) {
 	}
 }
 
-func TestMPCSingleSinkOnSTGadget(t *testing.T) {
-	// On the ST gadget, MPC minimizes node+edge weight; both ST1-like and
-	// ST2-like trees cost the same under its metric (1 relay each), so
-	// either is a valid output — exactly the ambiguity Section 3 exploits.
-	k := 5
+// stGadgetSources returns the ST gadget and its sources in demand order.
+func stGadgetSources(k int) (*Graph, []int) {
 	g, demands := STGadget(k, 2, 1)
 	sources := make([]int, k)
 	for i := range sources {
 		sources[i] = demands[i].Src
 	}
+	return g, sources
+}
+
+func TestMPCSingleSinkOnSTGadget(t *testing.T) {
+	// On the ST gadget, MPC minimizes node+edge weight, and the ST1-like and
+	// ST2-like trees cost the same under its metric (1 relay each). Which
+	// one it builds is fixed (TestSteinerTreeIsDeterministic: the ST1-like
+	// chain) but decided by a tie-break, not by Enetwork — exactly the
+	// ambiguity Section 3 exploits.
+	k := 5
+	g, sources := stGadgetSources(k)
 	tree, err := g.MPC(0, sources, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -190,6 +199,28 @@ func TestMPCSingleSinkOnSTGadget(t *testing.T) {
 	}
 	if relays < 1 {
 		t.Fatal("MPC must use at least one relay on this gadget")
+	}
+}
+
+// TestSteinerTreeIsDeterministic: equal-distance terminals attach in the
+// caller's order, never in map-iteration order, so one gadget has one tree.
+// All six sources start 8 from the sink; source 1 is first in the caller's
+// order and its equal-cost route through relay i is relaxed before the one
+// through relay j, after which every other source is 4 from the tree along
+// the chain and 8 through j: MPC builds ST1's tree, the one whose Enetwork
+// Eq. 6 shows growing quadratically in k — under its own metric the two
+// trees cost 28 alike.
+func TestSteinerTreeIsDeterministic(t *testing.T) {
+	g, sources := stGadgetSources(6)
+	chain := []int{-1, 7, 1, 2, 3, 4, 5, 0, -1} // sink, sources 1-6, relay i, relay j
+	for run := 0; run < 300; run++ {
+		tree, err := g.MPC(0, sources, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(tree.Parent, chain) || tree.Cost != 28 {
+			t.Fatalf("run %d: Parent = %v cost %v, want the chain through relay i %v at 28", run, tree.Parent, tree.Cost, chain)
+		}
 	}
 }
 

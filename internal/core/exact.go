@@ -5,31 +5,31 @@ import (
 	"math"
 )
 
-// ExactSolve finds a minimum-Enetwork design by brute force, for small
-// instances only: it enumerates every subset of candidate relay nodes
-// (everything that is not a demand endpoint), and for each activation set
-// routes every demand over active nodes with Dijkstra (which is optimal for
-// a fixed activation set, since edge costs are then independent). The
-// design problem is NP-hard (Section 3), so this is exponential in the
-// number of candidate relays; it exists to validate the heuristics on
-// small graphs.
-//
-// maxRelays caps the enumeration: graphs with more candidate relays are
-// rejected.
+// maxExactRelays caps ExactSolve's enumeration: graphs with more candidate
+// relays are rejected.
 const maxExactRelays = 16
 
-// ExactSolve returns the optimal design and its Enetwork value.
+// ExactSolve finds a minimum-Enetwork design and its Enetwork value by brute
+// force, for small instances only: it enumerates every subset of candidate
+// relay nodes (everything that is not a demand endpoint), and for each
+// activation set routes every demand over active nodes with Dijkstra (which
+// is optimal for a fixed activation set, since edge costs are then
+// independent). The design problem is NP-hard (Section 3), so this is
+// exponential in the number of candidate relays; it exists to validate the
+// heuristics on small graphs. The value is the optimum; where several
+// designs attain it, which one comes back follows the order the
+// shortest-path kernel's heap settles equal-distance nodes in — a function
+// of the arguments, but not "lowest id first".
 func (g *Graph) ExactSolve(demands []Demand, cfg EvalConfig) (*Design, float64, error) {
-	endpoints := make(map[int]bool, 2*len(demands))
+	allowed := make([]bool, g.n) // endpoints always; relays per mask
 	for _, dm := range demands {
 		g.check(dm.Src)
 		g.check(dm.Dst)
-		endpoints[dm.Src] = true
-		endpoints[dm.Dst] = true
+		allowed[dm.Src], allowed[dm.Dst] = true, true
 	}
 	var relays []int
 	for v := 0; v < g.n; v++ {
-		if !endpoints[v] {
+		if !allowed[v] {
 			relays = append(relays, v)
 		}
 	}
@@ -38,18 +38,14 @@ func (g *Graph) ExactSolve(demands []Demand, cfg EvalConfig) (*Design, float64, 
 			len(relays), maxExactRelays)
 	}
 
-	allowed := make([]bool, g.n)
-	for v := range endpoints {
-		allowed[v] = true
-	}
-
 	bestCost := math.Inf(1)
 	var best *Design
+	var sp SPScratch // one Dijkstra scratch across all masks and demands
 	for mask := 0; mask < 1<<len(relays); mask++ {
 		for i, v := range relays {
 			allowed[v] = mask&(1<<i) != 0
 		}
-		d, ok := g.routeWithin(demands, allowed)
+		d, ok := g.routeWithin(&sp, demands, allowed)
 		if !ok {
 			continue
 		}
@@ -66,73 +62,27 @@ func (g *Graph) ExactSolve(demands []Demand, cfg EvalConfig) (*Design, float64, 
 
 // routeWithin routes every demand using only allowed nodes, minimizing
 // communication cost per demand (optimal for a fixed activation set).
-func (g *Graph) routeWithin(demands []Demand, allowed []bool) (*Design, bool) {
+func (g *Graph) routeWithin(sp *SPScratch, demands []Demand, allowed []bool) (*Design, bool) {
+	// Infinite node cost on disallowed nodes keeps Dijkstra inside the
+	// activation set; edge cost is the communication energy.
+	blockInactive := func(v int) float64 {
+		if allowed[v] {
+			return 0
+		}
+		return math.Inf(1)
+	}
 	d := &Design{Routes: make([][]int, len(demands))}
 	for i, dm := range demands {
 		rate := dm.Rate
 		if rate <= 0 {
 			rate = 1
 		}
-		blockInactive := func(v int) float64 {
-			if allowed[v] {
-				return 0
-			}
-			return math.Inf(1)
-		}
-		// Infinite node cost on disallowed nodes keeps Dijkstra inside the
-		// activation set; edge cost is the communication energy.
-		path, cost := g.shortestPathAllowInf(dm.Src, dm.Dst,
-			func(_, _ int, w float64) float64 { return w * rate }, blockInactive)
-		if path == nil || math.IsInf(cost, 1) {
+		path, _ := g.ShortestPathInto(sp, dm.Src, dm.Dst,
+			func(_, _ int, w float64) float64 { return w * rate }, blockInactive, nil)
+		if len(path) == 0 {
 			return nil, false
 		}
 		d.Routes[i] = path
 	}
 	return d, true
-}
-
-// shortestPathAllowInf is ShortestPath but tolerating +Inf node costs
-// (used as a blocking device by the exact solver).
-func (g *Graph) shortestPathAllowInf(src, dst int, edgeCost EdgeCostFunc, nodeCost NodeCostFunc) ([]int, float64) {
-	dist := make([]float64, g.n)
-	parent := make([]int, g.n)
-	visited := make([]bool, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = -1
-	}
-	dist[src] = 0
-	for {
-		u, best := -1, math.Inf(1)
-		for v := 0; v < g.n; v++ {
-			if !visited[v] && dist[v] < best {
-				u, best = v, dist[v]
-			}
-		}
-		if u == -1 {
-			break
-		}
-		visited[u] = true
-		if u == dst {
-			break
-		}
-		for _, e := range g.adj[u] {
-			c := edgeCost(u, e.to, e.w) + nodeCost(e.to)
-			if nd := dist[u] + c; nd < dist[e.to] {
-				dist[e.to] = nd
-				parent[e.to] = u
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return nil, math.Inf(1)
-	}
-	var path []int
-	for v := dst; v != -1; v = parent[v] {
-		path = append(path, v)
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, dist[dst]
 }

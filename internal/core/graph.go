@@ -200,24 +200,6 @@ func (g *Graph) EdgeWeight(u, v int) (float64, bool) {
 	return math.Inf(1), false
 }
 
-// Half is one (neighbor, weight) adjacency entry.
-type Half struct {
-	To int
-	W  float64
-}
-
-// NeighborsInto appends v's adjacency (insertion order, parallel edges
-// kept) to buf[:0] and returns it — zero allocations once buf has the
-// capacity.
-func (g *Graph) NeighborsInto(v int, buf []Half) []Half {
-	g.check(v)
-	buf = buf[:0]
-	for _, e := range g.adj[v] {
-		buf = append(buf, Half{To: e.to, W: e.w})
-	}
-	return buf
-}
-
 // Neighbors returns the adjacency of v as (neighbor, weight) pairs.
 func (g *Graph) Neighbors(v int) []struct {
 	To int
@@ -495,6 +477,17 @@ func (d *Design) Active() map[int]bool {
 	return act
 }
 
+// sortedNodes returns a node set's members in ascending id: the one order a
+// sum over a set runs in, so map iteration never reaches a float64.
+func sortedNodes(set map[int]bool) []int {
+	ids := make([]int, 0, len(set))
+	for v := range set {
+		ids = append(ids, v)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
 // Feasible reports whether every demand has a route connecting its
 // endpoints.
 func (d *Design) Feasible(demands []Demand) bool {
@@ -534,14 +527,8 @@ func (g *Graph) Enetwork(demands []Demand, d *Design, cfg EvalConfig) float64 {
 	// bit-identical across runs: the opt subsystem's fixed-seed trajectories
 	// compare these values against each other and against golden digests.
 	// Ledger.Energy reproduces this exact accumulation order.
-	active := d.Active()
-	ids := make([]int, 0, len(active))
-	for v := range active {
-		ids = append(ids, v)
-	}
-	sort.Ints(ids)
 	var total float64
-	for _, v := range ids {
+	for _, v := range sortedNodes(d.Active()) {
 		if endpoints[v] {
 			continue // c(si) = c(di) = 0
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -107,6 +108,33 @@ func TestShortestPathUnreachable(t *testing.T) {
 	path, cost := g.ShortestPath(0, 2, nil, nil)
 	if path != nil || !math.IsInf(cost, 1) {
 		t.Fatalf("unreachable: path=%v cost=%v", path, cost)
+	}
+}
+
+// TestShortestPathInfiniteNodePrice: +Inf on entering a node blocks it (the
+// exact solver's device for staying inside an activation set).
+func TestShortestPathInfiniteNodePrice(t *testing.T) {
+	block := func(blocked int) NodeCostFunc {
+		return func(v int) float64 {
+			if v == blocked {
+				return math.Inf(1)
+			}
+			return 0
+		}
+	}
+	line := NewGraph(3) // 0 - 1 - 2: node 1 is the only cut vertex
+	line.AddEdge(0, 1, 1)
+	line.AddEdge(1, 2, 1)
+	if path, cost := line.ShortestPath(0, 2, nil, block(1)); path != nil || !math.IsInf(cost, 1) {
+		t.Fatalf("blocked cut vertex: path=%v cost=%v, want none at +Inf", path, cost)
+	}
+	diamond := NewGraph(4) // 0 - 1 - 3 (cheap) beside 0 - 2 - 3
+	diamond.AddEdge(0, 1, 1)
+	diamond.AddEdge(1, 3, 1)
+	diamond.AddEdge(0, 2, 2)
+	diamond.AddEdge(2, 3, 2)
+	if path, cost := diamond.ShortestPath(0, 3, nil, block(1)); !slices.Equal(path, []int{0, 2, 3}) || cost != 4 {
+		t.Fatalf("blocked cheap route: path=%v cost=%v, want [0 2 3] at 4", path, cost)
 	}
 }
 

@@ -98,30 +98,6 @@ func TestEdgeIndexInvalidatedByAddEdge(t *testing.T) {
 	}
 }
 
-func TestNeighborsInto(t *testing.T) {
-	rng := rand.New(rand.NewPCG(8, 1))
-	g := randomGraph(rng, 14)
-	var buf []Half
-	for v := 0; v < g.Len(); v++ {
-		buf = g.NeighborsInto(v, buf)
-		want := g.Neighbors(v)
-		if len(buf) != len(want) {
-			t.Fatalf("NeighborsInto(%d): %d entries, want %d", v, len(buf), len(want))
-		}
-		for i := range want {
-			if buf[i].To != want[i].To || buf[i].W != want[i].W {
-				t.Fatalf("NeighborsInto(%d)[%d] = %+v want %+v", v, i, buf[i], want[i])
-			}
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = g.NeighborsInto(3, buf)
-	})
-	if allocs != 0 {
-		t.Fatalf("NeighborsInto allocates %v/op with a warm buffer", allocs)
-	}
-}
-
 // refPQ is the container/heap priority queue the hand-rolled scratch heap
 // replaced; refDijkstra reproduces the original implementation verbatim so
 // the differential test pins the tie-breaking, not just the distances.
@@ -176,22 +152,41 @@ func refDijkstra(g *Graph, src int, edgeCost EdgeCostFunc, nodeCost NodeCostFunc
 
 // TestDijkstraMatchesHeapReference pins DijkstraInto — distances AND
 // parents, i.e. every equal-cost tie-break — to the container/heap
-// implementation it replaced. Integer weights make ties abundant.
+// implementation it replaced. Integer weights make ties abundant. The second
+// node cost prices a seeded third of the nodes at +Inf, the blocking device
+// ExactSolve routes with: same floats, no NaN, and a blocked node is never
+// anyone's parent.
 func TestDijkstraMatchesHeapReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 1))
+	blockRng := rand.New(rand.NewPCG(9, 2)) // its own stream, so the graphs stay the ones this test always drew
 	var s SPScratch
 	for trial := 0; trial < 20; trial++ {
 		g := randomGraph(rng, 10+rng.IntN(15))
-		nodeCost := func(v int) float64 { return g.nodeWeight[v] }
-		for src := 0; src < g.Len(); src++ {
-			wd, wp := refDijkstra(g, src, nil, nodeCost)
-			gd, gp := g.DijkstraInto(&s, src, nil, nodeCost)
-			for v := range wd {
-				if math.Float64bits(wd[v]) != math.Float64bits(gd[v]) {
-					t.Fatalf("trial %d src %d: dist[%d] = %v want %v", trial, src, v, gd[v], wd[v])
-				}
-				if wp[v] != gp[v] {
-					t.Fatalf("trial %d src %d: parent[%d] = %d want %d (tie-break drift)", trial, src, v, gp[v], wp[v])
+		blocked := make([]bool, g.Len())
+		for v := range blocked {
+			blocked[v] = blockRng.IntN(3) == 0
+		}
+		weight := func(v int) float64 { return g.nodeWeight[v] }
+		orBlocked := func(v int) float64 {
+			if blocked[v] {
+				return math.Inf(1)
+			}
+			return g.nodeWeight[v]
+		}
+		for k, nodeCost := range []NodeCostFunc{weight, orBlocked} {
+			for src := 0; src < g.Len(); src++ {
+				wd, wp := refDijkstra(g, src, nil, nodeCost)
+				gd, gp := g.DijkstraInto(&s, src, nil, nodeCost)
+				for v := range wd {
+					if math.Float64bits(wd[v]) != math.Float64bits(gd[v]) || gd[v] != gd[v] {
+						t.Fatalf("trial %d cost %d src %d: dist[%d] = %v want %v", trial, k, src, v, gd[v], wd[v])
+					}
+					if wp[v] != gp[v] {
+						t.Fatalf("trial %d cost %d src %d: parent[%d] = %d want %d (tie-break drift)", trial, k, src, v, gp[v], wp[v])
+					}
+					if k == 1 && gp[v] >= 0 && gp[v] != src && blocked[gp[v]] {
+						t.Fatalf("trial %d src %d: infinitely priced node %d is parent of %d", trial, src, gp[v], v)
+					}
 				}
 			}
 		}

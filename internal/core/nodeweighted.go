@@ -25,6 +25,9 @@ type compEntry struct {
 // NodeWeightedSteiner connects all terminals into one component, minimizing
 // (approximately) the total node weight of the non-terminal nodes bought.
 // It returns the set of nodes in the resulting tree (terminals included).
+// Among spider legs of equal price the one bought follows the order the
+// shortest-path kernel's heap settles equal-distance nodes in — a function
+// of the arguments, but not "lowest id first".
 func (g *Graph) NodeWeightedSteiner(terminals []int) (map[int]bool, error) {
 	if len(terminals) == 0 {
 		return map[int]bool{}, nil
@@ -46,13 +49,16 @@ func (g *Graph) NodeWeightedSteiner(terminals []int) (map[int]bool, error) {
 		nComp++
 	}
 
-	// price of buying node v: its weight unless already bought.
+	// price of buying node v: its weight unless already bought. Edges are
+	// free — only node prices matter in the node-weighted model.
 	price := func(v int) float64 {
 		if inTree[v] {
 			return 0
 		}
 		return g.nodeWeight[v]
 	}
+	freeEdge := func(_, _ int, _ float64) float64 { return 0 }
+	var sp SPScratch // one Dijkstra scratch across all rounds and centers
 
 	for nComp > 1 {
 		bestRatio := math.Inf(1)
@@ -61,7 +67,7 @@ func (g *Graph) NodeWeightedSteiner(terminals []int) (map[int]bool, error) {
 		var bestTargets []int
 
 		for center := 0; center < g.n; center++ {
-			dist, parent := g.nodeWeightedDijkstra(center, price)
+			dist, parent := g.DijkstraInto(&sp, center, freeEdge, price)
 			best := make(map[int]compEntry)
 			for v := 0; v < g.n; v++ {
 				c := comp[v]
@@ -146,45 +152,12 @@ func (g *Graph) NodeWeightedSteiner(terminals []int) (map[int]bool, error) {
 	return out, nil
 }
 
-// nodeWeightedDijkstra computes, from src, the minimum total price of the
-// nodes entered on a path to every other node (src itself not counted;
-// edges are free — only node prices matter in the node-weighted model).
-// O(n^2), which is fine for the analysis-sized graphs this serves.
-func (g *Graph) nodeWeightedDijkstra(src int, price func(int) float64) (dist []float64, parent []int) {
-	dist = make([]float64, g.n)
-	parent = make([]int, g.n)
-	done := make([]bool, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = -1
-	}
-	dist[src] = 0
-	for {
-		u, best := -1, math.Inf(1)
-		for v := 0; v < g.n; v++ {
-			if !done[v] && dist[v] < best {
-				u, best = v, dist[v]
-			}
-		}
-		if u == -1 {
-			return dist, parent
-		}
-		done[u] = true
-		for _, e := range g.adj[u] {
-			if nd := dist[u] + price(e.to); nd < dist[e.to] {
-				dist[e.to] = nd
-				parent[e.to] = u
-			}
-		}
-	}
-}
-
-// TreeNodeWeight sums the node weights of a node set (the node-weighted
-// Steiner objective counts every bought node; terminals typically carry
-// weight zero in that accounting).
+// TreeNodeWeight sums the node weights of a node set in ascending node id
+// (the node-weighted Steiner objective counts every bought node; terminals
+// typically carry weight zero in that accounting).
 func (g *Graph) TreeNodeWeight(nodes map[int]bool) float64 {
 	var s float64
-	for v := range nodes {
+	for _, v := range sortedNodes(nodes) {
 		g.check(v)
 		s += g.nodeWeight[v]
 	}

@@ -204,3 +204,23 @@ func TestTreeNodeWeight(t *testing.T) {
 		t.Fatalf("empty set weight = %v", got)
 	}
 }
+
+// TestTreeNodeWeightIsOrderIndependent: the weight of a node set is a
+// function of the set, not of the order a map hands its members out in —
+// float addition does not associate, so the sum runs in ascending node id.
+func TestTreeNodeWeightIsOrderIndependent(t *testing.T) {
+	weights := []float64{0.1, 0.2, 0.3, 0.7, 1e-3, 0.9, 1e-7, 0.6, 0.4, 0.05, 0.011, 0.13}
+	g := NewGraph(len(weights))
+	nodes := make(map[int]bool, len(weights))
+	var want float64
+	for v, w := range weights {
+		g.SetNodeWeight(v, w)
+		nodes[v] = true
+		want += w
+	}
+	for call := 0; call < 200; call++ {
+		if got := g.TreeNodeWeight(nodes); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: TreeNodeWeight = %x, want the ascending-id sum %x", call, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}

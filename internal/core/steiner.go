@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Tree is a connection subtree produced by the Steiner-style algorithms.
@@ -39,9 +40,10 @@ func (t *Tree) Nodes() []int {
 // SteinerTree connects all terminals to root with the Takahashi-Matsuyama
 // path heuristic (a 2-approximation for edge-weighted Steiner trees): grow
 // the tree by repeatedly attaching the terminal with the cheapest shortest
-// path to the current tree. edgeCost/nodeCost generalize the metric;
-// nodeCost is charged for nodes newly added to the tree, which yields the
-// node-weighted variants the paper discusses.
+// path to the current tree, the earliest in terminals among equally cheap
+// ones. edgeCost/nodeCost generalize the metric; nodeCost is charged for
+// nodes newly added to the tree, which yields the node-weighted variants the
+// paper discusses.
 func (g *Graph) SteinerTree(root int, terminals []int, edgeCost EdgeCostFunc, nodeCost NodeCostFunc) (*Tree, error) {
 	g.check(root)
 	t := &Tree{
@@ -53,14 +55,10 @@ func (g *Graph) SteinerTree(root int, terminals []int, edgeCost EdgeCostFunc, no
 		t.Parent[i] = -1
 	}
 	t.InTree[root] = true
-
-	remaining := make(map[int]bool, len(terminals))
 	for _, v := range terminals {
 		g.check(v)
-		if v != root {
-			remaining[v] = true
-		}
 	}
+	pending := slices.Clone(terminals)
 
 	// Tree-aware costs: moving inside the tree is free, so a Dijkstra from
 	// the root yields shortest paths from the whole tree.
@@ -80,26 +78,31 @@ func (g *Graph) SteinerTree(root int, terminals []int, edgeCost EdgeCostFunc, no
 		return nodeCost(v)
 	}
 
-	for len(remaining) > 0 {
-		dist, parent := g.Dijkstra(root, treeEdge, treeNode)
-		best, bestDist := -1, math.Inf(1)
-		for v := range remaining {
-			if dist[v] < bestDist {
-				best, bestDist = v, dist[v]
+	var sp SPScratch // one Dijkstra scratch across all attachments
+	for {
+		// Drop what the tree already holds (the root, a repeated terminal,
+		// one an attached path ran through), keeping the caller's order.
+		pending = slices.DeleteFunc(pending, func(v int) bool { return t.InTree[v] })
+		if len(pending) == 0 {
+			return t, nil
+		}
+		dist, parent := g.DijkstraInto(&sp, root, treeEdge, treeNode)
+		best := pending[0]
+		for _, v := range pending[1:] {
+			if dist[v] < dist[best] {
+				best = v
 			}
 		}
-		if best == -1 || math.IsInf(bestDist, 1) {
+		if math.IsInf(dist[best], 1) {
 			return nil, fmt.Errorf("core: terminal unreachable from root %d", root)
 		}
-		t.Cost += bestDist
+		t.Cost += dist[best]
 		// Attach the path, stopping where it meets the tree.
 		for v := best; v != -1 && !t.InTree[v]; v = parent[v] {
 			t.InTree[v] = true
 			t.Parent[v] = parent[v]
 		}
-		delete(remaining, best)
 	}
-	return t, nil
 }
 
 // MPC implements the Minimum Power Configuration algorithm of [24] for the
@@ -121,31 +124,11 @@ func (g *Graph) MPC(sink int, sources []int, totalRate float64) (*Tree, error) {
 // SteinerForest serves multi-commodity demands: each demand is routed with
 // a cost that treats nodes already activated by earlier routes as free,
 // greedily encouraging relay sharing (the behaviour that separates SF1 from
-// SF2 in Figs. 5-6).
+// SF2 in Figs. 5-6). It is Solve's Joint pass under the caller's edge cost
+// (nil: the plain edge weight, whatever the demand's rate).
 func (g *Graph) SteinerForest(demands []Demand, edgeCost EdgeCostFunc) (*Design, error) {
-	active := make([]bool, g.n)
-	bias := g.degreeBias()
-	d := &Design{Routes: make([][]int, len(demands))}
-	for i, dm := range demands {
-		g.check(dm.Src)
-		g.check(dm.Dst)
-		nodeCost := func(v int) float64 {
-			if active[v] || v == dm.Src || v == dm.Dst {
-				return 0
-			}
-			return g.nodeWeight[v] * bias(v)
-		}
-		path, cost := g.ShortestPath(dm.Src, dm.Dst, edgeCost, nodeCost)
-		if path == nil {
-			return nil, fmt.Errorf("core: demand %d (%d->%d) unroutable", i, dm.Src, dm.Dst)
-		}
-		if math.IsInf(cost, 1) {
-			return nil, fmt.Errorf("core: demand %d has infinite cost", i)
-		}
-		for _, v := range path {
-			active[v] = true
-		}
-		d.Routes[i] = path
+	if edgeCost == nil {
+		edgeCost = defaultEdgeCost
 	}
-	return d, nil
+	return g.sequential(demands, 1, edgeCost)
 }

@@ -445,18 +445,12 @@ func subgrad(used, open bool) float64 {
 
 // surrogateUB prices the best Section 4 heuristic design — a cheap,
 // deterministic upper bound that only steers step sizes, never validity.
-// When every heuristic fails (it cannot on a routable instance), a crude
+// When the heuristics fail (they cannot on a routable instance), a crude
 // multiple of the combinatorial floor keeps the schedule finite.
 func (inst *instance) surrogateUB() float64 {
 	best := math.Inf(1)
-	for _, a := range []core.Approach{core.CommFirst, core.Joint, core.IdleFirst} {
-		d, err := inst.g.Solve(inst.demands, a)
-		if err != nil {
-			continue
-		}
-		if e := inst.g.Enetwork(inst.demands, d, inst.eval); e < best {
-			best = e
-		}
+	if _, e, err := inst.g.BestApproach(inst.demands, inst.eval); err == nil {
+		best = min(e[core.CommFirst], e[core.Joint], e[core.IdleFirst])
 	}
 	if math.IsInf(best, 1) {
 		comm, idle, err := inst.combinatorial()

@@ -461,19 +461,13 @@ func (p *Problem) Search(ctx context.Context, obj Objective, o Options) (*Result
 // bestHeuristic seeds the search with the best Section 4 heuristic and
 // records all three baselines.
 func (p *Problem) bestHeuristic() (*Design, map[string]float64, error) {
-	base := map[string]float64{}
-	var best *Design
-	bestE := math.Inf(1)
-	for _, a := range []Approach{core.CommFirst, core.Joint, core.IdleFirst} {
-		d, err := p.SolveApproach(a)
-		if err != nil {
-			return nil, nil, fmt.Errorf("opt: %v seed design: %w", a, err)
-		}
-		e := p.Enetwork(d)
+	best, energies, err := p.Graph.BestApproach(p.Demands, p.Eval)
+	if err != nil {
+		return nil, nil, fmt.Errorf("opt: seed design: %w", err)
+	}
+	base := make(map[string]float64, len(energies))
+	for a, e := range energies {
 		base[a.String()] = e
-		if e < bestE {
-			best, bestE = d, e
-		}
 	}
 	return best, base, nil
 }
