@@ -203,8 +203,14 @@ func BenchmarkScenarioEndToEnd(b *testing.B) {
 // BenchmarkReplicatedRunFanout measures the execution scheduler's
 // replicate fan-out: one scenario with 8 seed-derived replicates on a
 // batch pool of 1 versus 4 workers. Results are bit-identical either way
-// (the ordered merge); on a multi-core machine the parallel case should
-// approach a 4x wall-clock speedup.
+// (the ordered merge). What the fan-out buys is bounded by the cores, not
+// the workers: on the two-core box this repository is measured on,
+// workers=1 time over workers=4 at -benchtime 100x read 1.1-1.5 (median
+// 1.33 of ten runs; 1.30-1.38 at 1000x) while every fired event and
+// scheduled timer incremented a process-wide counter — two processes side
+// by side scaled 1.75x, so the workers were waiting for each other's cache
+// line — and reads 1.25-1.75 (median 1.53; 1.39-1.85 at 1000x) since a run
+// tallies in its own kernel (PR 22).
 func BenchmarkReplicatedRunFanout(b *testing.B) {
 	sc, err := NewScenario(
 		WithSeed(5),

@@ -39,7 +39,7 @@ func (c *Coordinator) register(m *MAC) {
 
 // Start schedules the repeating beacon. The first beacon fires immediately.
 func (c *Coordinator) Start() {
-	schedule(c.sim, 0, c.beaconFn)
+	c.sim.ScheduleFor(sim.LayerMAC, 0, c.beaconFn)
 }
 
 func (c *Coordinator) onBeacon() {
@@ -49,8 +49,8 @@ func (c *Coordinator) onBeacon() {
 	for _, m := range c.macs {
 		m.onBeacon()
 	}
-	schedule(c.sim, atimWindow, c.windowEndFn)
-	schedule(c.sim, beaconInterval, c.beaconFn)
+	c.sim.ScheduleFor(sim.LayerMAC, atimWindow, c.windowEndFn)
+	c.sim.ScheduleFor(sim.LayerMAC, beaconInterval, c.beaconFn)
 }
 
 func (c *Coordinator) onWindowEnd() {

@@ -223,7 +223,8 @@ type MAC struct {
 	cfg   Config
 	coord *Coordinator
 
-	deliver Delivery
+	maxPower float64 // cfg.Card.MaxTxPower(): every control frame goes at it
+	deliver  Delivery
 
 	mode      PowerMode
 	navUntil  sim.Time
@@ -292,6 +293,7 @@ func New(s *sim.Simulator, med *phy.Medium, coord *Coordinator, id int, pos geom
 		radio:       radio.NewRadio(cfg.Card),
 		cfg:         cfg,
 		coord:       coord,
+		maxPower:    cfg.Card.MaxTxPower(),
 		deliver:     deliver,
 		mode:        AM,
 		lastSeq:     make(map[int]uint64),
@@ -339,7 +341,7 @@ func (m *MAC) PeerPowerMode(id int) PowerMode { return m.coord.PowerModeOf(id) }
 func (m *MAC) Card() radio.Card { return m.cfg.Card }
 
 // MaxPower returns the card's maximum transmit power.
-func (m *MAC) MaxPower() float64 { return m.cfg.Card.MaxTxPower() }
+func (m *MAC) MaxPower() float64 { return m.maxPower }
 
 // TxPowerFor returns the learned minimum data power for dst, or max power if
 // unknown.

@@ -3,6 +3,7 @@ package mac
 import (
 	"eend/internal/phy"
 	"eend/internal/radio"
+	"eend/internal/sim"
 )
 
 // RxBegin implements phy.Listener: the radio starts drawing receive power.
@@ -85,7 +86,7 @@ func (m *MAC) respond(dst int, bytes int, fr frame) {
 		return
 	}
 	m.respDst, m.respBytes, m.respFr = dst, bytes, fr
-	m.respTimer = schedule(m.sim, sifs, m.respondFn)
+	m.respTimer = m.sim.ScheduleFor(sim.LayerMAC, sifs, m.respondFn)
 }
 
 // sendResponse puts the owed response on the air, if the radio still can.

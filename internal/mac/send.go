@@ -130,7 +130,7 @@ func (m *MAC) scheduleAttempt() {
 	j := m.current
 	slots := m.sim.RNG().IntN(j.cw + 1)
 	delay := difs + sim.Time(slots)*slotTime
-	m.pending = schedule(m.sim, delay, m.attemptFn)
+	m.pending = m.sim.ScheduleFor(sim.LayerMAC, delay, m.attemptFn)
 }
 
 // attempt performs the carrier-sense check and transmits the next frame of
@@ -152,7 +152,7 @@ func (m *MAC) attempt() {
 
 	// Defer to our own in-flight frame or pending CTS/ACK response.
 	if m.radio.Transmitting() || m.respTimer.Pending() {
-		m.pending = schedule(m.sim, sifs+m.airtime(sizeCTS)+difs, m.attemptFn)
+		m.pending = m.sim.ScheduleFor(sim.LayerMAC, sifs+m.airtime(sizeCTS)+difs, m.attemptFn)
 		return
 	}
 
@@ -168,7 +168,7 @@ func (m *MAC) attempt() {
 	}
 	if busyFor > 0 {
 		slots := m.sim.RNG().IntN(j.cw + 1)
-		m.pending = schedule(m.sim, busyFor+difs+sim.Time(slots)*slotTime, m.attemptFn)
+		m.pending = m.sim.ScheduleFor(sim.LayerMAC, busyFor+difs+sim.Time(slots)*slotTime, m.attemptFn)
 		return
 	}
 
@@ -201,7 +201,7 @@ func (m *MAC) transmit(dst int, bytes int, power float64, kind radio.TxKind, fr 
 	m.txFrame = phy.Frame{Src: m.id, Dst: dst, Bytes: bytes, Power: power, Payload: &m.txFr}
 	m.txThen, m.txJob = then, j
 	end := m.med.Transmit(&m.txFrame)
-	scheduleAt(m.sim, end, m.txDoneFn)
+	m.sim.ScheduleAtFor(sim.LayerMAC, end, m.txDoneFn)
 }
 
 // txDone ends the in-flight frame's transmission and runs its continuation,
@@ -242,7 +242,7 @@ func (m *MAC) awaitReply(j *job, reply frameType, replyBytes int) {
 	if reply == frameATIMAck {
 		onTimeout = m.retryATIMFn
 	}
-	m.awaitTmr = schedule(m.sim, sifs+m.airtime(replyBytes)+2*slotTime, onTimeout)
+	m.awaitTmr = m.sim.ScheduleFor(sim.LayerMAC, sifs+m.airtime(replyBytes)+2*slotTime, onTimeout)
 }
 
 // replyArrived empties the await slot when the awaited frame came in.
@@ -276,7 +276,7 @@ func (m *MAC) sendDataAfter(j *job, d sim.Time) {
 		panic("mac: data frame deferred while another is pending")
 	}
 	m.dataJob = j
-	m.dataTmr = schedule(m.sim, d, m.sendDataFn)
+	m.dataTmr = m.sim.ScheduleFor(sim.LayerMAC, d, m.sendDataFn)
 }
 
 // sendData transmits the DATA frame of the job sendDataAfter deferred.

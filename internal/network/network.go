@@ -212,7 +212,7 @@ func Build(sc Scenario) (*Network, error) {
 	}
 
 	s := sim.New(sc.Seed)
-	s.CountEvents(simEvents)
+	s.CountInto(kernelCounts)
 	med := phy.NewMedium(s, phy.Config{
 		Bandwidth: sc.Bandwidth,
 		RangeAt:   card.RangeAt,
@@ -374,12 +374,15 @@ func (nw *Network) ExecuteContext(ctx context.Context) (Results, error) {
 		lifetime = nw.watchLifetime(nw.sc.BatteryJ)
 	}
 	wallStart := time.Now()
-	if _, err := nw.sim.RunContext(ctx, nw.sc.Duration); err != nil {
+	_, err := nw.sim.RunContext(ctx, nw.sc.Duration)
+	wall := time.Since(wallStart).Seconds()
+	// A cancelled run's events are counted, so its seconds are too (the two
+	// make a rate); runs and speed-up are completed runs only.
+	simWall.Add(wall)
+	if err != nil {
 		return Results{}, err
 	}
-	wall := time.Since(wallStart).Seconds()
 	simRuns.Inc()
-	simWall.Add(wall)
 	if wall > 0 {
 		simSpeedup.Observe(nw.sc.Duration.Seconds() / wall)
 	}

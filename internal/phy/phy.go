@@ -73,8 +73,8 @@ type Config struct {
 	// simplification). The spatial index sizes its cells to the maximum
 	// radius, RangeAt(+Inf).
 	RangeAt func(power float64) float64
-	// Linear disables the spatial index and the reach tables: every query
-	// falls back to the original O(n) scan over all attached listeners.
+	// Linear disables the spatial index, the reach tables and the range memo:
+	// every query falls back to the original O(n) scan, every frame to RangeAt.
 	// Results are bit-identical either way — the index only prunes
 	// candidates and the visit order is attach order in both modes — which
 	// is exactly what the differential tests assert by running both media
@@ -135,6 +135,9 @@ type Medium struct {
 	idxByID   map[int]int32
 
 	maxRange float64 // index cell side: cfg.RangeAt(+Inf)
+	// rangeMemo holds the two powers last transmitted at with their radii,
+	// latest first (rangeAt); NaN, which equals no power, while unused.
+	rangeMemo [2]struct{ power, radius float64 }
 
 	// Spatial index, rebuilt lazily after an Attach invalidates it. The
 	// activeCells overlay registers each ongoing transmission in every
@@ -176,11 +179,30 @@ func NewMedium(s *sim.Simulator, cfg Config) *Medium {
 		panic("phy: Config.RangeAt is required")
 	}
 	return &Medium{
-		sim:      s,
-		cfg:      cfg,
-		idxByID:  make(map[int]int32),
-		maxRange: cfg.RangeAt(math.Inf(1)),
+		sim:       s,
+		cfg:       cfg,
+		idxByID:   make(map[int]int32),
+		maxRange:  cfg.RangeAt(math.Inf(1)),
+		rangeMemo: [2]struct{ power, radius float64 }{{power: math.NaN()}, {power: math.NaN()}},
 	}
+}
+
+// rangeAt is cfg.RangeAt behind a two-entry memo: a run transmits at a
+// handful of powers (control frames at the card's maximum, data at the
+// link's) and RangeAt pays a math.Pow per call. The law is a pure function
+// and the key the exact power, so a hit returns the bits a call would; the
+// linear reference calls every time.
+func (m *Medium) rangeAt(power float64) float64 {
+	if m.cfg.Linear {
+		return m.cfg.RangeAt(power)
+	}
+	if memo := &m.rangeMemo; power != memo[0].power {
+		if power != memo[1].power { // a miss replaces the older entry
+			memo[1].power, memo[1].radius = power, m.cfg.RangeAt(power)
+		}
+		memo[0], memo[1] = memo[1], memo[0]
+	}
+	return m.rangeMemo[0].radius
 }
 
 // Attach registers a listener. Node ids must be unique. Attaching
@@ -412,7 +434,7 @@ func (m *Medium) Transmit(f *Frame) sim.Time {
 	f.End = now + m.Airtime(f.Bytes)
 	m.frames++
 
-	radius := m.cfg.RangeAt(f.Power)
+	radius := m.rangeAt(f.Power)
 	tx := m.newTransmission(f, radius, m.pos[srcIdx])
 	m.activeAll = append(m.activeAll, tx)
 	if !m.cfg.Linear {
@@ -451,7 +473,7 @@ func (m *Medium) Transmit(f *Frame) sim.Time {
 	}
 
 	fin := m.newFinisher(tx)
-	scheduleAt(m.sim, f.End, fin.fn)
+	m.sim.ScheduleAtFor(sim.LayerPhy, f.End, fin.fn)
 	return f.End
 }
 

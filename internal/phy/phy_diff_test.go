@@ -71,8 +71,8 @@ func scriptRangeAt(card radio.Card, unclamped bool) func(float64) float64 {
 // probes, returning the complete observable event log. A few talkers send
 // again and again at mixed powers — maximum, random, at or below the card's
 // base power (radius 0), and a radius equal to a neighbour's exact distance
-// — and one node attaches mid-script, in range of a talker that has already
-// transmitted.
+// — one of them also at three powers in rotation, and one node attaches
+// mid-script, in range of a talker that has already transmitted.
 func runMediumScript(seed uint64, linear, unclamped bool) []string {
 	rng := rand.New(rand.NewPCG(seed, 0xd1f))
 	s := sim.New(seed)
@@ -120,6 +120,16 @@ func runMediumScript(seed uint64, linear, unclamped bool) []string {
 			src = rng.IntN(talkers)
 		}
 		transmit(i, src, time.Duration(rng.IntN(40_000))*time.Microsecond)
+	}
+
+	// The last talker also cycles through three powers, frame after frame:
+	// on the indexed medium's two-entry range memo every one is a miss that
+	// evicts the power due next but one, between the hits the repeated
+	// maximum above gives. The linear reference has no memo.
+	cycle := [3]float64{card.MaxTxPower(), card.TxPower(rng.Float64() * card.Range), card.TxPower(rng.Float64() * card.Range)}
+	for i := 0; i < 15; i++ {
+		f := &Frame{Src: talkers - 1, Dst: Broadcast, Bytes: 20, Power: cycle[i%3], Payload: frames + i}
+		s.Schedule(time.Duration(i)*2500*time.Microsecond, func() { m.Transmit(f) })
 	}
 
 	late := &logNode{id: n, pos: geom.Point{X: nodes[0].pos.X + 10, Y: nodes[0].pos.Y}, log: &log, s: s}

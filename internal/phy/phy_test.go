@@ -1,6 +1,8 @@
 package phy
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -348,5 +350,36 @@ func TestAttachDuringTransmission(t *testing.T) {
 	if len(c.began) != 1 || len(c.ended) != 1 || !c.endedOK[0] {
 		t.Fatalf("late node missed the post-attach frame: began=%d ended=%d ok=%v",
 			len(c.began), len(c.ended), c.endedOK)
+	}
+}
+
+// TestRangeMemoMatchesLaw holds the medium's range memo to the law it
+// stands in for: 10,000 powers — at or below the card's base power, the
+// maximum, three link powers, +Inf, NaN and fresh random ones — first in
+// the orders that break a careless two-entry memo (A B A B; A A B C A; the
+// three link powers in rotation), then at random, and the radius is
+// Float64bits-equal to a RangeAt call every time.
+func TestRangeMemoMatchesLaw(t *testing.T) {
+	card := radio.Cabletron
+	m := newTestMedium(sim.New(1))
+	rng := rand.New(rand.NewPCG(22, 0))
+	a, b, c := card.TxPower(40), card.TxPower(120), card.TxPower(200)
+	top := card.MaxTxPower()
+	pool := []float64{0, math.Copysign(0, -1), card.Base / 2, card.Base, top, a, b, c, math.Inf(1), math.NaN()}
+	powers := []float64{a, b, a, b, a, a, b, c, a, top, top, a, top, math.NaN(), math.NaN(), top, math.Inf(1), top}
+	for i := 0; i < 30; i++ {
+		powers = append(powers, pool[5+i%3])
+	}
+	for len(powers) < 10_000 {
+		p := pool[rng.IntN(len(pool))]
+		if rng.IntN(4) == 0 {
+			p = card.TxPower(rng.Float64() * 1.2 * card.Range)
+		}
+		powers = append(powers, p)
+	}
+	for i, p := range powers {
+		if got, want := m.rangeAt(p), card.RangeAt(p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("power %d (%v): memo says %v, the law %v", i, p, got, want)
+		}
 	}
 }

@@ -137,13 +137,13 @@ func (o *ODPM) arm() {
 		return
 	}
 	o.timer.Cancel()
-	o.timer = scheduleAt(o.sim, o.deadline, o.expireFn)
+	o.timer = o.sim.ScheduleAtFor(sim.LayerPower, o.deadline, o.expireFn)
 }
 
 func (o *ODPM) expire() {
 	now := o.sim.Now()
 	if now < o.deadline {
-		o.timer = scheduleAt(o.sim, o.deadline, o.expireFn)
+		o.timer = o.sim.ScheduleAtFor(sim.LayerPower, o.deadline, o.expireFn)
 		return
 	}
 	o.setMode(mac.PSM)

@@ -183,7 +183,6 @@ func TestODPMArmReschedulesPerDeadlineMove(t *testing.T) {
 	n := &fakeNode{}
 	o := NewODPM(s, n, ODPMConfig{})
 	o.Start()
-	before := timers.Value()
 	s.Schedule(1*time.Second, func() { o.OnActivity(ActivityData) })  // deadline 6 s: timer 1
 	s.Schedule(2*time.Second, func() { o.OnActivity(ActivityRoute) }) // deadline 12 s: timer 2 replaces it
 	s.Schedule(3*time.Second, func() {
@@ -191,14 +190,14 @@ func TestODPMArmReschedulesPerDeadlineMove(t *testing.T) {
 		o.OnActivity(ActivityData)
 	})
 	s.Run(11900 * time.Millisecond)
-	if got := timers.Value() - before; got != 2 {
+	if got := s.Timers(sim.LayerPower); got != 2 { // this run's own tally, not a process-wide counter
 		t.Fatalf("three overlapping activities scheduled %d expiry checks, want 2", got)
 	}
 	if n.mode != mac.AM || s.Pending() != 1 {
 		t.Fatalf("at 11.9 s: mode %v with %d events pending, want AM with the one check at 12 s", n.mode, s.Pending())
 	}
 	s.Run(12100 * time.Millisecond)
-	if n.mode != mac.PSM || timers.Value()-before != 2 {
-		t.Fatalf("at 12.1 s: mode %v after %d checks, want PSM after 2", n.mode, timers.Value()-before)
+	if n.mode != mac.PSM || s.Timers(sim.LayerPower) != 2 {
+		t.Fatalf("at 12.1 s: mode %v after %d checks, want PSM after 2", n.mode, s.Timers(sim.LayerPower))
 	}
 }

@@ -102,14 +102,14 @@ func (d *DSDV) Start() {
 	*d.row(d.env.ID) = dsdvEntry{present: true, next: d.env.ID}
 	d.rows++
 	first := jitter(d.env.RNG(), dsdvPeriod)
-	schedule(d.env.Sim, first, d.periodicFn)
+	d.env.Sim.ScheduleFor(sim.LayerRouting, first, d.periodicFn)
 }
 
 func (d *DSDV) periodic() {
 	d.mySeq += 2
 	d.table[d.env.ID].seq = d.mySeq
 	d.broadcastFull()
-	schedule(d.env.Sim, dsdvPeriod, d.periodicFn)
+	d.env.Sim.ScheduleFor(sim.LayerRouting, dsdvPeriod, d.periodicFn)
 }
 
 func (d *DSDV) broadcastFull() {
@@ -143,7 +143,7 @@ func (d *DSDV) trigger() {
 	if next := d.lastTrig + dsdvTrigMinGap; next > now {
 		wait = next - now
 	}
-	d.trigArm = schedule(d.env.Sim, wait, d.triggeredFn)
+	d.trigArm = d.env.Sim.ScheduleFor(sim.LayerRouting, wait, d.triggeredFn)
 }
 
 func (d *DSDV) triggered() {

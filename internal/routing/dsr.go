@@ -189,7 +189,7 @@ func (d *DSR) sendRREQ(dst int, rate float64) {
 
 func (d *DSR) armRetry(dst int, disc *discovery) {
 	timeout := discoveryTimeout << uint(disc.tries)
-	disc.timer = schedule(d.env.Sim, timeout, func() {
+	disc.timer = d.env.Sim.ScheduleFor(sim.LayerRouting, timeout, func() {
 		cur, ok := d.pending[dst]
 		if !ok || cur != disc {
 			return
@@ -280,7 +280,7 @@ func (d *DSR) handleRREQ(from int, req *rreq) {
 	if d.v.ForwardDelay != nil {
 		delay += d.v.ForwardDelay(d)
 	}
-	schedule(d.env.Sim, delay, func() {
+	d.env.Sim.ScheduleFor(sim.LayerRouting, delay, func() {
 		// Suppress if a strictly better copy has been forwarded meanwhile.
 		if cur := d.seen[key]; cur < cost {
 			return

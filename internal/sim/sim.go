@@ -100,12 +100,42 @@ type Simulator struct {
 
 	rng     *rand.Rand
 	stopped bool
-	fired   uint64
 
-	// evCount, when non-nil, receives one increment per fired event
-	// (CountEvents). Kept as a raw counter pointer — not a callback — so
-	// the hot loop pays a nil check and an atomic add, nothing more.
-	evCount *obs.Counter
+	// Tallies only this simulator writes. The attached process-wide counters
+	// get the difference to flushed* once per ctxCheckBatch events and when
+	// RunContext returns: runs side by side share no cache line per event.
+	fired, flushedFired   uint64
+	timers, flushedTimers [NumLayers]uint64
+	counts                *Counters
+}
+
+// Layer tags a timer with the protocol layer that scheduled it
+// (ScheduleFor, Timers); bottom of the stack first.
+type Layer uint8
+
+const (
+	LayerPhy Layer = iota
+	LayerMAC
+	LayerPower
+	LayerRouting
+	LayerTraffic
+	NumLayers
+)
+
+// Counters are the metrics a simulator reports its tallies to (CountInto).
+type Counters struct {
+	Events *obs.Counter            // events fired
+	Timers [NumLayers]*obs.Counter // timers scheduled, by layer
+}
+
+// NewCounters registers the kernel's two metric families on r.
+func NewCounters(r *obs.Registry) *Counters {
+	c := &Counters{Events: r.Counter("eend_sim_events_total", "Events fired by the sim kernel.")}
+	for l, name := range [NumLayers]string{LayerPhy: "phy", LayerMAC: "mac", LayerPower: "power", LayerRouting: "routing", LayerTraffic: "traffic"} {
+		c.Timers[l] = r.Counter("eend_sim_timers_total",
+			"Timers scheduled in the sim kernel, by protocol layer.", obs.L("layer", name))
+	}
+	return c
 }
 
 // New returns a simulator whose RNG is seeded from seed.
@@ -130,11 +160,40 @@ func (s *Simulator) Events() uint64 { return s.fired }
 // removed from the queue at Cancel time, so the count is exact.
 func (s *Simulator) Pending() int { return len(s.heap) }
 
-// CountEvents attaches a metric counter that receives one increment per
-// fired event, feeding live kernel throughput into /metrics. Passing nil
-// detaches it. Counting never touches simulation state, so an observed
-// run stays bit-identical to an unobserved one.
-func (s *Simulator) CountEvents(c *obs.Counter) { s.evCount = c }
+// Timers returns the number of timers layer l has scheduled, fired or not.
+func (s *Simulator) Timers(l Layer) uint64 { return s.timers[l] }
+
+// CountInto attaches the metric counters that receive the kernel's tallies
+// (all that is not yet flushed: attach before scheduling), feeding /metrics.
+// They lag a live run by at most ctxCheckBatch events and are exact once
+// RunContext has returned. Counting never touches simulation state, so an
+// observed run stays bit-identical to an unobserved one.
+func (s *Simulator) CountInto(c *Counters) { s.counts = c }
+
+// flushCounts reports what was tallied since the last flush.
+func (s *Simulator) flushCounts() {
+	if c := s.counts; c != nil {
+		c.Events.Add(s.fired - s.flushedFired)
+		for l, t := range c.Timers {
+			if d := s.timers[l] - s.flushedTimers[l]; d != 0 {
+				t.Add(d)
+			}
+		}
+	}
+	s.flushedFired, s.flushedTimers = s.fired, s.timers
+}
+
+// ScheduleFor and ScheduleAtFor are Schedule and ScheduleAt, tallied as a
+// timer of layer l.
+func (s *Simulator) ScheduleFor(l Layer, delay Time, fn func()) Timer {
+	s.timers[l]++
+	return s.Schedule(delay, fn)
+}
+
+func (s *Simulator) ScheduleAtFor(l Layer, at Time, fn func()) Timer {
+	s.timers[l]++
+	return s.ScheduleAt(at, fn)
+}
 
 // Schedule runs fn after delay of virtual time. A negative delay is an error
 // in the model; it panics to surface the bug immediately.
@@ -282,9 +341,9 @@ func (s *Simulator) Run(until Time) Time {
 	return now
 }
 
-// ctxCheckBatch is how many events fire between context checks in
-// RunContext. Large enough that the check is free next to event work, small
-// enough that cancellation lands within microseconds of wall time.
+// ctxCheckBatch is how many events fire between context checks, and count
+// flushes, in RunContext. Large enough that both are free next to event work,
+// small enough that cancellation lands within microseconds of wall time.
 const ctxCheckBatch = 256
 
 // RunContext executes events like Run but polls ctx once per batch of
@@ -292,30 +351,27 @@ const ctxCheckBatch = 256
 // context's error with the virtual time reached; the queue is left intact,
 // so the caller can inspect or resume the partial run.
 func (s *Simulator) RunContext(ctx context.Context, until Time) (Time, error) {
-	done := ctx.Done()
-	if done != nil {
-		select {
-		case <-done:
-			return s.now, ctx.Err()
-		default:
-		}
+	defer s.flushCounts()
+	done := ctx.Done() // nil, and as a channel never ready, when ctx cannot be cancelled
+	select {
+	case <-done:
+		return s.now, ctx.Err()
+	default:
 	}
 	s.stopped = false
-	batch := 0
-	for len(s.heap) > 0 && !s.stopped {
+	for batch := 0; len(s.heap) > 0 && !s.stopped; batch++ { // batch: events fired since the last check
 		top := s.heap[0]
 		at := s.slab[top].at
 		if at > until {
 			break
 		}
-		if done != nil {
-			if batch++; batch >= ctxCheckBatch {
-				batch = 0
-				select {
-				case <-done:
-					return s.now, ctx.Err()
-				default:
-				}
+		if batch == ctxCheckBatch {
+			batch = 0
+			s.flushCounts()
+			select {
+			case <-done:
+				return s.now, ctx.Err()
+			default:
 			}
 		}
 		s.removeAt(0)
@@ -326,9 +382,6 @@ func (s *Simulator) RunContext(ctx context.Context, until Time) (Time, error) {
 		s.freeSlot(top)
 		s.now = at
 		s.fired++
-		if s.evCount != nil {
-			s.evCount.Inc()
-		}
 		fn()
 	}
 	if s.now < until {

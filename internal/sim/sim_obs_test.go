@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"eend/internal/obs"
 )
+
+// testCounters returns the kernel's counters on a registry of their own.
+func testCounters() *Counters { return NewCounters(obs.NewRegistry()) }
 
 // BenchmarkKernelTraced is the instrumented-kernel hot-path bench: one
 // pooled event scheduled and fired per op with the event counter attached
@@ -16,14 +20,14 @@ import (
 func BenchmarkKernelTraced(b *testing.B) {
 	b.ReportAllocs()
 	s := New(1)
-	s.CountEvents(obs.NewRegistry().Counter("bench_events_total", "bench"))
+	s.CountInto(testCounters())
 	var tr *obs.Tracer // disabled: the production default
 	n := 0
 	var tick func()
 	tick = func() {
 		sp := tr.Start(obs.Span{}, "event", "")
 		n++
-		s.Schedule(time.Microsecond, tick)
+		s.ScheduleFor(LayerMAC, time.Microsecond, tick)
 		sp.End()
 	}
 	s.Schedule(0, tick)
@@ -39,12 +43,12 @@ func BenchmarkKernelTraced(b *testing.B) {
 // allocation-free.
 func TestKernelTracedDoesNotAllocate(t *testing.T) {
 	s := New(1)
-	s.CountEvents(obs.NewRegistry().Counter("test_events_total", "test"))
+	s.CountInto(testCounters())
 	var tr *obs.Tracer
 	var tick func()
 	tick = func() {
 		sp := tr.Start(obs.Span{}, "event", "")
-		s.Schedule(time.Microsecond, tick)
+		s.ScheduleFor(LayerMAC, time.Microsecond, tick)
 		sp.End()
 	}
 	s.Schedule(0, tick)
@@ -60,17 +64,115 @@ func TestKernelTracedDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestCountEventsMatchesFired checks the attached counter tracks the
-// kernel's own fired count exactly.
+// TestCountEventsMatchesFired checks, on every way out of RunContext, that
+// the attached counters then equal the kernel's own tallies: each event and
+// each timer is reported once, whichever path returned.
 func TestCountEventsMatchesFired(t *testing.T) {
-	s := New(7)
-	c := obs.NewRegistry().Counter("test_events_total", "test")
-	s.CountEvents(c)
-	for i := 0; i < 50; i++ {
-		s.Schedule(time.Duration(i)*time.Millisecond, func() {})
+	const n = 3*ctxCheckBatch + 50 // three batch flushes and a remainder
+	// Each case runs a simulator with n events a millisecond apart; inEvent
+	// arranges a call inside the k-th, check compares counters and tallies.
+	type arrange func(k int, fn func())
+	for _, tc := range []struct {
+		name string
+		run  func(s *Simulator, inEvent arrange, check func(fired uint64))
+	}{
+		{"drain", func(s *Simulator, _ arrange, check func(uint64)) {
+			s.Drain()
+			check(n)
+		}},
+		{"until", func(s *Simulator, _ arrange, check func(uint64)) {
+			s.Run(299 * time.Millisecond)
+			check(300)
+		}},
+		{"stop", func(s *Simulator, inEvent arrange, check func(uint64)) {
+			inEvent(400, s.Stop)
+			s.Drain()
+			check(400)
+		}},
+		{"cancelled before", func(s *Simulator, _ arrange, check func(uint64)) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			s.RunContext(ctx, time.Hour)
+			check(0) // nothing fired, the n timers scheduled ahead are reported
+		}},
+		{"cancelled mid-run", func(s *Simulator, inEvent arrange, check func(uint64)) {
+			ctx, cancel := context.WithCancel(context.Background())
+			inEvent(300, cancel)
+			s.RunContext(ctx, time.Hour)
+			check(2 * ctxCheckBatch) // seen at the next batch boundary
+		}},
+		{"resumed", func(s *Simulator, inEvent arrange, check func(uint64)) {
+			inEvent(400, s.Stop)
+			s.Run(299 * time.Millisecond)
+			check(300)
+			s.Drain()
+			check(400)
+			s.Drain()
+			check(n)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(7)
+			c := testCounters()
+			s.CountInto(c)
+			fired, calls := 0, map[int]func(){}
+			for i := 0; i < n; i++ {
+				s.ScheduleFor(Layer(i%int(NumLayers)), Time(i)*time.Millisecond, func() {
+					if fired++; calls[fired] != nil {
+						calls[fired]()
+					}
+				})
+			}
+			tc.run(s, func(k int, fn func()) { calls[k] = fn }, func(want uint64) {
+				t.Helper()
+				if s.Events() != want || c.Events.Value() != want {
+					t.Fatalf("fired %d, counter %d, want %d", s.Events(), c.Events.Value(), want)
+				}
+				for l := Layer(0); l < NumLayers; l++ {
+					if got, tally := c.Timers[l].Value(), s.Timers(l); got != tally || tally < n/uint64(NumLayers) {
+						t.Fatalf("layer %d: counter %d, tally %d", l, got, tally)
+					}
+				}
+			})
+		})
 	}
-	s.Drain()
-	if c.Value() != s.Events() {
-		t.Fatalf("counter %d != fired %d", c.Value(), s.Events())
+}
+
+// TestCountsFlushInBatches is the proof that the hot loop has no per-event
+// write to a shared counter: the attached counters stand still for a batch
+// of ctxCheckBatch events, then jump by it. Timers scheduled ahead of the
+// first RunContext (what coord.Start and src.Start do) are reported by it.
+func TestCountsFlushInBatches(t *testing.T) {
+	s := New(1)
+	c := testCounters()
+	s.CountInto(c)
+	s.ScheduleFor(LayerTraffic, time.Hour, func() {}) // ahead of the run, never fires in it
+	n := uint64(0)
+	var tick func()
+	tick = func() {
+		n++
+		// Inside event n, the counters show the batches complete before it.
+		want := (n - 1) / ctxCheckBatch * ctxCheckBatch
+		timers := want
+		if want > 0 {
+			timers++ // tick is scheduled once ahead of the run, then once per event
+		}
+		if c.Events.Value() != want || c.Timers[LayerMAC].Value() != timers {
+			t.Fatalf("inside event %d: counters read %d events, %d mac timers, want %d, %d",
+				n, c.Events.Value(), c.Timers[LayerMAC].Value(), want, timers)
+		}
+		if traffic := c.Timers[LayerTraffic].Value(); (traffic == 1) != (want > 0) {
+			t.Fatalf("inside event %d: the timer scheduled ahead of the run reads %d", n, traffic)
+		}
+		s.ScheduleFor(LayerMAC, time.Microsecond, tick)
+	}
+	s.ScheduleFor(LayerMAC, 0, tick)
+	s.Run(time.Duration(2*ctxCheckBatch+10) * time.Microsecond)
+	if n != 2*ctxCheckBatch+11 {
+		t.Fatalf("fired %d events", n)
+	}
+	if c.Events.Value() != s.Events() || c.Timers[LayerMAC].Value() != s.Timers(LayerMAC) || s.Timers(LayerMAC) != n+1 {
+		t.Fatalf("after return: counters %d events, %d mac timers; kernel %d, %d",
+			c.Events.Value(), c.Timers[LayerMAC].Value(), s.Events(), s.Timers(LayerMAC))
 	}
 }

@@ -191,7 +191,7 @@ func (s *Source) Start() {
 	if w := s.flow.StartMax - s.flow.StartMin; w > 0 {
 		start += time.Duration(s.sim.RNG().Int64N(int64(w)))
 	}
-	schedule(s.sim, start, s.emitFn)
+	s.sim.ScheduleFor(sim.LayerTraffic, start, s.emitFn)
 }
 
 func (s *Source) emit() {
@@ -206,7 +206,7 @@ func (s *Source) emit() {
 		s.col.OnSend(s.flow.ID)
 	}
 	s.send(s.flow.Dst, s.flow.PacketBytes, &Datum{Flow: s.flow.ID, Seq: s.seq}, s.flow.Rate)
-	schedule(s.sim, s.flow.Interval(), s.emitFn)
+	s.sim.ScheduleFor(sim.LayerTraffic, s.flow.Interval(), s.emitFn)
 }
 
 // Sent returns the number of packets this source has originated.
