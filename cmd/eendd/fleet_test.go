@@ -431,8 +431,12 @@ func TestJournaledDaemonReplaysInterruptedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A sweep long enough to still be running when we "crash".
-	w := post(t, h, "/v1/sweeps", `{"grid": "nodes=10 seed=1..4 field=300 dur=60s flows=2 rate=4", "workers": 1}`)
+	// A sweep long enough to still be running when we "crash", however late
+	// this goroutine gets to the cancel below: forty points of a second's
+	// work between them, where four points of ten nodes finished inside one
+	// scheduling hiccup (a done job is not replayed: 404, 1 run in 30 under
+	// load). The cancel aborts it, so the test runs no longer.
+	w := post(t, h, "/v1/sweeps", `{"grid": "nodes=30 seed=1..40 field=300 dur=300s flows=4 rate=4", "workers": 1}`)
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("POST /v1/sweeps: status %d, body %s", w.Code, w.Body)
 	}

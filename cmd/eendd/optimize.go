@@ -177,8 +177,7 @@ func startOptimize(_ context.Context, m *jobManager[optState], req optimizeReque
 
 	// The bound is computed synchronously — a bad tier name or an
 	// unroutable instance is a 400, and the certificate is ready before the
-	// first progress frame. The search itself never recomputes it
-	// (Options.Bound stays zero); Finalize folds it into the result.
+	// first progress frame; Finalize folds it into the result.
 	var br *opt.BoundResult
 	if req.Bound == "" {
 		req.Bound = opt.BoundLagrange.String()
@@ -195,7 +194,7 @@ func startOptimize(_ context.Context, m *jobManager[optState], req optimizeReque
 
 	total := req.Iterations
 	if total <= 0 {
-		total = 600 // the search's own default budget
+		total = opt.DefaultIterations
 	}
 	if _, err := opt.ParseAlgorithm(req.Heuristic); err != nil {
 		total = 1 // a Section 4 approach is a single evaluation
@@ -230,13 +229,7 @@ func startOptimize(_ context.Context, m *jobManager[optState], req optimizeReque
 					} else {
 						v.progress.Rejected++
 					}
-					if br != nil {
-						if gap, certified, defined := opt.BoundGap(s.Best, br.Value); defined {
-							g := gap
-							v.progress.Gap = &g
-							v.progress.GapCertified = certified
-						}
-					}
+					v.progress.Gap, v.progress.GapCertified = br.GapOf(s.Best)
 					if sim != nil {
 						st := sim.Stats()
 						v.progress.Sim = &st
@@ -261,8 +254,7 @@ func startOptimize(_ context.Context, m *jobManager[optState], req optimizeReque
 					v.progress.Iterations = res.Iterations
 					v.progress.Initial = res.Initial
 					v.progress.BestEnergy = res.BestEnergy
-					v.progress.Gap = res.Gap
-					v.progress.GapCertified = res.GapCertified
+					v.progress.Gap, v.progress.GapCertified = res.Gap, res.GapCertified
 					if res.Sim != nil {
 						v.progress.Sim = res.Sim
 					}

@@ -32,10 +32,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"os/signal"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -139,7 +140,7 @@ func run(ctx context.Context, out, errw io.Writer, args []string) (err error) {
 		return err
 	}
 
-	var tier opt.BoundTier
+	var tier opt.BoundTier // zero: -bound none
 	if *boundName != "none" {
 		if tier, err = opt.ParseBoundTier(*boundName); err != nil {
 			return err
@@ -180,10 +181,16 @@ func run(ctx context.Context, out, errw io.Writer, args []string) (err error) {
 		Restarts:   *restarts,
 		Trace:      *trajectory || *format == "csv",
 		Tracer:     ob.Tracer(),
-		Bound:      tier,
 	})
 	if err != nil {
 		return err
+	}
+	var br *opt.BoundResult
+	if tier != 0 {
+		if br, err = p.Bound(opt.BoundOptions{Tier: tier, Seed: *optSeed}); err != nil {
+			return err
+		}
+		res.ApplyBound(br)
 	}
 	elapsed := time.Since(start).Round(time.Millisecond)
 
@@ -195,7 +202,7 @@ func run(ctx context.Context, out, errw io.Writer, args []string) (err error) {
 		enc.SetIndent("", "  ")
 		return enc.Encode(res)
 	case "csv":
-		return writeCSV(out, res)
+		return writeCSV(out, res, br)
 	default:
 		return fmt.Errorf("unknown format %q (want text|json|csv)", *format)
 	}
@@ -218,17 +225,12 @@ func parseField(spec string) (w, h float64, err error) {
 // writeText prints the human summary: baselines, outcome, improvement.
 func writeText(out io.Writer, res *opt.Result, elapsed time.Duration) error {
 	if len(res.Heuristics) > 0 {
-		names := make([]string, 0, len(res.Heuristics))
-		for name := range res.Heuristics {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		fmt.Fprintln(out, "Section 4 heuristics (closed-form Enetwork):")
 		best := math.Inf(1)
 		for _, e := range res.Heuristics {
 			best = math.Min(best, e)
 		}
-		for _, name := range names {
+		for _, name := range slices.Sorted(maps.Keys(res.Heuristics)) {
 			marker := " "
 			if res.Heuristics[name] == best {
 				marker = "*"
@@ -268,17 +270,15 @@ func writeText(out io.Writer, res *opt.Result, elapsed time.Duration) error {
 // writeCSV emits the trajectory, one row per step. The gap column tracks
 // the best-so-far against the run's lower bound; it stays empty when no
 // oracle ran or the ratio is undefined — never NaN or Inf.
-func writeCSV(out io.Writer, res *opt.Result) error {
+func writeCSV(out io.Writer, res *opt.Result, br *opt.BoundResult) error {
 	w := csv.NewWriter(out)
 	if err := w.Write([]string{"iter", "move", "energy", "best", "accepted", "temp", "gap"}); err != nil {
 		return err
 	}
 	for _, s := range res.Trajectory {
 		gapCell := ""
-		if res.Bound != nil {
-			if gap, _, defined := opt.BoundGap(s.Best, *res.Bound); defined {
-				gapCell = strconv.FormatFloat(gap, 'g', -1, 64)
-			}
+		if gap, _ := br.GapOf(s.Best); gap != nil {
+			gapCell = strconv.FormatFloat(*gap, 'g', -1, 64)
 		}
 		if err := w.Write([]string{
 			strconv.Itoa(s.Iter), s.Move,

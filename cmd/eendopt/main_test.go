@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -234,5 +236,29 @@ func TestPresetFlag(t *testing.T) {
 
 	if err := run(context.Background(), &out, &errw, []string{"-preset", "nope"}); err == nil {
 		t.Error("unknown preset accepted")
+	}
+}
+
+// TestMethodOutputsGolden pins what the default run prints for each of the
+// six methods, byte for byte, in both machine formats. The files under
+// testdata/methods were captured at 948c89b, when the Section 4 methods
+// still filled their Result on a road of their own; cmd/eendd's
+// cross-entry-point differential reads the JSON ones as "what eendopt says".
+func TestMethodOutputsGolden(t *testing.T) {
+	for _, method := range opt.Methods() {
+		for _, format := range []string{"json", "csv"} {
+			var out, errw bytes.Buffer
+			if err := run(context.Background(), &out, &errw, []string{"-heuristic", method, "-format", format}); err != nil {
+				t.Fatalf("%s/%s: %v\n%s", method, format, err, errw.String())
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "methods", method+"."+format))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Errorf("eendopt -heuristic %s -format %s differs from testdata/methods/%s.%s:\n%s",
+					method, format, method, format, out.String())
+			}
+		}
 	}
 }

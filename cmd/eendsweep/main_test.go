@@ -156,3 +156,24 @@ func TestRunVersion(t *testing.T) {
 		t.Fatalf("version output = %q", out.String())
 	}
 }
+
+// TestHeuristicAxisCSVGolden pins the CSV of a heuristic axis over all six
+// design methods on the 20-node clustered instance, byte for byte: design
+// energy, bound, gap and certification beside what the pinned design
+// measured in the simulator. Captured at 948c89b, when the sweep still
+// assembled the certificate by hand.
+func TestHeuristicAxisCSVGolden(t *testing.T) {
+	var out, errw bytes.Buffer
+	args := []string{"-quiet", "-workers", "1", "-format", "csv", "-grid",
+		"nodes=20 seed=1 topology=cluster field=600 flows=8 dur=300s heuristic=comm-first,joint,idle-first,greedy,anneal,restart"}
+	if err := run(context.Background(), &out, &errw, args); err != nil {
+		t.Fatalf("%v\n%s", err, errw.String())
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "heuristic-default-20.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("heuristic-axis CSV differs from testdata/heuristic-default-20.csv:\n%s", out.String())
+	}
+}

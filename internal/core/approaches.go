@@ -99,10 +99,7 @@ func (g *Graph) sequential(demands []Demand, idleScale float64, edgeCost EdgeCos
 	for i, dm := range demands {
 		g.check(dm.Src)
 		g.check(dm.Dst)
-		rate := dm.Rate
-		if rate <= 0 {
-			rate = 1
-		}
+		rate := dm.rate()
 		// Both closures are created here and only passed down, so neither
 		// is heap-allocated; a cost handed in per demand by the caller (a
 		// func(Demand) EdgeCostFunc) would be, once per demand per pass.

@@ -73,10 +73,7 @@ func (g *Graph) routeWithin(sp *SPScratch, demands []Demand, allowed []bool) (*D
 	}
 	d := &Design{Routes: make([][]int, len(demands))}
 	for i, dm := range demands {
-		rate := dm.Rate
-		if rate <= 0 {
-			rate = 1
-		}
+		rate := dm.rate()
 		path, _ := g.ShortestPathInto(sp, dm.Src, dm.Dst,
 			func(_, _ int, w float64) float64 { return w * rate }, blockInactive, nil)
 		if len(path) == 0 {

@@ -132,7 +132,7 @@ func TestMPCCanPickEitherTreeButIdleFirstPicksSF2(t *testing.T) {
 			endpoints[dm.Src] = true
 			endpoints[dm.Dst] = true
 		}
-		for v := range act {
+		for _, v := range act {
 			if !endpoints[v] {
 				relays++
 			}

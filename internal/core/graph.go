@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -226,6 +227,16 @@ func (g *Graph) check(v int) {
 type Demand struct {
 	Src, Dst int
 	Rate     float64
+}
+
+// rate is ri as every routing cost and Eq. 5 term weighs it: a demand that
+// states none (any Rate not above zero) counts as 1, and multiplying by that
+// 1 is exact, so a term reads the same bits with or without a stated rate.
+func (d Demand) rate() float64 {
+	if d.Rate > 0 {
+		return d.Rate
+	}
+	return 1
 }
 
 // EdgeCostFunc maps an edge (u,v,w) to a routing cost.
@@ -466,26 +477,15 @@ type Design struct {
 	Routes [][]int // Routes[i] serves Demand i (nil: unserved)
 }
 
-// Active returns the set of nodes appearing on any route.
-func (d *Design) Active() map[int]bool {
-	act := make(map[int]bool)
+// Active returns the nodes appearing on any route, each once, in ascending
+// id — the order Enetwork sums them in.
+func (d *Design) Active() []int {
+	var ids []int
 	for _, r := range d.Routes {
-		for _, v := range r {
-			act[v] = true
-		}
+		ids = append(ids, r...)
 	}
-	return act
-}
-
-// sortedNodes returns a node set's members in ascending id: the one order a
-// sum over a set runs in, so map iteration never reaches a float64.
-func sortedNodes(set map[int]bool) []int {
-	ids := make([]int, 0, len(set))
-	for v := range set {
-		ids = append(ids, v)
-	}
-	sort.Ints(ids)
-	return ids
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // Feasible reports whether every demand has a route connecting its
@@ -528,7 +528,7 @@ func (g *Graph) Enetwork(demands []Demand, d *Design, cfg EvalConfig) float64 {
 	// compare these values against each other and against golden digests.
 	// Ledger.Energy reproduces this exact accumulation order.
 	var total float64
-	for _, v := range sortedNodes(d.Active()) {
+	for _, v := range d.Active() {
 		if endpoints[v] {
 			continue // c(si) = c(di) = 0
 		}
@@ -538,10 +538,7 @@ func (g *Graph) Enetwork(demands []Demand, d *Design, cfg EvalConfig) float64 {
 		if r == nil {
 			continue
 		}
-		pkts := cfg.PacketsPerDemand
-		if demands[i].Rate > 0 {
-			pkts *= demands[i].Rate
-		}
+		pkts := cfg.PacketsPerDemand * demands[i].rate()
 		for j := 0; j+1 < len(r); j++ {
 			w, ok := g.EdgeWeight(r[j], r[j+1])
 			if !ok {

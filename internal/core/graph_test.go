@@ -151,11 +151,8 @@ func TestDijkstraNegativeCostPanics(t *testing.T) {
 
 func TestDesignActiveAndFeasible(t *testing.T) {
 	d := &Design{Routes: [][]int{{0, 1, 2}, {3, 1, 4}}}
-	act := d.Active()
-	for _, v := range []int{0, 1, 2, 3, 4} {
-		if !act[v] {
-			t.Fatalf("node %d should be active", v)
-		}
+	if act := d.Active(); !slices.Equal(act, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("active nodes %v, want each of 0..4 once, ascending", act)
 	}
 	demands := []Demand{{Src: 0, Dst: 2}, {Src: 3, Dst: 4}}
 	if !d.Feasible(demands) {

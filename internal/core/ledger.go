@@ -65,11 +65,7 @@ func (g *Graph) NewLedger(demands []Demand, cfg EvalConfig) *Ledger {
 		stamp:    make([]uint32, len(ix.edgeW)),
 	}
 	for i, dm := range demands {
-		p := cfg.PacketsPerDemand
-		if dm.Rate > 0 {
-			p *= dm.Rate
-		}
-		l.pkts[i] = p
+		l.pkts[i] = cfg.PacketsPerDemand * dm.rate()
 		l.endpoint[dm.Src] = true
 		l.endpoint[dm.Dst] = true
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -59,6 +61,10 @@ func (g *Graph) NodeWeightedSteiner(terminals []int) (map[int]bool, error) {
 	}
 	freeEdge := func(_, _ int, _ float64) float64 { return 0 }
 	var sp SPScratch // one Dijkstra scratch across all rounds and centers
+	// best[c] is component c's entry from the center at hand (node -1: out
+	// of reach); merging retires ids, it never mints one past the first count.
+	best := make([]compEntry, nComp)
+	var entries []compEntry
 
 	for nComp > 1 {
 		bestRatio := math.Inf(1)
@@ -68,22 +74,26 @@ func (g *Graph) NodeWeightedSteiner(terminals []int) (map[int]bool, error) {
 
 		for center := 0; center < g.n; center++ {
 			dist, parent := g.DijkstraInto(&sp, center, freeEdge, price)
-			best := make(map[int]compEntry)
+			for c := range best {
+				best[c].node = -1
+			}
 			for v := 0; v < g.n; v++ {
 				c := comp[v]
 				if c < 0 || math.IsInf(dist[v], 1) {
 					continue
 				}
-				if e, ok := best[c]; !ok || dist[v] < e.cost {
+				if best[c].node < 0 || dist[v] < best[c].cost {
 					best[c] = compEntry{cost: dist[v], node: v}
 				}
 			}
-			if len(best) < 2 {
-				continue
-			}
-			entries := make([]compEntry, 0, len(best))
+			entries = entries[:0]
 			for _, e := range best {
-				entries = append(entries, e)
+				if e.node >= 0 {
+					entries = append(entries, e)
+				}
+			}
+			if len(entries) < 2 {
+				continue
 			}
 			sort.Slice(entries, func(i, j int) bool {
 				if entries[i].cost != entries[j].cost {
@@ -152,12 +162,13 @@ func (g *Graph) NodeWeightedSteiner(terminals []int) (map[int]bool, error) {
 	return out, nil
 }
 
-// TreeNodeWeight sums the node weights of a node set in ascending node id
-// (the node-weighted Steiner objective counts every bought node; terminals
-// typically carry weight zero in that accounting).
+// TreeNodeWeight sums the node weights of a node set in ascending node id,
+// so map iteration never reaches a float64 (the node-weighted Steiner
+// objective counts every bought node; terminals typically carry weight zero
+// in that accounting).
 func (g *Graph) TreeNodeWeight(nodes map[int]bool) float64 {
 	var s float64
-	for _, v := range sortedNodes(nodes) {
+	for _, v := range slices.Sorted(maps.Keys(nodes)) {
 		g.check(v)
 		s += g.nodeWeight[v]
 	}

@@ -83,14 +83,11 @@ func (f *Figure) CSV() string {
 	return metrics.CSV(f.XLabel, f.Series)
 }
 
-// Runner executes experiments at a given scale.
+// Runner executes experiments at a given scale, on the ctx's scheduler
+// (GOMAXPROCS workers, shared with every other layer). Each run owns its
+// simulator, so results are independent of the worker count.
 type Runner struct {
 	Scale Scale
-	// Workers bounds the number of scenarios simulated concurrently on a
-	// scheduler of its own; 0 runs them on the ctx's ambient scheduler
-	// (GOMAXPROCS workers, shared with every other layer). Each run owns
-	// its simulator, so results are independent of the worker count.
-	Workers int
 	// Progress, if non-nil, receives human-readable status lines. It may be
 	// called from multiple goroutines.
 	Progress func(format string, args ...any)

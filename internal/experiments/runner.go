@@ -70,11 +70,7 @@ func (r Runner) execute(ctx context.Context, st *study, jobs []job) ([]run, erro
 			return rn, nil
 		}}
 	}
-	sched := exec.From(ctx)
-	if r.Workers > 0 {
-		sched = exec.New(r.Workers)
-	}
-	results := sched.Gather(ctx, items)
+	results := exec.From(ctx).Gather(ctx, items)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -166,6 +166,20 @@ func Gap(best, bnd float64) (gap float64, certified, defined bool) {
 	}
 }
 
+// GapOf renders Gap(best, r.Value) the way results carry it: the gap as a
+// pointer that is nil when the ratio is undefined, and whether the bound
+// certifies best optimal. A nil result — no oracle ran — certifies nothing.
+func (r *Result) GapOf(best float64) (gap *float64, certified bool) {
+	if r == nil {
+		return nil, false
+	}
+	g, certified, defined := Gap(best, r.Value)
+	if !defined {
+		return nil, false
+	}
+	return &g, certified
+}
+
 // Compute returns a certified lower bound on Enetwork(design) over every
 // feasible design for the instance. An unroutable demand is an error: no
 // feasible design exists, so there is nothing to bound.

@@ -68,6 +68,39 @@ func TestInstrumentedSearchIsBitIdentical(t *testing.T) {
 			traced.BestFingerprint, traced.BestEnergy, traced.Accepted, plain.BestFingerprint, plain.BestEnergy, plain.Accepted)
 	}
 
+	// A Section 4 method is one search that takes no step, traced or not.
+	section4 := func(tr *obs.Tracer) *Result {
+		res, err := p.SearchMethod(context.Background(), "idle-first", p.Analytic(), Options{Seed: 7, Tracer: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	searches, steps := searchesDone.Value(), stepsAccepted.Value()+stepsRejected.Value()
+	plain4 := section4(nil)
+	if got := searchesDone.Value() - searches; got != 1 {
+		t.Errorf("eend_opt_searches_total moved by %d over one Section 4 method, want 1", got)
+	}
+	if got := stepsAccepted.Value() + stepsRejected.Value() - steps; got != 0 {
+		t.Errorf("eend_opt_steps_total moved by %d over a Section 4 method, want 0", got)
+	}
+	sink := obs.NewMemSink()
+	traced4 := section4(obs.NewTracer(obs.TraceID("section4"), sink))
+	if traced4.BestFingerprint != plain4.BestFingerprint || traced4.Iterations != 1 || plain4.Iterations != 1 ||
+		math.Float64bits(traced4.BestEnergy) != math.Float64bits(plain4.BestEnergy) {
+		t.Errorf("traced idle-first found %s %v (%d iterations), untraced %s %v (%d)",
+			traced4.BestFingerprint, traced4.BestEnergy, traced4.Iterations, plain4.BestFingerprint, plain4.BestEnergy, plain4.Iterations)
+	}
+	roots := 0
+	for _, ev := range sink.Events() {
+		if ev.Name == "search" {
+			roots++
+		}
+	}
+	if roots != 1 {
+		t.Errorf("traced idle-first emitted %d search spans, want 1", roots)
+	}
+
 	var w strings.Builder
 	if err := obs.Default().WriteText(&w); err != nil {
 		t.Fatal(err)

@@ -52,47 +52,28 @@ func (p *Problem) Bound(o BoundOptions) (*BoundResult, error) {
 	return Bound(p.Graph, p.Demands, o)
 }
 
-// maybeBound runs the oracle of the given tier (zero: none) and folds the
-// outcome into res — the Options.Bound path of Search and SearchMethod.
-func (p *Problem) maybeBound(res *Result, tier BoundTier, seed uint64) error {
-	if tier == 0 {
-		return nil
-	}
-	br, err := p.Bound(BoundOptions{Tier: tier, Seed: seed})
-	if err != nil {
-		return err
-	}
-	res.ApplyBound(br)
-	return nil
-}
-
 // BoundGap reports the relative optimality gap of a best-found value
-// against a lower bound — bound.Gap re-exported on the opt surface so
-// callers (sweep, eendd) need not import the oracle package directly.
+// against a lower bound — bound.Gap re-exported on the opt surface for
+// callers that want the three raw values (bench's ledger); results carry
+// the pair BoundResult.GapOf renders from them.
 func BoundGap(best, bnd float64) (gap float64, certified, defined bool) {
 	return bound.Gap(best, bnd)
 }
 
 // ApplyBound folds a computed lower bound into the search result: the
-// bound value, its tier, and the optimality gap of BestEnergy against it.
-// Gap stays nil when the ratio is undefined (non-positive bound below the
-// best), so JSON and CSV renderings never leak NaN or Inf; GapCertified
-// reports that the bound proves BestEnergy optimal. The fleet-wide
-// eend_opt_gap gauge tracks the last applied gap.
+// bound value, its tier, and the optimality gap of BestEnergy against it as
+// BoundResult.GapOf renders it (Gap nil when the ratio is undefined, so JSON
+// and CSV never leak NaN or Inf). p.Bound then ApplyBound is how every
+// caller certifies a result; a nil bound (the oracle was disabled) leaves
+// the result as it is. The fleet-wide eend_opt_gap gauge tracks the last
+// applied gap.
 func (r *Result) ApplyBound(br *BoundResult) {
 	if br == nil {
 		return
 	}
 	v := br.Value
-	r.Bound = &v
-	r.BoundTier = br.Tier
-	gap, certified, defined := bound.Gap(r.BestEnergy, br.Value)
-	r.GapCertified = certified
-	if !defined {
-		r.Gap = nil
-		return
+	r.Bound, r.BoundTier = &v, br.Tier
+	if r.Gap, r.GapCertified = br.GapOf(r.BestEnergy); r.Gap != nil {
+		lastGap.set(*r.Gap)
 	}
-	g := gap
-	r.Gap = &g
-	lastGap.set(gap)
 }

@@ -15,14 +15,13 @@ import (
 // certifies the annealed design optimal.)
 func TestSearchWithBound(t *testing.T) {
 	p := clusteredProblem(t)
-	res, err := p.Search(context.Background(), p.Analytic(), Options{
-		Algorithm: Anneal, Seed: 1, Bound: BoundLagrange,
-	})
+	res, err := p.Search(context.Background(), p.Analytic(), Options{Algorithm: Anneal, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	certify(t, p, res, BoundLagrange)
 	if res.Bound == nil {
-		t.Fatal("Options.Bound set but Result.Bound is nil")
+		t.Fatal("bound applied but Result.Bound is nil")
 	}
 	if res.BoundTier != "lagrange" {
 		t.Fatalf("bound tier %q, want lagrange", res.BoundTier)
@@ -38,17 +37,26 @@ func TestSearchWithBound(t *testing.T) {
 	}
 }
 
-// TestSectionFourMethodWithBound: the Section 4 branch of SearchMethod
-// bounds too, and a heuristic far from optimal reports a large,
-// uncertified gap.
-func TestSectionFourMethodWithBound(t *testing.T) {
-	p := clusteredProblem(t)
-	res, err := p.SearchMethod(context.Background(), "comm-first", p.Analytic(), Options{
-		Seed: 1, Bound: BoundLagrange,
-	})
+// certify is the one protocol: the oracle's bound, folded into the result.
+func certify(t *testing.T, p *Problem, res *Result, tier BoundTier) {
+	t.Helper()
+	br, err := p.Bound(BoundOptions{Tier: tier, Seed: res.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res.ApplyBound(br)
+}
+
+// TestSectionFourMethodWithBound: a Section 4 method's result certifies
+// like any other, and a heuristic far from optimal reports a large,
+// uncertified gap.
+func TestSectionFourMethodWithBound(t *testing.T) {
+	p := clusteredProblem(t)
+	res, err := p.SearchMethod(context.Background(), "comm-first", p.Analytic(), Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	certify(t, p, res, BoundLagrange)
 	if res.Bound == nil || res.Gap == nil {
 		t.Fatal("bound/gap missing on Section 4 method result")
 	}
@@ -63,11 +71,12 @@ func TestSectionFourMethodWithBound(t *testing.T) {
 func TestBoundResultJSON(t *testing.T) {
 	p := clusteredProblem(t)
 	res, err := p.Search(context.Background(), p.Analytic(), Options{
-		Algorithm: Greedy, Seed: 1, Iterations: 50, Bound: BoundComb,
+		Algorithm: Greedy, Seed: 1, Iterations: 50,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	certify(t, p, res, BoundComb)
 	raw, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)

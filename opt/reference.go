@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand/v2"
-	"sort"
 )
 
 // The retained full-recompute reference implementation of the move set:
@@ -123,12 +122,11 @@ func (p *Problem) relays(d *Design) []int {
 		endpoint[dm.Dst] = true
 	}
 	var out []int
-	for v := range d.Active() {
+	for _, v := range d.Active() {
 		if !endpoint[v] {
 			out = append(out, v)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 

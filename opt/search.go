@@ -15,7 +15,7 @@ import (
 	"eend/internal/obs"
 )
 
-// ValidMethod reports whether name is a SolveMethod method, so axis
+// ValidMethod reports whether name is a SearchMethod method, so axis
 // parsers can reject bad values at configuration time.
 func ValidMethod(name string) bool { return slices.Contains(Methods(), name) }
 
@@ -36,21 +36,18 @@ const (
 	Restart
 )
 
+// algorithmNames holds the drivers' short names, indexed by Algorithm.
+var algorithmNames = [...]string{Greedy: "greedy", Anneal: "anneal", Restart: "restart"}
+
 // String returns the algorithm's short name (the one ParseAlgorithm accepts).
 func (a Algorithm) String() string {
-	switch a {
-	case Greedy:
-		return "greedy"
-	case Anneal:
-		return "anneal"
-	case Restart:
-		return "restart"
-	default:
+	if a < Greedy || a > Restart {
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
+	return algorithmNames[a]
 }
 
-// Methods lists the method names SolveMethod accepts: the paper's
+// Methods lists the method names SearchMethod accepts: the paper's
 // Section 4 heuristics applied directly, then the search algorithms.
 func Methods() []string {
 	return []string{"comm-first", "joint", "idle-first", "greedy", "anneal", "restart"}
@@ -63,83 +60,29 @@ var approachByName = map[string]Approach{
 	"idle-first": core.IdleFirst,
 }
 
-// SolveMethod produces a design with the named method: a Section 4
-// heuristic ("comm-first", "joint", "idle-first") in its single greedy
-// pass, or a search algorithm ("greedy", "anneal", "restart") run to its
-// default budget under the analytic objective with the given seed. This is
-// the vocabulary behind the sweep's heuristic axis, so grids compare
-// Section 4 designs against searched ones on equal footing.
-func (p *Problem) SolveMethod(ctx context.Context, method string, seed uint64) (*Design, error) {
-	res, err := p.SearchMethod(ctx, method, p.Analytic(), Options{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return res.Best, nil
-}
-
-// SearchMethod runs the named method under an arbitrary objective and
-// reports a full Result. For the Section 4 approaches the "search" is a
-// single evaluation of the heuristic's design (with the three analytic
-// baselines still recorded), so cmd/eendopt and the HTTP surface treat
-// every method uniformly.
+// SearchMethod runs the named method under the objective: a search
+// algorithm ("greedy", "anneal", "restart"), or a Section 4 heuristic
+// ("comm-first", "joint", "idle-first") as the search that starts from that
+// approach's design and proposes nothing — one evaluation, with the three
+// analytic baselines still recorded. Every method is one Search, so the
+// sweep's heuristic axis, cmd/eendopt and the HTTP surface compare Section 4
+// designs against searched ones on equal footing.
 func (p *Problem) SearchMethod(ctx context.Context, method string, obj Objective, o Options) (*Result, error) {
+	var err error
 	if a, ok := approachByName[method]; ok {
-		d, err := p.SolveApproach(a)
-		if err != nil {
-			return nil, err
-		}
-		sp := o.Tracer.Start(obs.Span{}, "search", method+"/"+obj.Name())
-		esp := o.Tracer.Start(sp, "evaluate", "1")
-		t0 := time.Now()
-		e, err := obj.Evaluate(ctx, d)
-		evalSeconds.ObserveSince(t0)
-		if err != nil {
-			esp.End(obs.A("error", err.Error()))
-			sp.End(obs.A("error", err.Error()))
-			return nil, err
-		}
-		esp.End(obs.A("energy", strconv.FormatFloat(e, 'g', -1, 64)))
-		sp.End(obs.A("best_energy", strconv.FormatFloat(e, 'g', -1, 64)),
-			obs.AInt("iterations", 1))
-		searchesDone.Inc()
-		_, base, err := p.bestHeuristic()
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{
-			Algorithm: method, Objective: obj.Name(), Seed: o.Seed,
-			Initial: e, BestEnergy: e, Best: d, BestRoutes: d.Routes,
-			BestFingerprint: Fingerprint(d), Iterations: 1, Heuristics: base,
-		}
-		if sim, ok := obj.(*Simulated); ok {
-			stats := sim.Stats()
-			res.Sim = &stats
-		}
-		if err := p.maybeBound(res, o.Bound, o.Seed); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	alg, err := ParseAlgorithm(method)
-	if err != nil {
+		o.approach, o.Initial = a, nil // the approach's own design is the start
+	} else if o.Algorithm, err = ParseAlgorithm(method); err != nil {
 		return nil, fmt.Errorf("opt: unknown method %q (want one of %v)", method, Methods())
 	}
-	o.Algorithm = alg
 	return p.Search(ctx, obj, o)
 }
 
 // ParseAlgorithm resolves an algorithm short name.
 func ParseAlgorithm(name string) (Algorithm, error) {
-	switch name {
-	case "greedy":
-		return Greedy, nil
-	case "anneal":
-		return Anneal, nil
-	case "restart":
-		return Restart, nil
-	default:
-		return 0, fmt.Errorf("opt: unknown algorithm %q (want greedy|anneal|restart)", name)
+	if a := slices.Index(algorithmNames[Greedy:], name); a >= 0 {
+		return Greedy + Algorithm(a), nil
 	}
+	return 0, fmt.Errorf("opt: unknown algorithm %q (want greedy|anneal|restart)", name)
 }
 
 // Options tunes a search.
@@ -149,7 +92,7 @@ type Options struct {
 	// Seed drives every random choice; a fixed seed yields an identical
 	// trajectory and final design fingerprint on every run (default 1).
 	Seed uint64
-	// Iterations bounds objective evaluations (default 600).
+	// Iterations bounds objective evaluations (default DefaultIterations).
 	Iterations int
 	// Restarts is the number of independent starts for Restart (default 3).
 	Restarts int
@@ -165,11 +108,6 @@ type Options struct {
 	Initial *Design
 	// Trace records every step in Result.Trajectory.
 	Trace bool
-	// Bound, when non-zero, runs the lower-bound oracle of that tier on the
-	// instance (seeded with Seed) and folds bound + optimality gap into the
-	// Result. Callers that compute the bound themselves — to share it across
-	// live progress snapshots, say — leave this zero and use ApplyBound.
-	Bound BoundTier
 	// OnStep, when non-nil, observes every step as it happens (live
 	// best-so-far for the HTTP surface). Calls are sequential: on Search's
 	// own goroutine for Greedy and Anneal; for Restart under the merge's
@@ -189,7 +127,14 @@ type Options struct {
 	// clone-per-proposal moves scored from scratch. The differential suite
 	// sets it to pin the incremental engine bit-identical.
 	reference bool
+	// approach (internal, SearchMethod's) makes the search a Section 4
+	// method: it starts from that approach's design and proposes nothing.
+	approach Approach
 }
+
+// DefaultIterations is the evaluation budget of a search whose
+// Options.Iterations is unset.
+const DefaultIterations = 600
 
 // Step is one search iteration's outcome.
 type Step struct {
@@ -382,21 +327,24 @@ func (p *Problem) Search(ctx context.Context, obj Objective, o Options) (*Result
 		o.Seed = 1
 	}
 	if o.Iterations <= 0 {
-		o.Iterations = 600
+		o.Iterations = DefaultIterations
 	}
 	if o.Restarts <= 0 {
 		o.Restarts = 3
 	}
-
-	res := &Result{
-		Algorithm: o.Algorithm.String(),
-		Objective: obj.Name(),
-		Seed:      o.Seed,
+	name := o.Algorithm.String()
+	if o.approach != 0 {
+		name = o.approach.String() // a Section 4 method goes by its approach's name
 	}
+
+	res := &Result{Algorithm: name, Objective: obj.Name(), Seed: o.Seed}
 	initial := o.Initial
 	if initial == nil {
 		var err error
-		if initial, res.Heuristics, err = p.bestHeuristic(); err != nil {
+		if initial, res.Heuristics, err = p.bestHeuristic(); err == nil && o.approach != 0 {
+			initial, err = p.SolveApproach(o.approach)
+		}
+		if err != nil {
 			return nil, err
 		}
 	} else {
@@ -418,15 +366,17 @@ func (p *Problem) Search(ctx context.Context, obj Objective, o Options) (*Result
 		tr:  o.Tracer,
 	}
 	st.span = st.tr.Start(obs.Span{}, "search",
-		o.Algorithm.String()+"/"+obj.Name()+"/"+strconv.FormatUint(o.Seed, 10))
+		name+"/"+obj.Name()+"/"+strconv.FormatUint(o.Seed, 10))
 	st.markBest(initE, "initial")
 
-	switch o.Algorithm {
-	case Greedy:
+	switch {
+	case o.approach != 0:
+		st.iter = 1 // the evaluation above is the whole method
+	case o.Algorithm == Greedy:
 		err = st.runGreedy(ctx)
-	case Anneal:
+	case o.Algorithm == Anneal:
 		err = st.runAnneal(ctx)
-	case Restart:
+	case o.Algorithm == Restart:
 		err = st.runRestart(ctx)
 	default:
 		return nil, fmt.Errorf("opt: unknown algorithm %d", int(o.Algorithm))
@@ -442,9 +392,6 @@ func (p *Problem) Search(ctx context.Context, obj Objective, o Options) (*Result
 		res.Sim = &stats
 	}
 	searchesDone.Inc()
-	if err == nil {
-		err = p.maybeBound(res, o.Bound, o.Seed)
-	}
 	if err != nil {
 		st.span.End(obs.A("error", err.Error()),
 			obs.AInt("iterations", int64(st.iter)))
@@ -596,7 +543,7 @@ func (p *Problem) runOneRestart(ctx context.Context, obj Objective, o Options, a
 		p: p, obj: obj, o: &local, rng: rng,
 		eng:  newEngine(p, init, local.reference),
 		curE: e, best: init, bestE: e,
-		res: &Result{},
+		res: new(Result), // the restart's own step log and tallies
 	}
 	st.step("restart", e, true, 0)
 	if !st.stopped {

@@ -82,13 +82,9 @@ func (s *Scenario) runReplicated(ctx context.Context) (*Results, error) {
 		items[k] = exec.Item{
 			Index:  k,
 			Nested: true,
-			Do: func(ctx context.Context) (any, error) {
-				res, err := network.RunContext(ctx, rep.sc)
-				if err != nil {
-					return nil, err
-				}
-				return &res, nil
-			},
+			// The replicate's own Run, so a traced run carries one sim
+			// span per replicate.
+			Do: func(ctx context.Context) (any, error) { return rep.Run(ctx) },
 		}
 	}
 	runs := make([]*Results, n)

@@ -89,32 +89,26 @@ type Runner struct {
 // failures and cancellations are reported in their Result.Err instead, so
 // one failed point cannot discard a thousand finished ones.
 func (r Runner) Run(ctx context.Context, g *Grid) ([]Result, Progress, error) {
+	// The final progress is the last snapshot Stream's emit counted.
+	var last Progress
+	observe := r.OnProgress
+	r.OnProgress = func(p Progress) {
+		last = p
+		if observe != nil {
+			observe(p)
+		}
+	}
 	ch, total, err := r.Stream(ctx, g)
 	if err != nil {
 		return nil, Progress{}, err
 	}
 	results := make([]Result, 0, total)
-	var last Progress
 	for sr := range ch {
 		results = append(results, sr)
 	}
 	slices.SortFunc(results, func(a, b Result) int { return a.Point.Index - b.Point.Index })
-	last = tally(total, results)
+	last.Total = total // also when a cancelled sweep delivered nothing
 	return results, last, nil
-}
-
-// tally recomputes a Progress from delivered results.
-func tally(total int, results []Result) Progress {
-	p := Progress{Total: total, Done: len(results)}
-	for _, sr := range results {
-		if sr.Cached {
-			p.CacheHits++
-		}
-		if sr.Err != nil {
-			p.Errors++
-		}
-	}
-	return p
 }
 
 // Prepared is a validated, fully expanded sweep: every point's Scenario is

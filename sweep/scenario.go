@@ -3,7 +3,8 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -162,14 +163,7 @@ var axisRegistry = map[string]func(*pointConfig, string) error{
 }
 
 // AxisNames lists the axes a grid may declare, sorted.
-func AxisNames() []string {
-	out := make([]string, 0, len(axisRegistry))
-	for name := range axisRegistry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func AxisNames() []string { return slices.Sorted(maps.Keys(axisRegistry)) }
 
 // ParseStack parses the sweep stack syntax routing[-pc][-span][-perfect]/pm,
 // e.g. "titan-pc/odpm", "dsr/active", "dsdvh-pc-span/odpm". Modifier
@@ -274,13 +268,15 @@ func (p Point) materialize(ctx context.Context) (*eend.Scenario, *Quality, error
 }
 
 // designedScenario materializes a heuristic-axis point: build the
-// deployment, derive the design problem, solve it with the named method,
+// deployment, derive the design problem, run the named method under the
+// analytic objective at its default budget (seeded with the scenario seed),
 // and pin the resulting routes as a static stack. The scenario's
 // fingerprint then covers placement, traffic AND design, so the result
 // cache answers repeated (deployment, design) pairs without simulating.
-// The design leaves with its quality certificate: the lower-bound oracle
-// runs on the same instance (Lagrangian tier, seeded with the scenario
-// seed), so a sweep's CSV can report gap per heuristic value.
+// The design leaves with its quality certificate, read off the method's
+// Result once the lower-bound oracle's answer for the same instance
+// (Lagrangian tier, seeded with the scenario seed) is folded into it, so a
+// sweep's CSV can report gap per heuristic value.
 func (p Point) designedScenario(ctx context.Context, c pointConfig) (*eend.Scenario, *Quality, error) {
 	// A Section 4 method and the bound never look at ctx themselves.
 	if err := ctx.Err(); err != nil {
@@ -304,7 +300,7 @@ func (p Point) designedScenario(ctx context.Context, c pointConfig) (*eend.Scena
 	if err != nil {
 		return nil, nil, fmt.Errorf("sweep: point %d: %w", p.Index, err)
 	}
-	d, err := prob.SolveMethod(ctx, c.heuristic, base.Seed())
+	res, err := prob.SearchMethod(ctx, c.heuristic, prob.Analytic(), opt.Options{Seed: base.Seed()})
 	if err != nil {
 		return nil, nil, fmt.Errorf("sweep: point %d: heuristic %s: %w", p.Index, c.heuristic, err)
 	}
@@ -312,18 +308,13 @@ func (p Point) designedScenario(ctx context.Context, c pointConfig) (*eend.Scena
 	if err != nil {
 		return nil, nil, fmt.Errorf("sweep: point %d: bound: %w", p.Index, err)
 	}
+	res.ApplyBound(br)
 	q := &Quality{
-		Method: c.heuristic,
-		Energy: prob.Enetwork(d),
-		Bound:  br.Value,
-		Tier:   br.Tier,
+		Method: c.heuristic, Energy: res.BestEnergy,
+		Bound: *res.Bound, Tier: res.BoundTier,
+		Gap: res.Gap, GapCertified: res.GapCertified,
 	}
-	if gap, certified, defined := opt.BoundGap(q.Energy, br.Value); defined {
-		g := gap
-		q.Gap = &g
-		q.GapCertified = certified
-	}
-	sc, err := prob.PinnedScenario(d, base.Replicates())
+	sc, err := prob.PinnedScenario(res.Best, base.Replicates())
 	if err != nil {
 		return nil, nil, fmt.Errorf("sweep: point %d: %w", p.Index, err)
 	}

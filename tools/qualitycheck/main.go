@@ -22,9 +22,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"eend"
@@ -36,9 +37,9 @@ import (
 const baselineVersion = "eend.quality/1"
 
 // searchIterations is the canonical search budget every instance is solved
-// with. It matches eendopt's annealing default, so the gate measures the
-// quality a user gets out of the box.
-const searchIterations = 600
+// with: the search's own default, so the gate measures the quality a user
+// gets out of the box.
+const searchIterations = opt.DefaultIterations
 
 // Instance is one canonical design problem the gate re-solves.
 type Instance struct {
@@ -120,16 +121,16 @@ func Measure(ctx context.Context, inst Instance, scale float64) (Quality, error)
 	if iters < 1 {
 		iters = 1
 	}
-	res, err := p.SearchMethod(ctx, "anneal", p.Analytic(), opt.Options{
-		Seed:       1,
-		Iterations: iters,
-		Bound:      opt.BoundLagrange,
-	})
+	res, err := p.SearchMethod(ctx, "anneal", p.Analytic(), opt.Options{Seed: 1, Iterations: iters})
 	if err != nil {
 		return Quality{}, fmt.Errorf("%s: %w", inst.Name, err)
 	}
-	if res.Bound == nil || res.Gap == nil {
-		return Quality{}, fmt.Errorf("%s: gap undefined (bound %v)", inst.Name, res.Bound)
+	br, err := p.Bound(opt.BoundOptions{Tier: opt.BoundLagrange, Seed: 1})
+	if err != nil {
+		return Quality{}, fmt.Errorf("%s: %w", inst.Name, err)
+	}
+	if res.ApplyBound(br); res.Gap == nil {
+		return Quality{}, fmt.Errorf("%s: gap undefined (bound %v)", inst.Name, br.Value)
 	}
 	return Quality{
 		Method:       res.Algorithm,
@@ -166,12 +167,7 @@ func Check(base Baseline, measured map[string]Quality, tolerance float64) error 
 	if len(base.Instances) == 0 {
 		return fmt.Errorf("baseline pins no instances")
 	}
-	names := make([]string, 0, len(base.Instances))
-	for name := range base.Instances {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(base.Instances)) {
 		want := base.Instances[name]
 		got, ok := measured[name]
 		if !ok {
@@ -226,12 +222,7 @@ func run(ctx context.Context, out io.Writer, args []string) error {
 	if err := Check(base, measured, *tolerance); err != nil {
 		return err
 	}
-	names := make([]string, 0, len(measured))
-	for name := range measured {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(measured)) {
 		q := measured[name]
 		status := fmt.Sprintf("gap %.6g", q.Gap)
 		if q.GapCertified {
