@@ -413,6 +413,80 @@ func BenchmarkMACUnicastExchange(b *testing.B) {
 	}
 }
 
+// routingChain returns a four-node chain, 200 m apart and always active,
+// run for 40 s under st — long enough for DSDV to converge — and ready to be
+// driven on by hand through Sim.
+func routingChain(b *testing.B, st network.Stack) *network.Network {
+	b.Helper()
+	nw, err := network.Build(network.Scenario{
+		Seed:      1,
+		Positions: []geom.Point{{X: 0}, {X: 200}, {X: 400}, {X: 600}},
+		Card:      radio.Cabletron,
+		Stack:     st,
+		Duration:  40 * time.Second,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	nw.Execute()
+	return nw
+}
+
+// BenchmarkRoutingHop sends one data packet down the chain per op: three
+// hops, each one a send state from the run's pool (ARCHITECTURE "Send
+// state"). The payload is the caller's and reused, so what is measured is
+// the routing layer and the MAC under it: 0 allocs/op, a hard gate in CI.
+func BenchmarkRoutingHop(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		stack network.Stack
+	}{
+		{"dsr-pinned", network.Stack{Routing: network.ProtoStatic, Routes: [][]int{{0, 1, 2, 3}}, PowerControl: true}},
+		{"dsdv", network.Stack{Routing: network.ProtoDSDV}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			nw := routingChain(b, c.stack)
+			s, src, sink := nw.Sim(), nw.Protocol(0), nw.Protocol(3)
+			payload := any(&traffic.Datum{})
+			hop := func() {
+				src.Send(3, 128, payload, 2048)
+				s.Run(s.Now() + 20*time.Millisecond)
+			}
+			hop() // warm the pool
+			before := sink.Stats().DataDelivered
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hop()
+			}
+			if got := sink.Stats().DataDelivered - before; got != uint64(b.N) {
+				b.Fatalf("delivered %d of %d", got, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkDSDVFullDump is one DSDV period on the chain per op: each of the
+// four nodes advertises its whole table once, from an update whose entries
+// keep their backing array in the pool. 0 allocs/op, a hard gate in CI.
+func BenchmarkDSDVFullDump(b *testing.B) {
+	b.ReportAllocs()
+	nw := routingChain(b, network.Stack{Routing: network.ProtoDSDV})
+	s := nw.Sim()
+	updates := func() (n uint64) {
+		for id := 0; id < 4; id++ {
+			n += nw.Protocol(id).Stats().UpdatesSent
+		}
+		return n
+	}
+	before := updates()
+	b.ResetTimer()
+	s.Run(s.Now() + time.Duration(b.N)*15*time.Second)
+	if got := updates() - before; got != 4*uint64(b.N) {
+		b.Fatalf("%d full dumps in %d periods, want 4 per period", got, b.N)
+	}
+}
+
 func BenchmarkDijkstra(b *testing.B) {
 	g := core.NewGraph(400)
 	for i := 0; i < 400; i++ {

@@ -268,3 +268,38 @@ func TestUnicastExchangeDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestDoneFiresAfterDelivery holds the ordering DoneFunc promises and the
+// routing layer's send state rests on: a broadcast's done comes after every
+// receiver's delivery callback (the frame has left the air, not merely gone
+// onto it), a unicast's after its receiver's — so a sender that reuses the
+// packet from done never changes it under a reader.
+func TestDoneFiresAfterDelivery(t *testing.T) {
+	s := sim.New(3)
+	med := phy.NewMedium(s, phy.Config{RangeAt: radio.Cabletron.RangeAt})
+	coord := NewCoordinator(s)
+	var order []string
+	var macs []*MAC
+	for i, p := range []geom.Point{{}, {X: 100}, {Y: 100}, {X: -100}} {
+		macs = append(macs, New(s, med, coord, i, p, Config{Card: radio.Cabletron},
+			func(int, *Packet) { order = append(order, fmt.Sprintf("deliver@%d", i)) }))
+	}
+	coord.Start()
+	done := func(ok bool) { order = append(order, fmt.Sprintf("done ok=%t", ok)) }
+	pkt := &Packet{Kind: PacketData, Bytes: 128}
+	for _, c := range []struct {
+		name string
+		send func()
+		want int // deliveries before done
+	}{
+		{"broadcast", func() { macs[0].SendBroadcast(pkt, done) }, 3},
+		{"unicast", func() { macs[0].SendUnicast(2, pkt, 0, done) }, 1},
+	} {
+		order = order[:0]
+		c.send()
+		s.Run(s.Now() + 10*time.Millisecond)
+		if len(order) != c.want+1 || order[c.want] != "done ok=true" {
+			t.Errorf("%s: callbacks ran as %v, want %d deliveries and then done", c.name, order, c.want)
+		}
+	}
+}

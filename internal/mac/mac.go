@@ -197,7 +197,14 @@ type Stats struct {
 // Delivery is the callback type for packets delivered to the network layer.
 type Delivery func(from int, pkt *Packet)
 
-// DoneFunc reports the fate of a queued unicast packet.
+// DoneFunc reports the fate of a queued packet, once, and after every
+// delivery of it: when done fires no receiver will be handed the packet
+// again, so the sender may reuse it (internal/routing's send state does). A
+// unicast's done fires on the ACK or at the retry limit, and the receiver's
+// delivery callback ran when the DATA frame ended, before it sent the ACK. A
+// broadcast's done fires from txDone at the end of the frame, which the MAC
+// schedules after the medium's end-of-frame event for the same instant, the
+// one that runs every recipient's RxEnd and with it the delivery callback.
 type DoneFunc func(ok bool)
 
 // job is one queued network-layer packet.

@@ -32,8 +32,8 @@ func (m *MAC) SendUnicast(dst int, pkt *Packet, power float64, done DoneFunc) {
 }
 
 // SendBroadcast queues a broadcast packet, transmitted once at maximum power
-// with no acknowledgement. done, if non-nil, fires when the frame has been
-// put on the air (or the job is abandoned).
+// with no acknowledgement. done, if non-nil, fires when the frame has left
+// the air (or the job is abandoned): see DoneFunc for what that guarantees.
 func (m *MAC) SendBroadcast(pkt *Packet, done DoneFunc) {
 	m.enqueue(phy.Broadcast, pkt, m.MaxPower(), done)
 }

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"eend/internal/mac"
@@ -113,24 +114,19 @@ func (d *DSDV) periodic() {
 }
 
 func (d *DSDV) broadcastFull() {
-	entries := make([]advEntry, 0, d.rows)
-	for dst := range d.table { // ascending destination id
-		if e := &d.table[dst]; e.present {
-			entries = append(entries, advEntry{dst: dst, metric: e.metric, seq: e.seq})
-		}
-	}
-	d.sendUpdate(entries)
-}
-
-func (d *DSDV) sendUpdate(entries []advEntry) {
-	if len(entries) == 0 {
-		return
+	if d.rows == 0 {
+		return // not started: nothing to advertise
 	}
 	d.stats.UpdatesSent++
-	u := &dsdvUpdate{entries: entries}
-	d.env.MAC.SendBroadcast(&mac.Packet{
-		Kind: mac.PacketControl, Bytes: u.bytes(), Payload: u,
-	}, nil)
+	s := d.env.take(sendUpdate)
+	s.upd.entries = slices.Grow(s.upd.entries, d.rows)
+	for dst := range d.table { // ascending destination id
+		if e := &d.table[dst]; e.present {
+			s.upd.entries = append(s.upd.entries, advEntry{dst: dst, metric: e.metric, seq: e.seq})
+		}
+	}
+	s.pkt = mac.Packet{Kind: mac.PacketControl, Bytes: s.upd.bytes(), Payload: &s.upd}
+	d.env.MAC.SendBroadcast(&s.pkt, s.doneFn)
 }
 
 // trigger schedules a rate-limited triggered full update.
@@ -237,13 +233,15 @@ func (d *DSDV) Send(dst int, bytes int, payload any, rate float64) {
 	d.forward(pkt)
 }
 
+// forward moves a data packet one hop towards its destination, or delivers
+// it. pkt is only read: received, it is the previous hop's send state.
 func (d *DSDV) forward(pkt *dataPacket) {
 	if pkt.Dst == d.env.ID {
 		d.deliver(pkt)
 		return
 	}
-	pkt.TTL--
-	if pkt.TTL <= 0 {
+	ttl := pkt.TTL - 1
+	if ttl <= 0 {
 		d.stats.DataDropped++
 		return
 	}
@@ -256,20 +254,11 @@ func (d *DSDV) forward(pkt *dataPacket) {
 		d.stats.DataForwarded++
 		d.env.PM.OnActivity(power.ActivityData)
 	}
-	next := e.next
-	fwd := *pkt
-	var txPower float64
-	if d.powerControl {
-		txPower = d.env.MAC.TxPowerFor(next)
-	}
-	d.env.MAC.SendUnicast(next, &mac.Packet{
-		Kind: mac.PacketData, Bytes: fwd.bytes(), Payload: &fwd,
-	}, txPower, func(ok bool) {
-		if !ok {
-			d.neighborLost(next)
-		}
-	})
+	d.env.sendHop(d, e.next, pkt, pkt.Hop, ttl, d.powerControl)
 }
+
+// hopFailed implements hopOwner.
+func (d *DSDV) hopFailed(next int, _ *dataPacket) { d.neighborLost(next) }
 
 func (d *DSDV) deliver(pkt *dataPacket) {
 	d.stats.DataDelivered++

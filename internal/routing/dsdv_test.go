@@ -79,8 +79,8 @@ func (m *dsdvModel) advertisement() []advEntry {
 	return entries
 }
 
-// updateSink is the protocol on the listening node: it keeps the last route
-// update it heard.
+// updateSink is the protocol on the listening node: it keeps a copy of the
+// last route update it heard (the update itself is the sender's to reuse).
 type updateSink struct{ last []advEntry }
 
 func (u *updateSink) Start()                      {}
@@ -88,7 +88,7 @@ func (u *updateSink) Send(int, int, any, float64) {}
 func (u *updateSink) Stats() Stats                { return Stats{} }
 func (u *updateSink) HandlePacket(_ int, pkt *mac.Packet) {
 	if up, ok := pkt.Payload.(*dsdvUpdate); ok {
-		u.last = up.entries
+		u.last = slices.Clone(up.entries)
 	}
 }
 

@@ -271,24 +271,30 @@ func (d *DSR) handleRREQ(from int, req *rreq) {
 		return
 	}
 
-	fwd := &rreq{
+	s := d.env.take(sendRREQ)
+	s.dsr = d
+	s.req = rreq{
 		Origin: req.Origin, Target: req.Target, ID: req.ID,
-		Path: append(append([]int{}, req.Path...), d.env.ID),
+		Path: append(append(s.req.Path, req.Path...), d.env.ID),
 		Cost: cost, Rate: req.Rate, TTL: req.TTL - 1,
 	}
+	s.pkt = mac.Packet{Kind: mac.PacketControl, Bytes: s.req.bytes(), Payload: &s.req}
 	delay := jitter(d.env.RNG(), rreqJitterMax)
 	if d.v.ForwardDelay != nil {
 		delay += d.v.ForwardDelay(d)
 	}
-	d.env.Sim.ScheduleFor(sim.LayerRouting, delay, func() {
-		// Suppress if a strictly better copy has been forwarded meanwhile.
-		if cur := d.seen[key]; cur < cost {
-			return
-		}
-		d.env.MAC.SendBroadcast(&mac.Packet{
-			Kind: mac.PacketControl, Bytes: fwd.bytes(), Payload: fwd,
-		}, nil)
-	})
+	d.env.Sim.ScheduleFor(sim.LayerRouting, delay, s.fireFn)
+}
+
+// fire broadcasts a forwarded RREQ once its jitter has elapsed, unless a
+// strictly better copy has been forwarded meanwhile.
+func (s *send) fire() {
+	d := s.dsr
+	if cur := d.seen[reqKey{s.req.Origin, s.req.ID}]; cur < s.req.Cost {
+		s.pool.put(s)
+		return
+	}
+	d.env.MAC.SendBroadcast(&s.pkt, s.doneFn)
 }
 
 func (d *DSR) sendRREP(rep *rrep) {
@@ -334,7 +340,8 @@ func (d *DSR) handleRREP(rep *rrep) {
 	d.sendRREP(rep)
 }
 
-// forward moves a data packet one hop along its source route, or delivers it.
+// forward moves a data packet one hop along its source route, or delivers
+// it. pkt is only read: received, it is the previous hop's send state.
 func (d *DSR) forward(pkt *dataPacket) {
 	if pkt.Dst == d.env.ID {
 		d.deliver(pkt)
@@ -352,8 +359,8 @@ func (d *DSR) forward(pkt *dataPacket) {
 		d.stats.DataDropped++
 		return
 	}
-	pkt.TTL--
-	if pkt.TTL <= 0 {
+	ttl := pkt.TTL - 1
+	if ttl <= 0 {
 		d.stats.DataDropped++
 		return
 	}
@@ -361,21 +368,11 @@ func (d *DSR) forward(pkt *dataPacket) {
 		d.stats.DataForwarded++
 		d.env.PM.OnActivity(power.ActivityData)
 	}
-	next := pkt.Route[i+1]
-	fwd := *pkt
-	fwd.Hop = i + 1
-	var txPower float64
-	if d.v.PowerControl {
-		txPower = d.env.MAC.TxPowerFor(next)
-	}
-	d.env.MAC.SendUnicast(next, &mac.Packet{
-		Kind: mac.PacketData, Bytes: fwd.bytes(), Payload: &fwd,
-	}, txPower, func(ok bool) {
-		if !ok {
-			d.linkBroken(d.env.ID, next, &fwd) // same Src and Route as pkt
-		}
-	})
+	d.env.sendHop(d, pkt.Route[i+1], pkt, i+1, ttl, d.v.PowerControl)
 }
+
+// hopFailed implements hopOwner.
+func (d *DSR) hopFailed(next int, pkt *dataPacket) { d.linkBroken(d.env.ID, next, pkt) }
 
 func (d *DSR) deliver(pkt *dataPacket) {
 	d.stats.DataDelivered++

@@ -21,7 +21,13 @@ type rtb struct {
 	coord     *mac.Coordinator
 	macs      []*mac.MAC
 	protos    []Protocol
-	delivered []int // payload source ids delivered at each node
+	delivered []int     // payload source ids delivered at each node
+	sends     *SendPool // shared by the nodes, as network.Build shares it
+
+	// Optional taps, read at call time: onPacket sees what the MAC hands up
+	// before the protocol does, onDeliver what the protocol hands its sink.
+	onPacket  func(at, from int, pkt *mac.Packet)
+	onDeliver func(at, src int, payload any, bytes int)
 }
 
 func newRTB(t *testing.T, seed uint64, card radio.Card, pts []geom.Point,
@@ -30,12 +36,17 @@ func newRTB(t *testing.T, seed uint64, card radio.Card, pts []geom.Point,
 	s := sim.New(seed)
 	med := phy.NewMedium(s, phy.Config{RangeAt: card.RangeAt})
 	coord := mac.NewCoordinator(s)
-	tb := &rtb{sim: s, med: med, coord: coord, delivered: make([]int, len(pts))}
+	tb := &rtb{sim: s, med: med, coord: coord, delivered: make([]int, len(pts)), sends: new(SendPool)}
 	for i, p := range pts {
 		i := i
 		var proto Protocol
 		m := mac.New(s, med, coord, i, p, mac.Config{Card: card},
-			func(from int, pkt *mac.Packet) { proto.HandlePacket(from, pkt) })
+			func(from int, pkt *mac.Packet) {
+				if tb.onPacket != nil {
+					tb.onPacket(i, from, pkt)
+				}
+				proto.HandlePacket(from, pkt)
+			})
 		env := &Env{
 			ID:  i,
 			Sim: s,
@@ -43,8 +54,12 @@ func newRTB(t *testing.T, seed uint64, card radio.Card, pts []geom.Point,
 			PM:  &power.AlwaysActive{Node: m},
 			Deliver: func(src int, payload any, bytes int) {
 				tb.delivered[i]++
+				if tb.onDeliver != nil {
+					tb.onDeliver(i, src, payload, bytes)
+				}
 			},
 			Bandwidth: phy.DefaultBandwidth,
+			Sends:     tb.sends,
 		}
 		proto = mk(env)
 		tb.macs = append(tb.macs, m)

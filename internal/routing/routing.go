@@ -36,6 +36,9 @@ type Env struct {
 	Deliver func(src int, payload any, bytes int)
 	// Bandwidth is the channel bit rate B used by the h(u,v,r) cost.
 	Bandwidth float64
+	// Sends is the run's send-state pool, shared by its nodes; an Env built
+	// by hand gets its own on first use.
+	Sends *SendPool
 }
 
 // RNG returns the simulation RNG.
