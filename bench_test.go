@@ -16,6 +16,7 @@ import (
 	"eend/internal/phy"
 	"eend/internal/power"
 	"eend/internal/radio"
+	"eend/internal/routing"
 	"eend/internal/sim"
 	"eend/internal/topology"
 	"eend/internal/traffic"
@@ -485,6 +486,85 @@ func BenchmarkDSDVFullDump(b *testing.B) {
 	if got := updates() - before; got != 4*uint64(b.N) {
 		b.Fatalf("%d full dumps in %d periods, want 4 per period", got, b.N)
 	}
+}
+
+// BenchmarkDuplicateRREQ is the copy most nodes of a flood hear: a request
+// they have already forwarded, arriving again. Node 1 forwards node 0's
+// request for an absent node once; each op hands it the origin's copy
+// again, which its slot of the run's flood table (ARCHITECTURE "Flood
+// state") turns away. 0 allocs/op, a hard gate in CI.
+func BenchmarkDuplicateRREQ(b *testing.B) {
+	b.ReportAllocs()
+	s := sim.New(1)
+	med := phy.NewMedium(s, phy.Config{RangeAt: radio.Cabletron.RangeAt})
+	coord := mac.NewCoordinator(s)
+	run := routing.NewRunState(2)
+	protos := make([]routing.Protocol, 2)
+	macs := make([]*mac.MAC, 2)
+	var heard mac.Packet // the first copy node 1 hears: the origin's
+	for id, x := range []float64{0, 100} {
+		macs[id] = mac.New(s, med, coord, id, geom.Point{X: x}, mac.Config{Card: radio.Cabletron},
+			func(from int, pkt *mac.Packet) {
+				if id == 1 && heard.Payload == nil {
+					heard = *pkt
+				}
+				protos[id].HandlePacket(from, pkt)
+			})
+		protos[id] = routing.NewDSR(&routing.Env{ID: id, Sim: s, MAC: macs[id], PM: &power.AlwaysActive{Node: macs[id]}, Run: run}, false)
+	}
+	coord.Start()
+	protos[0].Send(99, 128, nil, 0)
+	s.Run(100 * time.Millisecond)
+	if heard.Payload == nil || macs[1].Stats().BroadcastSent != 1 {
+		b.Fatal("node 1 did not forward the request")
+	}
+	pending := s.Pending()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		protos[1].HandlePacket(0, &heard)
+	}
+	if s.Pending() != pending {
+		b.Fatal("a duplicate was forwarded again")
+	}
+}
+
+// BenchmarkBroadcastEligible is the check a broadcast makes before every
+// attempt: may it contend now, or must it first be announced to a PSM
+// neighbour? The node is the first of 400 at the paper's reference density
+// with the density's mean row, 39 neighbours; the later half of its row, in
+// id order, is in PSM, so the scan reads half the row before it finds one.
+// 0 allocs/op, a hard gate in CI.
+func BenchmarkBroadcastEligible(b *testing.B) {
+	b.ReportAllocs()
+	const n = 400
+	s := sim.New(1)
+	med := phy.NewMedium(s, phy.Config{RangeAt: radio.Cabletron.RangeAt})
+	coord := mac.NewCoordinator(s)
+	side := topology.SideForDensity(n)
+	macs := make([]*mac.MAC, n)
+	for i, p := range geom.UniformPlacement(geom.Field{Width: side, Height: side}, n, rand.New(rand.NewPCG(n, 7))) {
+		macs[i] = mac.New(s, med, coord, i, p, mac.Config{Card: radio.Cabletron}, nil)
+	}
+	var m *mac.MAC
+	for _, m = range macs {
+		if len(m.NeighborsCached()) == 39 {
+			break
+		}
+	}
+	row := m.NeighborsCached()
+	if len(row) != 39 {
+		b.Fatalf("no node of %d has a 39-neighbour row", n)
+	}
+	for _, id := range row[len(row)/2:] {
+		macs[id].SetPowerMode(mac.PSM)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ok, announce := m.BroadcastEligible(); ok || !announce {
+			b.Fatal("a broadcast with PSM neighbours went ahead unannounced")
+		}
+	}
+	b.ReportMetric(float64(len(row)), "neighbours")
 }
 
 func BenchmarkDijkstra(b *testing.B) {

@@ -10,7 +10,7 @@ import "eend/internal/sim"
 type Coordinator struct {
 	sim    *sim.Simulator
 	macs   []*MAC
-	byID   map[int]*MAC
+	modes  []PowerMode // node id -> mode (0: no MAC); after register, only SetPowerMode writes
 	window bool
 	iv     uint64   // current beacon interval index, starts at 1
 	start  sim.Time // start time of the current interval
@@ -25,16 +25,17 @@ type Coordinator struct {
 // NewCoordinator creates the beacon scheduler. Call Start before running the
 // simulation.
 func NewCoordinator(s *sim.Simulator) *Coordinator {
-	c := &Coordinator{sim: s, byID: make(map[int]*MAC)}
+	c := &Coordinator{sim: s}
 	c.beaconFn = c.onBeacon
 	c.windowEndFn = c.onWindowEnd
 	return c
 }
 
-// register attaches a MAC (called from mac.New).
+// register attaches a MAC in AM (called from mac.New).
 func (c *Coordinator) register(m *MAC) {
 	c.macs = append(c.macs, m)
-	c.byID[m.id] = m
+	c.modes = append(c.modes, make([]PowerMode, max(0, m.id+1-len(c.modes)))...)
+	c.modes[m.id] = AM
 }
 
 // Start schedules the repeating beacon. The first beacon fires immediately.
@@ -75,13 +76,12 @@ func (c *Coordinator) nextBeacon() sim.Time {
 	return c.start + beaconInterval
 }
 
-// PowerModeOf returns the power-management mode of a node, used by routing
-// layers that track neighbor state (the paper's protocols learn this from
-// routing updates; reading it directly is a documented shortcut).
+// PowerModeOf returns the power-management mode of a node (AM if no MAC has
+// its id), used by routing layers that track neighbor state (the paper's
+// protocols learn it from routing updates; reading it is a documented shortcut).
 func (c *Coordinator) PowerModeOf(id int) PowerMode {
-	m := c.byID[id]
-	if m == nil {
-		return AM
+	if uint(id) < uint(len(c.modes)) && c.modes[id] == PSM {
+		return PSM
 	}
-	return m.mode
+	return AM
 }

@@ -233,7 +233,6 @@ type MAC struct {
 	maxPower float64 // cfg.Card.MaxTxPower(): every control frame goes at it
 	deliver  Delivery
 
-	mode      PowerMode
 	navUntil  sim.Time
 	queue     []*job
 	current   *job
@@ -302,7 +301,6 @@ func New(s *sim.Simulator, med *phy.Medium, coord *Coordinator, id int, pos geom
 		coord:       coord,
 		maxPower:    cfg.Card.MaxTxPower(),
 		deliver:     deliver,
-		mode:        AM,
 		lastSeq:     make(map[int]uint64),
 		tpc:         make(map[int]float64),
 		announcedTo: make(map[int]uint64),
@@ -336,8 +334,9 @@ func (m *MAC) Radio() *radio.Radio { return m.radio }
 // Stats returns a copy of the MAC counters.
 func (m *MAC) Stats() Stats { return m.stats }
 
-// PowerMode returns the node's power-management mode.
-func (m *MAC) PowerMode() PowerMode { return m.mode }
+// PowerMode returns the node's power-management mode: its entry in the
+// coordinator's mode table, the one copy of that fact.
+func (m *MAC) PowerMode() PowerMode { return m.coord.modes[m.id] }
 
 // PeerPowerMode returns the power-management mode of another node. The
 // paper's protocols learn this from routing updates and the ATIM handshake;
@@ -380,10 +379,10 @@ func (m *MAC) SetPowerMode(mode PowerMode) {
 	if mode != AM && mode != PSM {
 		panic(fmt.Sprintf("mac: invalid power mode %d", int(mode)))
 	}
-	if m.mode == mode {
+	if m.PowerMode() == mode {
 		return
 	}
-	m.mode = mode
+	m.coord.modes[m.id] = mode
 	if mode == AM {
 		m.wake()
 		m.kick()
@@ -403,7 +402,7 @@ func (m *MAC) wake() {
 // maybeSleep puts the radio to sleep if PSM policy allows it right now.
 func (m *MAC) maybeSleep() {
 	now := m.sim.Now()
-	if m.mode != PSM ||
+	if m.PowerMode() != PSM ||
 		m.coord.inWindow() ||
 		now < m.awakeUntil ||
 		len(m.announcedBy) > 0 ||

@@ -89,6 +89,12 @@ func (m *MAC) eligible(j *job) (ok, announce bool) {
 	return inWindow, true
 }
 
+// BroadcastEligible is eligible for a broadcast at the head of the queue
+// now: whether it may contend, and whether its next frame is an ATIM.
+func (m *MAC) BroadcastEligible() (ok, announce bool) {
+	return m.eligible(&job{dst: phy.Broadcast})
+}
+
 func (m *MAC) hasEligibleJob() bool {
 	for _, j := range m.queue {
 		if ok, _ := m.eligible(j); ok {
@@ -402,7 +408,7 @@ func (m *MAC) sendBroadcastATIM(j *job) {
 
 func (m *MAC) onBeacon() {
 	clear(m.announcedBy)
-	if m.mode == PSM {
+	if m.PowerMode() == PSM {
 		m.wake()
 	}
 	m.kick()

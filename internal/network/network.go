@@ -238,7 +238,7 @@ func Build(sc Scenario) (*Network, error) {
 	}
 
 	nw := &Network{sc: sc, sim: s, med: med, coord: coord, col: traffic.NewCollector()}
-	sends := new(routing.SendPool) // the run's: see ARCHITECTURE "Send state"
+	shared := routing.NewRunState(len(positions)) // ARCHITECTURE "Send state", "Flood state"
 
 	for id, pos := range positions {
 		n := &node{id: id}
@@ -265,7 +265,7 @@ func Build(sc Scenario) (*Network, error) {
 			MAC:       n.mac,
 			PM:        n.pm,
 			Bandwidth: bw,
-			Sends:     sends,
+			Run:       shared,
 			Deliver: func(src int, payload any, bytes int) {
 				if d, ok := payload.(*traffic.Datum); ok {
 					nw.col.OnDeliver(d.Flow, bytes)

@@ -132,7 +132,7 @@ type Medium struct {
 	cfg       Config
 	listeners []Listener
 	pos       []geom.Point // attach index -> position, captured at Attach
-	idxByID   map[int]int32
+	attachOf  []int32      // node id -> attach index + 1; 0: no such node
 
 	maxRange float64 // index cell side: cfg.RangeAt(+Inf)
 	// rangeMemo holds the two powers last transmitted at with their radii,
@@ -181,7 +181,6 @@ func NewMedium(s *sim.Simulator, cfg Config) *Medium {
 	return &Medium{
 		sim:       s,
 		cfg:       cfg,
-		idxByID:   make(map[int]int32),
 		maxRange:  cfg.RangeAt(math.Inf(1)),
 		rangeMemo: [2]struct{ power, radius float64 }{{power: math.NaN()}, {power: math.NaN()}},
 	}
@@ -205,15 +204,20 @@ func (m *Medium) rangeAt(power float64) float64 {
 	return m.rangeMemo[0].radius
 }
 
-// Attach registers a listener. Node ids must be unique. Attaching
-// invalidates the spatial index and the reach tables; they are rebuilt (and
-// ongoing transmissions re-registered) on the next query.
+// Attach registers a listener. Node ids must be unique and non-negative;
+// they index a slice, so they should also be dense. Attaching invalidates
+// the spatial index and the reach tables; they are rebuilt (and ongoing
+// transmissions re-registered) on the next query.
 func (m *Medium) Attach(l Listener) {
 	id := l.NodeID()
-	if _, dup := m.idxByID[id]; dup {
+	if id < 0 {
+		panic(fmt.Sprintf("phy: negative node id %d", id))
+	}
+	m.attachOf = append(m.attachOf, make([]int32, max(0, id+1-len(m.attachOf)))...)
+	if m.attachOf[id] != 0 {
 		panic(fmt.Sprintf("phy: duplicate node id %d", id))
 	}
-	m.idxByID[id] = int32(len(m.listeners))
+	m.attachOf[id] = int32(len(m.listeners)) + 1
 	m.listeners = append(m.listeners, l)
 	m.pos = append(m.pos, l.Pos())
 	m.inboxes = append(m.inboxes, nil)
@@ -360,11 +364,10 @@ func (m *Medium) appendCandidates(p geom.Point, radius float64, buf []int32) []i
 
 // index returns the attach index of node id.
 func (m *Medium) index(id int) int32 {
-	idx, ok := m.idxByID[id]
-	if !ok {
+	if uint(id) >= uint(len(m.attachOf)) || m.attachOf[id] == 0 {
 		panic(fmt.Sprintf("phy: unknown node %d", id))
 	}
-	return idx
+	return m.attachOf[id] - 1
 }
 
 // Airtime returns the on-air duration of a frame of the given size.
@@ -425,10 +428,7 @@ func (m *Medium) sensed(p geom.Point) []*transmission {
 // RxBegin/RxEnd on every in-range listener able to receive. Returns the
 // frame end time.
 func (m *Medium) Transmit(f *Frame) sim.Time {
-	srcIdx, ok := m.idxByID[f.Src]
-	if !ok {
-		panic(fmt.Sprintf("phy: transmit from unknown node %d", f.Src))
-	}
+	srcIdx := m.index(f.Src)
 	now := m.sim.Now()
 	f.Start = now
 	f.End = now + m.Airtime(f.Bytes)

@@ -291,6 +291,49 @@ func TestDuplicateAttachPanics(t *testing.T) {
 	m.Attach(&stubNode{id: 7})
 }
 
+// TestAttachNegativeIDPanics: node ids index the medium's id table, so a
+// negative one is refused at Attach, by name.
+func TestAttachNegativeIDPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "phy: negative node id -3" {
+			t.Fatalf("panic = %v, want phy: negative node id -3", r)
+		}
+	}()
+	newTestMedium(sim.New(1)).Attach(&stubNode{id: -3})
+}
+
+// TestSparseIDs attaches ids out of order and with gaps: every id-taking
+// method finds its node through the id table, a gap is an unknown node, and
+// Neighbors lists ids in attach order.
+func TestSparseIDs(t *testing.T) {
+	s := sim.New(1)
+	m := newTestMedium(s)
+	nodes := []*stubNode{{id: 9, pos: geom.Point{X: 100}}, {id: 100}, {id: 2, pos: geom.Point{X: 200}}}
+	for _, n := range nodes {
+		m.Attach(n)
+	}
+	if got := m.Neighbors(100, 250); len(got) != 2 || got[0] != 9 || got[1] != 2 {
+		t.Fatalf("Neighbors(100) = %v, want [9 2]", got)
+	}
+	if d := m.Distance(100, 2); d != 200 {
+		t.Fatalf("Distance(100, 2) = %v, want 200", d)
+	}
+	m.Transmit(&Frame{Src: 100, Dst: Broadcast, Bytes: 100, Power: radio.Cabletron.MaxTxPower()})
+	if !m.Busy(9) || m.BusyUntil(2) == 0 || m.Busy(100) {
+		t.Fatal("the sparse ids' carrier sense does not see node 100's frame")
+	}
+	s.Run(time.Second)
+	if len(nodes[0].endedOK) != 1 || len(nodes[2].endedOK) != 1 || len(nodes[1].ended) != 0 {
+		t.Fatal("node 100's frame did not reach exactly nodes 9 and 2")
+	}
+	defer func() {
+		if r := recover(); r != "phy: unknown node 3" {
+			t.Fatalf("panic = %v, want phy: unknown node 3", r)
+		}
+	}()
+	m.Busy(3)
+}
+
 func TestFrameCounter(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMedium(s)

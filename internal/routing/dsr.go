@@ -81,11 +81,6 @@ type rerr struct {
 	Hop      int
 }
 
-type reqKey struct {
-	origin int
-	id     uint64
-}
-
 type cachedRoute struct {
 	path []int
 	cost float64
@@ -97,18 +92,57 @@ type discovery struct {
 	buffer []*dataPacket
 }
 
+// floodTable is a run's duplicate state for route requests (ARCHITECTURE
+// "Flood state"): per request, one cost per node id. Node i uses slot i
+// only: the target's holds the best cost it answered at, any other node's
+// the best it forwarded at (−Inf: declined). A node is a request's target for
+// the whole flood or never, so one array carries both.
+type floodTable struct {
+	nodes int          // length a request's array starts at
+	reqs  [][][]uint64 // [origin][id-1] (ids grow by one from 1) -> slot by node
+}
+
+// unrecorded is a signalling NaN, which no recorded cost is: a node records
+// −Inf or req.Cost + linkCost, and an IEEE 754 sum that is a NaN is a quiet
+// one (§6.2; Go's soft float agrees). A quiet NaN would not do: a custom
+// LinkCost, or a NaN rate through hCost's c < 0 clamp, makes one, and it must
+// read back as recorded. A slot holds its cost's bits XOR unrecorded, so the
+// zero slot that make returns means nothing recorded.
+const unrecorded = 0x7ff0_0000_0000_0001
+
+// get returns node's record of request (origin, id), or 0, false as a map would.
+func (t *floodTable) get(origin int, id uint64, node int) (float64, bool) {
+	if origin < len(t.reqs) && id-1 < uint64(len(t.reqs[origin])) {
+		if slots := t.reqs[origin][id-1]; node < len(slots) && slots[node] != 0 {
+			return math.Float64frombits(slots[node] ^ unrecorded), true
+		}
+	}
+	return 0, false
+}
+
+// set records cost in node's slot of request (origin, id), making the
+// request's array on its first record.
+func (t *floodTable) set(origin int, id uint64, node int, cost float64) {
+	t.reqs = extend(t.reqs, origin+1)
+	ids := extend(t.reqs[origin], int(id))
+	t.reqs[origin] = ids
+	ids[id-1] = extend(ids[id-1], max(node+1, t.nodes))
+	ids[id-1][node] = math.Float64bits(cost) ^ unrecorded
+}
+
+// extend returns s with zeros appended up to length n.
+func extend[T any](s []T, n int) []T { return append(s, make([]T, max(0, n-len(s)))...) }
+
 // DSR is the reactive source-routing engine, specialized by a Variant into
 // DSR, MTPR, MTPR+, DSRH and TITAN.
 type DSR struct {
 	env *Env
 	v   Variant
 
-	cache    map[int]*cachedRoute
-	seen     map[reqKey]float64 // best cost seen per request (math.Inf: none)
-	answered map[reqKey]float64 // best cost answered (targets only)
-	pending  map[int]*discovery
-	reqID    uint64
-	seq      uint64
+	cache   map[int]*cachedRoute
+	pending map[int]*discovery
+	reqID   uint64
+	seq     uint64
 
 	stats Stats
 }
@@ -116,12 +150,10 @@ type DSR struct {
 var _ Protocol = (*DSR)(nil)
 
 // NewDSRVariant builds a DSR-engine protocol from a variant description
-// (a pinned one never discovers: its three discovery maps stay nil).
+// (a pinned one never discovers: pending stays nil, the flood table untouched).
 func NewDSRVariant(env *Env, v Variant) *DSR {
 	d := &DSR{env: env, v: v, cache: make(map[int]*cachedRoute)}
 	if !v.Pinned {
-		d.seen = make(map[reqKey]float64)
-		d.answered = make(map[reqKey]float64)
 		d.pending = make(map[int]*discovery)
 	}
 	return d
@@ -231,43 +263,39 @@ func (d *DSR) linkCost(from int, req *rreq) float64 {
 	return d.v.LinkCost(d, from, req)
 }
 
+// handleRREQ answers or forwards a copy unless this node's slot of the flood
+// table holds the request already (at a cost no higher, if cost-based).
 func (d *DSR) handleRREQ(from int, req *rreq) {
-	if req.Origin == d.env.ID {
+	me := d.env.ID
+	if req.Origin == me {
 		return
 	}
-	key := reqKey{req.Origin, req.ID}
+	target := req.Target == me
 	cost := req.Cost + d.linkCost(from, req)
+	if !target && indexOf(req.Path, me) >= 0 {
+		return
+	}
+	floods := &d.env.state().floods
+	best, seenIt := floods.get(req.Origin, req.ID, me)
+	if seenIt && (!d.v.CostBased || cost >= best) {
+		return
+	}
+	floods.set(req.Origin, req.ID, me, cost)
 
-	if req.Target == d.env.ID {
-		best, seenIt := d.answered[key]
-		if seenIt && (!d.v.CostBased || cost >= best) {
-			return
-		}
-		d.answered[key] = cost
-		route := append(append([]int{}, req.Path...), d.env.ID)
+	if target {
+		route := append(append([]int{}, req.Path...), me)
 		d.sendRREP(&rrep{
 			Origin: req.Origin, Target: req.Target, ID: req.ID,
 			Route: route, Cost: cost, Hop: len(route) - 1,
 		})
 		return
 	}
-
-	if indexOf(req.Path, d.env.ID) >= 0 {
-		return
-	}
-	best, seenIt := d.seen[key]
-	if seenIt && (!d.v.CostBased || cost >= best) {
-		return
-	}
-	firstCopy := !seenIt
-	d.seen[key] = cost
-
 	if req.TTL <= 1 {
 		return
 	}
-	if firstCopy && d.v.Participate != nil && !d.v.Participate(d) {
-		// Declined: poison the dedup entry so later copies are ignored too.
-		d.seen[key] = math.Inf(-1)
+	if !seenIt && d.v.Participate != nil && !d.v.Participate(d) {
+		// Declined: poison the slot so later copies are ignored too.
+		floods.set(req.Origin, req.ID, me, math.Inf(-1))
 		return
 	}
 
@@ -290,7 +318,7 @@ func (d *DSR) handleRREQ(from int, req *rreq) {
 // strictly better copy has been forwarded meanwhile.
 func (s *send) fire() {
 	d := s.dsr
-	if cur := d.seen[reqKey{s.req.Origin, s.req.ID}]; cur < s.req.Cost {
+	if cur, _ := d.env.state().floods.get(s.req.Origin, s.req.ID, d.env.ID); cur < s.req.Cost {
 		s.pool.put(s)
 		return
 	}

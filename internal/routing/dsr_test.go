@@ -22,7 +22,7 @@ type rtb struct {
 	macs      []*mac.MAC
 	protos    []Protocol
 	delivered []int     // payload source ids delivered at each node
-	sends     *SendPool // shared by the nodes, as network.Build shares it
+	run       *RunState // shared by the nodes, as network.Build shares it
 
 	// Optional taps, read at call time: onPacket sees what the MAC hands up
 	// before the protocol does, onDeliver what the protocol hands its sink.
@@ -36,7 +36,7 @@ func newRTB(t *testing.T, seed uint64, card radio.Card, pts []geom.Point,
 	s := sim.New(seed)
 	med := phy.NewMedium(s, phy.Config{RangeAt: card.RangeAt})
 	coord := mac.NewCoordinator(s)
-	tb := &rtb{sim: s, med: med, coord: coord, delivered: make([]int, len(pts)), sends: new(SendPool)}
+	tb := &rtb{sim: s, med: med, coord: coord, delivered: make([]int, len(pts)), run: NewRunState(len(pts))}
 	for i, p := range pts {
 		i := i
 		var proto Protocol
@@ -59,7 +59,7 @@ func newRTB(t *testing.T, seed uint64, card radio.Card, pts []geom.Point,
 				}
 			},
 			Bandwidth: phy.DefaultBandwidth,
-			Sends:     tb.sends,
+			Run:       tb.run,
 		}
 		proto = mk(env)
 		tb.macs = append(tb.macs, m)
@@ -380,7 +380,7 @@ func TestPinnedVariantHasNoControlPlane(t *testing.T) {
 	if got := tb.protos[2].(*DSR).CachedRoute(3); len(got) != 2 {
 		t.Errorf("node 2 route to 3 = %v, want the pinned [2 3] kept after two MAC failures", got)
 	}
-	if d := tb.protos[0].(*DSR); d.seen != nil || d.answered != nil || d.pending != nil {
+	if d := tb.protos[0].(*DSR); d.pending != nil || tb.run.floods.reqs != nil {
 		t.Error("pinned variant allocated discovery state")
 	}
 }

@@ -36,9 +36,28 @@ type Env struct {
 	Deliver func(src int, payload any, bytes int)
 	// Bandwidth is the channel bit rate B used by the h(u,v,r) cost.
 	Bandwidth float64
-	// Sends is the run's send-state pool, shared by its nodes; an Env built
-	// by hand gets its own on first use.
-	Sends *SendPool
+	// Run is the state the run's nodes share; an Env built by hand gets its
+	// own on first use.
+	Run *RunState
+}
+
+// RunState is what a run's nodes share at the routing layer: the send-state
+// pool (ARCHITECTURE "Send state") and the flood table ("Flood state").
+// network.Build gives every node the same one. The zero value is ready.
+type RunState struct {
+	sends  sendPool
+	floods floodTable
+}
+
+// NewRunState returns a run's shared state, flood arrays sized for n nodes.
+func NewRunState(n int) *RunState { return &RunState{floods: floodTable{nodes: n}} }
+
+// state returns the run's shared state.
+func (e *Env) state() *RunState {
+	if e.Run == nil {
+		e.Run = new(RunState)
+	}
+	return e.Run
 }
 
 // RNG returns the simulation RNG.

@@ -25,7 +25,7 @@ type hopOwner interface {
 // it from take until the MAC's done; a receiver reads the message inside
 // HandlePacket and copies what it keeps.
 type send struct {
-	pool *SendPool
+	pool *sendPool
 	kind sendKind
 	idle bool // in a free list
 	pkt  mac.Packet
@@ -41,15 +41,15 @@ type send struct {
 	fireFn func() // sendRREQ: the jitter callback
 }
 
-// SendPool is one run's send state: network.Build gives every node the same
-// pool, so a struct one node releases serves whichever node sends next. The
-// zero value is ready to use.
-type SendPool struct {
+// sendPool is one run's send state: every node reaches the same pool through
+// its RunState, so a struct one node releases serves whichever node sends
+// next. The zero value is ready to use.
+type sendPool struct {
 	free            [numSendKinds][]*send
 	taken, released uint64
 }
 
-func (p *SendPool) take(k sendKind) *send {
+func (p *sendPool) take(k sendKind) *send {
 	p.taken++
 	if n := len(p.free[k]); n > 0 {
 		s := p.free[k][n-1]
@@ -66,7 +66,7 @@ func (p *SendPool) take(k sendKind) *send {
 
 // put takes s back, emptied: whoever still reads it finds no message, which
 // moves a transcript instead of passing for the packet it was.
-func (p *SendPool) put(s *send) {
+func (p *sendPool) put(s *send) {
 	if s.idle {
 		panic("routing: send state released twice")
 	}
@@ -85,14 +85,8 @@ func (s *send) done(ok bool) {
 	s.pool.put(s)
 }
 
-// take returns send state of kind k from the run's pool (an Env built by
-// hand gets a pool of its own).
-func (e *Env) take(k sendKind) *send {
-	if e.Sends == nil {
-		e.Sends = new(SendPool)
-	}
-	return e.Sends.take(k)
-}
+// take returns send state of kind k from the run's pool.
+func (e *Env) take(k sendKind) *send { return e.state().sends.take(k) }
 
 // sendHop queues pkt for next as its hop-th holder sends it. pkt is only
 // read: it may be the previous hop's state.

@@ -19,7 +19,7 @@ import (
 // one.
 func checkSendPool(t *testing.T, name string, tb *rtb, inFlight int) {
 	t.Helper()
-	p := tb.sends
+	p := &tb.run.sends
 	var drops uint64
 	for _, m := range tb.macs {
 		drops += m.Stats().QueueDrops
@@ -94,9 +94,9 @@ func TestSendPoolAccounting(t *testing.T) {
 		checkSendPool(t, st.name+" mid-burst", tb, queued)
 		tb.sim.Run(transcriptHorizon)
 		checkSendPool(t, st.name, tb, 0)
-		if tb.sends.taken < 200 || tb.sends.released == tb.sends.taken {
+		if p := &tb.run.sends; p.taken < 200 || p.released == p.taken {
 			t.Errorf("%s: %d taken, %d released: the script should take hundreds and lose some to a full queue",
-				st.name, tb.sends.taken, tb.sends.released)
+				st.name, p.taken, p.released)
 		}
 	}
 }
@@ -127,13 +127,14 @@ func TestSendStateDoesNotAllocate(t *testing.T) {
 		{"dsdv full dump", dsdv, 40 * time.Second,
 			func(tb *rtb) { tb.protos[1].(*DSDV).broadcastFull() },
 			func(tb *rtb) uint64 { return tb.macs[1].Stats().BroadcastSent }},
-		// Node 1 hears the same request as new every time (its dedup entry
-		// is deleted, so the insert reuses the slot) and forwards it.
+		// Node 1 hears the same request as new every time (its slot of the
+		// flood table is cleared) and forwards it.
 		{"forwarded rreq", dsr, 0,
 			func(tb *rtb) {
-				d := tb.protos[1].(*DSR)
-				delete(d.seen, reqKey{req.Origin, req.ID})
-				d.handleRREQ(0, req)
+				if f := &tb.run.floods; len(f.reqs) > 0 {
+					f.reqs[req.Origin][req.ID-1][1] = 0
+				}
+				tb.protos[1].(*DSR).handleRREQ(0, req)
 			},
 			func(tb *rtb) uint64 { return tb.macs[1].Stats().BroadcastSent }},
 	} {
