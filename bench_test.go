@@ -32,44 +32,34 @@ func quickRunner() experiments.Runner { return experiments.Runner{Scale: experim
 var benchCtx = context.Background()
 
 // figureBenches drives every per-figure bench through one table: each case
-// regenerates a figure at Quick scale and reports how many series it must
+// regenerates a figure at Quick scale by id and says how many series it must
 // contain (0 means a text-only table).
 var figureBenches = []struct {
-	name   string
-	series int
-	gen    func(experiments.Runner) *experiments.Figure
+	name, id string
+	series   int
 }{
-	{"Table1Cards", 0, func(r experiments.Runner) *experiments.Figure { return r.Table1(benchCtx) }},
-	{"Fig7Mopt", 6, func(r experiments.Runner) *experiments.Figure { return r.Fig7(benchCtx) }},
-	{"Fig8DeliverySmall", 8, func(r experiments.Runner) *experiments.Figure {
-		fig8, _ := r.SmallNetworks(benchCtx)
-		return fig8
-	}},
-	{"Fig9GoodputSmall", 8, func(r experiments.Runner) *experiments.Figure {
-		_, fig9 := r.SmallNetworks(benchCtx)
-		return fig9
-	}},
-	{"Fig10TransmitEnergy", 4, func(r experiments.Runner) *experiments.Figure { return r.Fig10(benchCtx) }},
-	{"Fig11DeliveryLarge", 7, func(r experiments.Runner) *experiments.Figure {
-		fig11, _ := r.LargeNetworks(benchCtx)
-		return fig11
-	}},
-	{"Fig12GoodputLarge", 7, func(r experiments.Runner) *experiments.Figure {
-		_, fig12 := r.LargeNetworks(benchCtx)
-		return fig12
-	}},
-	{"Table2Density", 4, func(r experiments.Runner) *experiments.Figure { return r.Table2(benchCtx) }},
-	{"Fig13GridPerfectLow", 6, func(r experiments.Runner) *experiments.Figure { return r.GridFigure(benchCtx, 13) }},
-	{"Fig14GridODPMLow", 6, func(r experiments.Runner) *experiments.Figure { return r.GridFigure(benchCtx, 14) }},
-	{"Fig15GridPerfectHigh", 6, func(r experiments.Runner) *experiments.Figure { return r.GridFigure(benchCtx, 15) }},
-	{"Fig16GridODPMHigh", 6, func(r experiments.Runner) *experiments.Figure { return r.GridFigure(benchCtx, 16) }},
+	{"Table1Cards", "table1", 0},
+	{"Fig7Mopt", "fig7", 6},
+	{"Fig8DeliverySmall", "fig8", 8},
+	{"Fig9GoodputSmall", "fig9", 8},
+	{"Fig10TransmitEnergy", "fig10", 4},
+	{"Fig11DeliveryLarge", "fig11", 7},
+	{"Fig12GoodputLarge", "fig12", 7},
+	{"Table2Density", "table2", 4},
+	{"Fig13GridPerfectLow", "fig13", 6},
+	{"Fig14GridODPMLow", "fig14", 6},
+	{"Fig15GridPerfectHigh", "fig15", 6},
+	{"Fig16GridODPMHigh", "fig16", 6},
 }
 
 func BenchmarkFigures(b *testing.B) {
 	for _, bc := range figureBenches {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				f := bc.gen(quickRunner())
+				f, err := quickRunner().Run(benchCtx, bc.id)
+				if err != nil {
+					b.Fatalf("%s: %v", bc.name, err)
+				}
 				if bc.series == 0 {
 					if f.Text == "" {
 						b.Fatalf("%s: empty table", bc.name)
@@ -429,7 +419,9 @@ func routingChain(b *testing.B, st network.Stack) *network.Network {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nw.Execute()
+	if _, err := nw.ExecuteContext(benchCtx); err != nil {
+		b.Fatal(err)
+	}
 	return nw
 }
 
@@ -526,45 +518,6 @@ func BenchmarkDuplicateRREQ(b *testing.B) {
 	if s.Pending() != pending {
 		b.Fatal("a duplicate was forwarded again")
 	}
-}
-
-// BenchmarkBroadcastEligible is the check a broadcast makes before every
-// attempt: may it contend now, or must it first be announced to a PSM
-// neighbour? The node is the first of 400 at the paper's reference density
-// with the density's mean row, 39 neighbours; the later half of its row, in
-// id order, is in PSM, so the scan reads half the row before it finds one.
-// 0 allocs/op, a hard gate in CI.
-func BenchmarkBroadcastEligible(b *testing.B) {
-	b.ReportAllocs()
-	const n = 400
-	s := sim.New(1)
-	med := phy.NewMedium(s, phy.Config{RangeAt: radio.Cabletron.RangeAt})
-	coord := mac.NewCoordinator(s)
-	side := topology.SideForDensity(n)
-	macs := make([]*mac.MAC, n)
-	for i, p := range geom.UniformPlacement(geom.Field{Width: side, Height: side}, n, rand.New(rand.NewPCG(n, 7))) {
-		macs[i] = mac.New(s, med, coord, i, p, mac.Config{Card: radio.Cabletron}, nil)
-	}
-	var m *mac.MAC
-	for _, m = range macs {
-		if len(m.NeighborsCached()) == 39 {
-			break
-		}
-	}
-	row := m.NeighborsCached()
-	if len(row) != 39 {
-		b.Fatalf("no node of %d has a 39-neighbour row", n)
-	}
-	for _, id := range row[len(row)/2:] {
-		macs[id].SetPowerMode(mac.PSM)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ok, announce := m.BroadcastEligible(); ok || !announce {
-			b.Fatal("a broadcast with PSM neighbours went ahead unannounced")
-		}
-	}
-	b.ReportMetric(float64(len(row)), "neighbours")
 }
 
 func BenchmarkDijkstra(b *testing.B) {

@@ -130,6 +130,9 @@ func TestSweepRejectsBadRequests(t *testing.T) {
 		// 2^72 points: the product wraps an int to 0 and used to pass the limit.
 		"overflowing size": `{"grid": "seed=1..4096 nodes=1..4096 flows=1..4096 rate=1..4096 packet=1..4096 replicates=1..4096"}`,
 		"overflowing span": `{"grid": "seed=-2..9223372036854775807"}`,
+		// NaN and Inf parse as floats; the facade must refuse them.
+		"NaN field": `{"grid": "nodes=5 dur=2s field=NaN"}`,
+		"Inf rate":  `{"grid": "nodes=5 dur=2s rate=Inf"}`,
 	} {
 		if w := post(t, h, "/v1/sweeps", body); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (body %s)", name, w.Code, w.Body)

@@ -124,7 +124,7 @@ func run(ctx context.Context, out, errw io.Writer, args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		w, h, err := parseField(*fieldSpec)
+		w, h, err := eend.ParseField(*fieldSpec)
 		if err != nil {
 			return err
 		}
@@ -206,20 +206,6 @@ func run(ctx context.Context, out, errw io.Writer, args []string) (err error) {
 	default:
 		return fmt.Errorf("unknown format %q (want text|json|csv)", *format)
 	}
-}
-
-// parseField accepts a square side ("600") or an explicit "WxH".
-func parseField(spec string) (w, h float64, err error) {
-	ws, hs, ok := strings.Cut(spec, "x")
-	if !ok {
-		hs = ws
-	}
-	w, err1 := strconv.ParseFloat(ws, 64)
-	h, err2 := strconv.ParseFloat(hs, 64)
-	if err1 != nil || err2 != nil {
-		return 0, 0, fmt.Errorf("bad field %q (want side or WxH)", spec)
-	}
-	return w, h, nil
 }
 
 // writeText prints the human summary: baselines, outcome, improvement.

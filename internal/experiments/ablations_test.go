@@ -16,7 +16,7 @@ func TestAblationIDsAndDispatch(t *testing.T) {
 }
 
 func TestAblationTITAN(t *testing.T) {
-	f := quickRunner().AblationTITAN(bg)
+	f := studyPlots(bg, "ablation-titan")[0]
 	assertNoErrors(t, f)
 	if len(f.Series) != 8 { // 4 variants x (goodput, relays)
 		t.Fatalf("series = %d, want 8", len(f.Series))
@@ -32,7 +32,7 @@ func TestAblationTITAN(t *testing.T) {
 }
 
 func TestAblationODPM(t *testing.T) {
-	f := quickRunner().AblationODPM(bg)
+	f := studyPlots(bg, "ablation-odpm")[0]
 	assertNoErrors(t, f)
 	if len(f.Series) != 8 {
 		t.Fatalf("series = %d, want 8", len(f.Series))
@@ -47,7 +47,7 @@ func TestAblationODPM(t *testing.T) {
 }
 
 func TestAblationPC(t *testing.T) {
-	f := quickRunner().AblationPC(bg)
+	f := studyPlots(bg, "ablation-pc")[0]
 	assertNoErrors(t, f)
 	on := sumSeries(f, "PC on radiated(J)")
 	off := sumSeries(f, "PC off radiated(J)")
@@ -57,7 +57,7 @@ func TestAblationPC(t *testing.T) {
 }
 
 func TestAblationSpan(t *testing.T) {
-	f := quickRunner().AblationSpan(bg)
+	f := studyPlots(bg, "ablation-span")[0]
 	assertNoErrors(t, f)
 	on := sumSeries(f, "span on idle(J)")
 	off := sumSeries(f, "span off idle(J)")

@@ -4,10 +4,10 @@
 // stacks, its scenario builder and the plots drawn from its runs, and one
 // runner (runner.go) expands a study into seeded jobs, executes them on the
 // shared scheduler (internal/exec) and assembles the Figures: the same
-// series the paper plots, as mean ± 95% CI over seeded runs. Every ID list,
-// dispatcher and Runner method is a lookup in that table. Experiments run
-// at two scales: Quick (CI-sized: smaller fields, fewer seeds, shorter
-// horizons) and Full (the paper's parameters).
+// series the paper plots, as mean ± 95% CI over seeded runs. A figure is
+// asked for by id; every ID list and dispatcher is a lookup in that table.
+// Experiments run at two scales: Quick (CI-sized: smaller fields, fewer
+// seeds, shorter horizons) and Full (the paper's parameters).
 package experiments
 
 import (
@@ -177,73 +177,4 @@ func (r Runner) dispatch(ctx context.Context, id string, ablation bool) (*Figure
 		return nil, err
 	}
 	return figs[i], nil
-}
-
-// figure runs the study that draws plot id and returns that plot; the
-// per-figure methods below are lookups through it. Unlike Run it hands the
-// figure back whatever ctx says: a failed sweep is an ERROR note.
-func (r Runner) figure(ctx context.Context, id string) *Figure {
-	st, i := find(id)
-	return r.runStudy(ctx, st)[i]
-}
-
-// Table1 renders the radio parameters of the modelled cards (paper
-// Table 1). It is analytic (no simulation); ctx is accepted for uniformity
-// with the other experiments.
-func (r Runner) Table1(ctx context.Context) *Figure { return r.figure(ctx, "table1") }
-
-// Fig7 reproduces the characteristic hop count study: m_opt vs bandwidth
-// utilization R/B for every card (Eq. 15). No simulation involved.
-func (r Runner) Fig7(ctx context.Context) *Figure { return r.figure(ctx, "fig7") }
-
-// SmallNetworks reproduces Figs. 8 (delivery ratio) and 9 (energy goodput):
-// 50 nodes in 500x500 m2, 10 CBR flows, 2-6 Kbit/s, Cabletron cards.
-func (r Runner) SmallNetworks(ctx context.Context) (fig8, fig9 *Figure) {
-	st, _ := find("fig8")
-	figs := r.runStudy(ctx, st)
-	return figs[0], figs[1]
-}
-
-// Fig10 reproduces the transmit-energy comparison: TITAN-PC vs DSR-ODPM in
-// both field sizes.
-func (r Runner) Fig10(ctx context.Context) *Figure { return r.figure(ctx, "fig10") }
-
-// LargeNetworks reproduces Figs. 11 (delivery ratio) and 12 (energy
-// goodput): 200 nodes in 1300x1300 m2, 20 CBR flows.
-func (r Runner) LargeNetworks(ctx context.Context) (fig11, fig12 *Figure) {
-	st, _ := find("fig11")
-	figs := r.runStudy(ctx, st)
-	return figs[0], figs[1]
-}
-
-// Table2 reproduces the density study: DSR-ODPM-PC vs TITAN-PC at 4 Kbit/s
-// with increasing node counts in the large field, flow endpoints unchanged.
-func (r Runner) Table2(ctx context.Context) *Figure { return r.figure(ctx, "table2") }
-
-// GridFigure reproduces Figs. 13-16 (fig = 13, 14, 15 or 16).
-func (r Runner) GridFigure(ctx context.Context, fig int) *Figure {
-	id := fmt.Sprintf("fig%d", fig)
-	if fig < 13 || fig > 16 {
-		return &Figure{ID: id, Notes: []string{"unknown grid figure"}}
-	}
-	return r.figure(ctx, id)
-}
-
-// AblationTITAN disables TITAN's two discovery mechanisms one at a time.
-func (r Runner) AblationTITAN(ctx context.Context) *Figure {
-	return r.figure(ctx, "ablation-titan")
-}
-
-// AblationODPM sweeps the keep-alive pair across an order of magnitude.
-func (r Runner) AblationODPM(ctx context.Context) *Figure {
-	return r.figure(ctx, "ablation-odpm")
-}
-
-// AblationPC isolates transmission power control on the data path.
-func (r Runner) AblationPC(ctx context.Context) *Figure { return r.figure(ctx, "ablation-pc") }
-
-// AblationSpan isolates the advertised-traffic-window PSM improvement on a
-// broadcast-heavy proactive stack.
-func (r Runner) AblationSpan(ctx context.Context) *Figure {
-	return r.figure(ctx, "ablation-span")
 }

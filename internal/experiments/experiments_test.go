@@ -11,6 +11,14 @@ import (
 
 func quickRunner() Runner { return Runner{Scale: Quick} }
 
+// studyPlots runs the study that draws plot id once, at Quick scale, and
+// returns all of its plots. A failed sweep's plots keep their ERROR notes,
+// which Run would turn into an error.
+func studyPlots(ctx context.Context, id string) []*Figure {
+	st, _ := find(id)
+	return quickRunner().runStudy(ctx, st)
+}
+
 var bg = context.Background()
 
 func seriesMean(f *Figure, label string, x float64) (float64, bool) {
@@ -58,7 +66,7 @@ func TestIDsAndDispatch(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	f := quickRunner().Table1(bg)
+	f := studyPlots(bg, "table1")[0]
 	for _, name := range []string{"Aironet 350", "Cabletron", "Hypothetical", "Mica2", "LEACH"} {
 		if !strings.Contains(f.Text, name) {
 			t.Errorf("Table 1 missing %q", name)
@@ -70,7 +78,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	f := quickRunner().Fig7(bg)
+	f := studyPlots(bg, "fig7")[0]
 	if len(f.Series) != 6 {
 		t.Fatalf("Fig. 7 has %d curves, want 6", len(f.Series))
 	}
@@ -96,7 +104,8 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestSmallNetworksShapes(t *testing.T) {
-	fig8, fig9 := quickRunner().SmallNetworks(bg)
+	figs := studyPlots(bg, "fig8")
+	fig8, fig9 := figs[0], figs[1]
 	assertNoErrors(t, fig8)
 	assertNoErrors(t, fig9)
 	if len(fig8.Series) != 8 || len(fig9.Series) != 8 {
@@ -129,7 +138,7 @@ func TestSmallNetworksShapes(t *testing.T) {
 }
 
 func TestFig10TransmitEnergy(t *testing.T) {
-	f := quickRunner().Fig10(bg)
+	f := studyPlots(bg, "fig10")[0]
 	assertNoErrors(t, f)
 	if len(f.Series) != 4 {
 		t.Fatalf("Fig. 10 has %d series, want 4 (2 stacks x 2 fields)", len(f.Series))
@@ -159,7 +168,8 @@ func TestFig10TransmitEnergy(t *testing.T) {
 }
 
 func TestLargeNetworksShapes(t *testing.T) {
-	fig11, fig12 := quickRunner().LargeNetworks(bg)
+	figs := studyPlots(bg, "fig11")
+	fig11, fig12 := figs[0], figs[1]
 	assertNoErrors(t, fig11)
 	assertNoErrors(t, fig12)
 	if len(fig11.Series) != 7 {
@@ -174,7 +184,7 @@ func TestLargeNetworksShapes(t *testing.T) {
 }
 
 func TestTable2Density(t *testing.T) {
-	f := quickRunner().Table2(bg)
+	f := studyPlots(bg, "table2")[0]
 	assertNoErrors(t, f)
 	if len(f.Series) != 4 {
 		t.Fatalf("Table 2 has %d series, want 4", len(f.Series))
@@ -187,8 +197,7 @@ func TestTable2Density(t *testing.T) {
 }
 
 func TestGridFiguresShapes(t *testing.T) {
-	grid, _ := find("fig13")
-	figs := quickRunner().runStudy(bg, grid)
+	figs := studyPlots(bg, "fig13")
 	fig13, fig14, fig15 := figs[0], figs[1], figs[2]
 	for _, f := range figs {
 		assertNoErrors(t, f)
@@ -231,9 +240,11 @@ func TestGridFiguresShapes(t *testing.T) {
 func TestFailedStudyKeepsItsFigures(t *testing.T) {
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
-	r := quickRunner()
-	fig8, fig9 := r.SmallNetworks(ctx)
-	for _, f := range []*Figure{r.Table2(ctx), fig8, fig9, r.Fig10(ctx), r.GridFigure(ctx, 14), r.AblationPC(ctx)} {
+	var figs []*Figure
+	for _, id := range []string{"table2", "fig8", "fig10", "fig13", "ablation-pc"} {
+		figs = append(figs, studyPlots(ctx, id)...)
+	}
+	for _, f := range figs {
 		if f.Title == "" || f.XLabel == "" {
 			t.Errorf("%s lost its title or x-label: %+v", f.ID, f)
 		}
@@ -246,12 +257,12 @@ func TestFailedStudyKeepsItsFigures(t *testing.T) {
 			}
 		}
 	}
-	if f := r.Table2(ctx); !strings.HasPrefix(f.Notes[0], "scale=quick: ") {
+	if f := figs[0]; !strings.HasPrefix(f.Notes[0], "scale=quick: ") {
 		t.Errorf("table2 dropped its scale note: %v", f.Notes)
 	}
 	// Analytic studies have nothing to cancel.
-	assertNoErrors(t, r.Table1(ctx))
-	assertNoErrors(t, r.Fig7(ctx))
+	assertNoErrors(t, studyPlots(ctx, "table1")[0])
+	assertNoErrors(t, studyPlots(ctx, "fig7")[0])
 }
 
 // TestAllRunsEachStudyOnce: All shares one sweep between the figures that

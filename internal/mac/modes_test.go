@@ -9,6 +9,7 @@ import (
 	"eend/internal/phy"
 	"eend/internal/radio"
 	"eend/internal/sim"
+	"eend/internal/topology"
 )
 
 // TestModeTable holds the coordinator's mode table, the one copy of every
@@ -59,4 +60,43 @@ func TestModeTable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkBroadcastEligible is the check a broadcast makes before every
+// attempt: may it contend now, or must it first be announced to a PSM
+// neighbour? The node is the first of 400 at the paper's reference density
+// with the density's mean row, 39 neighbours; the later half of its row, in
+// id order, is in PSM, so the scan reads half the row before it finds one.
+// 0 allocs/op, a hard gate in CI.
+func BenchmarkBroadcastEligible(b *testing.B) {
+	b.ReportAllocs()
+	const n = 400
+	s := sim.New(1)
+	med := phy.NewMedium(s, phy.Config{RangeAt: radio.Cabletron.RangeAt})
+	coord := NewCoordinator(s)
+	side := topology.SideForDensity(n)
+	macs := make([]*MAC, n)
+	for i, p := range geom.UniformPlacement(geom.Field{Width: side, Height: side}, n, rand.New(rand.NewPCG(n, 7))) {
+		macs[i] = New(s, med, coord, i, p, Config{Card: radio.Cabletron}, nil)
+	}
+	var m *MAC
+	for _, m = range macs {
+		if len(m.NeighborsCached()) == 39 {
+			break
+		}
+	}
+	row := m.NeighborsCached()
+	if len(row) != 39 {
+		b.Fatalf("no node of %d has a 39-neighbour row", n)
+	}
+	for _, id := range row[len(row)/2:] {
+		macs[id].SetPowerMode(PSM)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ok, announce := m.eligible(&job{dst: phy.Broadcast}); ok || !announce {
+			b.Fatal("a broadcast with PSM neighbours went ahead unannounced")
+		}
+	}
+	b.ReportMetric(float64(len(row)), "neighbours")
 }

@@ -89,12 +89,6 @@ func (m *MAC) eligible(j *job) (ok, announce bool) {
 	return inWindow, true
 }
 
-// BroadcastEligible is eligible for a broadcast at the head of the queue
-// now: whether it may contend, and whether its next frame is an ATIM.
-func (m *MAC) BroadcastEligible() (ok, announce bool) {
-	return m.eligible(&job{dst: phy.Broadcast})
-}
-
 func (m *MAC) hasEligibleJob() bool {
 	for _, j := range m.queue {
 		if ok, _ := m.eligible(j); ok {

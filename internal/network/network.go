@@ -354,12 +354,6 @@ func RunContext(ctx context.Context, sc Scenario) (Results, error) {
 	return nw.ExecuteContext(ctx)
 }
 
-// Execute runs the wired network and collects results.
-func (nw *Network) Execute() Results {
-	res, _ := nw.ExecuteContext(context.Background())
-	return res
-}
-
 // ExecuteContext runs the wired network, polling ctx between event batches;
 // a cancelled context abandons the run and returns the context's error.
 func (nw *Network) ExecuteContext(ctx context.Context) (Results, error) {

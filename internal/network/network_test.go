@@ -1,6 +1,7 @@
 package network
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -177,7 +178,9 @@ func TestDSDVChainDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Execute()
+	if _, err := nw.ExecuteContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	d, ok := nw.Protocol(0).(*routing.DSDV)
 	if !ok {
 		t.Fatal("protocol is not DSDV")

@@ -106,6 +106,7 @@ func TestDSDVTableMatchesMapModel(t *testing.T) {
 	coord := mac.NewCoordinator(s)
 	sink := &updateSink{}
 	var d *DSDV
+	run := NewRunState(listener + 1)
 	for _, n := range []struct {
 		id    int
 		x     float64
@@ -117,7 +118,7 @@ func TestDSDVTableMatchesMapModel(t *testing.T) {
 		var proto Protocol
 		m := mac.New(s, med, coord, n.id, geom.Point{X: n.x}, mac.Config{Card: radio.Cabletron},
 			func(from int, pkt *mac.Packet) { proto.HandlePacket(from, pkt) })
-		proto = n.proto(&Env{ID: n.id, Sim: s, MAC: m, PM: &power.AlwaysActive{Node: m}, Bandwidth: phy.DefaultBandwidth})
+		proto = n.proto(&Env{ID: n.id, Sim: s, MAC: m, PM: &power.AlwaysActive{Node: m}, Bandwidth: phy.DefaultBandwidth, Run: run})
 	}
 	coord.Start()
 	// The self route Start installs, without Start's periodic dump, whose

@@ -275,7 +275,7 @@ func (d *DSR) handleRREQ(from int, req *rreq) {
 	if !target && indexOf(req.Path, me) >= 0 {
 		return
 	}
-	floods := &d.env.state().floods
+	floods := &d.env.Run.floods
 	best, seenIt := floods.get(req.Origin, req.ID, me)
 	if seenIt && (!d.v.CostBased || cost >= best) {
 		return
@@ -318,7 +318,7 @@ func (d *DSR) handleRREQ(from int, req *rreq) {
 // strictly better copy has been forwarded meanwhile.
 func (s *send) fire() {
 	d := s.dsr
-	if cur, _ := d.env.state().floods.get(s.req.Origin, s.req.ID, d.env.ID); cur < s.req.Cost {
+	if cur, _ := d.env.Run.floods.get(s.req.Origin, s.req.ID, d.env.ID); cur < s.req.Cost {
 		s.pool.put(s)
 		return
 	}

@@ -72,10 +72,10 @@ func TestFloodTableMatchesMaps(t *testing.T) {
 
 // TestPrivateFloodTables floods two crossing discoveries over a 3×3 grid of
 // MTPR+ nodes, which re-forward cheaper duplicates, twice: once with the
-// testbed's shared RunState, once with Envs built without one, so that each
-// node makes its own on first use. What the MACs hand up, what is delivered
-// and every counter are the same, each private table holds its own node's
-// slots and no other, and no two nodes share one.
+// testbed's shared RunState, once with each node's Env given a NewRunState of
+// its own. What the MACs hand up, what is delivered and every counter are the
+// same, each private table holds its own node's slots and no other, and no
+// two nodes share one.
 func TestPrivateFloodTables(t *testing.T) {
 	var pts []geom.Point
 	for i := 0; i < 9; i++ {
@@ -85,7 +85,7 @@ func TestPrivateFloodTables(t *testing.T) {
 		var log strings.Builder
 		tb := newRTB(t, 3, radio.Cabletron, pts, func(e *Env) Protocol {
 			if private {
-				e.Run = nil
+				e.Run = NewRunState(len(pts))
 			}
 			return NewMTPRPlus(e)
 		})

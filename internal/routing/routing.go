@@ -36,8 +36,8 @@ type Env struct {
 	Deliver func(src int, payload any, bytes int)
 	// Bandwidth is the channel bit rate B used by the h(u,v,r) cost.
 	Bandwidth float64
-	// Run is the state the run's nodes share; an Env built by hand gets its
-	// own on first use.
+	// Run is the state the run's nodes share. It is required: network.Build
+	// sets it, and an Env built by hand needs NewRunState.
 	Run *RunState
 }
 
@@ -51,14 +51,6 @@ type RunState struct {
 
 // NewRunState returns a run's shared state, flood arrays sized for n nodes.
 func NewRunState(n int) *RunState { return &RunState{floods: floodTable{nodes: n}} }
-
-// state returns the run's shared state.
-func (e *Env) state() *RunState {
-	if e.Run == nil {
-		e.Run = new(RunState)
-	}
-	return e.Run
-}
 
 // RNG returns the simulation RNG.
 func (e *Env) RNG() *rand.Rand { return e.Sim.RNG() }

@@ -86,7 +86,7 @@ func (s *send) done(ok bool) {
 }
 
 // take returns send state of kind k from the run's pool.
-func (e *Env) take(k sendKind) *send { return e.state().sends.take(k) }
+func (e *Env) take(k sendKind) *send { return e.Run.sends.take(k) }
 
 // sendHop queues pkt for next as its hop-th holder sends it. pkt is only
 // read: it may be the previous hop's state.

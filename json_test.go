@@ -67,7 +67,10 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 }
 
 func TestFigureJSONRoundTrip(t *testing.T) {
-	fig := eend.Runner{Scale: eend.Quick}.Fig7(context.Background())
+	fig, err := eend.RunExperiment(context.Background(), eend.Runner{Scale: eend.Quick}, "fig7")
+	if err != nil {
+		t.Fatal(err)
+	}
 	blob, err := json.Marshal(fig)
 	if err != nil {
 		t.Fatal(err)

@@ -32,16 +32,6 @@ func ParseBoundTier(name string) (BoundTier, error) { return bound.ParseTier(nam
 // BoundTiers lists the tier names ParseBoundTier accepts.
 func BoundTiers() []string { return bound.Tiers() }
 
-// Bound computes a certified lower bound on Enetwork over all feasible
-// designs of the instance — what every "best found" is measured against.
-// The computation is observed on eend_opt_bound_seconds.
-func Bound(g *Graph, demands []Demand, o BoundOptions) (*BoundResult, error) {
-	t0 := time.Now()
-	r, err := bound.Compute(g, demands, o)
-	boundSeconds.ObserveSince(t0)
-	return r, err
-}
-
 // Bound runs the oracle on the problem's own instance, defaulting the
 // evaluation weights to the problem's (so the bound certifies exactly the
 // objective the search minimizes).
@@ -49,7 +39,10 @@ func (p *Problem) Bound(o BoundOptions) (*BoundResult, error) {
 	if o.Eval == (EvalConfig{}) {
 		o.Eval = p.Eval
 	}
-	return Bound(p.Graph, p.Demands, o)
+	t0 := time.Now()
+	r, err := bound.Compute(p.Graph, p.Demands, o)
+	boundSeconds.ObserveSince(t0)
+	return r, err
 }
 
 // BoundGap reports the relative optimality gap of a best-found value

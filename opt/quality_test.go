@@ -103,12 +103,19 @@ func TestBoundResultJSON(t *testing.T) {
 	}
 }
 
-// TestBoundMetricsRegistered: the bound instrumentation renders on the
-// default registry and survives the exposition linter.
+// TestBoundMetricsRegistered: every Problem.Bound call, whichever tier, is
+// one observation of eend_opt_bound_seconds, and the bound instrumentation
+// renders on the default registry and survives the exposition linter.
 func TestBoundMetricsRegistered(t *testing.T) {
 	p := clusteredProblem(t)
-	if _, err := p.Bound(BoundOptions{Tier: BoundLagrange, Seed: 1}); err != nil {
-		t.Fatal(err)
+	for _, tier := range []BoundTier{BoundLagrange, BoundComb} {
+		before := boundSeconds.Count()
+		if _, err := p.Bound(BoundOptions{Tier: tier, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if got := boundSeconds.Count() - before; got != 1 {
+			t.Errorf("tier %v: eend_opt_bound_seconds count rose by %d, want 1", tier, got)
+		}
 	}
 	var w strings.Builder
 	if err := obs.Default().WriteText(&w); err != nil {

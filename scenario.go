@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -56,6 +57,10 @@ type randomFlowSpec struct {
 	packetBytes int
 }
 
+// positive reports whether a size or rate is a positive finite number: NaN
+// and +Inf pass a plain x <= 0 check.
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 // WithSeed sets the random seed that fully determines the run (default 1).
 func WithSeed(seed uint64) Option {
 	return func(b *builder) error {
@@ -68,12 +73,27 @@ func WithSeed(seed uint64) Option {
 // 500x500).
 func WithField(width, height float64) Option {
 	return func(b *builder) error {
-		if width <= 0 || height <= 0 {
+		if !positive(width) || !positive(height) {
 			return fmt.Errorf("eend: field %gx%g is not positive", width, height)
 		}
 		b.sc.Field = geom.Field{Width: width, Height: height}
 		return nil
 	}
+}
+
+// ParseField reads a field in meters for WithField, as a square side ("500")
+// or as "WxH" ("600x300").
+func ParseField(spec string) (width, height float64, err error) {
+	ws, hs, ok := strings.Cut(spec, "x")
+	if !ok {
+		hs = ws
+	}
+	w, err1 := strconv.ParseFloat(ws, 64)
+	h, err2 := strconv.ParseFloat(hs, 64)
+	if err1 != nil || err2 != nil {
+		return 0, 0, fmt.Errorf("bad field %q (want side or WxH)", spec)
+	}
+	return w, h, nil
 }
 
 // WithNodes places n nodes uniformly at random in the field (default 50).
@@ -130,7 +150,7 @@ func WithCard(c Card) Option {
 // WithBandwidth overrides the channel bit rate in bit/s (default 2 Mbit/s).
 func WithBandwidth(bps float64) Option {
 	return func(b *builder) error {
-		if bps <= 0 {
+		if !positive(bps) {
 			return fmt.Errorf("eend: bandwidth %g bit/s is not positive", bps)
 		}
 		b.sc.Bandwidth = bps
@@ -203,7 +223,7 @@ func withRandomFlows(n, limit int, rate float64, packetBytes int) Option {
 		if n <= 0 {
 			return fmt.Errorf("eend: random flow count %d is not positive", n)
 		}
-		if rate <= 0 {
+		if !positive(rate) {
 			return fmt.Errorf("eend: flow rate %g bit/s is not positive", rate)
 		}
 		if packetBytes <= 0 {
@@ -218,7 +238,7 @@ func withRandomFlows(n, limit int, rate float64, packetBytes int) Option {
 // Lifetime metrics in Results.
 func WithBattery(joules float64) Option {
 	return func(b *builder) error {
-		if joules <= 0 {
+		if !positive(joules) {
 			return fmt.Errorf("eend: battery budget %g J is not positive", joules)
 		}
 		b.sc.BatteryJ = joules

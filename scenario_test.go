@@ -2,6 +2,7 @@ package eend_test
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -109,6 +110,28 @@ func TestNewScenarioRejectsBadOptions(t *testing.T) {
 	for name, opts := range cases {
 		if _, err := eend.NewScenario(opts...); err == nil {
 			t.Errorf("%s: NewScenario accepted a bad configuration", name)
+		}
+	}
+}
+
+// TestNewScenarioRejectsNonFiniteSizes: a size or rate is a positive finite
+// number. NaN and +Inf pass a plain x <= 0 check and used to build a scenario
+// that sent nothing and reported delivery ratio 1.
+func TestNewScenarioRejectsNonFiniteSizes(t *testing.T) {
+	options := map[string]func(float64) eend.Option{
+		"field width":      func(x float64) eend.Option { return eend.WithField(x, 100) },
+		"field height":     func(x float64) eend.Option { return eend.WithField(100, x) },
+		"bandwidth":        eend.WithBandwidth,
+		"battery":          eend.WithBattery,
+		"random flow rate": func(x float64) eend.Option { return eend.WithRandomFlows(2, x, 128) },
+		"rate among":       func(x float64) eend.Option { return eend.WithRandomFlowsAmong(2, 10, x, 128) },
+		"workload rate":    func(x float64) eend.Option { return eend.WithWorkload(eend.NewWorkload(eend.WorkloadCBR, 2, x, 128)) },
+	}
+	for name, option := range options {
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0} {
+			if _, err := eend.NewScenario(option(x)); err == nil {
+				t.Errorf("%s %g: NewScenario accepted it", name, x)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -227,6 +228,41 @@ func TestPointScenarioBadValue(t *testing.T) {
 		}
 		if _, err := pts[0].Scenario(); err == nil {
 			t.Errorf("point from %q built a scenario", spec)
+		}
+	}
+}
+
+// TestAxisErrorTexts pins, for every axis, the error a value it cannot parse
+// reads as: eendsweep and POST /v1/sweeps hand these texts to the user.
+func TestAxisErrorTexts(t *testing.T) {
+	want := map[string]string{
+		"bandwidth":  `bad bandwidth "x" (bit/s)`,
+		"battery":    `bad battery "x" (J)`,
+		"card":       `eend: unknown card "x" (want one of [aironet cabletron hypothetical leach2 leach4 mica2])`,
+		"dur":        `bad duration "x"`,
+		"field":      `bad field "x"`,
+		"flows":      `bad flow count "x"`,
+		"heuristic":  `bad heuristic "x" (want one of [comm-first joint idle-first greedy anneal restart])`,
+		"nodes":      `bad node count "x"`,
+		"packet":     `bad packet size "x"`,
+		"rate":       `bad rate "x" (Kbit/s)`,
+		"replicates": `bad replicate count "x"`,
+		"seed":       `bad seed "x"`,
+		"stack":      `sweep: stack "x" is not routing/pm`,
+		"topology":   `eend: unknown topology "x" (want one of [uniform grid cluster corridor])`,
+		"workload":   `eend: unknown workload "x" (want one of [cbr bursty convergecast])`,
+	}
+	if len(want) != len(AxisNames()) {
+		t.Fatalf("%d texts pinned for axes %v", len(want), AxisNames())
+	}
+	for _, name := range AxisNames() {
+		pts, err := NewGrid().Axis(name, "x").Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = pts[0].Scenario()
+		if got, w := fmt.Sprint(err), "sweep: point 0: axis "+name+": "+want[name]; got != w {
+			t.Errorf("%s=x: error %q, want %q", name, got, w)
 		}
 	}
 }

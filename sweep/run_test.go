@@ -236,6 +236,24 @@ func TestRunFailsFastOnBadGrid(t *testing.T) {
 	}
 }
 
+// TestPrepareRejectsNonFiniteValues: NaN and Inf parse as floats, so they
+// reach the facade, which must refuse them before any point runs or is
+// cached.
+func TestPrepareRejectsNonFiniteValues(t *testing.T) {
+	for _, spec := range []string{
+		"nodes=5 dur=2s field=NaN", "nodes=5 dur=2s rate=Inf",
+		"bandwidth=NaN", "battery=Inf", "field=Inf topology=uniform",
+	} {
+		g, err := ParseGrid(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (Runner{}).Prepare(g); err == nil {
+			t.Errorf("%q: Prepare accepted it", spec)
+		}
+	}
+}
+
 func TestRunCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

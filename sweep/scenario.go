@@ -35,52 +35,18 @@ type pointConfig struct {
 // a facade option (or, for the traffic axes, a field of the generated
 // workload), so the sweep vocabulary and the programmatic API stay one.
 var axisRegistry = map[string]func(*pointConfig, string) error{
-	"replicates": func(c *pointConfig, v string) error {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("bad replicate count %q", v)
-		}
-		c.opts = append(c.opts, eend.WithReplicates(n))
-		return nil
-	},
-	"seed": func(c *pointConfig, v string) error {
-		seed, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad seed %q", v)
-		}
-		c.opts = append(c.opts, eend.WithSeed(seed))
-		return nil
-	},
-	"nodes": func(c *pointConfig, v string) error {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("bad node count %q", v)
-		}
-		c.opts = append(c.opts, eend.WithNodes(n))
-		return nil
-	},
+	"replicates": number(strconv.Atoi, "replicate count", "", with(eend.WithReplicates)),
+	"seed":       number(parseUint, "seed", "", with(eend.WithSeed)),
+	"nodes":      number(strconv.Atoi, "node count", "", with(eend.WithNodes)),
 	"field": func(c *pointConfig, v string) error {
-		// Either a square side ("500") or an explicit "WxH" ("600x300").
-		ws, hs, ok := strings.Cut(v, "x")
-		if !ok {
-			hs = ws
-		}
-		w, err1 := strconv.ParseFloat(ws, 64)
-		h, err2 := strconv.ParseFloat(hs, 64)
-		if err1 != nil || err2 != nil {
+		w, h, err := eend.ParseField(v)
+		if err != nil {
 			return fmt.Errorf("bad field %q", v)
 		}
 		c.opts = append(c.opts, eend.WithField(w, h))
 		return nil
 	},
-	"stack": func(c *pointConfig, v string) error {
-		stack, err := ParseStack(v)
-		if err != nil {
-			return err
-		}
-		c.opts = append(c.opts, eend.WithStack(stack...))
-		return nil
-	},
+	"stack": parsed(ParseStack, func(c *pointConfig, s []eend.StackOption) { c.opts = append(c.opts, eend.WithStack(s...)) }),
 	"heuristic": func(c *pointConfig, v string) error {
 		if !opt.ValidMethod(v) {
 			return fmt.Errorf("bad heuristic %q (want one of %v)", v, opt.Methods())
@@ -88,79 +54,48 @@ var axisRegistry = map[string]func(*pointConfig, string) error{
 		c.heuristic = v
 		return nil
 	},
-	"topology": func(c *pointConfig, v string) error {
-		topo, err := eend.ParseTopology(v)
-		if err != nil {
-			return err
-		}
-		c.opts = append(c.opts, eend.WithTopology(topo))
-		return nil
-	},
-	"workload": func(c *pointConfig, v string) error {
-		kind, err := eend.ParseWorkloadKind(v)
-		if err != nil {
-			return err
-		}
-		c.workload = kind
-		return nil
-	},
-	"flows": func(c *pointConfig, v string) error {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("bad flow count %q", v)
-		}
-		c.flows = n
-		return nil
-	},
-	"rate": func(c *pointConfig, v string) error {
-		r, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return fmt.Errorf("bad rate %q (Kbit/s)", v)
-		}
-		c.rateKbps = r
-		return nil
-	},
-	"packet": func(c *pointConfig, v string) error {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("bad packet size %q", v)
-		}
-		c.packetBytes = n
-		return nil
-	},
-	"dur": func(c *pointConfig, v string) error {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return fmt.Errorf("bad duration %q", v)
-		}
-		c.opts = append(c.opts, eend.WithDuration(d))
-		return nil
-	},
-	"card": func(c *pointConfig, v string) error {
-		card, err := eend.ParseCard(v)
-		if err != nil {
-			return err
-		}
-		c.opts = append(c.opts, eend.WithCard(card))
-		return nil
-	},
-	"battery": func(c *pointConfig, v string) error {
-		j, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return fmt.Errorf("bad battery %q (J)", v)
-		}
-		c.opts = append(c.opts, eend.WithBattery(j))
-		return nil
-	},
-	"bandwidth": func(c *pointConfig, v string) error {
-		bps, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return fmt.Errorf("bad bandwidth %q (bit/s)", v)
-		}
-		c.opts = append(c.opts, eend.WithBandwidth(bps))
-		return nil
-	},
+	"topology":  parsed(eend.ParseTopology, with(eend.WithTopology)),
+	"workload":  parsed(eend.ParseWorkloadKind, func(c *pointConfig, k eend.WorkloadKind) { c.workload = k }),
+	"flows":     number(strconv.Atoi, "flow count", "", func(c *pointConfig, n int) { c.flows = n }),
+	"rate":      number(parseFloat, "rate", " (Kbit/s)", func(c *pointConfig, r float64) { c.rateKbps = r }),
+	"packet":    number(strconv.Atoi, "packet size", "", func(c *pointConfig, n int) { c.packetBytes = n }),
+	"dur":       number(time.ParseDuration, "duration", "", with(eend.WithDuration)),
+	"card":      parsed(eend.ParseCard, with(eend.WithCard)),
+	"battery":   number(parseFloat, "battery", " (J)", with(eend.WithBattery)),
+	"bandwidth": number(parseFloat, "bandwidth", " (bit/s)", with(eend.WithBandwidth)),
 }
+
+// parsed is the axis whose value parse reads and set applies; a value parse
+// refuses is parse's error.
+func parsed[T any](parse func(string) (T, error), set func(*pointConfig, T)) func(*pointConfig, string) error {
+	return func(c *pointConfig, v string) error {
+		x, err := parse(v)
+		if err == nil {
+			set(c, x)
+		}
+		return err
+	}
+}
+
+// number is parsed for an axis whose value is one number: a value parse
+// refuses is a "bad <noun>" error, unit appended.
+func number[T any](parse func(string) (T, error), noun, unit string, set func(*pointConfig, T)) func(*pointConfig, string) error {
+	return parsed(func(v string) (T, error) {
+		x, err := parse(v)
+		if err != nil {
+			err = fmt.Errorf("bad %s %q%s", noun, v, unit)
+		}
+		return x, err
+	}, set)
+}
+
+// with applies a parsed value through the facade option it mirrors.
+func with[T any](option func(T) eend.Option) func(*pointConfig, T) {
+	return func(c *pointConfig, x T) { c.opts = append(c.opts, option(x)) }
+}
+
+func parseUint(v string) (uint64, error)   { return strconv.ParseUint(v, 10, 64) }
+func parseFloat(v string) (float64, error) { return strconv.ParseFloat(v, 64) }
 
 // AxisNames lists the axes a grid may declare, sorted.
 func AxisNames() []string { return slices.Sorted(maps.Keys(axisRegistry)) }

@@ -108,7 +108,7 @@ func (w Workload) validate() error {
 	if w.Flows <= 0 {
 		return fmt.Errorf("eend: workload flow count %d is not positive", w.Flows)
 	}
-	if w.RateBps <= 0 {
+	if !positive(w.RateBps) {
 		return fmt.Errorf("eend: workload rate %g bit/s is not positive", w.RateBps)
 	}
 	if w.PacketBytes <= 0 {
