@@ -309,3 +309,36 @@ func TestStreamSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicatedMatchesRun pins what a replicated scenario is worth: One
+// and Stream answer it, cold and warm, with exactly the Results sc.Run
+// returns — the first replicate's run with the replicate summary attached —
+// at any worker count.
+func TestReplicatedMatchesRun(t *testing.T) {
+	sc, err := testScenarios(t, 1)[0].With(eend.WithReplicates(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sc.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Fingerprint()
+	for _, workers := range []int{1, 2, 8} {
+		one := &Evaluator{Store: cache.NewMem(), Workers: workers}
+		stream := &Evaluator{Store: cache.NewMem(), Workers: workers}
+		for _, pass := range []string{"cold", "warm"} {
+			res, _, err := one.One(context.Background(), sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Fingerprint(); got != want {
+				t.Errorf("workers=%d %s: One = %s, Run = %s", workers, pass, got, want)
+			}
+			out, _ := collect(t, stream, []*eend.Scenario{sc})
+			if got := out[0].Results.Fingerprint(); got != want {
+				t.Errorf("workers=%d %s: Stream = %s, Run = %s", workers, pass, got, want)
+			}
+		}
+	}
+}
