@@ -144,10 +144,16 @@ func (r *Result) Fingerprint() string {
 	return hex.EncodeToString(sum[:])
 }
 
+// certifyTol is the relative float noise under which a bound meets its
+// target: the subgradient ascent stops there, and Gap certifies there, so
+// the stop rule and the certificate agree (ARCHITECTURE, "Bounds").
+const certifyTol = 1e-12
+
 // Gap reports the relative optimality gap (best − bnd)/bnd of a search
 // outcome against a lower bound, with the division hazards resolved:
 //
-//   - best ≤ bnd: the bound certifies optimality — gap 0, certified.
+//   - best − bnd ≤ certifyTol·max(1, |bnd|): the bound certifies
+//     optimality — gap 0, certified.
 //   - bnd > 0:    the usual ratio, defined but not certified.
 //   - bnd ≤ 0 with best above it (or any NaN input): the ratio is
 //     meaningless — defined is false and callers must render "unknown"
@@ -157,7 +163,7 @@ func Gap(best, bnd float64) (gap float64, certified, defined bool) {
 		return 0, false, false
 	}
 	switch {
-	case best <= bnd:
+	case best <= bnd || best-bnd <= certifyTol*math.Max(1, math.Abs(bnd)):
 		return 0, true, true
 	case bnd > 0:
 		return (best - bnd) / bnd, false, true
@@ -408,7 +414,7 @@ func (inst *instance) subgradient(res *Result, o Options) {
 		// The ascent has met its target: L(λ) certifies the surrogate UB
 		// as optimal (up to float noise), so further steps cannot help.
 		gapToUB := res.UpperBound - l
-		if gapToUB <= 1e-12*math.Max(1, math.Abs(res.UpperBound)) {
+		if gapToUB <= certifyTol*math.Max(1, math.Abs(res.UpperBound)) {
 			if o.Trace {
 				res.Trace = append(res.Trace, TracePoint{Iter: it, Value: l, Best: res.Value})
 			}

@@ -97,6 +97,11 @@ func TestGapEdgeCases(t *testing.T) {
 	}{
 		{"ordinary", 115, 100, 0.15, false, true},
 		{"optimal", 100, 100, 0, true, true},
+		// Best and bound summed in different orders differ by float noise;
+		// certification tolerates exactly the noise the ascent stops at.
+		{"one ulp above", math.Nextafter(8.759930247881297, 9), 8.759930247881297, 0, true, true},
+		{"1e-9 relative excess", 1 + 0x1p-30, 1, 0x1p-30, false, true},
+		{"both infinite", math.Inf(1), math.Inf(1), 0, true, true},
 		{"bound above best", 99, 100, 0, true, true},
 		{"zero bound zero best", 0, 0, 0, true, true},
 		{"zero bound positive best", 5, 0, 0, false, false},
