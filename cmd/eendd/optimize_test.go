@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -177,6 +178,17 @@ func TestOptimizeValidation(t *testing.T) {
 	}
 	if w := get(t, h, "/v1/optimize/nope"); w.Code != http.StatusNotFound {
 		t.Errorf("unknown id: status = %d", w.Code)
+	}
+}
+
+// TestOptimizeNegativeReplicates: a negative scenario.replicates under the
+// sim objective is a 400, not a job that quietly runs one simulation.
+func TestOptimizeNegativeReplicates(t *testing.T) {
+	h := newServer(context.Background(), "")
+	w := post(t, h, "/v1/optimize", `{"scenario": {"nodes": 8, "replicates": -2, "duration": "5s",
+		"random_flows": {"count": 1, "rate_bps": 2048}}, "objective": "sim", "bound": "none", "iterations": 2}`)
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "replicate count -2 is not positive") {
+		t.Fatalf("replicates -2: status %d, body %s; want 400 naming the count", w.Code, w.Body)
 	}
 }
 

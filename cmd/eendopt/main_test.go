@@ -207,6 +207,17 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
+// TestNegativeReplicates: a negative -replicates is refused the way eendsim
+// refuses it, not run as a single simulation.
+func TestNegativeReplicates(t *testing.T) {
+	var out, errw bytes.Buffer
+	err := run(context.Background(), &out, &errw, []string{"-objective", "sim", "-replicates", "-2",
+		"-nodes", "8", "-flows", "1", "-dur", "5s", "-iterations", "2", "-bound", "none"})
+	if err == nil || !strings.Contains(err.Error(), "replicate count -2 is not positive") {
+		t.Fatalf("-replicates -2: err = %v, want the replicate count refused", err)
+	}
+}
+
 // TestPresetFlag drives the constant-density preset path: -preset stands in
 // for -nodes/-field/-topology, and mixing them is an error.
 func TestPresetFlag(t *testing.T) {

@@ -53,7 +53,8 @@ type SimConfig struct {
 	// bit-identical to local ones.
 	Remote []string
 	// Replicates > 1 averages that many seed-derived simulations per
-	// candidate (eend.WithReplicates), scoring the replicate mean.
+	// candidate (eend.WithReplicates), scoring the replicate mean; 0 and 1
+	// are one run, and a negative count is an error.
 	Replicates int
 }
 
@@ -99,6 +100,9 @@ type Simulated struct {
 func (p *Problem) Simulated(cfg SimConfig) (*Simulated, error) {
 	if p.Scenario == nil {
 		return nil, fmt.Errorf("opt: problem has no deployment scenario; build it with opt.FromScenario")
+	}
+	if cfg.Replicates < 0 {
+		return nil, fmt.Errorf("opt: replicate count %d is not positive", cfg.Replicates)
 	}
 	store, err := eval.OpenStore(cfg.Store, cfg.CacheDir)
 	if err != nil {
