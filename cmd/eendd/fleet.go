@@ -7,6 +7,7 @@ import (
 	"eend/internal/buildinfo"
 	"eend/internal/cache"
 	"eend/internal/dist"
+	"eend/internal/exec"
 )
 
 // maxEvaluateBody bounds POST /v1/evaluate bodies: canonical scenarios
@@ -54,7 +55,8 @@ func buildStore(cfg serverConfig) (cache.Store, error) {
 // evaluator a dist coordinator dispatches shards to, and the cache wire
 // endpoints Remote stores read and write.
 func registerFleet(mux *http.ServeMux, store cache.Store, met *metrics) {
-	engine := dist.Engine{Store: store}
+	// A pool per batch: one request's cold runs never delay another's lookups.
+	engine := dist.Engine{Store: store, Workers: exec.Workers(0)}
 
 	mux.HandleFunc("POST /v1/evaluate", func(w http.ResponseWriter, r *http.Request) {
 		var req dist.EvalRequest

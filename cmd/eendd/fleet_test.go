@@ -464,4 +464,7 @@ func TestJournaledDaemonReplaysInterruptedJobs(t *testing.T) {
 	if replayed.Status != "failed" || !strings.Contains(replayed.Error, "interrupted") {
 		t.Fatalf("replayed job = status %q error %q, want failed/interrupted", replayed.Status, replayed.Error)
 	}
+	// The dying daemon's job settles before the next test swaps the
+	// simulator hook it reads.
+	waitDone(t, h, st.ID)
 }

@@ -169,20 +169,18 @@ func (c *Coordinator) evaluateShard(ctx context.Context, shard int, scenarios []
 	return nil, fmt.Errorf("dist: shard %d failed on every worker (%d attempts): %w", shard, attempts, lastErr)
 }
 
-// RunBatch is the distributed drop-in for eend.RunBatch: same signature,
-// same channel contract (results stream in completion order, correlated by
+// RunBatch is the distributed counterpart of eend.RunBatch: the same
+// channel contract (results stream in completion order, correlated by
 // Index; the channel closes when every deliverable result is in; scenarios
 // never dispatched after cancellation don't appear) — but the simulations
-// run on the fleet. The BatchOptions are accepted for signature
-// compatibility and ignored: local worker-pool size is meaningless here,
-// and fleet concurrency is the Coordinator's Parallel.
+// run on the fleet, with the Coordinator's Parallel shards in flight.
 //
 // Scenarios are sharded as given — deduplicating a batch by fingerprint is
 // the evaluator's job (internal/eval), which hands RunBatch unique
 // scenarios. A worker whose reported fingerprint disagrees with the
 // coordinator's — divergent simulator builds — yields an error result,
 // never a silently wrong one.
-func (c *Coordinator) RunBatch(ctx context.Context, scenarios []*eend.Scenario, _ ...eend.BatchOption) <-chan eend.BatchResult {
+func (c *Coordinator) RunBatch(ctx context.Context, scenarios []*eend.Scenario) <-chan eend.BatchResult {
 	c.init()
 	out := make(chan eend.BatchResult, len(scenarios))
 

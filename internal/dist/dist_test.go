@@ -374,3 +374,55 @@ func TestCoordinatorSharedRemoteCache(t *testing.T) {
 		t.Fatalf("warm fleet ran %d extra sims, want 0", sims.Load()-cold)
 	}
 }
+
+// TestReplicatedSeedsShareOneCache: a replicated scenario is cached one
+// seed at a time whoever evaluates it. Replicate 0 is the unreplicated
+// scenario, so a replicates=3 evaluation after a single run simulates
+// only seeds 1 and 2; the next one simulates nothing, and a fleet worker
+// over the same store answers the replicated scenario from it. The base
+// scenario is a parsed canonical encoding, as a worker sees it: its flows
+// are materialized, so its replicates are the ones the worker derives.
+func TestReplicatedSeedsShareOneCache(t *testing.T) {
+	sc, err := eend.ParseCanonical(testScenarios(t, 1)[0].Canonical())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scR, err := sc.With(eend.WithReplicates(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var simulated []string
+	eval.OnSimulate = func(s *eend.Scenario) { simulated = append(simulated, s.Fingerprint()) }
+	t.Cleanup(func() { eval.OnSimulate = nil })
+	store := cache.NewMem()
+	ev := &eval.Evaluator{Store: store}
+
+	if _, cached, err := ev.One(t.Context(), sc); err != nil || cached {
+		t.Fatalf("single run: cached=%v err=%v, want a fresh run", cached, err)
+	}
+	simulated = nil
+	if _, cached, err := ev.One(t.Context(), scR); err != nil || cached {
+		t.Fatalf("replicated: cached=%v err=%v, want fresh seeds", cached, err)
+	}
+	var want []string
+	for k := 1; k < 3; k++ {
+		rep, err := scR.Replicate(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rep.Fingerprint())
+	}
+	if fmt.Sprint(simulated) != fmt.Sprint(want) {
+		t.Fatalf("replicated evaluation simulated %v, want seeds 1 and 2 %v", simulated, want)
+	}
+
+	simulated = nil
+	if _, cached, err := ev.One(t.Context(), scR); err != nil || !cached || len(simulated) != 0 {
+		t.Fatalf("second replicated evaluation: cached=%v err=%v simulated %v, want a full hit", cached, err, simulated)
+	}
+	local := &Local{Engine: Engine{Store: store}}
+	res, err := local.Evaluate(t.Context(), []string{scR.Canonical()})
+	if err != nil || res[0].Error != "" || !res[0].Cached || len(simulated) != 0 {
+		t.Fatalf("fleet worker: err=%v result=%+v simulated %v, want a cached answer", err, res[0], simulated)
+	}
+}

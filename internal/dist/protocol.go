@@ -84,16 +84,16 @@ type Engine struct {
 	// Store, when non-nil, answers fingerprints it holds without
 	// simulating and stores fresh results for the fleet.
 	Store cache.Store
-	// Workers bounds concurrent simulations (<= 0: GOMAXPROCS).
+	// Workers bounds concurrent simulations (<= 0: ctx's ambient scheduler).
 	Workers int
 }
 
 // Evaluate answers a batch: parse every canonical encoding and hand the
-// scenarios to the shared evaluator (cache pass, one deduplicated batch
-// over the misses, fresh results stored). Per-scenario failures are
-// reported in their slot — one malformed scenario cannot fail a batch. The
-// response always has exactly one result per request scenario, in request
-// order.
+// scenarios to the shared evaluator (a cache pass per replicate seed, the
+// misses simulated once each, fresh results stored). Per-scenario failures
+// are reported in their slot — one malformed scenario cannot fail a batch.
+// The response always has exactly one result per request scenario, in
+// request order.
 func (e Engine) Evaluate(ctx context.Context, scenarios []string) []EvalResult {
 	out := make([]EvalResult, len(scenarios))
 	items := make([]eval.Item, 0, len(scenarios))
@@ -112,17 +112,14 @@ func (e Engine) Evaluate(ctx context.Context, scenarios []string) []EvalResult {
 		slots = append(slots, i)
 	}
 	ev := eval.Evaluator{Store: e.Store, Workers: e.Workers}
-	simulate := ev.Stream(ctx, items, func(o eval.Outcome) {
+	ev.Stream(ctx, items, func(o eval.Outcome) {
 		r := &out[slots[o.Index]]
 		if o.Err != nil {
 			r.Error = o.Err.Error()
 			return
 		}
 		r.Results, r.Cached = o.Results, o.Cached
-	})
-	if simulate != nil {
-		simulate()
-	}
+	})()
 	// A cancelled batch never dispatches its queued scenarios, so their
 	// outcomes never arrive; those slots report the cancellation.
 	for _, i := range slots {

@@ -2,16 +2,20 @@
 // fingerprint → cached result, else simulate and store. The sweep runner,
 // the simulator-in-the-loop objective and the fleet worker all answer
 // scenarios through an Evaluator, so the cache value format (the Results
-// JSON encoding) and the miss policy (an absent, unreadable or undecodable
+// JSON encoding), the miss policy (an absent, unreadable or undecodable
 // entry is a miss; the fresh result overwrites it; a failed write costs
-// only a future re-simulation) are decided here and nowhere else.
+// only a future re-simulation) and the replicate rule (a replicated
+// scenario is looked up, simulated and stored one derived seed at a time)
+// are decided here and nowhere else.
 package eval
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"strconv"
+	"sync"
 
 	"eend"
 	"eend/internal/cache"
@@ -20,21 +24,14 @@ import (
 	"eend/internal/obs"
 )
 
-// Backend simulates a batch of scenarios. It has eend.RunBatch's signature
-// and channel contract, so the in-process pool and a fleet coordinator's
-// RunBatch are interchangeable.
-type Backend func(ctx context.Context, scenarios []*eend.Scenario, opts ...eend.BatchOption) <-chan eend.BatchResult
+// Backend simulates a batch of scenarios elsewhere, with the channel
+// contract of the facade's batch runner (a fleet coordinator's).
+type Backend func(ctx context.Context, scenarios []*eend.Scenario) <-chan eend.BatchResult
 
 // OnSimulate, when non-nil, observes every scenario about to be simulated
 // in process (never a cache hit, never a scenario sent to a remote
 // Backend). Tests set it to prove warm paths never touch the simulator.
 var OnSimulate func(*eend.Scenario)
-
-func simulating(sc *eend.Scenario) {
-	if OnSimulate != nil {
-		OnSimulate(sc)
-	}
-}
 
 // OpenStore resolves a caller's cache configuration: an explicit store
 // wins, else the on-disk store rooted at dir, else no cache (nil).
@@ -59,73 +56,32 @@ type Evaluator struct {
 	// Backend runs the misses; nil is the in-process simulator.
 	Backend Backend
 	// Workers bounds a batch's concurrent simulations and cache lookups
-	// (<= 0: GOMAXPROCS for simulations, ctx's ambient scheduler for
-	// lookups).
+	// (<= 0: ctx's ambient scheduler).
 	Workers int
-	// Trace, when non-nil, records a "cache" leaf per lookup and a "sim"
-	// leaf per simulation under the span the caller names. A batch's cache
-	// leaves are emitted from scheduler workers.
+	// Trace, when non-nil, records a "replicate" span per seed under the
+	// span the caller names, and under it a "cache" leaf per lookup and a
+	// "sim" leaf per simulation. Cache leaves come from scheduler workers.
 	Trace *obs.Tracer
 }
 
-// Lookup answers fp from the store, under a "cache" span when traced. Store
-// faults and entries that do not decode are misses.
-func (e *Evaluator) Lookup(parent obs.Span, fp string) (*eend.Results, bool) {
-	if e.Store == nil {
-		return nil, false
-	}
-	sp := e.Trace.Start(parent, "cache", fp)
-	var res *eend.Results
-	if data, ok, err := e.Store.Get(fp); ok && err == nil {
-		res, _ = network.DecodeResults(data)
-	}
-	sp.End(obs.A("hit", strconv.FormatBool(res != nil)))
-	return res, res != nil
-}
-
-// put stores a fresh result; a failed write only costs a future
-// re-simulation.
-func (e *Evaluator) put(fp string, res *eend.Results) {
-	if e.Store == nil {
-		return
-	}
-	if data, err := json.Marshal(res); err == nil {
-		_ = e.Store.Put(fp, data)
-	}
-}
-
-// One evaluates a single scenario: the store's answer when it has one
-// (cached true), else one run stored for next time. The in-process run is
-// sc.Run on ctx's ambient scheduler, so a search evaluating candidates
-// inside a worker pool stays within that pool's budget. One does not
+// One evaluates a single scenario as Stream of one item, so a replicated
+// scenario shares its per-seed cache entries with sweeps. One does not
 // coalesce concurrent calls; a caller that needs that wraps it in its own
 // single-flight (see opt.Simulated, whose flight leader must also re-check
 // a memo One knows nothing about).
 func (e *Evaluator) One(ctx context.Context, sc *eend.Scenario) (res *eend.Results, cached bool, err error) {
-	fp := sc.Fingerprint()
-	if res, ok := e.Lookup(obs.Span{}, fp); ok {
-		return res, true, nil
+	o := Outcome{Index: -1}
+	e.Stream(ctx, []Item{{Scenario: sc}}, func(got Outcome) { o = got })()
+	if o.Index < 0 { // never dispatched
+		return nil, false, cmp.Or(ctx.Err(), errors.New("eval: backend returned no result"))
 	}
-	if e.Backend == nil {
-		simulating(sc)
-		res, err = sc.Run(ctx)
-	} else {
-		err = errors.New("eval: backend returned no result")
-		for br := range e.Backend(ctx, []*eend.Scenario{sc}) {
-			res, err = br.Results, br.Err
-		}
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	e.put(fp, res)
-	return res, false, nil
+	return o.Results, o.Cached, o.Err
 }
 
 // Item is one scenario of a Stream batch.
 type Item struct {
-	Scenario *eend.Scenario
-	// Span parents the item's "cache" and "sim" leaves when traced.
+	Scenario *eend.Scenario // replicated or not
+	// Span parents the item's "replicate" spans when traced.
 	Span obs.Span
 }
 
@@ -133,128 +89,222 @@ type Item struct {
 type Outcome struct {
 	// Index is the item's position in the slice passed to Stream.
 	Index int
-	// Results is nil when Err is set.
+	// Results is nil when Err is set; else what Scenario.Run returns.
 	Results *eend.Results
-	// Cached reports the result was not freshly simulated for this batch:
-	// a store hit here, or a Backend result that itself reports Cached (a
-	// fleet worker's cache hit, a duplicate within the backend's batch).
+	// Cached reports that no seed was freshly simulated for this batch:
+	// each was a store hit, or a Backend result reporting Cached (a fleet
+	// worker's cache hit, a duplicate within the backend's batch).
 	Cached bool
-	Err    error
+	Err    error // the first failing seed's, in replicate order
+}
+
+// seed is one replicate of one item: the unit the cache and the simulator
+// see. Seeds sharing a fingerprint are chained through next (-1 ends the
+// chain); only the chain's head is looked up and simulated.
+type seed struct {
+	item      int
+	sc        *eend.Scenario // nil when deriving the replicate failed (err set)
+	next      int
+	span, sim obs.Span // the seed's "replicate" span; the head's "sim" leaf
+	res       *eend.Results
+	err       error
+	cached    bool
+}
+
+// batch is one Stream call's state: item i's seeds are
+// seeds[items[i].lo:items[i].hi], pending of them still unanswered.
+type batch struct {
+	*Evaluator
+	mu      sync.Mutex // serializes answers landing from scheduler workers
+	seeds   []seed
+	items   []struct{ lo, hi, pending int }
+	deliver func(Outcome)
 }
 
 // Stream evaluates a batch in two steps, calling deliver once per answered
-// item. The cache pass runs before Stream returns: the unique fingerprints
-// are looked up in one contiguous chunk per worker (exec.New(Workers) when
-// Workers is set, else ctx's ambient scheduler; a single chunk runs
-// inline), and then every hit is delivered in item order on the calling
-// goroutine, before any simulation starts. The returned
-// simulate — nil when the cache answered everything — sends the misses to
-// the backend as one batch and blocks until it is done, storing and
-// delivering each result as it lands; the caller picks its goroutine.
-// Items sharing a fingerprint are looked up and simulated once (their
-// leaves hang under the first one's Span) and receive unaliased copies.
-// Like the backend's own contract, items never dispatched after ctx is
-// cancelled are not delivered.
+// item. Each item is expanded into its replicates (replicate 0 is the
+// unreplicated scenario), and the seeds' unique fingerprints are the unit
+// of work: one lookup, one simulation, unaliased copies for duplicates. The
+// cache pass runs before Stream returns, one contiguous chunk of lookups
+// per worker (exec.New(Workers) when Workers is set, else ctx's ambient
+// scheduler; a single chunk runs inline), and delivers every item the cache
+// answers completely on the calling goroutine. The returned simulate, a
+// no-op when the cache answered everything, runs the misses (one Backend
+// batch, else one item each on the same scheduler, joined with Gather so a
+// caller on a worker helps), stores each result and delivers each item as
+// its last seed lands; deliver calls are sequential. An item with a seed
+// never dispatched after ctx is cancelled is not delivered.
 func (e *Evaluator) Stream(ctx context.Context, items []Item, deliver func(Outcome)) (simulate func()) {
-	// A group is one unique fingerprint: the first item that carries it
-	// and any later duplicates.
-	type group struct {
-		first int
-		dups  []int
-		sim   obs.Span
-	}
-	groups := make([]group, 0, len(items))
-	byFP := make(map[string]int, len(items))
+	b := &batch{Evaluator: e, deliver: deliver,
+		seeds: make([]seed, 0, len(items)), items: make([]struct{ lo, hi, pending int }, len(items))}
+	byFP := make(map[string]int, len(items)) // fingerprint -> last seed carrying it
+	heads := make([]int, 0, len(items))      // each fingerprint's first seed
 	for i, it := range items {
-		fp := it.Scenario.Fingerprint()
-		if g, ok := byFP[fp]; ok {
-			groups[g].dups = append(groups[g].dups, i)
-			continue
-		}
-		byFP[fp] = len(groups)
-		groups = append(groups, group{first: i})
-	}
-	fan := func(g *group, o Outcome) {
-		o.Index = g.first
-		deliver(o)
-		for _, i := range g.dups {
-			o.Index = i
-			if o.Results != nil {
-				o.Results = network.Copy(o.Results)
+		st := &b.items[i]
+		st.lo = len(b.seeds)
+		for k := range it.Scenario.Replicates() {
+			sc, err := it.Scenario.Replicate(k)
+			if err != nil {
+				b.seeds = append(b.seeds, seed{item: i, err: err})
+				break
 			}
-			deliver(o)
+			fp, s := sc.Fingerprint(), len(b.seeds)
+			if last, dup := byFP[fp]; dup {
+				b.seeds[last].next = s
+			} else {
+				heads = append(heads, s)
+			}
+			byFP[fp] = s
+			b.seeds = append(b.seeds, seed{item: i, sc: sc, next: -1, span: e.Trace.Start(it.Span, "replicate", fp)})
+			st.pending++
+		}
+		if st.hi = len(b.seeds); st.pending == 0 {
+			b.complete(i)
 		}
 	}
 
-	hits := make([]*eend.Results, len(groups))
-	if e.Store != nil {
-		e.each(ctx, len(groups), func(g int) {
-			it := items[groups[g].first]
-			hits[g], _ = e.Lookup(it.Span, it.Scenario.Fingerprint())
-		})
-	}
-	var misses []*group
-	var scenarios []*eend.Scenario
-	for g := range groups {
-		if hits[g] != nil {
-			fan(&groups[g], Outcome{Results: hits[g], Cached: true})
-			continue
-		}
-		it := items[groups[g].first]
-		groups[g].sim = e.Trace.Start(it.Span, "sim", it.Scenario.Fingerprint())
-		misses = append(misses, &groups[g])
-		scenarios = append(scenarios, it.Scenario)
-	}
-	if len(scenarios) == 0 {
-		return nil
-	}
-	return func() {
-		backend := e.Backend
-		if backend == nil {
-			backend = eend.RunBatch
-			for _, sc := range scenarios {
-				simulating(sc)
-			}
-		}
-		for br := range backend(ctx, scenarios, eend.Workers(e.Workers)) {
-			g := misses[br.Index]
-			if br.Err != nil {
-				g.sim.End(obs.A("error", br.Err.Error()))
-				fan(g, Outcome{Err: br.Err})
-				continue
-			}
-			g.sim.End(obs.A("cached", strconv.FormatBool(br.Cached)))
-			e.put(scenarios[br.Index].Fingerprint(), br.Results)
-			fan(g, Outcome{Results: br.Results, Cached: br.Cached})
-		}
-	}
-}
-
-// each calls fn(0) … fn(n-1), split into one contiguous chunk per worker of
-// the caller's scheduler, and returns when all have run. Lookups are short
-// and bounded, so they are not abandoned on cancellation: what the cache
-// pass delivers does not depend on the worker count.
-func (e *Evaluator) each(ctx context.Context, n int, fn func(i int)) {
 	sched := exec.From(ctx)
 	if e.Workers > 0 {
 		sched = exec.New(e.Workers)
 	}
-	chunks := min(sched.WorkerCount(), n)
-	if chunks <= 1 {
-		for i := range n {
-			fn(i)
-		}
-		return
+	if e.Store != nil {
+		b.lookup(ctx, sched, heads)
 	}
+	misses, scenarios := heads[:0], []*eend.Scenario(nil)
+	for _, s := range heads {
+		if sd := &b.seeds[s]; sd.res != nil {
+			b.land(s, sd.res, nil, true)
+		} else {
+			sd.sim = e.Trace.Start(sd.span, "sim", sd.sc.Fingerprint())
+			misses, scenarios = append(misses, s), append(scenarios, sd.sc)
+		}
+	}
+	if len(misses) == 0 {
+		return func() {}
+	}
+	return func() {
+		if e.Backend != nil {
+			for br := range e.Backend(ctx, scenarios) {
+				b.simulated(misses[br.Index], br.Results, br.Err, br.Cached)
+			}
+			return
+		}
+		work := make([]exec.Item, len(misses))
+		for m, sc := range scenarios {
+			s := misses[m]
+			if OnSimulate != nil {
+				OnSimulate(sc)
+			}
+			work[m] = exec.Item{Index: m, Do: func(ctx context.Context) (any, error) {
+				res, err := sc.Run(ctx)
+				b.simulated(s, res, err, false)
+				return nil, nil
+			}}
+		}
+		for m, r := range sched.Gather(ctx, work) {
+			// A panicking simulation fails its seed alone (exec turns the
+			// panic into r.Err); a skipped one was never dispatched.
+			if r.Err != nil && !r.Skipped {
+				b.simulated(misses[m], nil, r.Err, false)
+			}
+		}
+	}
+}
+
+// simulated ends head s's "sim" leaf, stores a fresh result (a failed
+// write only costs a future re-simulation) and lands it.
+func (b *batch) simulated(s int, res *eend.Results, err error, cached bool) {
+	sd := &b.seeds[s]
+	end(sd.sim, err, cached)
+	if err == nil && b.Store != nil {
+		if data, err := json.Marshal(res); err == nil {
+			_ = b.Store.Put(sd.sc.Fingerprint(), data)
+		}
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.land(s, res, err, cached)
+}
+
+// land answers head s and the seeds chained to it, each duplicate with its
+// own copy, and delivers every item whose last seed this was.
+func (b *batch) land(s int, res *eend.Results, err error, cached bool) {
+	for head := s; s >= 0; s = b.seeds[s].next {
+		if s != head && res != nil {
+			res = network.Copy(res)
+		}
+		sd := &b.seeds[s]
+		sd.res, sd.err, sd.cached = res, err, cached
+		end(sd.span, err, cached)
+		st := &b.items[sd.item]
+		if st.pending--; st.pending == 0 {
+			b.complete(sd.item)
+		}
+	}
+}
+
+// complete folds item i's seeds into its Outcome and delivers it: the first
+// failing seed in replicate order is the error, else the first replicate's
+// Results with the replicate summary attached — Scenario.Run's fold.
+func (b *batch) complete(i int) {
+	seeds := b.seeds[b.items[i].lo:b.items[i].hi]
+	o := Outcome{Index: i, Results: seeds[0].res, Cached: true}
+	for _, sd := range seeds {
+		if sd.err != nil {
+			b.deliver(Outcome{Index: i, Err: sd.err})
+			return
+		}
+		o.Cached = o.Cached && sd.cached
+	}
+	if len(seeds) > 1 {
+		ids, runs := make([]uint64, len(seeds)), make([]*eend.Results, len(seeds))
+		for k, sd := range seeds {
+			ids[k], runs[k] = sd.sc.Seed(), sd.res
+		}
+		res := *runs[0]
+		res.Replicates = eend.AggregateReplicates(ids, runs)
+		o.Results = &res
+	}
+	b.deliver(o)
+}
+
+// end closes a seed's span with its answer.
+func end(sp obs.Span, err error, cached bool) {
+	if err != nil {
+		sp.End(obs.A("error", err.Error()))
+	} else {
+		sp.End(obs.A("cached", strconv.FormatBool(cached)))
+	}
+}
+
+// lookup answers the head seeds the store holds, each under its "cache"
+// leaf, in one contiguous chunk of heads per worker of sched (a single
+// chunk runs inline). Store faults and entries that do not decode are
+// misses. Lookups are short and bounded, so they are not abandoned on
+// cancellation: what the cache pass delivers does not depend on the worker
+// count.
+func (b *batch) lookup(ctx context.Context, sched *exec.Scheduler, heads []int) {
+	n := len(heads)
+	chunks := max(1, min(sched.WorkerCount(), n))
 	work := make([]exec.Item, chunks)
 	for c := range work {
-		lo, hi := c*n/chunks, (c+1)*n/chunks
+		chunk := heads[c*n/chunks : (c+1)*n/chunks]
 		work[c] = exec.Item{Index: c, Do: func(context.Context) (any, error) {
-			for i := lo; i < hi; i++ {
-				fn(i)
+			for _, s := range chunk {
+				sd := &b.seeds[s]
+				fp := sd.sc.Fingerprint()
+				sp := b.Trace.Start(sd.span, "cache", fp)
+				if data, ok, err := b.Store.Get(fp); ok && err == nil {
+					sd.res, _ = network.DecodeResults(data)
+				}
+				sp.End(obs.A("hit", strconv.FormatBool(sd.res != nil)))
 			}
 			return nil, nil
 		}}
+	}
+	if chunks == 1 {
+		work[0].Do(ctx)
+		return
 	}
 	sched.Gather(context.WithoutCancel(ctx), work)
 }

@@ -38,12 +38,12 @@ func testScenarios(t *testing.T, n int) []*eend.Scenario {
 // handed; cached stamps every result the way a fleet worker answering from
 // its own cache does.
 func countingBackend(runs *atomic.Int64, cached bool) Backend {
-	return func(ctx context.Context, scs []*eend.Scenario, opts ...eend.BatchOption) <-chan eend.BatchResult {
+	return func(ctx context.Context, scs []*eend.Scenario) <-chan eend.BatchResult {
 		runs.Add(int64(len(scs)))
 		out := make(chan eend.BatchResult, len(scs))
 		go func() {
 			defer close(out)
-			for br := range eend.RunBatch(ctx, scs, opts...) {
+			for br := range eend.RunBatch(ctx, scs) {
 				br.Cached = br.Cached || cached
 				out <- br
 			}
@@ -84,7 +84,7 @@ func collect(t *testing.T, e *Evaluator, scs []*eend.Scenario) (out []Outcome, e
 	}
 	out = make([]Outcome, len(scs))
 	seen := make([]bool, len(scs))
-	var order []int // no lock: the race detector polices the single-goroutine claim
+	var order []int // no lock: the race detector polices the sequential-delivery claim
 	simulate := e.Stream(context.Background(), items, func(o Outcome) {
 		if seen[o.Index] {
 			t.Errorf("item %d delivered twice", o.Index)
@@ -100,9 +100,7 @@ func collect(t *testing.T, e *Evaluator, scs []*eend.Scenario) (out []Outcome, e
 	if !slices.IsSortedFunc(order, func(a, b int) int { return firstOf(a) - firstOf(b) }) {
 		t.Errorf("cache pass delivered items in order %v", order)
 	}
-	if simulate != nil {
-		simulate()
-	}
+	simulate()
 	for i, ok := range seen {
 		if !ok {
 			t.Fatalf("item %d never delivered", i)
@@ -268,9 +266,10 @@ func TestOne(t *testing.T) {
 	}
 }
 
-// TestStreamSpans pins where the leaves are emitted: a "cache" span per
-// lookup and a "sim" span per simulation, under the item's own Span, once
-// per unique fingerprint — and the same tree whichever worker emits a leaf.
+// TestStreamSpans pins where the spans are emitted: a "replicate" span per
+// seed under the item's own Span, and under it a "cache" span per lookup
+// and a "sim" span per simulation, once per unique fingerprint — and the
+// same tree whichever worker emits a leaf.
 func TestStreamSpans(t *testing.T) {
 	scs := testScenarios(t, 2)
 	var base map[string]string // span id -> shape, at workers = 1
@@ -282,9 +281,7 @@ func TestStreamSpans(t *testing.T) {
 		items := []Item{{scs[0], parents[0]}, {scs[1], parents[1]}, {scs[0], parents[2]}}
 		e.Stream(context.Background(), items, func(Outcome) {})()
 		cold := len(sink.Events())
-		if e.Stream(context.Background(), items, func(Outcome) {}) != nil {
-			t.Fatalf("workers=%d: warm pass wants to simulate", workers)
-		}
+		e.Stream(context.Background(), items, func(Outcome) {})()
 
 		got := make(map[string]int) // "name/parent" -> count
 		shape := make(map[string]string)
@@ -295,10 +292,15 @@ func TestStreamSpans(t *testing.T) {
 			}
 			shape[ev.Span+"/"+ev.Attrs["hit"]] = ev.Name + "/" + ev.Parent
 		}
-		for name, perPass := range map[string]int{"cache": 2, "sim": 1} {
-			for i, want := range []int{1, 1, 0} {
-				if n := got[name+"/"+parents[i].ID()]; n != want*perPass {
-					t.Errorf("workers=%d: %d %q leaves under item %d, want %d", workers, n, name, i, want*perPass)
+		for i, it := range items {
+			if n := got["replicate/"+parents[i].ID()]; n != 2 {
+				t.Errorf("workers=%d: %d replicate spans under item %d, want one per pass", workers, n, i)
+			}
+			seed := tr.Start(parents[i], "replicate", it.Scenario.Fingerprint()).ID()
+			for name, perPass := range map[string]int{"cache": 2, "sim": 1} {
+				want := []int{1, 1, 0}[i] * perPass // item 2 duplicates item 0
+				if n := got[name+"/"+seed]; n != want {
+					t.Errorf("workers=%d: %d %q leaves under item %d's seed, want %d", workers, n, name, i, want)
 				}
 			}
 		}

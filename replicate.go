@@ -46,8 +46,8 @@ func (s *Scenario) Replicates() int {
 // flow endpoints, start jitter) are redrawn per replicate — each replicate
 // is a fresh random instance of the same configuration, the paper's
 // methodology for its averaged points. Replicate scenarios fingerprint
-// independently, which is what lets a sweep cache replicated points one
-// seed at a time.
+// independently, which is what lets the evaluation path cache replicated
+// scenarios one seed at a time.
 func (s *Scenario) Replicate(k int) (*Scenario, error) {
 	n := s.Replicates()
 	if k < 0 || k >= n {
@@ -104,7 +104,7 @@ func (s *Scenario) runReplicated(ctx context.Context) (*Results, error) {
 // AggregateReplicates folds the Results of replicated runs (in replicate
 // order, with their derived seeds) into the mean/CI95 Summary the paper's
 // figures report per point. Most callers get this for free from Run; the
-// sweep runner uses it directly to aggregate per-seed cache hits.
+// evaluation path uses it directly to fold per-seed cache hits.
 func AggregateReplicates(seeds []uint64, runs []*Results) *Summary {
 	return network.AggregateReplicates(seeds, runs)
 }

@@ -17,8 +17,8 @@
 //	g, err := sweep.ParseGrid("nodes=10,20,50 seed=1..3 stack=titan-pc/odpm,dsr/odpm topology=uniform,cluster")
 //
 // Runner expands the grid, consults the cache (keyed by each Scenario's
-// Fingerprint), simulates only the misses over eend.RunBatch, and streams
-// per-point results with live progress.
+// Fingerprint), simulates only the misses, and streams per-point results
+// with live progress.
 package sweep
 
 import (

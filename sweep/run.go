@@ -47,8 +47,8 @@ type Result struct {
 // Runner executes parameter grids. The zero value runs with GOMAXPROCS
 // workers and no cache.
 type Runner struct {
-	// Workers bounds concurrent simulations (<= 0: GOMAXPROCS), passed
-	// through to eend.RunBatch.
+	// Workers bounds concurrent simulations and cache lookups (<= 0: the
+	// ctx's ambient scheduler, GOMAXPROCS unless the caller installed one).
 	Workers int
 	// CacheDir, when non-empty, enables the content-addressed result
 	// cache rooted there: points whose scenario fingerprint is present are
@@ -89,26 +89,20 @@ type Runner struct {
 // failures and cancellations are reported in their Result.Err instead, so
 // one failed point cannot discard a thousand finished ones.
 func (r Runner) Run(ctx context.Context, g *Grid) ([]Result, Progress, error) {
-	// The final progress is the last snapshot Stream's emit counted.
-	var last Progress
-	observe := r.OnProgress
-	r.OnProgress = func(p Progress) {
-		last = p
-		if observe != nil {
-			observe(p)
-		}
-	}
-	ch, total, err := r.Stream(ctx, g)
+	prep, err := r.PrepareContext(ctx, g)
 	if err != nil {
 		return nil, Progress{}, err
 	}
-	results := make([]Result, 0, total)
+	ch, err := prep.Stream(ctx)
+	if err != nil {
+		return nil, Progress{}, err
+	}
+	results := make([]Result, 0, prep.Total())
 	for sr := range ch {
 		results = append(results, sr)
 	}
 	slices.SortFunc(results, func(a, b Result) int { return a.Point.Index - b.Point.Index })
-	last.Total = total // also when a cancelled sweep delivered nothing
-	return results, last, nil
+	return results, prep.progress, nil // final: the channel closed after the last point
 }
 
 // Prepared is a validated, fully expanded sweep: every point's Scenario is
@@ -117,8 +111,9 @@ func (r Runner) Run(ctx context.Context, g *Grid) ([]Result, Progress, error) {
 // split (validate synchronously, execute asynchronously) can use
 // Runner.Stream or Runner.Run directly.
 type Prepared struct {
-	runner  Runner
-	results []Result
+	runner   Runner
+	results  []Result
+	progress Progress // Stream's live counts, final once its channel closes
 }
 
 // Total returns the number of points the sweep will deliver.
@@ -160,37 +155,6 @@ func (r Runner) Stream(ctx context.Context, g *Grid) (<-chan Result, int, error)
 	return ch, prep.Total(), err
 }
 
-// pointState tracks one grid point's replicate set while the sweep runs.
-// Each replicate is evaluated independently under its own derived-seed
-// fingerprint; the point completes when every replicate is in.
-type pointState struct {
-	seeds   []uint64        // derived seed per replicate
-	runs    []*eend.Results // filled per replicate (cache or simulation)
-	cached  int             // replicates answered without a fresh simulation
-	pending int             // replicates not yet answered
-	err     error           // first replicate failure, if any
-	span    obs.Span        // the point's span (inert when untraced)
-}
-
-// finish folds a completed replicate set into the point's Result: the
-// first replicate's Results, with the mean/CI95 Summary attached when the
-// point is replicated. Cached is true only when every replicate came from
-// the cache — a fully cached sweep re-run touches the simulator zero
-// times even for replicated grids.
-func (st *pointState) finish(sr Result) Result {
-	if st.err != nil {
-		sr.Err = st.err
-		return sr
-	}
-	res := *st.runs[0]
-	if len(st.runs) > 1 {
-		res.Replicates = eend.AggregateReplicates(st.seeds, st.runs)
-	}
-	sr.Results = &res
-	sr.Cached = st.cached == len(st.runs)
-	return sr
-}
-
 // Stream starts the sweep and returns a channel delivering each point's
 // result as it completes (cache hits first, then simulations in completion
 // order; use Result.Point.Index to correlate). The channel is buffered for
@@ -199,11 +163,12 @@ func (st *pointState) finish(sr Result) Result {
 // undispatched points simply never appear. Stream consumes the Prepared
 // sweep: call it at most once.
 //
-// Replicated points (a grid with a replicates axis, or scenarios built
-// with eend.WithReplicates) are decomposed into their per-seed replicates:
-// each replicate is answered from the cache under its own fingerprint or
-// simulated on the batch pool, so re-running a sweep with a widened
-// replicates axis simulates only the new seeds.
+// Each point is one item of the shared evaluation path (internal/eval),
+// which answers a replicated point (a grid with a replicates axis, or a
+// scenario built with eend.WithReplicates) one derived seed at a time:
+// each seed from the cache under its own fingerprint or simulated, so
+// re-running a sweep with a widened replicates axis simulates only the new
+// seeds, and a point is cached only when all of its seeds are.
 func (p *Prepared) Stream(ctx context.Context) (<-chan Result, error) {
 	r := p.runner
 	results := p.results
@@ -217,8 +182,17 @@ func (p *Prepared) Stream(ctx context.Context) (<-chan Result, error) {
 	ev := eval.Evaluator{Store: store, Backend: r.backend(sweepSp), Workers: r.Workers, Trace: tr}
 
 	out := make(chan Result, len(results))
-	progress := Progress{Total: len(results)}
-	emit := func(sr Result, st *pointState) {
+	progress := &p.progress
+	progress.Total = len(results)
+	items := make([]eval.Item, len(results))
+	for i := range results {
+		items[i] = eval.Item{Scenario: results[i].Scenario, Span: tr.Start(sweepSp, "point", results[i].Fingerprint)}
+	}
+	// The cache pass runs here, so fully cached points are emitted before
+	// Stream returns and before any simulation starts.
+	simulate := ev.Stream(ctx, items, func(o eval.Outcome) {
+		sr := results[o.Index]
+		sr.Results, sr.Cached, sr.Err = o.Results, o.Cached, o.Err
 		progress.Done++
 		if sr.Cached {
 			progress.CacheHits++
@@ -226,92 +200,29 @@ func (p *Prepared) Stream(ctx context.Context) (<-chan Result, error) {
 		if sr.Err != nil {
 			sr.Error = sr.Err.Error()
 			progress.Errors++
+			items[o.Index].Span.End(obs.A("error", sr.Error))
+		} else {
+			items[o.Index].Span.End(obs.A("cached", strconv.FormatBool(sr.Cached)),
+				obs.AInt("replicates", int64(sr.Scenario.Replicates())))
 		}
 		countPoint(sr)
-		if sr.Err != nil {
-			st.span.End(obs.A("error", sr.Err.Error()))
-		} else {
-			st.span.End(obs.A("cached", strconv.FormatBool(sr.Cached)),
-				obs.AInt("replicates", int64(len(st.runs))))
-		}
 		out <- sr
 		if r.OnProgress != nil {
-			r.OnProgress(progress)
-		}
-	}
-
-	// Expand every point into its replicates: one evaluator item each,
-	// under a "replicate" span. owner parallels items.
-	type replicate struct{ point, k int }
-	states := make([]*pointState, len(results))
-	items := make([]eval.Item, 0, len(results))
-	owner := make([]replicate, 0, len(results))
-	for i := range results {
-		sc := results[i].Scenario
-		n := sc.Replicates()
-		st := &pointState{seeds: make([]uint64, n), runs: make([]*eend.Results, n)}
-		st.span = tr.Start(sweepSp, "point", results[i].Fingerprint)
-		states[i] = st
-		for k := 0; k < n; k++ {
-			rep, err := sc.Replicate(k)
-			if err != nil {
-				// Cannot happen for grid-built points (Prepare validated
-				// them), but guard facade-built edge cases.
-				st.err = err
-				break
-			}
-			st.seeds[k] = rep.Seed()
-			st.pending++
-			items = append(items, eval.Item{Scenario: rep, Span: tr.Start(st.span, "replicate", rep.Fingerprint())})
-			owner = append(owner, replicate{i, k})
-		}
-		if st.pending == 0 {
-			emit(st.finish(results[i]), st)
-		}
-	}
-
-	// The cache pass runs here, so fully cached points are emitted before
-	// Stream returns and before any simulation starts.
-	simulate := ev.Stream(ctx, items, func(o eval.Outcome) {
-		i := owner[o.Index].point
-		st := states[i]
-		if o.Err != nil {
-			items[o.Index].Span.End(obs.A("error", o.Err.Error()))
-			if st.err == nil {
-				st.err = o.Err
-			}
-		} else {
-			// Cached covers a local hit and a remote worker answering
-			// from the fleet cache alike.
-			items[o.Index].Span.End(obs.A("cached", strconv.FormatBool(o.Cached)))
-			st.runs[owner[o.Index].k] = o.Results
-			if o.Cached {
-				st.cached++
-			}
-		}
-		if st.pending--; st.pending == 0 {
-			emit(st.finish(results[i]), st)
+			r.OnProgress(*progress)
 		}
 	})
-	finish := func() {
+	go func() {
+		simulate()
 		sweepSp.End(obs.AInt("points", int64(progress.Total)),
 			obs.AInt("cache_hits", int64(progress.CacheHits)),
 			obs.AInt("errors", int64(progress.Errors)))
 		close(out)
-	}
-	if simulate == nil {
-		finish()
-		return out, nil
-	}
-	go func() {
-		defer finish()
-		simulate()
 	}()
 	return out, nil
 }
 
-// backend selects the simulation backend: nil for the in-process batch
-// runner, or a dist coordinator over the configured remote workers. parent
+// backend selects the simulation backend: nil for the in-process
+// simulator, or a dist coordinator over the configured remote workers. parent
 // is the span the coordinator's shard spans attach under when the sweep is
 // traced.
 func (r Runner) backend(parent obs.Span) eval.Backend {
