@@ -62,9 +62,9 @@ const envelopeMagic = "eend.cache/1 "
 // the on-disk format and the wire format of the remote store.
 func seal(value []byte) []byte {
 	sum := sha256.Sum256(value)
-	out := make([]byte, 0, len(envelopeMagic)+sha256.Size*2+1+len(value))
-	out = hex.AppendEncode(append(out, envelopeMagic...), sum[:])
-	return append(append(out, '\n'), value...)
+	head := envelopeMagic + hex.EncodeToString(sum[:]) + "\n"
+	out := make([]byte, 0, len(head)+len(value))
+	return append(append(out, head...), value...)
 }
 
 // unseal verifies an envelope and returns its payload; ok is false for
@@ -74,13 +74,13 @@ func unseal(data []byte) ([]byte, bool) {
 	if len(data) < headLen || string(data[:len(envelopeMagic)]) != envelopeMagic {
 		return nil, false
 	}
+	sumHex := string(data[len(envelopeMagic) : headLen-1])
 	if data[headLen-1] != '\n' {
 		return nil, false
 	}
 	payload := data[headLen:]
 	sum := sha256.Sum256(payload)
-	var sumHex [sha256.Size * 2]byte
-	if string(hex.AppendEncode(sumHex[:0], sum[:])) != string(data[len(envelopeMagic):headLen-1]) {
+	if hex.EncodeToString(sum[:]) != sumHex {
 		return nil, false
 	}
 	return payload, true

@@ -144,8 +144,8 @@ func (s *Scheduler) pop(sub *submission) (entry, bool) {
 			if sub != nil && e.sub != sub {
 				continue
 			}
-			if i == 0 && len(*q) > 1 {
-				(*q)[0] = entry{} // reslice, never shift; the last pop (below) keeps the array
+			if i == 0 {
+				(*q)[0] = entry{} // the worker's pop: reslice, never shift
 				*q = (*q)[1:]
 			} else {
 				*q = slices.Delete(*q, i, i+1)

@@ -2,7 +2,6 @@ package eend
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"eend/internal/network"
@@ -172,10 +171,9 @@ func StackLabel(label string) StackOption {
 //
 //	eend.WithStack(eend.StaticRoutes(routes...), eend.ODPM, eend.PowerControl())
 func StaticRoutes(routes ...[]int) StackOption {
-	flat := slices.Concat(routes...) // one array backs every copied route
 	cp := make([][]int, len(routes))
 	for i, r := range routes {
-		cp[i], flat = flat[:len(r):len(r)], flat[len(r):]
+		cp[i] = append([]int(nil), r...)
 	}
 	return stackOptionFunc(func(st *network.Stack) {
 		st.Routing = network.ProtoStatic
