@@ -14,6 +14,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
+	"runtime/debug"
 	"strconv"
 	"sync"
 
@@ -119,6 +122,11 @@ type batch struct {
 	seeds   []seed
 	items   []struct{ lo, hi, pending int }
 	deliver func(Outcome)
+	one     struct { // a lone item's storage (One), inside the batch's allocation
+		seeds [1]seed
+		items [1]struct{ lo, hi, pending int }
+		heads [1]int
+	}
 }
 
 // Stream evaluates a batch in two steps, calling deliver once per answered
@@ -130,15 +138,20 @@ type batch struct {
 // scheduler; a single chunk runs inline), and delivers every item the cache
 // answers completely on the calling goroutine. The returned simulate, a
 // no-op when the cache answered everything, runs the misses (one Backend
-// batch, else one item each on the same scheduler, joined with Gather so a
-// caller on a worker helps), stores each result and delivers each item as
-// its last seed lands; deliver calls are sequential. An item with a seed
-// never dispatched after ctx is cancelled is not delivered.
+// batch; else a lone miss inline, more as Nested items on the same
+// scheduler joined with Gather, so a caller on a worker helps), stores each
+// result and delivers each item as its last seed lands; deliver calls are
+// sequential. A panicking simulation fails its seed alone; a panic in
+// deliver or the store reaches the caller. An item with a seed never
+// dispatched after ctx is cancelled is not delivered.
 func (e *Evaluator) Stream(ctx context.Context, items []Item, deliver func(Outcome)) (simulate func()) {
-	b := &batch{Evaluator: e, deliver: deliver,
-		seeds: make([]seed, 0, len(items)), items: make([]struct{ lo, hi, pending int }, len(items))}
+	b := &batch{Evaluator: e, deliver: deliver}
+	heads := b.one.heads[:0] // each fingerprint's first seed
+	if b.seeds, b.items = b.one.seeds[:0], b.one.items[:]; len(items) != 1 {
+		b.seeds, b.items = make([]seed, 0, len(items)), make([]struct{ lo, hi, pending int }, len(items))
+		heads = make([]int, 0, len(items))
+	}
 	byFP := make(map[string]int, len(items)) // fingerprint -> last seed carrying it
-	heads := make([]int, 0, len(items))      // each fingerprint's first seed
 	for i, it := range items {
 		st := &b.items[i]
 		st.lo = len(b.seeds)
@@ -177,6 +190,9 @@ func (e *Evaluator) Stream(ctx context.Context, items []Item, deliver func(Outco
 		} else {
 			sd.sim = e.Trace.Start(sd.span, "sim", sd.sc.Fingerprint())
 			misses, scenarios = append(misses, s), append(scenarios, sd.sc)
+			if OnSimulate != nil && e.Backend == nil {
+				OnSimulate(sd.sc) // on the calling goroutine, before dispatch
+			}
 		}
 	}
 	if len(misses) == 0 {
@@ -189,26 +205,37 @@ func (e *Evaluator) Stream(ctx context.Context, items []Item, deliver func(Outco
 			}
 			return
 		}
+		if len(misses) == 1 && ctx.Err() == nil { // a lone miss runs on the caller
+			res, err := run(ctx, scenarios[0])
+			b.simulated(misses[0], res, err, false)
+			return
+		}
 		work := make([]exec.Item, len(misses))
 		for m, sc := range scenarios {
 			s := misses[m]
-			if OnSimulate != nil {
-				OnSimulate(sc)
-			}
-			work[m] = exec.Item{Index: m, Do: func(ctx context.Context) (any, error) {
-				res, err := sc.Run(ctx)
+			work[m] = exec.Item{Index: m, Nested: true, Do: func(ctx context.Context) (any, error) {
+				res, err := run(ctx, sc)
 				b.simulated(s, res, err, false)
 				return nil, nil
 			}}
 		}
-		for m, r := range sched.Gather(ctx, work) {
-			// A panicking simulation fails its seed alone (exec turns the
-			// panic into r.Err); a skipped one was never dispatched.
-			if r.Err != nil && !r.Skipped {
-				b.simulated(misses[m], nil, r.Err, false)
+		for _, r := range sched.Gather(ctx, work) {
+			if r.Err != nil && !r.Skipped { // a skipped item was never dispatched
+				panic(r.Err) // deliver or the store panicked on a worker
 			}
 		}
 	}
+}
+
+// run is sc.Run, except that a panic fails the seed alone.
+func run(ctx context.Context, sc *eend.Scenario) (res *eend.Results, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			fmt.Fprintf(os.Stderr, "eval: simulation panicked: %v\n%s", r, debug.Stack())
+			res, err = nil, fmt.Errorf("eval: simulation panicked: %v", r)
+		}
+	}()
+	return sc.Run(ctx)
 }
 
 // simulated ends head s's "sim" leaf, stores a fresh result (a failed
@@ -286,25 +313,29 @@ func end(sp obs.Span, err error, cached bool) {
 func (b *batch) lookup(ctx context.Context, sched *exec.Scheduler, heads []int) {
 	n := len(heads)
 	chunks := max(1, min(sched.WorkerCount(), n))
+	if chunks == 1 {
+		b.lookupChunk(heads)
+		return
+	}
 	work := make([]exec.Item, chunks)
 	for c := range work {
-		chunk := heads[c*n/chunks : (c+1)*n/chunks]
 		work[c] = exec.Item{Index: c, Do: func(context.Context) (any, error) {
-			for _, s := range chunk {
-				sd := &b.seeds[s]
-				fp := sd.sc.Fingerprint()
-				sp := b.Trace.Start(sd.span, "cache", fp)
-				if data, ok, err := b.Store.Get(fp); ok && err == nil {
-					sd.res, _ = network.DecodeResults(data)
-				}
-				sp.End(obs.A("hit", strconv.FormatBool(sd.res != nil)))
-			}
+			b.lookupChunk(heads[c*n/chunks : (c+1)*n/chunks])
 			return nil, nil
 		}}
 	}
-	if chunks == 1 {
-		work[0].Do(ctx)
-		return
-	}
 	sched.Gather(context.WithoutCancel(ctx), work)
+}
+
+// lookupChunk answers heads in order.
+func (b *batch) lookupChunk(heads []int) {
+	for _, s := range heads {
+		sd := &b.seeds[s]
+		fp := sd.sc.Fingerprint()
+		sp := b.Trace.Start(sd.span, "cache", fp)
+		if data, ok, err := b.Store.Get(fp); ok && err == nil {
+			sd.res, _ = network.DecodeResults(data)
+		}
+		sp.End(obs.A("hit", strconv.FormatBool(sd.res != nil)))
+	}
 }

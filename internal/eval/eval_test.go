@@ -7,6 +7,7 @@ import (
 	"maps"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -263,6 +264,37 @@ func TestOne(t *testing.T) {
 	cancel()
 	if _, _, err := (&Evaluator{}).One(ctx, sc); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled One returned %v, want context.Canceled", err)
+	}
+}
+
+// TestDeliverPanics: a panic in deliver reaches the caller of simulate and
+// never re-lands a seed, so each item is delivered exactly once (the
+// panicking call included), whether the misses run inline or on workers.
+func TestDeliverPanics(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		for _, workers := range []int{1, 4} {
+			items := make([]Item, n)
+			for i, sc := range testScenarios(t, n) {
+				items[i] = Item{Scenario: sc}
+			}
+			delivered := make([]int, n)
+			simulate := (&Evaluator{Workers: workers}).Stream(context.Background(), items, func(o Outcome) {
+				if delivered[o.Index]++; o.Index == 0 {
+					panic("deliver boom")
+				}
+			})
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "deliver boom") {
+						t.Errorf("n=%d workers=%d: simulate recovered %v, want the deliver panic", n, workers, r)
+					}
+				}()
+				simulate()
+			}()
+			if !slices.Equal(delivered, slices.Repeat([]int{1}, n)) {
+				t.Errorf("n=%d workers=%d: deliveries per item %v, want one each", n, workers, delivered)
+			}
+		}
 	}
 }
 
