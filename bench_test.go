@@ -238,16 +238,7 @@ func BenchmarkReplicatedRunFanout(b *testing.B) {
 func BenchmarkResultsDecode(b *testing.B) {
 	for _, nodes := range []int{20, 50} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			sc, err := NewScenario(WithSeed(1), WithNodes(nodes), WithStack(TITAN, ODPM, PowerControl()),
-				WithRandomFlows(4, 4096, 128), WithDuration(40*time.Second))
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := sc.Run(benchCtx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			data, err := json.Marshal(res)
+			data, err := json.Marshal(gridPointResults(b, nodes))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -261,6 +252,40 @@ func BenchmarkResultsDecode(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkResultsEncode is the write side's micro-row: one op appends the
+// same Results to a reused buffer with the codec Fingerprint hashes and a
+// cache store keeps. 0 allocs/op, CI-gated: nothing is allocated per node.
+func BenchmarkResultsEncode(b *testing.B) {
+	for _, nodes := range []int{20, 50} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			res := gridPointResults(b, nodes)
+			var w network.Writer
+			w.Results(res)
+			b.SetBytes(int64(len(w.Buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Reset(false)
+				w.Results(res)
+			}
+		})
+	}
+}
+
+// gridPointResults simulates a paper-grid point of the given size.
+func gridPointResults(b *testing.B, nodes int) *Results {
+	sc, err := NewScenario(WithSeed(1), WithNodes(nodes), WithStack(TITAN, ODPM, PowerControl()),
+		WithRandomFlows(4, 4096, 128), WithDuration(40*time.Second))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := sc.Run(benchCtx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 // --- micro benches: simulator hot paths ---

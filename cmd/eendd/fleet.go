@@ -81,10 +81,8 @@ func registerFleet(mux *http.ServeMux, store cache.Store, met *metrics) {
 				met.evaluations.Inc()
 			}
 		}
-		writeJSON(w, http.StatusOK, dist.EvalResponse{
-			Results: results,
-			Version: buildinfo.Version(),
-		})
+		resp := dist.EvalResponse{Results: results, Version: buildinfo.Version()}
+		writeEncoded(w, resp.Encode)
 	})
 
 	if store != nil {

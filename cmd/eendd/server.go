@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,11 +11,13 @@ import (
 	"os"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"time"
 
 	"eend"
 	"eend/internal/buildinfo"
 	"eend/internal/dist"
+	"eend/internal/network"
 )
 
 // scenarioRequest is the JSON body of POST /v1/scenarios. Every field is
@@ -334,7 +337,7 @@ func newServerWith(base context.Context, cfg serverConfig) (http.Handler, error)
 			writeRunError(w, r, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		writeEncoded(w, func(jw *network.Writer) { jw.Results(res) })
 	})
 
 	return recoverPanics(mux), nil
@@ -373,13 +376,43 @@ func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any, limit int64) 
 	return true
 }
 
-// writeJSON emits v with the proper content type.
+// writeJSON emits v, indented, with the proper content type. The body is
+// encoded before the status line goes out, so a value that does not encode
+// answers 500 with the error envelope instead of its status and no body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		body.Reset()
+		status = http.StatusInternalServerError
+		_ = enc.Encode(errorResponse{Error: fmt.Sprintf("encoding the response: %v", err)})
+	}
+	writeBody(w, status, body.Bytes())
+}
+
+// bodies holds the buffers of writeEncoded.
+var bodies = sync.Pool{New: func() any { return new(network.Writer) }}
+
+// writeEncoded answers 200 with the body encode writes, in writeJSON's
+// layout but through network's writer: the hot bodies (a Results, an
+// evaluate batch) go out without reflection or an indent pass.
+func writeEncoded(w http.ResponseWriter, encode func(*network.Writer)) {
+	jw := bodies.Get().(*network.Writer)
+	defer bodies.Put(jw)
+	jw.Reset(true)
+	if encode(jw); jw.Err() != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding the response: %v", jw.Err()))
+		return
+	}
+	writeBody(w, http.StatusOK, append(jw.Buf, '\n'))
+}
+
+// writeBody sends an encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body) // a failed write is a client gone; there is no one left to answer
 }
 
 // writeError emits the JSON error envelope.

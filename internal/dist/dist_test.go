@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"eend"
 	"eend/internal/cache"
 	"eend/internal/eval"
+	"eend/internal/network"
 )
 
 // testScenarios builds n small, distinct scenarios.
@@ -424,5 +426,40 @@ func TestReplicatedSeedsShareOneCache(t *testing.T) {
 	res, err := local.Evaluate(t.Context(), []string{scR.Canonical()})
 	if err != nil || res[0].Error != "" || !res[0].Cached || len(simulated) != 0 {
 		t.Fatalf("fleet worker: err=%v result=%+v simulated %v, want a cached answer", err, res[0], simulated)
+	}
+}
+
+// TestEvalResponseEncode: the codec writes a response byte for byte as
+// encoding/json does, compact and under json.Encoder's SetIndent("", "  "),
+// whichever of the omitempty fields are set.
+func TestEvalResponseEncode(t *testing.T) {
+	res, err := testScenarios(t, 1)[0].Run(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, resp := range []EvalResponse{
+		{},
+		{Results: []EvalResult{}},
+		{Version: "v1 <dev>", Results: []EvalResult{
+			{Fingerprint: "ab12", Cached: true, Results: res, WorkerVersion: "not on the wire"},
+			{Error: `parse "x": bad & worse`},
+			{},
+			{Results: &eend.Results{Stack: "é"}},
+		}},
+	} {
+		for _, indent := range []bool{false, true} {
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			if indent {
+				enc.SetIndent("", "  ")
+			}
+			if err := enc.Encode(resp); err != nil {
+				t.Fatal(err)
+			}
+			w := network.Writer{Indent: indent}
+			if resp.Encode(&w); string(w.Buf)+"\n" != want.String() || w.Err() != nil {
+				t.Fatalf("indent %v (%v):\n%s\nwant:\n%s", indent, w.Err(), w.Buf, want.String())
+			}
+		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"eend/internal/buildinfo"
 	"eend/internal/cache"
 	"eend/internal/eval"
+	"eend/internal/network"
 )
 
 // EvalRequest is the body of POST /v1/evaluate: a batch of scenarios in
@@ -55,6 +56,47 @@ type EvalResponse struct {
 	// Version is the worker's build identity (internal/buildinfo), so the
 	// coordinator can tell *which* build answered when results diverge.
 	Version string `json:"version,omitempty"`
+}
+
+// Encode writes the response as encoding/json would (json.Encoder's layout
+// when w.Indent is set), with the results through network's writer: the
+// daemon's /v1/evaluate body, without reflection or an indent pass.
+func (r *EvalResponse) Encode(w *network.Writer) {
+	w.Open('{')
+	w.Key("results")
+	if r.Results == nil {
+		w.Null()
+	} else {
+		w.Open('[')
+		for i := range r.Results {
+			er := &r.Results[i]
+			w.Elem()
+			w.Open('{')
+			if er.Fingerprint != "" {
+				w.Key("fingerprint")
+				w.String(er.Fingerprint)
+			}
+			if er.Cached {
+				w.Key("cached")
+				w.Bool(true)
+			}
+			if er.Results != nil {
+				w.Key("results")
+				w.Results(er.Results)
+			}
+			if er.Error != "" {
+				w.Key("error")
+				w.String(er.Error)
+			}
+			w.Close('}')
+		}
+		w.Close(']')
+	}
+	if r.Version != "" {
+		w.Key("version")
+		w.String(r.Version)
+	}
+	w.Close('}')
 }
 
 // MaxNodes and MaxFlows bound a scenario accepted from outside the process

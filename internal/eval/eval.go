@@ -12,7 +12,6 @@ package eval
 import (
 	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -244,7 +243,7 @@ func (b *batch) simulated(s int, res *eend.Results, err error, cached bool) {
 	sd := &b.seeds[s]
 	end(sd.sim, err, cached)
 	if err == nil && b.Store != nil {
-		if data, err := json.Marshal(res); err == nil {
+		if data, err := res.MarshalJSON(); err == nil {
 			_ = b.Store.Put(sd.sc.Fingerprint(), data)
 		}
 	}

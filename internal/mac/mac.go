@@ -292,19 +292,15 @@ var _ phy.Listener = (*MAC)(nil)
 // broadcast).
 func New(s *sim.Simulator, med *phy.Medium, coord *Coordinator, id int, pos geom.Point, cfg Config, deliver Delivery) *MAC {
 	m := &MAC{
-		id:          id,
-		pos:         pos,
-		sim:         s,
-		med:         med,
-		radio:       radio.NewRadio(cfg.Card),
-		cfg:         cfg,
-		coord:       coord,
-		maxPower:    cfg.Card.MaxTxPower(),
-		deliver:     deliver,
-		lastSeq:     make(map[int]uint64),
-		tpc:         make(map[int]float64),
-		announcedTo: make(map[int]uint64),
-		announcedBy: make(map[int]bool),
+		id:       id,
+		pos:      pos,
+		sim:      s,
+		med:      med,
+		radio:    radio.NewRadio(cfg.Card),
+		cfg:      cfg,
+		coord:    coord,
+		maxPower: cfg.Card.MaxTxPower(),
+		deliver:  deliver,
 	}
 	m.attemptFn = m.attempt
 	m.txDoneFn = m.txDone
@@ -315,6 +311,17 @@ func New(s *sim.Simulator, med *phy.Medium, coord *Coordinator, id int, pos geom
 	med.Attach(m)
 	coord.register(m)
 	return m
+}
+
+// put sets (*p)[k] = v, making the map on its first write. The per-peer
+// maps (lastSeq, tpc, announcedTo, announcedBy) start nil and are written
+// only through put: most nodes never write some of them, and reads, len,
+// delete and clear work on a nil map.
+func put[V any](p *map[int]V, k int, v V) {
+	if *p == nil {
+		*p = make(map[int]V)
+	}
+	(*p)[k] = v
 }
 
 // NodeID implements phy.Listener.

@@ -58,7 +58,7 @@ func (m *MAC) RxEnd(f *phy.Frame, ok bool) {
 		if forMe && m.await == frameATIMAck && m.current != nil && m.current.dst == f.Src {
 			j := m.current
 			m.replyArrived()
-			m.announcedTo[j.dst] = m.coord.interval()
+			put(&m.announcedTo, j.dst, m.coord.interval())
 			j.attempts = 0
 			j.cw = cwMin
 			m.requeue()
@@ -116,7 +116,7 @@ func (m *MAC) handleData(f *phy.Frame, fr *frame, forMe, broadcast bool) {
 		if last, seen := m.lastSeq[f.Src]; seen && last == fr.seq {
 			return
 		}
-		m.lastSeq[f.Src] = fr.seq
+		put(&m.lastSeq, f.Src, fr.seq)
 	}
 	if m.deliver != nil {
 		m.deliver(f.Src, fr.pkt)
@@ -134,7 +134,7 @@ func (m *MAC) handleATIM(f *phy.Frame, forMe, broadcast bool) {
 	case broadcast:
 		if m.cfg.AdvertisedWindow {
 			// Revocable hold: wait only for the announced broadcasts.
-			m.announcedBy[f.Src] = true
+			put(&m.announcedBy, f.Src, true)
 		} else {
 			m.awakeUntil = m.coord.nextBeacon()
 		}

@@ -265,7 +265,7 @@ func (m *MAC) sendRTS(j *job) {
 // feedback.
 func (m *MAC) gotCTS(j *job, power float64) {
 	if power > 0 && power < m.TxPowerFor(j.dst) {
-		m.tpc[j.dst] = power
+		put(&m.tpc, j.dst, power)
 	}
 	m.sendDataAfter(j, sifs)
 }

@@ -12,24 +12,26 @@ import (
 	"eend/internal/routing"
 )
 
-// This file is the one decoder of a Results: a byte cursor with a key
-// switch per struct, written against the schema instead of reflecting over
-// it. A warm sweep point is a cache read, and with encoding/json three
-// quarters of that read was reflection over an 11.7 KB entry.
+// This file is the one decoder of a Results, the reading half of the codec
+// (encode.go writes): a byte cursor with a key switch per struct, written
+// against the schema instead of reflecting over it. A warm sweep point is a
+// cache read, and with encoding/json three quarters of that read was
+// reflection over an 11.7 KB entry.
 //
 // The decoder accepts what encoding/json accepts for the same type and
 // produces the same value: any key order and whitespace, unknown keys
 // skipped (their values still validated), null a no-op on a scalar or
 // struct and a reset on per_node, a repeated key decoded again over the
-// first, every number through the strconv call encoding/json makes, so
-// every float64 is bit-identical. Keys are matched exactly; one that
-// misses is retried once under encoding/json's case folding before it is
-// skipped, so the two decoders agree on every input. Three things are
-// handed to encoding/json on their raw extent, because they are cold and
-// its answer is the definition: a string or key with an escape or a
-// non-ASCII byte, and the optional lifetime and replicates sub-objects.
-// Anything else is an error, and the evaluation path treats an entry that
-// does not decode as a miss.
+// first, every integer through the strconv call encoding/json makes, every
+// float through float.go's exact reader or, where it declines, that same
+// strconv call, so every float64 is bit-identical. Keys are matched
+// exactly; one that misses is retried once under encoding/json's case
+// folding before it is skipped, so the two decoders agree on every input.
+// Three things are handed to encoding/json on their raw extent, because
+// they are cold and its answer is the definition: a string or key with an
+// escape or a non-ASCII byte, and the optional lifetime and replicates
+// sub-objects. Anything else is an error, and the evaluation path treats
+// an entry that does not decode as a miss.
 
 // DecodeResults decodes the JSON encoding of a Results.
 func DecodeResults(data []byte) (*Results, error) {
@@ -283,9 +285,14 @@ func (d *decoder) digits() bool {
 // The number readers make the strconv call encoding/json makes for the
 // field's kind, so they accept, reject and round exactly as it does: a
 // float or a negative literal in an unsigned field and an integer out of
-// range are errors.
+// range are errors. float first tries the exact conversions of float.go,
+// which decline rather than round differently.
 
 func (d *decoder) float(p *float64) {
+	if v, ok := d.fastFloat(); ok {
+		*p = v
+		return
+	}
 	if lit := d.number(); lit != nil {
 		v, err := strconv.ParseFloat(string(lit), 64)
 		if err != nil {

@@ -2,12 +2,15 @@ package network_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +20,7 @@ import (
 	"eend/internal/mac"
 	"eend/internal/metrics"
 	"eend/internal/network"
+	"eend/internal/radio"
 )
 
 // plainResults is Results without its methods: decoding into it is
@@ -155,6 +159,7 @@ func TestDecodeResultsEquivalence(t *testing.T) {
 			if got := agree(t, compact); !reflect.DeepEqual(got, res) {
 				t.Fatalf("round trip changed the value:\n got %+v\nwant %+v", got, res)
 			}
+			writerAgrees(t, res)
 			indented, _ := json.MarshalIndent(res, " ", "\t")
 			agree(t, indented)
 			rng := rand.New(rand.NewPCG(1, uint64(len(compact))))
@@ -173,6 +178,7 @@ func TestDecodeResultsEquivalence(t *testing.T) {
 				relabelled.Stack = label
 				data, _ := json.Marshal(&relabelled)
 				agree(t, data)
+				writerAgrees(t, &relabelled)
 			}
 		})
 	}
@@ -260,6 +266,120 @@ func TestDecodeResultsAllocs(t *testing.T) {
 	if allocs > 4 {
 		t.Fatalf("decoding a 50-node entry costs %.0f allocations, want at most 4", allocs)
 	}
+	res, err := network.DecodeResults(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, encode := range map[string]func(){
+		"MarshalJSON": func() { _, _ = res.MarshalJSON() }, // the copy it returns
+		"Fingerprint": func() { _ = res.Fingerprint() },    // the hex string
+	} {
+		if allocs := testing.AllocsPerRun(50, encode); allocs > 1 && !raceEnabled {
+			t.Errorf("%s of a 50-node entry costs %.0f allocations, want at most 1", name, allocs)
+		}
+	}
+}
+
+// writerAgrees fails unless the writer encodes res byte for byte as
+// encoding/json encodes the method-less alias: compact as json.Marshal,
+// and indented as json.Encoder under SetIndent("", "  "), alone and nested
+// two levels deep beside an empty object.
+func writerAgrees(t testing.TB, res *network.Results) {
+	t.Helper()
+	want, err := json.Marshal((*plainResults)(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := res.MarshalJSON()
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("MarshalJSON (%v):\n got %s\nwant %s", err, got, want)
+	}
+	if sum := sha256.Sum256(want); res.Fingerprint() != hex.EncodeToString(sum[:]) {
+		t.Fatal("Fingerprint is not the SHA-256 of the encoding")
+	}
+	indented := func(v any) []byte {
+		var b bytes.Buffer
+		enc := json.NewEncoder(&b)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	w := network.Writer{Indent: true}
+	w.Results(res)
+	if want := indented((*plainResults)(res)); !bytes.Equal(append(w.Buf, '\n'), want) {
+		t.Fatalf("indented:\n got %s\nwant %s", w.Buf, want)
+	}
+	w.Reset(true)
+	w.Open('{')
+	w.Key("results")
+	w.Open('[')
+	w.Elem()
+	w.Results(res)
+	w.Elem()
+	w.Open('{')
+	w.Close('}')
+	w.Close(']')
+	w.Close('}')
+	nested := struct {
+		Results []any `json:"results"`
+	}{[]any{(*plainResults)(res), struct{}{}}}
+	if want := indented(nested); !bytes.Equal(append(w.Buf, '\n'), want) {
+		t.Fatalf("nested:\n got %s\nwant %s", w.Buf, want)
+	}
+}
+
+// TestWriterCorners pins the float formats at encoding/json's switches
+// between 'f' and 'e', the exponent cleanup, strings it escapes, the
+// omitempty fields set but empty, and the error on a non-finite value.
+func TestWriterCorners(t *testing.T) {
+	for _, f := range []float64{0, math.Copysign(0, -1), 1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0), -1e21,
+		1e-7, 1.5e-9, 1e-10, 2e-300, 5e-324, math.MaxFloat64, -math.SmallestNonzeroFloat64, 123456789, 0.1, 1. / 3} {
+		res := &network.Results{DeliveryRatio: f, Energy: radio.Breakdown{Idle: -f}, Stack: "a<b>&c\u2028\x01\b\f"}
+		res.PerNode = []network.NodeResults{{Pos: geom.Point{X: f}, FinalMode: mac.PowerMode(7)}}
+		res.Replicates = &metrics.Summary{Seeds: []uint64{}}
+		writerAgrees(t, res)
+	}
+	writerAgrees(t, &network.Results{PerNode: []network.NodeResults{}, Lifetime: &network.Lifetime{}})
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		res := &network.Results{PerNode: []network.NodeResults{{Pos: geom.Point{Y: f}}}}
+		if _, err := res.MarshalJSON(); err == nil {
+			t.Errorf("MarshalJSON encodes %v", f)
+		}
+		if _, err := json.Marshal(res); err == nil {
+			t.Errorf("json.Marshal encodes %v", f)
+		}
+	}
+}
+
+// TestCopyIsDeep: a copy equals its original and shares no memory with it.
+func TestCopyIsDeep(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2, 3))
+	for range 200 {
+		data := make([]byte, rng.IntN(300))
+		for i := range data {
+			data[i] = byte(rng.Uint32())
+		}
+		copyAgrees(t, generated(data))
+	}
+	copyAgrees(t, &network.Results{PerNode: []network.NodeResults{}, Replicates: &metrics.Summary{}})
+}
+
+func copyAgrees(t testing.TB, res *network.Results) {
+	t.Helper()
+	cp := network.Copy(res)
+	if !reflect.DeepEqual(cp, res) {
+		t.Fatalf("copy differs:\n got %+v\nwant %+v", cp, res)
+	}
+	shared := cp == res ||
+		len(res.PerNode) > 0 && &cp.PerNode[0] == &res.PerNode[0] ||
+		res.Lifetime != nil && cp.Lifetime == res.Lifetime ||
+		res.Replicates != nil && (cp.Replicates == res.Replicates ||
+			len(res.Replicates.Seeds) > 0 && &cp.Replicates.Seeds[0] == &res.Replicates.Seeds[0])
+	if shared {
+		t.Fatalf("copy shares memory with its original: %+v", res)
+	}
 }
 
 // generated builds a Results out of fuzz input: every field drawn from the
@@ -336,6 +456,95 @@ func FuzzDecodeResults(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, res) {
 			t.Fatalf("round trip changed the value:\n got %+v\nwant %+v", back, res)
+		}
+		writerAgrees(t, res)
+		copyAgrees(t, res)
+	})
+}
+
+// floatAgrees fails unless the decoder reads the JSON number lit as
+// strconv.ParseFloat does, bit for bit, and rejects it when strconv does.
+func floatAgrees(t testing.TB, lit string) {
+	t.Helper()
+	want, err := strconv.ParseFloat(lit, 64)
+	got, gerr := network.DecodeResults([]byte(`{"delivery_ratio":` + lit + `}`))
+	switch {
+	case err != nil && gerr == nil:
+		t.Fatalf("%s: decoded as %v, strconv says %v", lit, got.DeliveryRatio, err)
+	case err != nil:
+	case gerr != nil:
+		t.Fatalf("%s: %v", lit, gerr)
+	case math.Float64bits(got.DeliveryRatio) != math.Float64bits(want):
+		t.Fatalf("%s: decoded as %v (%#x), strconv reads %v (%#x)",
+			lit, got.DeliveryRatio, math.Float64bits(got.DeliveryRatio), want, math.Float64bits(want))
+	}
+}
+
+// floatLiterals turns fuzz input into JSON number literals: the digits of s
+// as a decimal with a point, leading fraction zeros and an exponent drawn
+// from bits, and the 'g', 'f' and 'e' formats of bits as a float64.
+func floatLiterals(s string, bits uint64) []string {
+	var lits []string
+	digits := strings.TrimLeft(strings.Map(func(r rune) rune {
+		if '0' <= r && r <= '9' {
+			return r
+		}
+		return -1
+	}, s), "0")
+	if digits = digits[:min(len(digits), 40)]; digits != "" {
+		k := int(bits%uint64(len(digits))) + 1
+		lit := digits[:k] + "." + strings.Repeat("0", int(bits>>8%4)) + digits[k:]
+		if k == len(digits) {
+			lit = digits
+		}
+		if bits&(1<<16) != 0 {
+			lit = "0." + strings.Repeat("0", int(bits>>8%4)) + digits
+		}
+		if bits&(1<<17) != 0 {
+			lit = "-" + lit
+		}
+		lits = append(lits, lit, fmt.Sprintf("%se%d", lit, int(bits>>32%800)-400))
+	}
+	if f := math.Float64frombits(bits); !math.IsNaN(f) && !math.IsInf(f, 0) {
+		for _, format := range []byte("gfe") {
+			lits = append(lits, strconv.FormatFloat(f, format, -1, 64))
+		}
+	}
+	return lits
+}
+
+// TestReadFloatExact holds the float reader to strconv over its hard cases
+// and a deterministic sample of what FuzzReadFloat explores.
+func TestReadFloatExact(t *testing.T) {
+	for _, lit := range []string{
+		"0", "-0", "-0.0e5", "0e400", "1", "0.1", "0.30000000000000004", "1e22", "1e-22", "1e23", "9007199254740991",
+		"9007199254740992", "9007199254740993", "9007199254740995", "4503599627370496.5", "4503599627370497.5",
+		"9007199254740991e22", "1234567890123456789", "12345678901234567890", "1234567890123456789e-30",
+		"2.2250738585072011e-308", "2.2250738585072014e-308", "4.9406564584124654e-324", "5e-324", "2e-324",
+		"1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308", "1e-400", "1e400",
+		"7.3177701707893310e15", "8.589973e9", "0.000001", "1E+2", "1e0000000000000000000000000000000000001",
+		"0.00000000000000000000000000000000000000000000000000001234567890123456789", "1e-348", "1e347", "1e-349",
+	} {
+		floatAgrees(t, lit)
+	}
+	rng := rand.New(rand.NewPCG(4, 5))
+	for range 20000 {
+		digits := strconv.FormatUint(rng.Uint64(), 10)
+		for _, lit := range floatLiterals(digits[:1+rng.IntN(len(digits))], rng.Uint64()) {
+			floatAgrees(t, lit)
+		}
+	}
+}
+
+// FuzzReadFloat holds the exact float reader to strconv.ParseFloat bits.
+func FuzzReadFloat(f *testing.F) {
+	f.Add("31415926535897932", uint64(0x400921fb54442d18))
+	f.Add("17976931348623157", uint64(0x7fefffffffffffff))
+	f.Add("49406564584124654", uint64(1))
+	f.Add("9007199254740993", uint64(0x0000_0190_0001_0000))
+	f.Fuzz(func(t *testing.T, digits string, bits uint64) {
+		for _, lit := range floatLiterals(digits, bits) {
+			floatAgrees(t, lit)
 		}
 	})
 }

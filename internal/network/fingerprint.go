@@ -3,8 +3,8 @@ package network
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"slices"
 )
 
 // Fingerprint returns the hex SHA-256 of the run's stable JSON encoding: a
@@ -15,29 +15,34 @@ import (
 // the RNG streams may be refactored at will as long as fixed-seed
 // fingerprints do not move (see the golden tests in the eend root package).
 func (r Results) Fingerprint() string {
-	data, err := json.Marshal(r)
-	if err != nil {
-		// Results contains only plain structs, slices and numbers; an
-		// encoding failure is a programming error, not an input error.
-		panic(fmt.Sprintf("network: results not encodable: %v", err))
+	w := pooled()
+	defer writers.Put(w)
+	if w.Results(&r); w.err != nil {
+		// A simulation's metrics are finite; one that is not is a
+		// programming error, not an input error.
+		panic(fmt.Sprintf("network: results not encodable: %v", w.err))
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	sum := sha256.Sum256(w.Buf)
+	var text [2 * sha256.Size]byte
+	hex.Encode(text[:], sum[:])
+	return string(text[:])
 }
 
-// Copy clones a Results through its lossless JSON round-trip, so two
-// holders of one outcome (a batch duplicate, evaluation slots
-// sharing a fingerprint) never share mutable state: per-node slices,
-// replicate summaries. An encoding fault — which the round-trip tests rule
-// out — degrades to sharing the value rather than dropping the result.
+// Copy clones a Results field by field, so two holders of one outcome (a
+// batch duplicate, evaluation slots sharing a fingerprint) never share
+// mutable state: per-node slices, the lifetime, replicate summaries and
+// their seeds.
 func Copy(res *Results) *Results {
-	data, err := json.Marshal(res)
-	if err != nil {
-		return res
+	cp := *res
+	cp.PerNode = slices.Clone(res.PerNode)
+	if res.Lifetime != nil {
+		lt := *res.Lifetime
+		cp.Lifetime = &lt
 	}
-	cp, err := DecodeResults(data)
-	if err != nil {
-		return res
+	if res.Replicates != nil {
+		rep := *res.Replicates
+		rep.Seeds = slices.Clone(rep.Seeds)
+		cp.Replicates = &rep
 	}
-	return cp
+	return &cp
 }
