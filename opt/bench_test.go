@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"eend"
+	"eend/internal/exec"
 )
 
 // benchProblem is the scheduler-bench deployment: big enough that each
@@ -122,6 +123,26 @@ func benchSearchStep(b *testing.B, p *Problem) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step()
+	}
+}
+
+// The process-wide scheduler is sized at its first use. Size it at package
+// init, at the binary's GOMAXPROCS, before -cpu lowers GOMAXPROCS for the
+// first run: BenchmarkBoundLagrange-2 must have two workers to fan out to.
+var _ = exec.Default()
+
+// BenchmarkBoundLagrange is the bound search-analytic certifies with: the
+// Lagrangian tier on field-1k with 40 flows, 20 subgradient iterations.
+// Run it with -cpu 1,2: at one processor each pass prices its demands
+// inline, at two it fans them out over the process-wide scheduler, so the
+// two rows' ns/op read the fan-out's speed-up (the Result is the same).
+func BenchmarkBoundLagrange(b *testing.B) {
+	p := field1kProblem(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := p.Bound(BoundOptions{Tier: BoundLagrange, Seed: 1, Iterations: 20}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

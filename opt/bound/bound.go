@@ -27,6 +27,7 @@
 package bound
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -36,6 +37,7 @@ import (
 	"strings"
 
 	"eend/internal/core"
+	"eend/internal/exec"
 )
 
 // Tier selects how much work the oracle may spend on the bound.
@@ -188,7 +190,13 @@ func (r *Result) GapOf(best float64) (gap *float64, certified bool) {
 
 // Compute returns a certified lower bound on Enetwork(design) over every
 // feasible design for the instance. An unroutable demand is an error: no
-// feasible design exists, so there is nothing to bound.
+// feasible design exists, so there is nothing to bound. So is an Eval
+// weight that is negative, NaN or infinite.
+//
+// The per-demand shortest paths of each pass run on the process-wide
+// execution scheduler, one share per processor, and merge in demand order:
+// the Result is bit-identical at any GOMAXPROCS. A panic in one of them (a
+// negative edge weight) reaches the caller as it would from a plain loop.
 func Compute(g *core.Graph, demands []core.Demand, o Options) (*Result, error) {
 	if len(demands) == 0 {
 		return nil, fmt.Errorf("bound: no demands")
@@ -204,6 +212,13 @@ func Compute(g *core.Graph, demands []core.Demand, o Options) (*Result, error) {
 	}
 	if o.Eval.PacketsPerDemand == 0 {
 		o.Eval.PacketsPerDemand = 1
+	}
+	// A negative weight prices an edge or a relay below zero: Dijkstra
+	// panics on it, or the relaxation stops being a bound. NaN makes every
+	// demand look unroutable.
+	if e := o.Eval; !priced(e.TIdle) || !priced(e.TData) || !priced(e.PacketsPerDemand) {
+		return nil, fmt.Errorf("bound: TIdle %v, TData %v and PacketsPerDemand %v must be finite and non-negative",
+			e.TIdle, e.TData, e.PacketsPerDemand)
 	}
 
 	inst, err := newInstance(g, demands, o.Eval)
@@ -228,6 +243,10 @@ func Compute(g *core.Graph, demands []core.Demand, o Options) (*Result, error) {
 	return res, nil
 }
 
+// priced reports whether an evaluation weight can price a path: finite and
+// non-negative (NaN is neither).
+func priced(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
 // instance precomputes the per-demand packet weights, the global endpoint
 // set and the relay candidates (non-endpoint nodes with a positive idling
 // price — only they need multipliers).
@@ -241,21 +260,39 @@ type instance struct {
 	relayIx []int     // node -> index in relays, or -1
 	idleW   []float64 // TIdle·c(v) per relay index
 
-	// sp and pathBuf are the ascent's reusable shortest-path scratch: the
-	// subgradient loop runs one Dijkstra per demand per iteration, and the
-	// scratch keeps that inner loop allocation-free. An instance is used
-	// by one ascent at a time.
-	sp      core.SPScratch
-	pathBuf []int
+	// cost and idleCost are a pass's per-demand results: slot i is written
+	// by the worker that owns demand i and read by the caller after the
+	// join, in demand order.
+	cost, idleCost []float64
+	// workers own the shortest-path scratch, one each for the whole
+	// Compute; demand i belongs to workers[i mod len(workers)]. items fan a
+	// pass out, one per worker (nil with one worker: the pass runs inline),
+	// and pass is the per-demand step they run.
+	workers []spWorker
+	items   []exec.Item
+	pass    func(w *spWorker, i int)
+}
+
+// spWorker is one worker's Dijkstra scratch and path buffer — an SPScratch
+// never serves two searches at once — and the first panic its share of a
+// pass raised.
+type spWorker struct {
+	sp       core.SPScratch
+	path     []int
+	panicAt  int // demand index, or -1
+	panicVal any
 }
 
 func newInstance(g *core.Graph, demands []core.Demand, eval core.EvalConfig) (*instance, error) {
-	n := g.Len()
+	n, k := g.Len(), len(demands)
 	inst := &instance{
 		g: g, demands: demands, eval: eval,
-		pkts:    make([]float64, len(demands)),
-		endp:    make([]bool, n),
-		relayIx: make([]int, n),
+		pkts:     make([]float64, k),
+		endp:     make([]bool, n),
+		relayIx:  make([]int, n),
+		cost:     make([]float64, k),
+		idleCost: make([]float64, k),
+		workers:  make([]spWorker, min(exec.Workers(0), k)),
 	}
 	for i, dm := range demands {
 		if dm.Src < 0 || dm.Src >= n || dm.Dst < 0 || dm.Dst >= n {
@@ -277,7 +314,62 @@ func newInstance(g *core.Graph, demands []core.Demand, eval core.EvalConfig) (*i
 			inst.idleW = append(inst.idleW, eval.TIdle*g.NodeWeight(v))
 		}
 	}
+	if len(inst.workers) > 1 {
+		inst.items = make([]exec.Item, len(inst.workers))
+		for w := range inst.items {
+			// Nested: a bound under way is started work, so its shares
+			// dispatch ahead of any queued top-level batch.
+			inst.items[w] = exec.Item{Index: w, Nested: true, Do: func(context.Context) (any, error) {
+				inst.share(w)
+				return nil, nil
+			}}
+		}
+	}
 	return inst, nil
+}
+
+// forEachDemand runs pass(w, i) for every demand i, on the scratch of the
+// worker that owns it: inline with one worker, else one Gather of the
+// per-worker items on exec.Default. A pass writes demand i's slots only,
+// so folding them in demand order after the join gives the plain loop's
+// floats at any worker count. exec would turn a panicking item into an
+// error; each share recovers instead, and the panic of the earliest demand
+// is raised again here, on the caller's goroutine, with its value.
+func (inst *instance) forEachDemand(pass func(w *spWorker, i int)) {
+	if inst.items == nil {
+		for i := range inst.demands {
+			pass(&inst.workers[0], i)
+		}
+		return
+	}
+	inst.pass = pass
+	exec.Default().Gather(context.TODO(), inst.items)
+	inst.pass = nil
+	var first *spWorker
+	for w := range inst.workers {
+		if s := &inst.workers[w]; s.panicAt >= 0 && (first == nil || s.panicAt < first.panicAt) {
+			first = s
+		}
+	}
+	if first != nil {
+		panic(first.panicVal)
+	}
+}
+
+// share runs worker w's demands w, w+W, w+2W, … in order, stopping at the
+// first that panics.
+func (inst *instance) share(w int) {
+	s := &inst.workers[w]
+	s.panicAt, s.panicVal = -1, nil
+	i := w
+	defer func() {
+		if r := recover(); r != nil {
+			s.panicAt, s.panicVal = i, r
+		}
+	}()
+	for ; i < len(inst.demands); i += len(inst.workers) {
+		inst.pass(s, i)
+	}
 }
 
 // commCost is demand i's edge cost: the energy its packets spend crossing e.
@@ -301,16 +393,18 @@ func (inst *instance) combinatorial() (comm, idle float64, err error) {
 		return 0
 	}
 	zeroEdge := func(_, _ int, _ float64) float64 { return 0 }
+	inst.forEachDemand(func(s *spWorker, i int) {
+		dm := inst.demands[i]
+		s.path, inst.cost[i] = inst.g.ShortestPathInto(&s.sp, dm.Src, dm.Dst, inst.commCost(i), nil, s.path)
+		s.path, inst.idleCost[i] = inst.g.ShortestPathInto(&s.sp, dm.Src, dm.Dst, zeroEdge, idleCost, s.path)
+	})
 	for i, dm := range inst.demands {
-		path, c := inst.g.ShortestPathInto(&inst.sp, dm.Src, dm.Dst, inst.commCost(i), nil, inst.pathBuf)
-		inst.pathBuf = path
-		if len(path) == 0 {
+		// +Inf is the cost of an unreachable destination and of nothing else.
+		if math.IsInf(inst.cost[i], 1) {
 			return 0, 0, fmt.Errorf("bound: demand %d (%d->%d) is unroutable", i, dm.Src, dm.Dst)
 		}
-		comm += c
-		path, c = inst.g.ShortestPathInto(&inst.sp, dm.Src, dm.Dst, zeroEdge, idleCost, inst.pathBuf)
-		inst.pathBuf = path
-		if c > idle {
+		comm += inst.cost[i]
+		if c := inst.idleCost[i]; c > idle {
 			idle = c
 		}
 	}
@@ -337,26 +431,25 @@ func (inst *instance) evaluate(lam [][]float64, sumLam []float64, x [][]bool, op
 	for _, t := range terms {
 		total += t
 	}
-	for i, dm := range inst.demands {
-		li := lam[i]
+	inst.forEachDemand(func(s *spWorker, i int) {
+		dm, li := inst.demands[i], lam[i]
 		nodeCost := func(v int) float64 {
 			if j := inst.relayIx[v]; j >= 0 {
 				return li[j]
 			}
 			return 0
 		}
-		path, c := inst.g.ShortestPathInto(&inst.sp, dm.Src, dm.Dst, inst.commCost(i), nodeCost, inst.pathBuf)
-		inst.pathBuf = path
-		total += c
+		s.path, inst.cost[i] = inst.g.ShortestPathInto(&s.sp, dm.Src, dm.Dst, inst.commCost(i), nodeCost, s.path)
 		xi := x[i]
-		for j := range xi {
-			xi[j] = false
-		}
-		for _, v := range path {
+		clear(xi)
+		for _, v := range s.path {
 			if j := inst.relayIx[v]; j >= 0 {
 				xi[j] = true
 			}
 		}
+	})
+	for _, c := range inst.cost {
+		total += c
 	}
 	return total
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"eend/internal/core"
@@ -207,6 +208,79 @@ func TestComputeValidation(t *testing.T) {
 	// exists and there is nothing to bound.
 	if _, err := Compute(g, []core.Demand{{Src: 0, Dst: 3}}, Options{Eval: eval}); err == nil {
 		t.Error("unroutable demand: want error")
+	}
+	// Weights no Enetwork can have: before the check a negative TData or
+	// packet count panicked in Dijkstra, a NaN TData read as unroutable, and
+	// a negative or NaN TIdle returned a "bound" of 2 on the chain 0-1-2,
+	// whose one design costs 1 at TIdle -1.
+	chain := core.NewGraph(3)
+	chain.AddEdge(0, 1, 1)
+	chain.AddEdge(1, 2, 1)
+	chain.SetNodeWeight(1, 1)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, e := range []core.EvalConfig{
+		{TIdle: 1, TData: -1}, {TIdle: 1, TData: nan}, {TIdle: 1, TData: inf},
+		{TIdle: -1, TData: 1}, {TIdle: nan, TData: 1}, {TIdle: inf, TData: 1}, {TIdle: math.Inf(-1), TData: 1},
+		{TIdle: 1, TData: 1, PacketsPerDemand: -2}, {TIdle: 1, TData: 1, PacketsPerDemand: nan},
+		{TIdle: 1, TData: 1, PacketsPerDemand: inf},
+	} {
+		for _, tier := range []Tier{Combinatorial, Lagrangian} {
+			if r, err := Compute(chain, []core.Demand{{Src: 0, Dst: 2}}, Options{Tier: tier, Eval: e}); err == nil {
+				t.Errorf("%+v tier %v: bound %v, want an error", e, tier, r.Value)
+			}
+		}
+	}
+}
+
+// TestNegativeWeightPanicsOnCaller: a negative edge weight panics inside
+// Dijkstra. Inline (GOMAXPROCS 1) or fanned out over the scheduler (2, 4),
+// the panic reaches Compute's caller with Dijkstra's value, from the
+// combinatorial pass and from a Lagrangian one, and a recover there keeps
+// the process alive.
+func TestNegativeWeightPanicsOnCaller(t *testing.T) {
+	// The combinatorial pass relaxes 1->2 on its way to 2.
+	chain := core.NewGraph(3)
+	chain.AddEdge(0, 1, 1)
+	chain.AddEdge(1, 2, -1)
+	chain.SetNodeWeight(1, 1)
+	// 0->3 over relay 1 costs 2, over relay 2 costs 2.6, and 2 has a
+	// negative edge to 4. Every combinatorial pass and Section 4 heuristic
+	// settles 3 before it pops 2; once the ascent prices relay 1 at ~1, the
+	// Lagrangian pass pops 2 (at 2.5) first and relaxes the negative edge.
+	diamond := core.NewGraph(5)
+	diamond.AddEdge(0, 1, 1)
+	diamond.AddEdge(1, 3, 1)
+	diamond.AddEdge(0, 2, 2.5)
+	diamond.AddEdge(2, 3, 0.1)
+	diamond.AddEdge(2, 4, -1)
+	diamond.SetNodeWeight(1, 1)
+	diamond.SetNodeWeight(2, 1)
+	eval := core.EvalConfig{TIdle: 1, TData: 1}
+	cases := []struct {
+		name   string
+		g      *core.Graph
+		dst    int
+		tier   Tier
+		panics bool
+	}{
+		{"combinatorial pass", chain, 2, Combinatorial, true},
+		{"diamond, combinatorial tier", diamond, 3, Combinatorial, false},
+		{"Lagrangian pass", diamond, 3, Lagrangian, true},
+	}
+	const want = "core: negative cost in Dijkstra"
+	for _, procs := range []int{1, 2, 4} {
+		for _, c := range cases {
+			old := runtime.GOMAXPROCS(procs)
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				Compute(c.g, []core.Demand{{Src: 0, Dst: c.dst}, {Src: 0, Dst: c.dst}}, Options{Tier: c.tier, Eval: eval})
+				return nil
+			}()
+			runtime.GOMAXPROCS(old)
+			if c.panics && got != want || !c.panics && got != nil {
+				t.Errorf("GOMAXPROCS %d, %s: recovered %v, want panics=%v with %q", procs, c.name, got, c.panics, want)
+			}
+		}
 	}
 }
 
