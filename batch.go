@@ -2,18 +2,11 @@ package eend
 
 import (
 	"context"
-	"time"
+	"sync"
 
 	"eend/internal/exec"
 	"eend/internal/network"
 )
-
-// batchAbandonGrace is how long a cancelled batch keeps trying to deliver
-// a result before concluding the consumer departed and discarding the
-// backlog. An actively draining consumer accepts within microseconds; a
-// consumer that takes longer than this per result after cancelling is
-// treated as departed and loses the tail (documented on RunBatch).
-const batchAbandonGrace = time.Second
 
 // BatchResult is one completed scenario within a RunBatch.
 type BatchResult struct {
@@ -65,18 +58,13 @@ func Workers(n int) BatchOption {
 // duplicate counts as queued until its leader lands: one whose leader is
 // still running when ctx is cancelled was never dispatched.
 //
-// Workers never block on a slow or departed consumer and, as long as the
-// consumer keeps reading, every deliverable result — including the error
-// results of runs aborted by cancellation — is delivered. The channel
-// buffer is bounded: backlog lives in the scheduler's stream queue, which
-// grows only with completed-but-unconsumed results, not with the batch
-// size. The common early-exit pattern — cancel ctx, then stop reading — is
-// leak-free: a cancelled batch with a result no consumer accepts for a
-// one-second grace discards its backlog and frees the pipeline (so a
-// post-cancellation consumer that stalls longer than the grace per result
-// forfeits the remaining aborted-run results). Abandoning the channel
-// without cancelling leaves the simulations running to completion and
-// parks the forwarding goroutines on the undelivered backlog.
+// The channel is buffered for the whole batch, and each result goes in
+// from the run that produced it, so no worker ever waits on the consumer
+// and every delivered result stays readable however late the consumer
+// reads. Abandoning the channel leaks nothing, with or without cancelling
+// ctx first: the batch's goroutines exit once its dispatched runs are
+// done (cancelling only makes that sooner), and the unread results go
+// with the channel.
 //
 // Replicated scenarios fan their replicates out on the same scheduler, so
 // the batch's worker budget holds end to end.
@@ -90,11 +78,36 @@ func RunBatch(ctx context.Context, scenarios []*Scenario, opts ...BatchOption) <
 	// batch's scheduler instead of spinning their own.
 	ctx = exec.With(ctx, sched)
 
-	// One item per distinct fingerprint, carrying its leader's index; dups
-	// lists, by leader index, the later scenarios that share its run.
-	items := make([]exec.Item, 0, len(scenarios))
+	// One item per distinct fingerprint, run by leaders[k], the lowest
+	// index carrying it; dups lists, by leader index, the later scenarios
+	// that share its run.
+	items, leaders := make([]exec.Item, 0, len(scenarios)), make([]int, 0, len(scenarios))
 	dups := make([][]int, len(scenarios))
 	leader := make(map[string]int, len(scenarios))
+	out := make(chan BatchResult, len(scenarios))
+	var mu sync.Mutex
+	// land sends leader i's result and, unless ctx is cancelled (they were
+	// then never dispatched), its duplicates' right behind it. Copies are
+	// taken before the leader is handed over: from then on its Results
+	// belong to the consumer.
+	land := func(i int, res *Results, err error) {
+		group := []BatchResult{{Index: i, Scenario: scenarios[i], Results: res, Err: err}}
+		for _, d := range dups[i] {
+			if ctx.Err() != nil {
+				break
+			}
+			br := BatchResult{Index: d, Scenario: scenarios[d], Err: err, Cached: true}
+			if res != nil {
+				br.Results = network.Copy(res)
+			}
+			group = append(group, br)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, br := range group {
+			out <- br
+		}
+	}
 	for i, sc := range scenarios {
 		fp := sc.Fingerprint()
 		if l, ok := leader[fp]; ok {
@@ -102,57 +115,24 @@ func RunBatch(ctx context.Context, scenarios []*Scenario, opts ...BatchOption) <
 			continue
 		}
 		leader[fp] = i
+		leaders = append(leaders, i)
 		items = append(items, exec.Item{
-			Index: i,
+			Index: len(items),
 			Do: func(ctx context.Context) (any, error) {
-				return sc.Run(ctx)
+				res, err := sc.Run(ctx)
+				land(i, res, err)
+				return nil, nil
 			},
 		})
 	}
 
-	out := make(chan BatchResult, min(len(scenarios), 16))
 	go func() {
 		defer close(out)
-		// Stream's merger queues whatever this goroutine has not taken, so
-		// blocking on the consumer here never blocks a worker. Only once
-		// ctx is cancelled can the consumer have legitimately left: a send
-		// nobody accepts for the grace period then reports false.
-		send := func(br BatchResult) bool {
-			select {
-			case out <- br:
-				return true
-			case <-ctx.Done():
-			}
-			select {
-			case out <- br:
-				return true
-			case <-time.After(batchAbandonGrace):
-				return false
-			}
-		}
-		stream := sched.Stream(ctx, items)
-		for r := range stream {
-			res, _ := r.Value.(*Results) // nil when r.Err is set
-			group := make([]BatchResult, 1, 1+len(dups[r.Index]))
-			group[0] = BatchResult{Index: r.Index, Scenario: scenarios[r.Index], Results: res, Err: r.Err}
-			// Copies are taken before the leader is handed over: from then
-			// on its Results belong to the consumer.
-			for _, i := range dups[r.Index] {
-				d := BatchResult{Index: i, Scenario: scenarios[i], Err: r.Err, Cached: true}
-				if res != nil {
-					d.Results = network.Copy(res)
-				}
-				group = append(group, d)
-			}
-			for k, br := range group {
-				if k > 0 && ctx.Err() != nil {
-					break // cancelled: the remaining duplicates were never dispatched
-				}
-				if !send(br) {
-					for range stream { // departed consumer: free the pipeline
-					}
-					return
-				}
+		for k, r := range sched.Gather(ctx, items) {
+			// Do never fails, so an error here is a run that panicked
+			// before it landed.
+			if r.Err != nil && !r.Skipped {
+				land(leaders[k], nil, r.Err)
 			}
 		}
 	}()

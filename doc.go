@@ -24,7 +24,9 @@
 // scheduler (internal/exec) carries batches, replicate fan-out and design
 // searches, keeping parallel output bit-identical to sequential. RunBatch
 // groups its input by Fingerprint first, so identical scenarios share one
-// run (the duplicates arrive Cached) at every worker count. Results,
+// run (the duplicates arrive Cached) at every worker count, and its
+// channel holds the whole batch, so a result that finished is never lost
+// to a slow reader. Results,
 // Figure and the metric series marshal to stable JSON for machine
 // consumption (served over HTTP by cmd/eendd).
 //

@@ -171,9 +171,11 @@ func (c *Coordinator) evaluateShard(ctx context.Context, shard int, scenarios []
 
 // RunBatch is the distributed counterpart of eend.RunBatch: the same
 // channel contract (results stream in completion order, correlated by
-// Index; the channel closes when every deliverable result is in; scenarios
-// never dispatched after cancellation don't appear) — but the simulations
-// run on the fleet, with the Coordinator's Parallel shards in flight.
+// Index, into a channel buffered for the whole batch; the channel closes
+// when every deliverable result is in; scenarios never dispatched after
+// cancellation don't appear) — but the simulations run on the fleet, with
+// the Coordinator's Parallel shards in flight. A shard whose worker call
+// panics fails each of its scenarios with the panic.
 //
 // Scenarios are sharded as given — deduplicating a batch by fingerprint is
 // the evaluator's job (internal/eval), which hands RunBatch unique
@@ -183,6 +185,23 @@ func (c *Coordinator) evaluateShard(ctx context.Context, shard int, scenarios []
 func (c *Coordinator) RunBatch(ctx context.Context, scenarios []*eend.Scenario) <-chan eend.BatchResult {
 	c.init()
 	out := make(chan eend.BatchResult, len(scenarios))
+	// land sends shard k's results; the shard succeeded or failed as a
+	// whole in transport, and per-scenario outcomes ride inside its results.
+	// They are built before the first send, so a panic sends nothing.
+	land := func(k int, res []EvalResult, err error) {
+		lo := k * shardSize
+		group := make([]eend.BatchResult, 0, shardSize)
+		for j, sc := range scenarios[lo:min(lo+shardSize, len(scenarios))] {
+			br := eend.BatchResult{Index: lo + j, Scenario: sc, Err: err}
+			if err == nil {
+				merge(&br, res[j])
+			}
+			group = append(group, br)
+		}
+		for _, br := range group {
+			out <- br
+		}
+	}
 
 	// Partition the batch into contiguous shards: shard k covers scenarios
 	// [k*shardSize, (k+1)*shardSize).
@@ -196,24 +215,20 @@ func (c *Coordinator) RunBatch(ctx context.Context, scenarios []*eend.Scenario) 
 		items = append(items, exec.Item{
 			Index: shard,
 			Do: func(ctx context.Context) (any, error) {
-				return c.evaluateShard(ctx, shard, texts)
+				res, err := c.evaluateShard(ctx, shard, texts)
+				land(shard, res, err)
+				return nil, nil
 			},
 		})
 	}
 
 	go func() {
 		defer close(out)
-		sched := exec.New(c.parallel())
-		for r := range sched.Stream(ctx, items) {
-			lo := r.Index * shardSize
-			for j, sc := range scenarios[lo:min(lo+shardSize, len(scenarios))] {
-				br := eend.BatchResult{Index: lo + j, Scenario: sc, Err: r.Err}
-				if r.Err == nil {
-					// The whole shard succeeded or failed in transport;
-					// per-scenario outcomes ride inside its results.
-					merge(&br, r.Value.([]EvalResult)[j])
-				}
-				out <- br
+		for k, r := range exec.New(c.parallel()).Gather(ctx, items) {
+			// Do never fails, so an error here is a shard that panicked
+			// before it landed.
+			if r.Err != nil && !r.Skipped {
+				land(k, nil, r.Err)
 			}
 		}
 	}()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -304,6 +305,43 @@ func TestCoordinatorAllWorkersDead(t *testing.T) {
 	}
 	if n != len(scs) {
 		t.Fatalf("%d error results for %d scenarios", n, len(scs))
+	}
+}
+
+// panicking is an Evaluator whose every call panics.
+type panicking struct{}
+
+func (panicking) Addr() string { return "panicking" }
+func (panicking) Evaluate(context.Context, []string) ([]EvalResult, error) {
+	panic("worker boom")
+}
+
+// TestCoordinatorPanickingWorker: a shard whose worker call panics fails
+// each of its scenarios with the panic, exactly once, and the batch still
+// closes.
+func TestCoordinatorPanickingWorker(t *testing.T) {
+	scs := testScenarios(t, shardSize+3)
+	co := &Coordinator{Workers: []Evaluator{panicking{}}}
+	seen := make(map[int]int)
+	ch := co.RunBatch(t.Context(), scs)
+	for {
+		select {
+		case br, ok := <-ch:
+			if !ok {
+				for i := range scs {
+					if seen[i] != 1 {
+						t.Errorf("index %d: %d results, want 1", i, seen[i])
+					}
+				}
+				return
+			}
+			if br.Err == nil || !strings.Contains(br.Err.Error(), "worker boom") {
+				t.Errorf("index %d: err = %v, want the worker's panic", br.Index, br.Err)
+			}
+			seen[br.Index]++
+		case <-time.After(10 * time.Second):
+			t.Fatal("batch did not close after its shards panicked")
+		}
 	}
 }
 

@@ -68,9 +68,8 @@ type Evaluator struct {
 
 // One evaluates a single scenario as Stream of one item, so a replicated
 // scenario shares its per-seed cache entries with sweeps. One does not
-// coalesce concurrent calls; a caller that needs that wraps it in its own
-// single-flight (see opt.Simulated, whose flight leader must also re-check
-// a memo One knows nothing about).
+// coalesce concurrent calls; a caller that needs that keeps its own
+// in-flight calls (see opt.Simulated).
 func (e *Evaluator) One(ctx context.Context, sc *eend.Scenario) (res *eend.Results, cached bool, err error) {
 	o := Outcome{Index: -1}
 	e.Stream(ctx, []Item{{Scenario: sc}}, func(got Outcome) { o = got })()
@@ -141,8 +140,8 @@ type batch struct {
 // scheduler joined with Gather, so a caller on a worker helps), stores each
 // result and delivers each item as its last seed lands; deliver calls are
 // sequential. A panicking simulation fails its seed alone; a panic in
-// deliver or the store reaches the caller. An item with a seed never
-// dispatched after ctx is cancelled is not delivered.
+// deliver or the store reaches the caller at any worker count. An item
+// with a seed never dispatched after ctx is cancelled is not delivered.
 func (e *Evaluator) Stream(ctx context.Context, items []Item, deliver func(Outcome)) (simulate func()) {
 	b := &batch{Evaluator: e, deliver: deliver}
 	heads := b.one.heads[:0] // each fingerprint's first seed
@@ -306,9 +305,10 @@ func end(sp obs.Span, err error, cached bool) {
 // lookup answers the head seeds the store holds, each under its "cache"
 // leaf, in one contiguous chunk of heads per worker of sched (a single
 // chunk runs inline). Store faults and entries that do not decode are
-// misses. Lookups are short and bounded, so they are not abandoned on
-// cancellation: what the cache pass delivers does not depend on the worker
-// count.
+// misses; a panicking Store.Get reaches the caller as it would inline (the
+// first failing chunk's panic, re-raised after the join). Lookups are short and bounded, so
+// they are not abandoned on cancellation: what the cache pass delivers
+// does not depend on the worker count.
 func (b *batch) lookup(ctx context.Context, sched *exec.Scheduler, heads []int) {
 	n := len(heads)
 	chunks := max(1, min(sched.WorkerCount(), n))
@@ -323,7 +323,11 @@ func (b *batch) lookup(ctx context.Context, sched *exec.Scheduler, heads []int) 
 			return nil, nil
 		}}
 	}
-	sched.Gather(context.WithoutCancel(ctx), work)
+	for _, r := range sched.Gather(context.WithoutCancel(ctx), work) {
+		if r.Err != nil {
+			panic(r.Err)
+		}
+	}
 }
 
 // lookupChunk answers heads in order.

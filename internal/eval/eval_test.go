@@ -298,6 +298,36 @@ func TestDeliverPanics(t *testing.T) {
 	}
 }
 
+// getPanics is a store whose Get panics.
+type getPanics struct{ cache.Store }
+
+func (getPanics) Get(string) ([]byte, bool, error) { panic("store get boom") }
+
+// TestStoreGetPanics: a panicking Store.Get reaches the caller of Stream at
+// every worker count, and nothing is simulated behind it, whether the
+// cache pass runs inline or in chunks on the scheduler.
+func TestStoreGetPanics(t *testing.T) {
+	defer func() { OnSimulate = nil }()
+	OnSimulate = func(*eend.Scenario) { t.Error("a lookup panic fell through to a simulation") }
+	items := make([]Item, 4)
+	for i, sc := range testScenarios(t, len(items)) {
+		items[i] = Item{Scenario: sc}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "store get boom") {
+					t.Errorf("workers=%d: Stream recovered %v, want the store's panic", workers, r)
+				}
+			}()
+			e := &Evaluator{Store: getPanics{cache.NewMem()}, Workers: workers}
+			e.Stream(context.Background(), items, func(o Outcome) {
+				t.Errorf("workers=%d: item %d delivered past a lookup panic", workers, o.Index)
+			})()
+		}()
+	}
+}
+
 // TestStreamSpans pins where the spans are emitted: a "replicate" span per
 // seed under the item's own Span, and under it a "cache" span per lookup
 // and a "sim" span per simulation, once per unique fingerprint — and the

@@ -4,15 +4,20 @@
 // search and the paper experiments' runner (internal/experiments) all
 // submit Items here instead of spinning private worker pools.
 //
+// Gather is the one way to submit work: it blocks until every item is
+// accounted for and returns the results in item order. A caller that
+// wants results as they complete (RunBatch, the fleet coordinator) runs
+// Gather on a goroutine of its own and has each item hand its result on
+// from inside its Do.
+//
 // The scheduler's contract is determinism first: an Item's value never
 // depends on when or where it runs. Whatever randomness an item's work
 // uses is fixed in its Do closure at submission time, and results merge
-// back in item order (Gather) or carry their index for the caller to
-// reorder (Stream) — so parallel execution reproduces sequential output
+// back in item order — so parallel execution reproduces sequential output
 // bit-for-bit, at any worker count. The scheduler runs every item it is
 // given: sharing one run between identical items is the submitter's
-// business (RunBatch groups its input by fingerprint) or, for callers
-// that really are concurrent, Flight's.
+// business (RunBatch groups its input by fingerprint; the Simulated
+// objective keeps its own in-flight calls).
 //
 // Nested fan-out is first-class: an item that itself submits items (a
 // batched scenario fanning out its replicates, a restart search evaluating
@@ -26,6 +31,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // MaxWorkers is the hard upper cap on any scheduler's worker count: a
@@ -48,7 +54,7 @@ func Workers(n int) int {
 // Item is one schedulable unit of work.
 type Item struct {
 	// Index is the item's position within its submission; Gather returns
-	// results in Index order and Stream carries it for correlation.
+	// results in Index order.
 	Index int
 	// Nested marks a fan-out from inside a running item (replicates under
 	// a batched scenario). Nested items dispatch ahead of every top-level
@@ -133,8 +139,9 @@ type entry struct {
 // nested queue, else the front of the top-level one. With sub set it
 // considers sub's entries only — helpers joining a nested Gather run their
 // own children and nothing else, because running arbitrary foreign work
-// from inside an item's call chain could wait on a Flight that chain itself
-// leads (the Simulated objective's), which the scheduler cannot see. That
+// from inside an item's call chain could wait on an in-flight call that
+// chain itself leads (the Simulated objective's), which the scheduler
+// cannot see. That
 // scan is linear; queues hold coarse-grained simulation work, never enough
 // entries for it to matter. Callers hold s.mu.
 func (s *Scheduler) pop(sub *submission) (entry, bool) {
@@ -157,11 +164,21 @@ func (s *Scheduler) pop(sub *submission) (entry, bool) {
 	return entry{}, false
 }
 
-// submission tracks one Stream or Gather call's items and results.
+// submission tracks one Gather call's items and results.
 type submission struct {
-	ctx     context.Context
-	items   []Item
-	deliver func(Result) // called exactly once per item, any goroutine
+	ctx       context.Context
+	items     []Item
+	results   []Result
+	remaining atomic.Int64  // results still to land
+	done      chan struct{} // closed by the last one
+}
+
+// deliver lands r, from any goroutine, exactly once per item.
+func (sub *submission) deliver(r Result) {
+	sub.results[r.Index] = r
+	if sub.remaining.Add(-1) == 0 {
+		close(sub.done)
+	}
 }
 
 // enqueue pushes every item of sub and wakes workers for them.
@@ -260,27 +277,11 @@ func onWorker(ctx context.Context) bool { return ctx.Value(workerKey{}) != nil }
 // marks undispatched items Skipped with the ctx error; started work is
 // cancelled through the ctx its Do received.
 func (s *Scheduler) Gather(ctx context.Context, items []Item) []Result {
-	results := make([]Result, len(items))
-	var mu sync.Mutex
-	remaining := len(items)
-	done := make(chan struct{})
-	sub := &submission{
-		ctx:   ctx,
-		items: items,
-		deliver: func(r Result) {
-			mu.Lock()
-			results[r.Index] = r
-			remaining--
-			last := remaining == 0
-			mu.Unlock()
-			if last {
-				close(done)
-			}
-		},
-	}
+	sub := &submission{ctx: ctx, items: items, results: make([]Result, len(items)), done: make(chan struct{})}
 	if len(items) == 0 {
-		return results
+		return sub.results
 	}
+	sub.remaining.Store(int64(len(items)))
 	s.enqueue(sub)
 	if onWorker(ctx) {
 		// Help-first join: run our own queued children (and only those,
@@ -288,86 +289,20 @@ func (s *Scheduler) Gather(ctx context.Context, items []Item) []Result {
 		// this worker's budget slot so a replacement covers foreign work.
 		for {
 			select {
-			case <-done:
-				return results
+			case <-sub.done:
+				return sub.results
 			default:
 			}
 			s.mu.Lock()
 			e, ok := s.pop(sub)
 			s.mu.Unlock()
 			if !ok {
-				s.park(done)
-				return results
+				s.park(sub.done)
+				return sub.results
 			}
 			s.runEntry(e)
 		}
 	}
-	<-done
-	return results
-}
-
-// streamBuffer bounds Stream's delivery channel. The merger goroutine
-// holds completed-but-unconsumed results in a growable queue, so the
-// buffer only smooths handoff — it no longer scales with the batch (the
-// old RunBatch allocated a whole-batch buffer up front).
-const streamBuffer = 16
-
-// Stream schedules items and returns a channel delivering each result as
-// it completes (not in Index order; correlate with Result.Index). Workers
-// never block on a slow or departed consumer: an internal merger queues
-// pending deliveries, growing only with the actual backlog. Items never
-// started because ctx was cancelled are dropped (they were never
-// dispatched); items cancelled mid-run arrive with Err set. The channel
-// closes once every item is accounted for.
-func (s *Scheduler) Stream(ctx context.Context, items []Item) <-chan Result {
-	buf := streamBuffer
-	if len(items) < buf {
-		buf = len(items)
-	}
-	out := make(chan Result, buf)
-	if len(items) == 0 {
-		close(out)
-		return out
-	}
-	var mu sync.Mutex
-	var pending []Result
-	signal := make(chan struct{}, 1)
-	sub := &submission{
-		ctx:   ctx,
-		items: items,
-		deliver: func(r Result) {
-			mu.Lock()
-			pending = append(pending, r)
-			mu.Unlock()
-			select {
-			case signal <- struct{}{}:
-			default:
-			}
-		},
-	}
-	go func() {
-		defer close(out)
-		delivered := 0
-		for delivered < len(items) {
-			<-signal
-			for {
-				mu.Lock()
-				batch := pending
-				pending = nil
-				mu.Unlock()
-				if len(batch) == 0 {
-					break
-				}
-				for _, r := range batch {
-					delivered++
-					if r.Skipped {
-						continue // never dispatched: not part of the stream
-					}
-					out <- r
-				}
-			}
-		}
-	}()
-	s.enqueue(sub)
-	return out
+	<-sub.done
+	return sub.results
 }

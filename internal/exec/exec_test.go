@@ -6,19 +6,9 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// collect drains a Stream channel into a slice.
-func collect(ch <-chan Result) []Result {
-	var out []Result
-	for r := range ch {
-		out = append(out, r)
-	}
-	return out
-}
 
 func TestWorkersNormalization(t *testing.T) {
 	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
@@ -78,70 +68,6 @@ func TestGatherDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestStreamDeliversEverything(t *testing.T) {
-	s := New(3)
-	items := make([]Item, 17)
-	for i := range items {
-		items[i] = Item{Index: i, Do: func(context.Context) (any, error) { return i, nil }}
-	}
-	rs := collect(s.Stream(context.Background(), items))
-	if len(rs) != len(items) {
-		t.Fatalf("delivered %d results, want %d", len(rs), len(items))
-	}
-	seen := make(map[int]bool)
-	for _, r := range rs {
-		if seen[r.Index] {
-			t.Fatalf("index %d delivered twice", r.Index)
-		}
-		seen[r.Index] = true
-		if r.Value.(int) != r.Index {
-			t.Fatalf("index %d carried value %v", r.Index, r.Value)
-		}
-	}
-}
-
-// TestStreamBoundedBuffer pins the satellite fix: the channel buffer no
-// longer scales with the submission size.
-func TestStreamBoundedBuffer(t *testing.T) {
-	s := New(2)
-	items := make([]Item, 1000)
-	for i := range items {
-		items[i] = Item{Index: i, Do: func(context.Context) (any, error) { return nil, nil }}
-	}
-	ch := s.Stream(context.Background(), items)
-	if c := cap(ch); c > streamBuffer {
-		t.Fatalf("stream channel buffer = %d, want <= %d", c, streamBuffer)
-	}
-	if got := len(collect(ch)); got != 1000 {
-		t.Fatalf("delivered %d, want 1000 despite the bounded buffer", got)
-	}
-}
-
-// TestStreamSlowConsumerDoesNotBlockWorkers: with a single worker and a
-// consumer that reads nothing until the end, every item must still run.
-func TestStreamSlowConsumerDoesNotBlockWorkers(t *testing.T) {
-	s := New(1)
-	var ran atomic.Int32
-	items := make([]Item, 100)
-	for i := range items {
-		items[i] = Item{Index: i, Do: func(context.Context) (any, error) {
-			ran.Add(1)
-			return nil, nil
-		}}
-	}
-	ch := s.Stream(context.Background(), items)
-	deadline := time.Now().Add(10 * time.Second)
-	for ran.Load() < 100 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/100 items ran while the consumer was away", ran.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := len(collect(ch)); got != 100 {
-		t.Fatalf("delivered %d, want 100", got)
-	}
-}
-
 func TestPriorityOrdersDispatch(t *testing.T) {
 	s := New(1)
 	block := make(chan struct{})
@@ -156,12 +82,18 @@ func TestPriorityOrdersDispatch(t *testing.T) {
 		}
 	}
 	// Occupy the single worker so later submissions queue behind it.
-	gate := s.Stream(context.Background(), []Item{{Index: 0, Do: func(context.Context) (any, error) {
-		<-block
-		return nil, nil
-	}}})
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
+	occupied := make(chan struct{})
+	go func() {
+		defer wg.Done()
+		s.Gather(context.Background(), []Item{{Index: 0, Do: func(context.Context) (any, error) {
+			close(occupied)
+			<-block
+			return nil, nil
+		}}})
+	}()
+	<-occupied
 	go func() {
 		defer wg.Done()
 		s.Gather(context.Background(), []Item{{Index: 0, Nested: false, Do: record(1)}})
@@ -174,53 +106,9 @@ func TestPriorityOrdersDispatch(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond)
 	close(block)
-	collect(gate)
 	wg.Wait()
 	if len(order) != 2 || order[0] != 2 || order[1] != 1 {
 		t.Fatalf("dispatch order = %v, want nested-priority item first", order)
-	}
-}
-
-func TestFlightGroup(t *testing.T) {
-	var f Flight
-	var invocations atomic.Int32
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	var sharedCount atomic.Int32
-	for i := 0; i < 5; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err, shared := f.DoContext(context.Background(), "k", func() (any, error) {
-				invocations.Add(1)
-				<-release
-				return 42, nil
-			})
-			if err != nil || v.(int) != 42 {
-				panic("bad flight value")
-			}
-			if shared {
-				sharedCount.Add(1)
-			}
-		}()
-	}
-	// Wait for the leader to start, then let stragglers join its flight.
-	for invocations.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	if invocations.Load() != 1 {
-		t.Fatalf("%d invocations, want 1", invocations.Load())
-	}
-	if sharedCount.Load() != 4 {
-		t.Fatalf("%d shared, want 4", sharedCount.Load())
-	}
-	// The key is forgotten after completion: a fresh call runs again.
-	_, _, shared := f.DoContext(context.Background(), "k", func() (any, error) { return 1, nil })
-	if shared {
-		t.Fatal("completed flight still coalescing")
 	}
 }
 
@@ -290,31 +178,6 @@ func TestGatherCancellationMarksSkipped(t *testing.T) {
 	}
 }
 
-func TestStreamCancellationDropsUndispatched(t *testing.T) {
-	s := New(1)
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	items := make([]Item, 10)
-	items[0] = Item{Index: 0, Do: func(ctx context.Context) (any, error) {
-		close(started)
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}}
-	for i := 1; i < 10; i++ {
-		items[i] = Item{Index: i, Do: func(context.Context) (any, error) { return nil, nil }}
-	}
-	go func() {
-		<-started
-		cancel()
-	}()
-	rs := collect(s.Stream(ctx, items))
-	// Only the started item may appear; the other nine were skipped. (The
-	// single worker guarantees none of them started before the cancel.)
-	if len(rs) != 1 || rs[0].Index != 0 || rs[0].Err == nil {
-		t.Fatalf("stream after cancel = %+v, want just the in-flight failure", rs)
-	}
-}
-
 // TestNoGoroutineLeak: after submissions finish, the pool drains to zero
 // workers.
 func TestNoGoroutineLeak(t *testing.T) {
@@ -325,8 +188,16 @@ func TestNoGoroutineLeak(t *testing.T) {
 		for i := range items {
 			items[i] = Item{Index: i, Do: func(context.Context) (any, error) { return nil, nil }}
 		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		for range 2 { // one join on the caller, one on a goroutine of its own
+			go func() {
+				defer wg.Done()
+				s.Gather(context.Background(), items)
+			}()
+		}
 		s.Gather(context.Background(), items)
-		collect(s.Stream(context.Background(), items))
+		wg.Wait()
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -354,9 +225,6 @@ func TestGatherEmpty(t *testing.T) {
 	s := New(4)
 	if rs := s.Gather(context.Background(), nil); len(rs) != 0 {
 		t.Fatalf("empty gather returned %v", rs)
-	}
-	if rs := collect(s.Stream(context.Background(), nil)); len(rs) != 0 {
-		t.Fatalf("empty stream returned %v", rs)
 	}
 }
 
@@ -389,51 +257,39 @@ func TestErrorsPropagatePerItem(t *testing.T) {
 
 // TestPanickingItemFailsAlone: a panic in one item's Do becomes that item's
 // error, with the panic value in the text; its siblings still run and the
-// scheduler stays usable. Gather and Stream both, with a nested child
-// panicking under a helping parent as well.
+// scheduler stays usable, with a nested child panicking under a helping
+// parent as well.
 func TestPanickingItemFailsAlone(t *testing.T) {
 	s := New(2)
-	items := func() []Item {
-		out := make([]Item, 6)
-		for i := range out {
-			out[i] = Item{Index: i, Do: func(ctx context.Context) (any, error) {
-				switch i {
-				case 2:
-					panic("phy: unknown node 7")
-				case 4:
-					rs := From(ctx).Gather(ctx, []Item{{Index: 0, Nested: true, Do: func(context.Context) (any, error) {
-						panic("nested boom")
-					}}})
-					return nil, rs[0].Err
-				}
-				return i, nil
-			}}
-		}
-		return out
-	}
-	check := func(how string, rs []Result) {
-		t.Helper()
-		if len(rs) != 6 {
-			t.Fatalf("%s: %d results, want 6", how, len(rs))
-		}
-		for _, r := range rs {
-			switch r.Index {
+	items := make([]Item, 6)
+	for i := range items {
+		items[i] = Item{Index: i, Do: func(ctx context.Context) (any, error) {
+			switch i {
 			case 2:
-				if r.Err == nil || !strings.Contains(r.Err.Error(), "phy: unknown node 7") {
-					t.Errorf("%s: panicking item's error = %v, want the panic value", how, r.Err)
-				}
+				panic("phy: unknown node 7")
 			case 4:
-				if r.Err == nil || !strings.Contains(r.Err.Error(), "nested boom") {
-					t.Errorf("%s: parent of a panicking child got %v, want the child's panic", how, r.Err)
-				}
-			default:
-				if r.Err != nil || r.Value != r.Index {
-					t.Errorf("%s: healthy item %d = (%v, %v)", how, r.Index, r.Value, r.Err)
-				}
+				rs := From(ctx).Gather(ctx, []Item{{Index: 0, Nested: true, Do: func(context.Context) (any, error) {
+					panic("nested boom")
+				}}})
+				return nil, rs[0].Err
+			}
+			return i, nil
+		}}
+	}
+	for _, r := range s.Gather(With(context.Background(), s), items) {
+		switch r.Index {
+		case 2:
+			if r.Err == nil || !strings.Contains(r.Err.Error(), "phy: unknown node 7") {
+				t.Errorf("panicking item's error = %v, want the panic value", r.Err)
+			}
+		case 4:
+			if r.Err == nil || !strings.Contains(r.Err.Error(), "nested boom") {
+				t.Errorf("parent of a panicking child got %v, want the child's panic", r.Err)
+			}
+		default:
+			if r.Err != nil || r.Value != r.Index {
+				t.Errorf("healthy item %d = (%v, %v)", r.Index, r.Value, r.Err)
 			}
 		}
 	}
-	ctx := With(context.Background(), s)
-	check("Gather", s.Gather(ctx, items()))
-	check("Stream", collect(s.Stream(ctx, items())))
 }

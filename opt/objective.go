@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -9,7 +10,6 @@ import (
 	"eend/internal/cache"
 	"eend/internal/dist"
 	"eend/internal/eval"
-	"eend/internal/exec"
 )
 
 // Objective scores a candidate design; lower is better. Implementations
@@ -88,11 +88,21 @@ type Simulated struct {
 	ev         eval.Evaluator // the store and backend candidates are answered from
 	replicates int
 
-	mu     sync.Mutex
-	memo   map[string]float64
-	stats  SimStats
-	flight exec.Flight
+	mu    sync.Mutex
+	calls map[string]*call // by fingerprint: in flight until done closes, settled after
+	stats SimStats
 }
+
+// call is one fingerprint's evaluation. Its leader sets energy and err,
+// then closes done; a failed call leaves the map, so the next Evaluate of
+// its fingerprint starts afresh.
+type call struct {
+	done   chan struct{}
+	energy float64
+	err    error
+}
+
+var errLeaderPanicked = errors.New("opt: the evaluation leader panicked")
 
 // Simulated builds the simulator-backed objective for a problem derived
 // from a deployment (FromScenario); a Problem without a Scenario cannot be
@@ -108,7 +118,7 @@ func (p *Problem) Simulated(cfg SimConfig) (*Simulated, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulated{p: p, memo: make(map[string]float64), replicates: cfg.Replicates}
+	s := &Simulated{p: p, calls: make(map[string]*call), replicates: cfg.Replicates}
 	s.ev.Store = store
 	if len(cfg.Remote) > 0 {
 		s.ev.Backend = dist.NewCoordinator(cfg.Remote).RunBatch
@@ -126,21 +136,12 @@ func (s *Simulated) Stats() SimStats {
 	return s.stats
 }
 
-// memoHit answers fp from the in-run memo, counting the hit.
-func (s *Simulated) memoHit(fp string) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.memo[fp]
-	if ok {
-		s.stats.CacheHits++
-	}
-	return e, ok
-}
-
 // Evaluate scores the design by simulation, answering repeated candidates
 // from the in-run memo or the result cache and coalescing concurrent
 // evaluations of the same fingerprint into one simulator run (locally, or
-// on the remote fleet when configured with SimConfig.Remote).
+// on the remote fleet when configured with SimConfig.Remote). A caller
+// joining a run in flight stops waiting when its ctx is done; the run goes
+// on under its leader's.
 func (s *Simulated) Evaluate(ctx context.Context, d *Design) (float64, error) {
 	sc, err := s.p.PinnedScenario(d, s.replicates)
 	if err != nil {
@@ -149,43 +150,53 @@ func (s *Simulated) Evaluate(ctx context.Context, d *Design) (float64, error) {
 	fp := sc.Fingerprint()
 	s.mu.Lock()
 	s.stats.Evals++
-	s.mu.Unlock()
-	if e, ok := s.memoHit(fp); ok {
-		return e, nil
+	c, joined := s.calls[fp]
+	if !joined {
+		// A leader that panics still releases its followers, with an
+		// error: the panic travels on to whoever recovers it.
+		c = &call{done: make(chan struct{}), err: errLeaderPanicked}
+		s.calls[fp] = c
 	}
+	s.mu.Unlock()
 
-	v, err, shared := s.flight.DoContext(ctx, fp, func() (any, error) {
-		// Re-check the memo inside the flight: a previous leader for this
-		// fingerprint may have completed (and left the flight) between the
-		// caller's memo miss and this call winning the leadership.
-		if e, ok := s.memoHit(fp); ok {
-			return e, nil
+	if joined {
+		select {
+		case <-c.done: // settled: a memo hit whatever ctx says
+		default:
+			select {
+			case <-c.done:
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			}
 		}
-		res, cached, err := s.ev.One(ctx, sc)
-		if err != nil {
-			return 0.0, err
+		if c.err != nil {
+			return 0, c.err
 		}
 		s.mu.Lock()
-		if cached {
+		s.stats.CacheHits++ // the memo, or another evaluation's run
+		s.mu.Unlock()
+		return c.energy, nil
+	}
+
+	var cached bool
+	defer func() {
+		s.mu.Lock()
+		switch {
+		case c.err != nil:
+			delete(s.calls, fp)
+		case cached:
 			s.stats.CacheHits++
-		} else {
+		default:
 			s.stats.SimRuns++
 		}
 		s.mu.Unlock()
-		return energyOf(res), nil
-	})
-	if err != nil {
-		return 0, err
+		close(c.done)
+	}()
+	var res *eend.Results
+	if res, cached, c.err = s.ev.One(ctx, sc); c.err == nil {
+		c.energy = energyOf(res)
 	}
-	e := v.(float64)
-	s.mu.Lock()
-	if shared {
-		// Joining another evaluation's in-flight run is a hit, not a run.
-		s.stats.CacheHits++
-	}
-	s.memo[fp] = e
-	s.mu.Unlock()
-	return e, nil
+	return c.energy, c.err
 }
 
 // energyOf extracts the objective value from simulation results: total

@@ -2,13 +2,16 @@ package opt
 
 import (
 	"context"
+	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"eend"
+	"eend/internal/cache"
 	"eend/internal/core"
 	"eend/internal/eval"
 	"eend/internal/exec"
@@ -275,6 +278,153 @@ func TestSimulatedConcurrentSingleFlight(t *testing.T) {
 	st := sim.Stats()
 	if st.Evals != callers || st.SimRuns != 1 || st.CacheHits != callers-1 {
 		t.Fatalf("stats = %+v, want %d evals, 1 run, %d hits", st, callers, callers-1)
+	}
+}
+
+// blockSims makes every in-process simulation wait for release, counting
+// the simulations started; restored on test cleanup.
+func blockSims(t *testing.T) (started *atomic.Int32, release chan struct{}) {
+	t.Helper()
+	started, release = new(atomic.Int32), make(chan struct{})
+	eval.OnSimulate = func(*eend.Scenario) {
+		started.Add(1)
+		<-release
+	}
+	t.Cleanup(func() { eval.OnSimulate = nil })
+	return started, release
+}
+
+// waitEvals waits until sim has counted n evaluations: an evaluation joins
+// a call in flight under the same lock that counts it.
+func waitEvals(t *testing.T, sim *Simulated, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for sim.Stats().Evals < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d evaluations started, want %d", sim.Stats().Evals, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSimulatedCancelledFollower: an evaluation joining a long run in
+// flight returns promptly with its own ctx's error when that is cancelled,
+// counts no hit, and leaves the run to its leader.
+func TestSimulatedCancelledFollower(t *testing.T) {
+	p := simProblem(t)
+	sim, err := p.Simulated(SimConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := p.SolveApproach(core.IdleFirst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := blockSims(t)
+	leader := make(chan error, 1)
+	go func() {
+		_, err := sim.Evaluate(context.Background(), d)
+		leader <- err
+	}()
+	for started.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		for sim.Stats().Evals < 2 { // the follower below has joined
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	begin := time.Now()
+	if _, err := sim.Evaluate(ctx, d); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled follower returned %v, want context.Canceled", err)
+	}
+	if time.Since(begin) > 5*time.Second {
+		t.Fatal("cancelled follower did not return promptly")
+	}
+	if st := sim.Stats(); st.CacheHits != 0 {
+		t.Fatalf("stats = %+v: a cancelled follower counted a hit", st)
+	}
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if st := sim.Stats(); st.Evals != 2 || st.SimRuns != 1 || st.CacheHits != 0 {
+		t.Fatalf("stats = %+v, want 2 evals, 1 run, 0 hits", st)
+	}
+}
+
+// putPanics is a store whose Put panics while armed.
+type putPanics struct {
+	cache.Store
+	armed atomic.Bool
+}
+
+func (s *putPanics) Put(key string, value []byte) error {
+	if s.armed.Load() {
+		panic("cache: disk on fire")
+	}
+	return s.Store.Put(key, value)
+}
+
+// TestSimulatedLeaderPanicReleasesFollowers: a leader whose store write
+// panics takes its panic to its own caller, releases the evaluations that
+// joined it with an error, and leaves nothing behind: the next Evaluate of
+// the fingerprint simulates again.
+func TestSimulatedLeaderPanicReleasesFollowers(t *testing.T) {
+	p := simProblem(t)
+	store := &putPanics{Store: cache.NewMem()}
+	store.armed.Store(true)
+	sim, err := p.Simulated(SimConfig{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := p.SolveApproach(core.IdleFirst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := blockSims(t)
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		sim.Evaluate(context.Background(), d)
+	}()
+	for started.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	const followers = 2
+	errs := make(chan error, followers)
+	for range followers {
+		go func() {
+			_, err := sim.Evaluate(context.Background(), d)
+			errs <- err
+		}()
+	}
+	waitEvals(t, sim, 1+followers)
+	close(release)
+	if v := <-leader; v != "cache: disk on fire" {
+		t.Fatalf("leader recovered %v, want the store's panic", v)
+	}
+	for range followers {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("follower error = %v, want the leader's panic", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("follower still waiting on a leader that panicked")
+		}
+	}
+	store.armed.Store(false)
+	if _, err := sim.Evaluate(context.Background(), d); err != nil {
+		t.Fatal(err)
+	}
+	if n := started.Load(); n != 2 {
+		t.Fatalf("%d simulations, want the panicked one and a fresh one", n)
+	}
+	if st := sim.Stats(); st.Evals != 2+followers || st.SimRuns != 1 || st.CacheHits != 0 {
+		t.Fatalf("stats = %+v, want %d evals, 1 run, 0 hits", st, 2+followers)
 	}
 }
 

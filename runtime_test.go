@@ -171,9 +171,8 @@ func TestBatchSingleFlightFailedLeader(t *testing.T) {
 }
 
 // TestBatchDepartedConsumer: a consumer that abandons the channel without
-// cancelling lets every simulation complete and leaks at most the one
-// parked forwarder — the workers and the scheduler's merger must all
-// drain.
+// cancelling lets every simulation complete and leaks nothing — the
+// workers and the batch's own goroutine must all drain.
 func TestBatchDepartedConsumer(t *testing.T) {
 	base := runtime.NumGoroutine()
 	var scenarios []*eend.Scenario
@@ -190,11 +189,10 @@ func TestBatchDepartedConsumer(t *testing.T) {
 	}
 	ch := eend.RunBatch(context.Background(), scenarios, eend.Workers(2))
 	<-ch // read one result, then depart without cancelling
-	// Everything but the single parked forwarder must wind down.
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		runtime.GC()
-		if runtime.NumGoroutine() <= base+1 {
+		if runtime.NumGoroutine() <= base {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -205,9 +203,48 @@ func TestBatchDepartedConsumer(t *testing.T) {
 	}
 }
 
+// TestBatchLateReaderGetsEveryResult: results that landed before a cancel
+// stay readable however long the consumer takes to come back for them.
+func TestBatchLateReaderGetsEveryResult(t *testing.T) {
+	var scenarios []*eend.Scenario
+	for seed := uint64(1); seed <= 30; seed++ {
+		sc, err := eend.NewScenario(
+			eend.WithSeed(seed), eend.WithField(200, 200), eend.WithNodes(6),
+			eend.WithStack(eend.TITAN, eend.ODPM),
+			eend.WithRandomFlows(1, 2048, 128), eend.WithDuration(25*time.Second),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scenarios = append(scenarios, sc)
+	}
+	runs := runCount()
+	ctx, cancel := context.WithCancel(context.Background())
+	ch := eend.RunBatch(ctx, scenarios, eend.Workers(2))
+	deadline := time.Now().Add(30 * time.Second)
+	for runCount()-runs < uint64(len(scenarios)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d runs finished", runCount()-runs, len(scenarios))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	time.Sleep(1500 * time.Millisecond)
+	seen := make(map[int]bool)
+	for br := range ch {
+		if br.Err != nil {
+			t.Errorf("scenario %d: %v", br.Index, br.Err)
+		}
+		seen[br.Index] = true
+	}
+	if len(seen) != len(scenarios) {
+		t.Fatalf("%d of %d finished results arrived", len(seen), len(scenarios))
+	}
+}
+
 // TestBatchCancelThenBreakLeakFree: the canonical early-exit pattern —
 // cancel ctx, break out of the result loop — must free the whole
-// pipeline (forwarder included) once the abandon grace expires.
+// pipeline.
 func TestBatchCancelThenBreakLeakFree(t *testing.T) {
 	base := runtime.NumGoroutine()
 	var scenarios []*eend.Scenario

@@ -109,7 +109,7 @@ func (r Runner) Run(ctx context.Context, g *Grid) ([]Result, Progress, error) {
 // built and fingerprinted, so starting it cannot fail on configuration.
 // Obtain one with Runner.Prepare; callers that don't need the two-phase
 // split (validate synchronously, execute asynchronously) can use
-// Runner.Stream or Runner.Run directly.
+// Runner.Run directly.
 type Prepared struct {
 	runner   Runner
 	results  []Result
@@ -143,16 +143,6 @@ func (r Runner) PrepareContext(ctx context.Context, g *Grid) (*Prepared, error) 
 		results[i] = Result{Point: pt, Scenario: sc, Fingerprint: sc.Fingerprint(), Quality: q}
 	}
 	return &Prepared{runner: r, results: results}, nil
-}
-
-// Stream is PrepareContext followed by Prepared.Stream.
-func (r Runner) Stream(ctx context.Context, g *Grid) (<-chan Result, int, error) {
-	prep, err := r.PrepareContext(ctx, g)
-	if err != nil {
-		return nil, 0, err
-	}
-	ch, err := prep.Stream(ctx)
-	return ch, prep.Total(), err
 }
 
 // Stream starts the sweep and returns a channel delivering each point's
