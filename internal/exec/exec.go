@@ -141,9 +141,8 @@ type entry struct {
 // own children and nothing else, because running arbitrary foreign work
 // from inside an item's call chain could wait on an in-flight call that
 // chain itself leads (the Simulated objective's), which the scheduler
-// cannot see. That
-// scan is linear; queues hold coarse-grained simulation work, never enough
-// entries for it to matter. Callers hold s.mu.
+// cannot see. That scan is linear; queues hold coarse-grained simulation
+// work, never enough entries for it to matter. Callers hold s.mu.
 func (s *Scheduler) pop(sub *submission) (entry, bool) {
 	for qi := range s.queues {
 		q := &s.queues[qi]
