@@ -39,10 +39,11 @@ type optimizeRequest struct {
 	// OptSeed drives the search's randomness (default 1); a fixed seed
 	// reproduces the exact trajectory.
 	OptSeed uint64 `json:"opt_seed,omitempty"`
-	// Bound selects the lower-bound oracle certifying the search: "comb"
-	// (fast combinatorial relaxation) or "lagrange" (subgradient Lagrangian,
-	// the default); "none" disables. The bound is computed up front, so
-	// every progress snapshot and SSE frame carries bound and live gap.
+	// Bound selects the lower-bound oracle certifying an analytic search:
+	// "comb" (fast combinatorial relaxation) or "lagrange" (subgradient
+	// Lagrangian, the default); "none" disables. The bound is computed up
+	// front, so every progress snapshot and SSE frame carries bound and
+	// live gap. It certifies Eq. 5 only: a "sim" search reports neither.
 	Bound string `json:"bound,omitempty"`
 	// Trace includes the full accept/reject trajectory in the result.
 	Trace bool `json:"trace,omitempty"`
@@ -57,10 +58,11 @@ type optProgress struct {
 	Accepted   int     `json:"accepted"`
 	Rejected   int     `json:"rejected"`
 	// Bound is the certified lower bound on the objective (nil when the
-	// request disabled the oracle), BoundTier the oracle that produced it,
-	// and Gap the live optimality gap of the best-so-far against it. Gap is
-	// nil while no best exists or when the ratio is undefined — never NaN
-	// or Inf. GapCertified reports the bound proves the best-so-far optimal.
+	// request disabled the oracle or the objective is "sim"), BoundTier the
+	// oracle that produced it, and Gap the live optimality gap of the
+	// best-so-far against it. Gap is nil while no best exists or when the
+	// ratio is undefined — never NaN or Inf. GapCertified reports the bound
+	// proves the best-so-far optimal.
 	Bound        *float64 `json:"bound,omitempty"`
 	BoundTier    string   `json:"bound_tier,omitempty"`
 	Gap          *float64 `json:"gap,omitempty"`
@@ -160,37 +162,16 @@ func startOptimize(_ context.Context, m *jobManager[optState], req optimizeReque
 	if err != nil {
 		return nil, err
 	}
-	var obj opt.Objective
-	var sim *opt.Simulated
-	switch req.Objective {
-	case "", "analytic":
-		req.Objective = "analytic"
-		obj = p.Analytic()
-	case "sim":
-		if sim, err = p.Simulated(opt.SimConfig{Store: m.cache, Remote: m.peers, Replicates: replicates}); err != nil {
-			return nil, err
-		}
-		obj = sim
-	default:
-		return nil, fmt.Errorf("unknown objective %q (want analytic|sim)", req.Objective)
+	// The bound is computed synchronously: a bad name or an unroutable
+	// instance is a 400, and the certificate is ready before the first
+	// progress frame; Finalize folds it into the result.
+	obj, br, err := p.Setup(req.Objective, req.Bound, req.OptSeed,
+		opt.SimConfig{Store: m.cache, Remote: m.peers, Replicates: replicates})
+	if err != nil {
+		return nil, err
 	}
-
-	// The bound is computed synchronously — a bad tier name or an
-	// unroutable instance is a 400, and the certificate is ready before the
-	// first progress frame; Finalize folds it into the result.
-	var br *opt.BoundResult
-	if req.Bound == "" {
-		req.Bound = opt.BoundLagrange.String()
-	}
-	if req.Bound != "none" {
-		tier, err := opt.ParseBoundTier(req.Bound)
-		if err != nil {
-			return nil, err
-		}
-		if br, err = p.Bound(opt.BoundOptions{Tier: tier, Seed: req.OptSeed}); err != nil {
-			return nil, err
-		}
-	}
+	req.Objective = obj.Name()
+	sim, _ := obj.(*opt.Simulated)
 
 	total := req.Iterations
 	if total <= 0 {

@@ -306,3 +306,61 @@ func TestOptimizeBoundValidation(t *testing.T) {
 		t.Fatalf("bad bound tier: status = %d, body %s", w.Code, w.Body)
 	}
 }
+
+// TestOptimizeSimHasNoBound: the Lagrangian bound certifies Eq. 5, not
+// simulated joules, so a sim-objective job carries no bound or gap in its
+// creation snapshot, its SSE progress frames or its result, and leaves the
+// eend_opt_gap gauge where it was.
+func TestOptimizeSimHasNoBound(t *testing.T) {
+	h := newServer(context.Background(), t.TempDir())
+	gauge := func() string {
+		for _, line := range strings.Split(get(t, h, "/metrics").Body.String(), "\n") {
+			if strings.HasPrefix(line, "eend_opt_gap ") {
+				return line
+			}
+		}
+		t.Fatal("eend_opt_gap missing from /metrics")
+		return ""
+	}
+	before := gauge()
+	w := post(t, h, "/v1/optimize", `{
+		"scenario": {
+			"seed": 3, "nodes": 10, "topology": "cluster",
+			"field": {"width": 400, "height": 400},
+			"duration": "40s",
+			"random_flows": {"count": 2, "rate_bps": 2048}
+		},
+		"heuristic": "anneal", "objective": "sim", "iterations": 6, "bound": "lagrange"
+	}`)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("status = %d, body %s", w.Code, w.Body)
+	}
+	var created optStatus
+	if err := json.Unmarshal(w.Body.Bytes(), &created); err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v1/optimize/"+created.ID, nil)
+	req.Header.Set("Accept", "text/event-stream")
+	stream := httptest.NewRecorder()
+	h.ServeHTTP(stream, req)
+	st := waitOptDone(t, h, created.ID)
+	if st.Status != "done" {
+		t.Fatalf("final status %q (%s)", st.Status, st.Error)
+	}
+	final, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{
+		"creation snapshot": w.Body.String(), "SSE stream": stream.Body.String(), "final status": string(final),
+	} {
+		for _, field := range []string{`"bound"`, `"bound_tier"`, `"gap"`, `"gap_certified"`} {
+			if strings.Contains(body, field) {
+				t.Errorf("%s carries %s: %s", name, field, body)
+			}
+		}
+	}
+	if after := gauge(); after != before {
+		t.Errorf("sim job moved the gap gauge: %q -> %q", before, after)
+	}
+}

@@ -78,7 +78,7 @@ func run(ctx context.Context, out, errw io.Writer, args []string) (err error) {
 		iterations = fs.Int("iterations", 0, "objective evaluations (0: the algorithm default)")
 		restarts   = fs.Int("restarts", 0, "restarts for -heuristic restart (0: default)")
 		optSeed    = fs.Uint64("opt-seed", 1, "search seed (trajectory reproducibility)")
-		boundName  = fs.String("bound", "lagrange", fmt.Sprintf("lower-bound oracle for gap tracking: none|%s", strings.Join(opt.BoundTiers(), "|")))
+		boundName  = fs.String("bound", "lagrange", fmt.Sprintf("lower-bound oracle for gap tracking, -objective analytic only: none|%s", strings.Join(opt.BoundTiers(), "|")))
 		replicates = fs.Int("replicates", 1, "simulations averaged per candidate (-objective sim)")
 		cacheDir   = fs.String("cache", "", "content-addressed result cache directory (-objective sim)")
 		remote     = fs.String("workers-remote", "", "comma-separated eendd worker base URLs to run candidate simulations on (-objective sim)")
@@ -140,26 +140,12 @@ func run(ctx context.Context, out, errw io.Writer, args []string) (err error) {
 		return err
 	}
 
-	var tier opt.BoundTier // zero: -bound none
-	if *boundName != "none" {
-		if tier, err = opt.ParseBoundTier(*boundName); err != nil {
-			return err
-		}
-	}
-
-	var obj opt.Objective
-	switch *objective {
-	case "analytic":
-		obj = p.Analytic()
-	case "sim":
-		hosts := strings.FieldsFunc(*remote, func(c rune) bool { return c == ',' || unicode.IsSpace(c) })
-		sim, err := p.Simulated(opt.SimConfig{CacheDir: *cacheDir, Remote: hosts, Replicates: *replicates})
-		if err != nil {
-			return err
-		}
-		obj = sim
-	default:
-		return fmt.Errorf("unknown objective %q (want analytic|sim)", *objective)
+	start := time.Now()
+	hosts := strings.FieldsFunc(*remote, func(c rune) bool { return c == ',' || unicode.IsSpace(c) })
+	obj, br, err := p.Setup(*objective, *boundName, *optSeed,
+		opt.SimConfig{CacheDir: *cacheDir, Remote: hosts, Replicates: *replicates})
+	if err != nil {
+		return err
 	}
 
 	// The trace ID matches eendd's optimize jobs: derived from the
@@ -174,7 +160,6 @@ func run(ctx context.Context, out, errw io.Writer, args []string) (err error) {
 		}
 	}()
 
-	start := time.Now()
 	res, err := p.SearchMethod(ctx, *method, obj, opt.Options{
 		Seed:       *optSeed,
 		Iterations: *iterations,
@@ -185,13 +170,7 @@ func run(ctx context.Context, out, errw io.Writer, args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	var br *opt.BoundResult
-	if tier != 0 {
-		if br, err = p.Bound(opt.BoundOptions{Tier: tier, Seed: *optSeed}); err != nil {
-			return err
-		}
-		res.ApplyBound(br)
-	}
+	res.ApplyBound(br)
 	elapsed := time.Since(start).Round(time.Millisecond)
 
 	switch *format {

@@ -191,6 +191,41 @@ func TestSimObjectiveCLI(t *testing.T) {
 	}
 }
 
+// TestSimObjectiveHasNoBound: the Lagrangian bound certifies Eq. 5, not
+// simulated joules, so a -objective sim search reports no bound and no gap
+// in any format, whatever -bound says.
+func TestSimObjectiveHasNoBound(t *testing.T) {
+	args := []string{
+		"-nodes", "10", "-field", "400", "-flows", "2", "-dur", "40s", "-seed", "3",
+		"-heuristic", "anneal", "-iterations", "4", "-objective", "sim", "-cache", t.TempDir(),
+	}
+	outputs := map[string]string{}
+	for _, format := range []string{"text", "json", "csv"} {
+		var out, errw bytes.Buffer
+		if err := run(context.Background(), &out, &errw, append(args, "-format", format)); err != nil {
+			t.Fatalf("%s: %v\n%s", format, err, errw.String())
+		}
+		outputs[format] = out.String()
+	}
+	if strings.Contains(outputs["text"], "lower bound") || strings.Contains(outputs["text"], "gap") {
+		t.Errorf("text output reports a bound:\n%s", outputs["text"])
+	}
+	for _, field := range []string{`"bound"`, `"bound_tier"`, `"gap"`, `"gap_certified"`} {
+		if strings.Contains(outputs["json"], field) {
+			t.Errorf("JSON output carries %s:\n%s", field, outputs["json"])
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(outputs["csv"]), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("CSV has no trajectory rows:\n%s", outputs["csv"])
+	}
+	for _, line := range lines[1:] {
+		if !strings.HasSuffix(line, ",") {
+			t.Errorf("CSV row %q has a gap cell", line)
+		}
+	}
+}
+
 func TestBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
 		"objective": {"-objective", "nope"},

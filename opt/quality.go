@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"time"
 
 	"eend/opt/bound"
@@ -25,11 +26,7 @@ const (
 	BoundLagrange = bound.Lagrangian
 )
 
-// ParseBoundTier resolves a tier short name ("comb", "lagrange") — the
-// vocabulary behind eendopt's -bound flag and /v1/optimize's bound field.
-func ParseBoundTier(name string) (BoundTier, error) { return bound.ParseTier(name) }
-
-// BoundTiers lists the tier names ParseBoundTier accepts.
+// BoundTiers lists the tier names Setup accepts besides "none".
 func BoundTiers() []string { return bound.Tiers() }
 
 // Bound runs the oracle on the problem's own instance, defaulting the
@@ -43,6 +40,41 @@ func (p *Problem) Bound(o BoundOptions) (*BoundResult, error) {
 	r, err := bound.Compute(p.Graph, p.Demands, o)
 	boundSeconds.ObserveSince(t0)
 	return r, err
+}
+
+// Setup resolves a search's objective and bound-tier names into the
+// objective to minimize and its certificate, for every front end: objective
+// "" or "analytic" is Analytic, "sim" is Simulated(cfg); tier "" is the
+// Lagrangian oracle and "none" runs none. A bound certifies Eq. 5 only, so
+// it is computed (with seed) for the analytic objective alone; a sim search
+// gets a nil result, which ApplyBound and GapOf render as no bound and no
+// gap. A bad tier name is an error for every objective.
+func (p *Problem) Setup(objective, tier string, seed uint64, cfg SimConfig) (Objective, *BoundResult, error) {
+	t, err := BoundLagrange, error(nil)
+	if tier == "none" {
+		t = 0
+	} else if tier != "" {
+		t, err = bound.ParseTier(tier)
+	}
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case objective == "sim":
+		sim, err := p.Simulated(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return sim, nil, nil
+	case objective != "" && objective != "analytic":
+		return nil, nil, fmt.Errorf("unknown objective %q (want analytic|sim)", objective)
+	case t == 0:
+		return p.Analytic(), nil, nil
+	}
+	br, err := p.Bound(BoundOptions{Tier: t, Seed: seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.Analytic(), br, nil
 }
 
 // BoundGap reports the relative optimality gap of a best-found value

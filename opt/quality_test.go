@@ -131,3 +131,43 @@ func TestBoundMetricsRegistered(t *testing.T) {
 		t.Fatalf("exposition lint: %v", problems)
 	}
 }
+
+// TestSetupCertifiesAnalyticOnly: Setup resolves both names in one place.
+// The analytic objective gets the requested tier (the Lagrangian one by
+// default, none for "none"); the simulator objective gets no bound, since
+// an Eq. 5 certificate says nothing about simulated joules; and a bad name
+// is an error whatever the other one says.
+func TestSetupCertifiesAnalyticOnly(t *testing.T) {
+	p := clusteredProblem(t)
+	cfg := SimConfig{CacheDir: t.TempDir()}
+	for _, tc := range []struct {
+		objective, tier string
+		wantObj, wantTier string // wantTier "" means no bound
+	}{
+		{"", "", "analytic", "lagrange"},
+		{"analytic", "comb", "analytic", "comb"},
+		{"analytic", "none", "analytic", ""},
+		{"sim", "", "sim", ""},
+		{"sim", "lagrange", "sim", ""},
+		{"sim", "none", "sim", ""},
+	} {
+		obj, br, err := p.Setup(tc.objective, tc.tier, 1, cfg)
+		if err != nil {
+			t.Fatalf("Setup(%q, %q): %v", tc.objective, tc.tier, err)
+		}
+		if obj.Name() != tc.wantObj {
+			t.Errorf("Setup(%q, %q): objective %q, want %q", tc.objective, tc.tier, obj.Name(), tc.wantObj)
+		}
+		switch {
+		case tc.wantTier == "" && br != nil:
+			t.Errorf("Setup(%q, %q): bound %+v, want none", tc.objective, tc.tier, br)
+		case tc.wantTier != "" && (br == nil || br.Tier != tc.wantTier):
+			t.Errorf("Setup(%q, %q): bound %+v, want tier %s", tc.objective, tc.tier, br, tc.wantTier)
+		}
+	}
+	for _, names := range [][2]string{{"nope", ""}, {"analytic", "nope"}, {"sim", "nope"}, {"nope", "none"}} {
+		if _, _, err := p.Setup(names[0], names[1], 1, cfg); err == nil {
+			t.Errorf("Setup(%q, %q) accepted a bad name", names[0], names[1])
+		}
+	}
+}
