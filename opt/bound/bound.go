@@ -454,8 +454,9 @@ func (inst *instance) evaluate(lam [][]float64, sumLam []float64, x [][]bool, op
 	return total
 }
 
-// stallWindow is how many iterations without a best-bound improvement the
-// ascent tolerates before halving the step scale (Held-Karp style).
+// stallWindow is how many iterations without beating its own best iterate
+// the ascent tolerates before halving the step scale (Held-Karp style) —
+// not res.Value, whose combinatorial floor L(0) may lie far below.
 const stallWindow = 10
 
 // subgradient runs the Lagrangian ascent and folds the best iterate into
@@ -492,12 +493,13 @@ func (inst *instance) subgradient(res *Result, o Options) {
 		res.Trace = append(res.Trace, TracePoint{Iter: 0, Value: res.Combinatorial, Best: res.Value})
 	}
 	alpha := 2.0
-	stalled := 0
+	own, stalled := math.Inf(-1), 0
 	for it := 1; it <= o.Iterations; it++ {
 		l := inst.evaluate(lam, sumLam, x, open, terms)
 		res.Iterations = it
-		if l > res.Value {
-			res.Value = l
+		res.Value = max(res.Value, l)
+		if l > own {
+			own = l
 			stalled = 0
 		} else if stalled++; stalled >= stallWindow {
 			alpha /= 2
