@@ -179,7 +179,7 @@ func TestLagrangianDeterministic(t *testing.T) {
 // Lagrangian trace. It pins the determinism contract across refactors: any
 // change to the step schedule, summation order or trace encoding must be
 // deliberate and update this constant.
-const pinnedTraceFingerprint = "eb3626bbb32c68591baae8830a311718fc0f66aa08780ffcf5e768d964b5b530"
+const pinnedTraceFingerprint = "b0c266becd83bd6dd049b816a68276421ecf059fa784b6a87cde82f5d2588712"
 
 func TestLagrangianFingerprintPinned(t *testing.T) {
 	ti := randInstance(1)
