@@ -48,8 +48,9 @@ type Instance struct {
 }
 
 // Instances returns the canonical instances, smallest first. default-20 is
-// eendopt's default run (the PR 4 acceptance instance); field-100 is the
-// smallest constant-density large-field preset.
+// eendopt's default run (the PR 4 acceptance instance); field-100 and
+// field-1k are constant-density large-field presets under its workload,
+// the second one large enough that the bound leaves a gap open.
 func Instances() []Instance {
 	return []Instance{
 		{
@@ -65,22 +66,25 @@ func Instances() []Instance {
 				)
 			},
 		},
-		{
-			Name: "field-100",
-			Build: func() (*eend.Scenario, error) {
-				preset, err := eend.ParseFieldPreset("field-100")
-				if err != nil {
-					return nil, err
-				}
-				opts := append(preset.Options(),
-					eend.WithSeed(1),
-					eend.WithRandomFlows(8, 2*1024, 128),
-					eend.WithDuration(300*time.Second),
-				)
-				return eend.NewScenario(opts...)
-			},
-		},
+		presetInstance("field-100"),
+		presetInstance("field-1k"),
 	}
+}
+
+// presetInstance is the named field preset under eendopt's default
+// workload: seed 1, 8 flows at 2 Kbit/s, 128 B packets, 300 s.
+func presetInstance(name string) Instance {
+	return Instance{Name: name, Build: func() (*eend.Scenario, error) {
+		preset, err := eend.ParseFieldPreset(name)
+		if err != nil {
+			return nil, err
+		}
+		return eend.NewScenario(append(preset.Options(),
+			eend.WithSeed(1),
+			eend.WithRandomFlows(8, 2*1024, 128),
+			eend.WithDuration(300*time.Second),
+		)...)
+	}}
 }
 
 // Quality is one instance's measured (or pinned) solution quality.
