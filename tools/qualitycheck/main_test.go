@@ -22,17 +22,17 @@ func committedBaseline(t *testing.T) Baseline {
 }
 
 // TestBaselineCommitted pins the committed baseline's shape: the current
-// format version and at least the two canonical instances, each with a
+// format version and at least the three canonical instances, each with a
 // finite nonnegative gap and a positive bound.
 func TestBaselineCommitted(t *testing.T) {
 	base := committedBaseline(t)
 	if base.Version != baselineVersion {
 		t.Fatalf("baseline version %q, want %q", base.Version, baselineVersion)
 	}
-	if len(base.Instances) < 2 {
-		t.Fatalf("baseline pins %d instances, want >= 2", len(base.Instances))
+	if len(base.Instances) < 3 {
+		t.Fatalf("baseline pins %d instances, want >= 3", len(base.Instances))
 	}
-	for _, name := range []string{"default-20", "field-100"} {
+	for _, name := range []string{"default-20", "field-100", "field-1k"} {
 		q, ok := base.Instances[name]
 		if !ok {
 			t.Fatalf("baseline lacks canonical instance %s", name)
