@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"eend/internal/geom"
+	"eend/internal/mac"
 	"eend/internal/network"
 	"eend/internal/phy"
 	"eend/internal/radio"
@@ -64,11 +65,10 @@ func projected(sched schedModel) func(run, float64) float64 {
 func projectEnergy(card radio.Card, pts []geom.Point, routes [][]int, pc bool, rateKbps float64, sched schedModel, horizon float64) float64 {
 	const (
 		bandwidth = phy.DefaultBandwidth
-		preamble  = 192e-6
 		appBytes  = 128
-		hdrBytes  = 20 + 28 // network + MAC header
-		tpcMargin = 1.05
+		hdrBytes  = routing.DataHeaderBytes + mac.HeaderBytes
 	)
+	preamble := phy.Preamble.Seconds()
 	rate := rateKbps * kbit            // bit/s
 	pktPerSec := rate / (appBytes * 8) // packets per second per flow
 	busy := make([]float64, len(pts))  // comm seconds per node
@@ -76,7 +76,7 @@ func projectEnergy(card radio.Card, pts []geom.Point, routes [][]int, pc bool, r
 
 	var ecomm float64
 	for _, route := range routes {
-		onAir := appBytes + hdrBytes + 4*len(route)
+		onAir := appBytes + hdrBytes + routing.PerHopBytes*len(route)
 		tPkt := preamble + float64(onAir*8)/bandwidth
 		commT := pktPerSec * horizon * tPkt // seconds of airtime per link
 		for i := 0; i+1 < len(route); i++ {
@@ -84,7 +84,7 @@ func projectEnergy(card radio.Card, pts []geom.Point, routes [][]int, pc bool, r
 			onRoute[u], onRoute[v] = true, true
 			ptx := card.MaxTxPower()
 			if pc {
-				ptx = card.TxPower(pts[u].Dist(pts[v]) * tpcMargin)
+				ptx = card.TxPower(pts[u].Dist(pts[v]) * mac.TPCMargin)
 			}
 			ecomm += commT * (ptx + card.Recv)
 			busy[u] += commT
@@ -93,7 +93,7 @@ func projectEnergy(card radio.Card, pts []geom.Point, routes [][]int, pc bool, r
 	}
 
 	var epassive float64
-	const psmAwakeFrac = 1.0 / 15 // 20 ms ATIM window per 300 ms beacon
+	const psmAwakeFrac = float64(mac.ATIMWindow) / float64(mac.BeaconInterval)
 	for v := range pts {
 		idleT := horizon - busy[v]
 		if idleT < 0 {

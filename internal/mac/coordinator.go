@@ -50,8 +50,8 @@ func (c *Coordinator) onBeacon() {
 	for _, m := range c.macs {
 		m.onBeacon()
 	}
-	c.sim.ScheduleFor(sim.LayerMAC, atimWindow, c.windowEndFn)
-	c.sim.ScheduleFor(sim.LayerMAC, beaconInterval, c.beaconFn)
+	c.sim.ScheduleFor(sim.LayerMAC, ATIMWindow, c.windowEndFn)
+	c.sim.ScheduleFor(sim.LayerMAC, BeaconInterval, c.beaconFn)
 }
 
 func (c *Coordinator) onWindowEnd() {
@@ -73,7 +73,7 @@ func (c *Coordinator) nextBeacon() sim.Time {
 	if c.iv == 0 {
 		return 0
 	}
-	return c.start + beaconInterval
+	return c.start + BeaconInterval
 }
 
 // PowerModeOf returns the power-management mode of a node (AM if no MAC has

@@ -110,8 +110,8 @@ const (
 	cwMax          = 1023
 	retryLimit     = 7  // max transmission attempts for unicast frames
 	queueCap       = 64 // outgoing queue capacity (packets)
-	beaconInterval = 300 * time.Millisecond
-	atimWindow     = 20 * time.Millisecond // announcement window at each beacon
+	BeaconInterval = 300 * time.Millisecond
+	ATIMWindow     = 20 * time.Millisecond // announcement window at each beacon
 )
 
 // frame types on the air.
@@ -147,11 +147,11 @@ func (t frameType) String() string {
 
 // On-air frame sizes in bytes (802.11-like).
 const (
-	sizeRTS    = 20
-	sizeCTS    = 14
-	sizeAck    = 14
-	sizeATIM   = 28
-	sizeMACHdr = 28 // added to network-layer bytes for DATA frames
+	sizeRTS     = 20
+	sizeCTS     = 14
+	sizeAck     = 14
+	sizeATIM    = 28
+	HeaderBytes = 28 // MAC header, added to network-layer bytes for DATA frames
 )
 
 // frame is the MAC-level payload carried in a phy.Frame. It is a value: the

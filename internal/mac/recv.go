@@ -66,16 +66,16 @@ func (m *MAC) RxEnd(f *phy.Frame, ok bool) {
 	}
 }
 
-// tpcMargin is the safety factor applied to the measured link distance when
+// TPCMargin is the safety factor applied to the measured link distance when
 // reporting the minimum data power in a CTS: real power control backs off
 // from the decode threshold, and it keeps boundary links robust against
 // floating-point round-off in the range inversion.
-const tpcMargin = 1.05
+const TPCMargin = 1.05
 
 // respondCTS schedules the CTS reply SIFS after the RTS, carrying the TPC
 // power measurement for the data frame.
 func (m *MAC) respondCTS(src int, rts *frame) {
-	power := m.cfg.Card.TxPower(m.med.Distance(m.id, src) * tpcMargin)
+	power := m.cfg.Card.TxPower(m.med.Distance(m.id, src) * TPCMargin)
 	m.respond(src, sizeCTS, frame{typ: frameCTS, navUntil: rts.navUntil, ctsPower: power})
 }
 

@@ -255,7 +255,7 @@ func (m *MAC) replyArrived() {
 // ---- unicast data path: RTS -> CTS -> DATA -> ACK ----
 
 func (m *MAC) sendRTS(j *job) {
-	dataAir := m.airtime(j.pkt.Bytes + sizeMACHdr)
+	dataAir := m.airtime(j.pkt.Bytes + HeaderBytes)
 	nav := m.sim.Now() + m.airtime(sizeRTS) +
 		3*sifs + m.airtime(sizeCTS) + dataAir + m.airtime(sizeAck)
 	m.transmit(j.dst, sizeRTS, m.MaxPower(), radio.TxControl, frame{typ: frameRTS, navUntil: nav}, thenAwaitCTS, j)
@@ -306,7 +306,7 @@ func (m *MAC) transmitData(j *job, then txThen) {
 		m.seq++
 		j.seq = m.seq
 	}
-	m.transmit(j.dst, j.pkt.Bytes+sizeMACHdr, j.power, kind, frame{typ: frameData, seq: j.seq, pkt: j.pkt}, then, j)
+	m.transmit(j.dst, j.pkt.Bytes+HeaderBytes, j.power, kind, frame{typ: frameData, seq: j.seq, pkt: j.pkt}, then, j)
 }
 
 // retry is the CTS/ACK timeout: back off and reattempt the current job, or

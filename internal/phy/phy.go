@@ -86,8 +86,8 @@ type Config struct {
 // models.
 const DefaultBandwidth = 2e6
 
-// preamble is the 802.11 long preamble + PLCP header duration of every frame.
-const preamble = 192 * time.Microsecond
+// Preamble is the 802.11 long preamble + PLCP header duration of every frame.
+const Preamble = 192 * time.Microsecond
 
 // rxEntry is one ongoing reception in a listener's inbox. Inboxes are tiny
 // (a handful of overlapping frames at worst), so a value slice beats the
@@ -373,7 +373,7 @@ func (m *Medium) index(id int) int32 {
 // Airtime returns the on-air duration of a frame of the given size.
 func (m *Medium) Airtime(bytes int) time.Duration {
 	bits := float64(bytes * 8)
-	return preamble + time.Duration(bits/m.cfg.Bandwidth*float64(time.Second))
+	return Preamble + time.Duration(bits/m.cfg.Bandwidth*float64(time.Second))
 }
 
 // Frames returns the number of frames transmitted so far.

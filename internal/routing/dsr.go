@@ -60,7 +60,7 @@ type rreq struct {
 	TTL            int
 }
 
-func (r *rreq) bytes() int { return rreqBaseBytes + perHopBytes*len(r.Path) }
+func (r *rreq) bytes() int { return rreqBaseBytes + PerHopBytes*len(r.Path) }
 
 // rrep carries a discovered route back to the origin along the reverse path.
 type rrep struct {
@@ -71,7 +71,7 @@ type rrep struct {
 	Hop            int // index of the node currently holding the reply
 }
 
-func (r *rrep) bytes() int { return rrepBaseBytes + perHopBytes*len(r.Route) }
+func (r *rrep) bytes() int { return rrepBaseBytes + PerHopBytes*len(r.Route) }
 
 // rerr reports a broken link back to a packet source.
 type rerr struct {

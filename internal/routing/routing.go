@@ -94,8 +94,8 @@ func (s *Stats) Add(o Stats) {
 
 // Network-layer sizes in bytes.
 const (
-	dataHeaderBytes = 20 // fixed IP-like header
-	perHopBytes     = 4  // per-address overhead in source routes / paths
+	DataHeaderBytes = 20 // fixed IP-like header
+	PerHopBytes     = 4  // per-address overhead in source routes / paths
 	rreqBaseBytes   = 16
 	rrepBaseBytes   = 16
 	rerrBytes       = 20
@@ -121,7 +121,7 @@ type dataPacket struct {
 
 // bytes returns the on-air network-layer size of the packet.
 func (p *dataPacket) bytes() int {
-	return dataHeaderBytes + p.AppBytes + perHopBytes*len(p.Route)
+	return DataHeaderBytes + p.AppBytes + PerHopBytes*len(p.Route)
 }
 
 // jitter returns a uniform random delay in [0, max).

@@ -45,11 +45,11 @@ func TestHasLink(t *testing.T) {
 
 func TestDataPacketBytes(t *testing.T) {
 	p := &dataPacket{AppBytes: 128}
-	if got := p.bytes(); got != dataHeaderBytes+128 {
-		t.Errorf("bytes = %d, want %d", got, dataHeaderBytes+128)
+	if got := p.bytes(); got != DataHeaderBytes+128 {
+		t.Errorf("bytes = %d, want %d", got, DataHeaderBytes+128)
 	}
 	p.Route = []int{0, 1, 2}
-	if got := p.bytes(); got != dataHeaderBytes+128+3*perHopBytes {
+	if got := p.bytes(); got != DataHeaderBytes+128+3*PerHopBytes {
 		t.Errorf("bytes with route = %d", got)
 	}
 }
