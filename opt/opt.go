@@ -79,9 +79,11 @@ type Problem struct {
 //     (Ptx(d) + Prx)/B in J/bit, with Ptx the path-loss law of the card —
 //     only node pairs within radio range get an edge;
 //   - EvalConfig: TIdle = TData = the scenario horizon in seconds with one
-//     packet-unit per demand, so Enetwork(design) approximates the joules
-//     the deployment spends over the horizon and is directly comparable
-//     with the simulator's measured Results.Energy.Total().
+//     packet-unit per demand, so Enetwork(design) prices the design's relays
+//     idling and its links carrying the demands over the horizon. That is
+//     not what the deployment spends: Eq. 5 leaves out endpoint idling, the
+//     passive energy of nodes outside the design, and MAC control traffic,
+//     all of which the simulator's Results.Energy.Total() measures.
 func FromScenario(sc *eend.Scenario) (*Problem, error) {
 	pos := sc.Positions()
 	if pos == nil {
