@@ -53,37 +53,29 @@ type Instance struct {
 // the second one large enough that the bound leaves a gap open.
 func Instances() []Instance {
 	return []Instance{
-		{
-			Name: "default-20",
-			Build: func() (*eend.Scenario, error) {
-				return eend.NewScenario(
-					eend.WithSeed(1),
-					eend.WithNodes(20),
-					eend.WithField(600, 600),
-					eend.WithTopology(eend.ClusterTopology(0, 0)),
-					eend.WithRandomFlows(8, 2*1024, 128),
-					eend.WithDuration(300*time.Second),
-				)
-			},
-		},
+		{Name: "default-20", Build: func() (*eend.Scenario, error) {
+			return eend.NewScenario(workload(eend.WithNodes(20), eend.WithField(600, 600),
+				eend.WithTopology(eend.ClusterTopology(0, 0)))...)
+		}},
 		presetInstance("field-100"),
 		presetInstance("field-1k"),
 	}
 }
 
-// presetInstance is the named field preset under eendopt's default
-// workload: seed 1, 8 flows at 2 Kbit/s, 128 B packets, 300 s.
+// workload appends eendopt's default workload to a placement: seed 1,
+// 8 flows at 2 Kbit/s, 128 B packets, 300 s.
+func workload(placement ...eend.Option) []eend.Option {
+	return append(placement, eend.WithSeed(1), eend.WithRandomFlows(8, 2*1024, 128), eend.WithDuration(300*time.Second))
+}
+
+// presetInstance is the named field preset under eendopt's default workload.
 func presetInstance(name string) Instance {
 	return Instance{Name: name, Build: func() (*eend.Scenario, error) {
 		preset, err := eend.ParseFieldPreset(name)
 		if err != nil {
 			return nil, err
 		}
-		return eend.NewScenario(append(preset.Options(),
-			eend.WithSeed(1),
-			eend.WithRandomFlows(8, 2*1024, 128),
-			eend.WithDuration(300*time.Second),
-		)...)
+		return eend.NewScenario(workload(preset.Options()...)...)
 	}}
 }
 
