@@ -141,7 +141,7 @@ func TestSetupCertifiesAnalyticOnly(t *testing.T) {
 	p := clusteredProblem(t)
 	cfg := SimConfig{CacheDir: t.TempDir()}
 	for _, tc := range []struct {
-		objective, tier string
+		objective, tier   string
 		wantObj, wantTier string // wantTier "" means no bound
 	}{
 		{"", "", "analytic", "lagrange"},
