@@ -88,12 +88,24 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 // (the order Dijkstra relaxes in), flattened CSR-style — node u's entries
 // are arcs[off[u]:off[u+1]], parallel edges kept with their own weight, each
 // carrying its collapsed pair's id. pricedPath walks it.
+//
+// pot caches, per destination, the edge-weight distance D(v,dst) that
+// guides both kernels toward dst (see guide). A table is built on first
+// request, under potMu, and never for a graph with a negative or non-finite
+// weight (guidable false); it goes with the index when AddEdge drops it.
 type edgeIndex struct {
 	nbr   [][]nbrEdge
 	edgeW []float64 // packed edge id -> weight
 	off   []int32
 	arcs  []nbrEdge
+
+	guidable bool
+	pot      []atomic.Pointer[potential]
+	potMu    sync.Mutex
 }
+
+// potential is one destination's distance table: d[v] = D(v,dst).
+type potential struct{ d []float64 }
 
 type nbrEdge struct {
 	to int32
@@ -162,14 +174,49 @@ func (g *Graph) index() *edgeIndex {
 		ix.off[u+1] = ix.off[u] + int32(len(g.adj[u]))
 	}
 	ix.arcs = make([]nbrEdge, 0, ix.off[g.n])
+	ix.guidable = true
 	for u := range g.adj {
 		for _, e := range g.adj[u] {
 			pair, _ := ix.find(u, e.to)
 			ix.arcs = append(ix.arcs, nbrEdge{to: int32(e.to), id: pair.id, w: e.w})
+			ix.guidable = ix.guidable && e.w >= 0 && !math.IsInf(e.w, 1)
 		}
 	}
+	ix.pot = make([]atomic.Pointer[potential], g.n)
 	g.idx.Store(ix)
 	return ix
+}
+
+// guideMargin scales the potential just below scale·D, so that rounding in
+// D, in the product and along a path cannot lift it above a true remaining
+// cost; guideTol is the relative distance under which a heap key still
+// waiting when dst settles counts as a near-tie (ARCHITECTURE, "Accelerations").
+const (
+	guideMargin = 1 - 1e-9
+	guideTol    = 1e-12
+)
+
+// guide returns the distance table that guides a run to dst whose every arc
+// costs at least scale·w, or nil when the run must go unguided: scale not
+// positive and finite, or a graph with a negative or non-finite weight. The
+// table is computed once per destination, by a plain full Dijkstra over the
+// edge weights from dst, and shared by every caller after that.
+func (ix *edgeIndex) guide(g *Graph, dst int, scale float64) []float64 {
+	if !ix.guidable || !(scale > 0) || math.IsInf(scale, 1) {
+		return nil
+	}
+	if p := ix.pot[dst].Load(); p != nil {
+		return p.d
+	}
+	ix.potMu.Lock()
+	defer ix.potMu.Unlock()
+	if p := ix.pot[dst].Load(); p != nil {
+		return p.d
+	}
+	var s SPScratch
+	g.dijkstra(&s, dst, -1, 1, nil, nil, nil)
+	ix.pot[dst].Store(&potential{d: s.dist})
+	return s.dist
 }
 
 // find binary-searches u's sorted neighbor list for v.
@@ -265,6 +312,10 @@ type SPScratch struct {
 	done   []bool
 	ncost  []float64 // memoized nodeCost per run; NaN = not yet computed
 	heap   []pqItem
+
+	// guided counts the runs this scratch started under a potential and
+	// fallbacks those of them that were voided and rerun unguided.
+	guided, fallbacks int
 }
 
 func (s *SPScratch) reset(n int) {
@@ -324,6 +375,19 @@ func (s *SPScratch) heapPop() pqItem {
 	return it
 }
 
+// clearLead reports whether no live heap entry (one whose node has not
+// settled) has a key within guideTol of key: the check a guided run makes
+// when dst settles at key.
+func (s *SPScratch) clearLead(key float64) bool {
+	lim := key + key*guideTol
+	for _, it := range s.heap {
+		if it.dist <= lim && !s.done[it.node] {
+			return false
+		}
+	}
+	return true
+}
+
 // DijkstraInto computes least-cost distances and parents from src using the
 // scratch's buffers — zero allocations in steady state. edgeCost defaults
 // to the edge weight; nodeCost (charged on entering a node other than src)
@@ -331,56 +395,82 @@ func (s *SPScratch) heapPop() pqItem {
 // insertion order, exactly as Dijkstra always has, so equal-cost parent
 // ties resolve identically.
 func (g *Graph) DijkstraInto(s *SPScratch, src int, edgeCost EdgeCostFunc, nodeCost NodeCostFunc) (dist []float64, parent []int) {
-	g.dijkstra(s, src, -1, edgeCost, nodeCost)
+	g.dijkstra(s, src, -1, 1, edgeCost, nodeCost, nil)
 	return s.dist, s.parent
 }
 
-// dijkstra is the engine behind DijkstraInto and ShortestPathInto. nodeCost
-// is memoized per node for the duration of the run (callers' cost closures
-// are pure within one call), and when dst is a valid node the run stops as
-// soon as dst settles: with non-negative costs and strict-< relaxation, a
-// settled node's dist and the parent chain behind it can never change, so
-// the path ShortestPathInto walks is bit-identical to a full run's.
-func (g *Graph) dijkstra(s *SPScratch, src, dst int, edgeCost EdgeCostFunc, nodeCost NodeCostFunc) {
+// dijkstra is the closure kernel behind DijkstraInto, ShortestPathInto and
+// ScaledPathInto. An arc costs edgeCost(u,v,w), or scale·w when edgeCost is
+// nil, plus nodeCost of the node entered. nodeCost is memoized per node for
+// the duration of the run (callers' cost closures are pure within one call),
+// and when dst is a valid node the run stops as soon as dst settles: with
+// non-negative costs and strict-< relaxation, a settled node's dist and the
+// parent chain behind it can never change, so the path ShortestPathInto
+// walks is bit-identical to a full run's.
+//
+// With a potential pot (guide's table for dst, non-nil only when every arc
+// costs at least scale·w) the run is A*: heap keys are dist plus
+// float64(scale·pot[v])·guideMargin, dist itself is computed as without it.
+// It returns false, its result void, on any of the three events under which
+// its path or cost could differ from the unguided run's — a relaxation equal
+// to a finite tentative distance, an improvement to a settled node, a live
+// heap key within guideTol of dst's when dst settles — and on a negative
+// cost, which the unguided run reports. Unguided it always returns true.
+func (g *Graph) dijkstra(s *SPScratch, src, dst int, scale float64, edgeCost EdgeCostFunc, nodeCost NodeCostFunc, pot []float64) bool {
 	g.check(src)
-	if edgeCost == nil {
-		edgeCost = defaultEdgeCost
-	}
 	if nodeCost == nil {
 		nodeCost = zeroNodeCost
 	}
 	s.reset(g.n)
-	dist, parent, ncost := s.dist, s.parent, s.ncost
+	dist, parent, done, ncost := s.dist, s.parent, s.done, s.ncost
 	dist[src] = 0
 	s.heapPush(pqItem{node: src, dist: 0})
 	for len(s.heap) > 0 {
-		it := s.heapPop()
-		u := it.node
-		if s.done[u] {
+		u := s.heapPop().node
+		if done[u] {
 			continue
 		}
-		s.done[u] = true
+		done[u] = true
 		if u == dst {
-			return
+			return pot == nil || s.clearLead(dist[u])
 		}
 		du := dist[u]
 		for _, e := range g.adj[u] {
-			nc := ncost[e.to]
+			v := e.to
+			nc := ncost[v]
 			if nc != nc { // NaN: not computed yet
-				nc = nodeCost(e.to)
-				ncost[e.to] = nc
+				nc = nodeCost(v)
+				ncost[v] = nc
 			}
-			c := edgeCost(u, e.to, e.w) + nc
+			var c float64
+			if edgeCost == nil {
+				c = float64(scale*e.w) + nc
+			} else {
+				c = edgeCost(u, v, e.w) + nc
+			}
 			if c < 0 {
+				if pot != nil {
+					return false
+				}
 				panic("core: negative cost in Dijkstra")
 			}
-			if nd := du + c; nd < dist[e.to] {
-				dist[e.to] = nd
-				parent[e.to] = u
-				s.heapPush(pqItem{node: e.to, dist: nd})
+			if nd := du + c; nd < dist[v] {
+				key := nd
+				if pot != nil {
+					if done[v] {
+						return false
+					}
+					key += float64(float64(scale*pot[v]) * guideMargin)
+				}
+				dist[v] = nd
+				parent[v] = u
+				s.heapPush(pqItem{node: v, dist: key})
+			} else if pot != nil && nd == dist[v] && !math.IsInf(nd, 1) {
+				return false
 			}
 		}
 	}
+	return true
 }
 
 // Dijkstra computes least-cost distances and parents from src. The returned
@@ -396,8 +486,30 @@ func (g *Graph) Dijkstra(src int, edgeCost EdgeCostFunc, nodeCost NodeCostFunc) 
 // as soon as dst settles — the returned path and cost are bit-identical to
 // a full Dijkstra's (see dijkstra).
 func (g *Graph) ShortestPathInto(s *SPScratch, src, dst int, edgeCost EdgeCostFunc, nodeCost NodeCostFunc, path []int) ([]int, float64) {
-	g.dijkstra(s, src, dst, edgeCost, nodeCost)
+	g.dijkstra(s, src, dst, 1, edgeCost, nodeCost, nil)
 	g.check(dst)
+	return s.pathTo(dst, path)
+}
+
+// ScaledPathInto is ShortestPathInto for edge cost scale·w, the shape the
+// Lagrangian bound's passes price a demand with: same comparisons on the
+// same floats, so the same path and Float64bits-equal cost. Because every
+// arc then costs at least scale·w, the run is guided toward dst by the
+// edge-weight distance to it (see dijkstra) whenever scale is positive and
+// finite and the graph has no negative or non-finite weight; a guided run
+// the kernel cannot vouch for is rerun unguided. nodeCost must be
+// non-negative.
+func (g *Graph) ScaledPathInto(s *SPScratch, src, dst int, scale float64, nodeCost NodeCostFunc, path []int) ([]int, float64) {
+	g.check(src)
+	g.check(dst)
+	if pot := g.index().guide(g, dst, scale); pot != nil {
+		s.guided++
+		if g.dijkstra(s, src, dst, scale, nil, nodeCost, pot) {
+			return s.pathTo(dst, path)
+		}
+		s.fallbacks++
+	}
+	g.dijkstra(s, src, dst, scale, nil, nodeCost, nil)
 	return s.pathTo(dst, path)
 }
 
@@ -418,7 +530,7 @@ func (s *SPScratch) pathTo(dst int, path []int) ([]int, float64) {
 	return path, s.dist[dst]
 }
 
-// pricedPath is ShortestPathInto flattened for the one cost shape a reroute
+// pricedPath is ScaledPathInto flattened for the one cost shape a reroute
 // has: crossing an arc costs scale·w — times penalty where stamp[arc id] ==
 // epoch — and entering node v costs price[v]. It makes the same comparisons
 // on the same floats in the same order as dijkstra run with closures
@@ -427,8 +539,23 @@ func (s *SPScratch) pathTo(dst int, path []int) ([]int, float64) {
 // and cost are bit-identical; it drops two indirect calls, the memo branch
 // and any per-arc lookup. Each product is converted to float64 on its own:
 // that forbids fusing it into the following add, which would round once
-// where the closures round twice.
-func (ix *edgeIndex) pricedPath(s *SPScratch, src, dst int, scale, penalty float64, stamp []uint32, epoch uint32, price []float64, path []int) ([]int, float64) {
+// where the closures round twice. Every arc costs at least scale·w (penalty
+// only ever raises it), so pot — guide's table for dst, or nil — guides the
+// run exactly as it guides dijkstra, with the same fallback.
+func (ix *edgeIndex) pricedPath(s *SPScratch, src, dst int, scale, penalty float64, stamp []uint32, epoch uint32, price, pot []float64, path []int) ([]int, float64) {
+	if pot != nil {
+		s.guided++
+		if ix.pricedRun(s, src, dst, scale, penalty, stamp, epoch, price, pot) {
+			return s.pathTo(dst, path)
+		}
+		s.fallbacks++
+	}
+	ix.pricedRun(s, src, dst, scale, penalty, stamp, epoch, price, nil)
+	return s.pathTo(dst, path)
+}
+
+// pricedRun is pricedPath's one run, returning what dijkstra returns.
+func (ix *edgeIndex) pricedRun(s *SPScratch, src, dst int, scale, penalty float64, stamp []uint32, epoch uint32, price, pot []float64) bool {
 	s.reset(len(price))
 	dist, parent, done := s.dist, s.parent, s.done
 	dist[src] = 0
@@ -440,7 +567,7 @@ func (ix *edgeIndex) pricedPath(s *SPScratch, src, dst int, scale, penalty float
 		}
 		done[u] = true
 		if u == dst {
-			break
+			return pot == nil || s.clearLead(dist[u])
 		}
 		du := dist[u]
 		for _, e := range ix.arcs[ix.off[u]:ix.off[u+1]] {
@@ -450,16 +577,28 @@ func (ix *edgeIndex) pricedPath(s *SPScratch, src, dst int, scale, penalty float
 			}
 			c += price[e.to]
 			if c < 0 {
+				if pot != nil {
+					return false
+				}
 				panic("core: negative cost in Dijkstra")
 			}
 			if nd := du + c; nd < dist[e.to] {
+				key := nd
+				if pot != nil {
+					if done[e.to] {
+						return false
+					}
+					key += float64(float64(scale*pot[e.to]) * guideMargin)
+				}
 				dist[e.to] = nd
 				parent[e.to] = u
-				s.heapPush(pqItem{node: int(e.to), dist: nd})
+				s.heapPush(pqItem{node: int(e.to), dist: key})
+			} else if pot != nil && nd == dist[e.to] && !math.IsInf(nd, 1) {
+				return false
 			}
 		}
 	}
-	return s.pathTo(dst, path)
+	return true
 }
 
 // ShortestPath returns the least-cost path src..dst and its cost, or nil if

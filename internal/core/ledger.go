@@ -24,9 +24,11 @@ import (
 // for an endpoint or a node some route already keeps awake, TIdle·c(v)
 // otherwise. Add and Remove keep it in step.
 //
-// A Ledger captures the graph's edge index at construction and its node
-// weights at Reset; mutating the graph (AddEdge, SetNodeWeight) afterwards
-// invalidates it. A Ledger must not be shared between concurrent searches.
+// A Ledger captures the graph's edge index at construction, with the
+// potential tables that guide a reroute to each demand's destination (built
+// there, so that no reroute allocates), and its node weights at Reset;
+// mutating the graph (AddEdge, SetNodeWeight) afterwards invalidates it. A
+// Ledger must not be shared between concurrent searches.
 type Ledger struct {
 	g   *Graph
 	ix  *edgeIndex
@@ -39,10 +41,13 @@ type Ledger struct {
 	price    []float64 // per node: idlePrice(v), kept in step with refcount
 
 	// Reroute's scratch. stamp[id] == epoch marks the edges of the route a
-	// run penalizes; a new epoch per run clears them for free.
-	stamp []uint32
-	epoch uint32
-	sp    SPScratch
+	// run penalizes; a new epoch per run clears them for free. unguided is
+	// set when some node's idle price would be negative: a guided run might
+	// not meet the price the unguided one panics on.
+	stamp    []uint32
+	epoch    uint32
+	sp       SPScratch
+	unguided bool
 }
 
 // NewLedger builds an empty ledger for designs over these demands. Install
@@ -68,6 +73,7 @@ func (g *Graph) NewLedger(demands []Demand, cfg EvalConfig) *Ledger {
 		l.pkts[i] = cfg.PacketsPerDemand * dm.rate()
 		l.endpoint[dm.Src] = true
 		l.endpoint[dm.Dst] = true
+		ix.guide(g, dm.Dst, 1)
 	}
 	l.Reset(&Design{})
 	return l
@@ -81,8 +87,10 @@ func (l *Ledger) Reset(d *Design) {
 	for i := range l.edgeUse {
 		l.edgeUse[i] = 0
 	}
+	l.unguided = false
 	for v := range l.price {
 		l.price[v] = l.idlePrice(v)
+		l.unguided = l.unguided || l.cfg.TIdle*l.g.nodeWeight[v] < 0
 	}
 	for _, r := range d.Routes {
 		l.Add(r)
@@ -143,7 +151,9 @@ func (l *Ledger) Remove(route []int) {
 // its idle price with cur taken out of the design, so a node only cur keeps
 // awake costs its idling again while one it shares stays free. forbidden
 // (when >= 0) is priced out of reach. The ledger is unchanged on return:
-// the run's three adjustments are made and undone in O(|cur|).
+// the run's three adjustments are made and undone in O(|cur|). The run is
+// guided toward dst when the graph allows it (see ScaledPathInto), with the
+// same path and cost as unguided.
 func (l *Ledger) Reroute(src, dst int, cur []int, scale, penalty float64, forbidden int, path []int) ([]int, float64) {
 	l.epoch++
 	if l.epoch == 0 { // wrapped: stale stamps could alias
@@ -161,7 +171,11 @@ func (l *Ledger) Reroute(src, dst int, cur []int, scale, penalty float64, forbid
 	if forbidden >= 0 {
 		l.price[forbidden] = math.Inf(1)
 	}
-	path, cost := l.ix.pricedPath(&l.sp, src, dst, scale, penalty, l.stamp, l.epoch, l.price, path)
+	var pot []float64
+	if !l.unguided {
+		pot = l.ix.guide(l.g, dst, scale)
+	}
+	path, cost := l.ix.pricedPath(&l.sp, src, dst, scale, penalty, l.stamp, l.epoch, l.price, pot, path)
 	l.wake(cur)
 	if forbidden >= 0 {
 		l.price[forbidden] = l.idlePrice(forbidden)

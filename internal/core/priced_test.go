@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -77,18 +79,18 @@ func pricedInstances() []pricedInstance {
 		out = append(out, pricedInstance{fmt.Sprintf("random-%d", trial), g, demands, randomDesign(g, demands, rng)})
 	}
 
-	// Unit-weight grid, unit node weights: every node has exact ties.
-	const side = 6
-	grid := NewGraph(side * side)
-	for v := 0; v < side*side; v++ {
-		grid.SetNodeWeight(v, 1)
-		if v%side+1 < side {
-			grid.AddEdge(v, v+1, 1)
+	// Real weights: ties are rare, so a guided run keeps its result.
+	for trial := 0; trial < 6; trial++ {
+		g := realGraph(rng, 20+rng.IntN(40))
+		var demands []Demand
+		for len(demands) < 2+rng.IntN(5) {
+			demands = append(demands, Demand{Src: rng.IntN(g.Len()), Dst: rng.IntN(g.Len()), Rate: rng.Float64() * 3})
 		}
-		if v+side < side*side {
-			grid.AddEdge(v, v+side, 1)
-		}
+		out = append(out, pricedInstance{fmt.Sprintf("real-%d", trial), g, demands, randomDesign(g, demands, rng)})
 	}
+
+	// Unit-weight grid, unit node weights: every node has exact ties.
+	grid := unitGrid(6)
 	gd := []Demand{{Src: 0, Dst: 35}, {Src: 5, Dst: 30}, {Src: 2, Dst: 33, Rate: 2}, {Src: 14, Dst: 14}}
 	out = append(out, pricedInstance{"grid", grid, gd, &Design{Routes: [][]int{
 		{0, 1, 2, 3, 4, 5, 11, 17, 23, 29, 35},
@@ -120,34 +122,82 @@ func pricedInstances() []pricedInstance {
 	return out
 }
 
+// realGraph is randomGraph with real edge and node weights: a spanning
+// tree plus random chords, parallel edges possible.
+func realGraph(rng *rand.Rand, n int) *Graph {
+	g := NewGraph(n)
+	for v := 0; v < n; v++ {
+		g.SetNodeWeight(v, rng.Float64()*4)
+	}
+	for v := 1; v < n; v++ {
+		g.AddEdge(v, rng.IntN(v), 0.1+rng.Float64())
+	}
+	for k := 0; k < 2*n; k++ {
+		if u, v := rng.IntN(n), rng.IntN(n); u != v {
+			g.AddEdge(u, v, 0.1+rng.Float64())
+		}
+	}
+	return g
+}
+
+// unitGrid is the side×side grid with unit edge and node weights: every
+// node has exact ties.
+func unitGrid(side int) *Graph {
+	g := NewGraph(side * side)
+	for v := 0; v < side*side; v++ {
+		g.SetNodeWeight(v, 1)
+		if v%side+1 < side {
+			g.AddEdge(v, v+1, 1)
+		}
+		if v+side < side*side {
+			g.AddEdge(v, v+side, 1)
+		}
+	}
+	return g
+}
+
 // TestPricedPathMatchesClosures is the core-level half of determinism
 // contract entry 9: for every demand of every instance, every forbidden
-// node (and none) and penalties of 1 and above, Ledger.Reroute returns the
-// path and the Float64bits-equal cost of the closure kernel pricing the
-// same reroute, and leaves the ledger as it found it.
+// node (and none) and penalties of 1 and above, Ledger.Reroute — guided
+// toward the destination — returns the path and the Float64bits-equal cost
+// of the same reroute run unguided and of the closure kernel pricing it,
+// and leaves the ledger as it found it. The guided run must fall back on
+// the unit grid, where ties are everywhere, and keep its own result on the
+// real-weight instances, so neither half of the guide can go dark unseen.
 func TestPricedPathMatchesClosures(t *testing.T) {
 	for _, in := range pricedInstances() {
 		t.Run(in.name, func(t *testing.T) {
 			cfg := EvalConfig{TIdle: 1.7, TData: 0.3}
 			l := in.g.NewLedger(in.demands, cfg)
 			l.Reset(in.design)
+			plain := in.g.NewLedger(in.demands, cfg)
+			plain.Reset(in.design)
+			plain.unguided = true
 			fresh := in.g.NewLedger(in.demands, cfg)
 			fresh.Reset(in.design)
-			var buf []int
+			var buf, plainBuf []int
 			for i, dm := range in.demands {
 				for forbidden := -1; forbidden < in.g.Len(); forbidden++ {
 					for _, penalty := range []float64{1, 2.5, 7.999} {
 						want, wantCost := closureReroute(in.g, in.demands, cfg, in.design, i, forbidden, penalty)
-						var got []int
-						got, cost := l.Reroute(dm.Src, dm.Dst, in.design.Routes[i], l.Pkts(i)*cfg.TData, penalty, forbidden, buf)
+						scale := l.Pkts(i) * cfg.TData
+						var got, unguided []int
+						got, cost := l.Reroute(dm.Src, dm.Dst, in.design.Routes[i], scale, penalty, forbidden, buf)
 						buf = got
-						if math.Float64bits(cost) != math.Float64bits(wantCost) || fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Fatalf("demand %d forbidden %d penalty %v: Reroute = %v cost %v, closures = %v cost %v",
-								i, forbidden, penalty, got, cost, want, wantCost)
+						unguided, plainCost := plain.Reroute(dm.Src, dm.Dst, in.design.Routes[i], scale, penalty, forbidden, plainBuf)
+						plainBuf = unguided
+						if math.Float64bits(cost) != math.Float64bits(wantCost) || fmt.Sprint(got) != fmt.Sprint(want) ||
+							math.Float64bits(plainCost) != math.Float64bits(wantCost) || fmt.Sprint(unguided) != fmt.Sprint(want) {
+							t.Fatalf("demand %d forbidden %d penalty %v: Reroute = %v cost %v, unguided %v cost %v, closures = %v cost %v",
+								i, forbidden, penalty, got, cost, unguided, plainCost, want, wantCost)
 						}
 					}
 				}
 			}
+			if plain.sp.guided != 0 {
+				t.Fatalf("the unguided ledger started %d guided runs", plain.sp.guided)
+			}
+			checkGuideCounts(t, in.name, l.sp)
 			for v := 0; v < in.g.Len(); v++ {
 				if l.RefCount(v) != fresh.RefCount(v) || math.Float64bits(l.Price(v)) != math.Float64bits(fresh.Price(v)) {
 					t.Fatalf("node %d after reroutes: refcount %d price %v, fresh ledger %d / %v",
@@ -155,6 +205,273 @@ func TestPricedPathMatchesClosures(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkGuideCounts asserts what a scratch's counters must show after an
+// instance's runs: every run guided, at least one fallback on the unit
+// grid, at least one guided result kept on real weights.
+func checkGuideCounts(t *testing.T, name string, s SPScratch) {
+	t.Helper()
+	t.Logf("%s: %d guided runs, %d fallbacks", name, s.guided, s.fallbacks)
+	switch {
+	case s.guided == 0:
+		t.Errorf("%s: no run was guided", name)
+	case name == "grid" && s.fallbacks == 0:
+		t.Errorf("grid: %d guided runs and not one fallback", s.guided)
+	case strings.HasPrefix(name, "real") && s.fallbacks == s.guided:
+		t.Errorf("%s: all %d guided runs fell back", name, s.guided)
+	}
+}
+
+// TestScaledPathMatchesUnguided is the closure kernel's half: for every
+// source and destination of every instance, several scales and node
+// prices (none, the idle weights, multiplier-like tables with zeros and a
+// blocked node), ScaledPathInto — guided — returns the path and the
+// Float64bits-equal cost of ShortestPathInto pricing each edge scale·w in a
+// closure, the unguided run the bound's passes made before.
+func TestScaledPathMatchesUnguided(t *testing.T) {
+	rng := rand.New(rand.NewPCG(32, 1))
+	for _, in := range pricedInstances() {
+		t.Run(in.name, func(t *testing.T) {
+			n := in.g.Len()
+			lam := make([]float64, n)
+			for v := range lam {
+				if rng.IntN(3) > 0 {
+					lam[v] = rng.Float64() * 2
+				}
+			}
+			lam[rng.IntN(n)] = math.Inf(1)
+			prices := []NodeCostFunc{
+				nil,
+				func(v int) float64 { return 1.7 * in.g.NodeWeight(v) },
+				func(v int) float64 { return lam[v] },
+			}
+			var guided, plain SPScratch
+			var buf, plainBuf []int
+			for _, scale := range []float64{1, 0.3, 1.7 * 3} {
+				edge := func(_, _ int, w float64) float64 { return scale * w }
+				for k, price := range prices {
+					for src := 0; src < n; src++ {
+						for dst := 0; dst < n; dst++ {
+							got, cost := in.g.ScaledPathInto(&guided, src, dst, scale, price, buf)
+							buf = got
+							want, wantCost := in.g.ShortestPathInto(&plain, src, dst, edge, price, plainBuf)
+							plainBuf = want
+							if math.Float64bits(cost) != math.Float64bits(wantCost) || fmt.Sprint(got) != fmt.Sprint(want) {
+								t.Fatalf("scale %v prices %d %d->%d: ScaledPathInto = %v cost %v, unguided %v cost %v",
+									scale, k, src, dst, got, cost, want, wantCost)
+							}
+						}
+					}
+				}
+			}
+			checkGuideCounts(t, in.name, guided)
+		})
+	}
+}
+
+// roundingAdversary draws a graph built to make rounding decide — a first
+// hop from node 0 of weight 2^e, then hops of 0, fractions and small
+// multiples of that weight's ulp, and idle weights of the same sizes — so
+// that the potential's keys, the path sums and the heap's pop order tie or
+// cross within an ulp; and a scale to price it at.
+func roundingAdversary(trial int) (*Graph, float64) {
+	rng := rand.New(rand.NewPCG(9, uint64(trial)))
+	e := 10 + rng.IntN(30)
+	base, u := math.Ldexp(1, e), math.Ldexp(1, e-52)
+	sizes := []float64{0, u / 4, u / 2, u, 3 * u / 2, 2 * u, 3 * u, base / 7, base * 0.3}
+	n := 4 + rng.IntN(8)
+	g := NewGraph(n)
+	for v := 0; v < n; v++ {
+		g.SetNodeWeight(v, sizes[rng.IntN(len(sizes))])
+	}
+	for v := 1; v < n; v++ {
+		if rng.IntN(2) == 0 {
+			g.AddEdge(0, v, base+sizes[rng.IntN(len(sizes))])
+		}
+	}
+	for k := 0; k < 2*n; k++ {
+		if a, b := 1+rng.IntN(n-1), 1+rng.IntN(n-1); a != b {
+			g.AddEdge(a, b, sizes[rng.IntN(len(sizes))])
+		}
+	}
+	return g, []float64{1, 0.1, 3, 1e-3}[rng.IntN(4)]
+}
+
+// adversaryTrials are roundingAdversary's trials that, in a sweep of
+// 40,000, caught a kernel that skipped the settled-node check; the first
+// thousands catch the other events many times over.
+var adversaryTrials = []int{12300, 14198, 17382, 20017, 28520, 34336, 36042}
+
+// TestPricedPathRoundingAdversary: on roundingAdversary's graphs, both
+// kernels, guided, must return the unguided path and cost for every
+// destination from node 0. Drop any one of the three fallback events, or
+// make the near-tie test at dst exact, and some trial here comes back
+// different.
+func TestPricedPathRoundingAdversary(t *testing.T) {
+	var closure, flat SPScratch // the closure kernel's scratch; the flat kernel's counts
+	trials := adversaryTrials
+	for trial := 0; trial < 3000; trial++ {
+		trials = append(trials, trial)
+	}
+	for _, trial := range trials {
+		g, scale := roundingAdversary(trial)
+		edge := func(_, _ int, w float64) float64 { return scale * w }
+		idle := func(v int) float64 { return g.NodeWeight(v) }
+		var plain SPScratch
+		for dst := 1; dst < g.Len(); dst++ {
+			for _, price := range []NodeCostFunc{nil, idle} {
+				got, cost := g.ScaledPathInto(&closure, 0, dst, scale, price, nil)
+				want, wantCost := g.ShortestPathInto(&plain, 0, dst, edge, price, nil)
+				if math.Float64bits(cost) != math.Float64bits(wantCost) || fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("trial %d scale %v 0->%d: ScaledPathInto = %v cost %v, unguided %v cost %v",
+						trial, scale, dst, got, cost, want, wantCost)
+				}
+			}
+			// The flat kernel: one demand 0->dst on an empty design, so
+			// every other node costs its idle weight, at TIdle 0 and 1.
+			demands := []Demand{{Src: 0, Dst: dst}}
+			for _, cfg := range []EvalConfig{{TIdle: 0, TData: scale}, {TIdle: 1, TData: scale}} {
+				l := g.NewLedger(demands, cfg)
+				got, cost := l.Reroute(0, dst, nil, l.Pkts(0)*cfg.TData, 1, -1, nil)
+				want, wantCost := closureReroute(g, demands, cfg, &Design{Routes: [][]int{nil}}, 0, -1, 1)
+				if math.Float64bits(cost) != math.Float64bits(wantCost) || fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("trial %d TIdle %v scale %v 0->%d: Reroute = %v cost %v, closures %v cost %v",
+						trial, cfg.TIdle, scale, dst, got, cost, want, wantCost)
+				}
+				flat.guided += l.sp.guided
+				flat.fallbacks += l.sp.fallbacks
+			}
+		}
+	}
+	t.Logf("closure kernel: %d guided, %d fallbacks; flat kernel: %d guided, %d fallbacks",
+		closure.guided, closure.fallbacks, flat.guided, flat.fallbacks)
+}
+
+// TestPotentialConcurrentFirstUse: parallel restarts and the bound's
+// workers share one Graph, so the first requests for a destination's
+// potential table race — ledgers built at once beside ScaledPathInto runs.
+// Every goroutine must see the one table and get the unguided path and
+// cost. CI runs it under the race detector.
+func TestPotentialConcurrentFirstUse(t *testing.T) {
+	rng := rand.New(rand.NewPCG(33, 1))
+	g := realGraph(rng, 300)
+	const dst = 150
+	demands := []Demand{{Src: 3, Dst: dst}, {Src: 77, Dst: dst, Rate: 2}, {Src: 9, Dst: 42}}
+	cfg := EvalConfig{TIdle: 1.7, TData: 0.3}
+	endpoint := map[int]bool{3: true, 77: true, 9: true, 42: true, dst: true}
+	// An empty design's idle prices, as a ledger would charge them.
+	price := func(v int) float64 {
+		if endpoint[v] {
+			return 0
+		}
+		return cfg.TIdle * g.NodeWeight(v)
+	}
+	want := make([]string, len(demands))
+	for i, dm := range demands {
+		scale := dm.rate() * cfg.TData
+		p, c := g.ShortestPathInto(new(SPScratch), dm.Src, dm.Dst, func(_, _ int, w float64) float64 { return scale * w }, price, nil)
+		want[i] = fmt.Sprintf("%v %016x", p, math.Float64bits(c))
+	}
+	const workers = 8
+	tables := make([][]float64, workers)
+	got := make([][]string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s SPScratch
+			var l *Ledger
+			if w%2 == 0 {
+				l = g.NewLedger(demands, cfg)
+			}
+			for i, dm := range demands {
+				var p []int
+				var c float64
+				if l != nil {
+					p, c = l.Reroute(dm.Src, dm.Dst, nil, l.Pkts(i)*cfg.TData, 1, -1, nil)
+				} else {
+					p, c = g.ScaledPathInto(&s, dm.Src, dm.Dst, dm.rate()*cfg.TData, price, nil)
+				}
+				got[w] = append(got[w], fmt.Sprintf("%v %016x", p, math.Float64bits(c)))
+			}
+			tables[w] = g.index().guide(g, dst, 1)
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		if fmt.Sprint(got[w]) != fmt.Sprint(want) {
+			t.Errorf("goroutine %d: %v, unguided %v", w, got[w], want)
+		}
+		if &tables[w][0] != &tables[0][0] {
+			t.Errorf("goroutine %d got a table of its own", w)
+		}
+	}
+}
+
+// TestPotentialBuiltOnlyWhereExact: no table for a graph with a negative,
+// NaN or infinite weight, no guided run at a scale that is not positive
+// and finite, and AddEdge drops the tables with the index — a table built
+// before a shortcut was added would overestimate, and the run after it
+// must still match the unguided one.
+func TestPotentialBuiltOnlyWhereExact(t *testing.T) {
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1)} {
+		g := unitGrid(4)
+		g.AddEdge(0, 15, w)
+		if g.index().guide(g, 15, 1) != nil || g.index().pot[15].Load() != nil {
+			t.Errorf("weight %v: a potential table was built", w)
+		}
+	}
+	rng := rand.New(rand.NewPCG(34, 1))
+	g := realGraph(rng, 60)
+	var s SPScratch
+	for _, scale := range []float64{0, math.NaN(), math.Inf(1)} {
+		g.ScaledPathInto(&s, 0, 59, scale, nil, nil)
+	}
+	if s.guided != 0 {
+		t.Errorf("%d runs guided at a scale that is not positive and finite", s.guided)
+	}
+	check := func(where string) {
+		t.Helper()
+		want, wantCost := g.ShortestPathInto(new(SPScratch), 0, 59, nil, nil, nil)
+		got, cost := g.ScaledPathInto(&s, 0, 59, 1, nil, nil)
+		if math.Float64bits(cost) != math.Float64bits(wantCost) || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: ScaledPathInto = %v cost %v, unguided %v cost %v", where, got, cost, want, wantCost)
+		}
+	}
+	check("before AddEdge")
+	if g.index().pot[59].Load() == nil {
+		t.Fatal("no table cached for destination 59")
+	}
+	g.AddEdge(0, 59, 1e-3)
+	if g.idx.Load() != nil {
+		t.Fatal("AddEdge kept the index")
+	}
+	check("after a shortcut")
+	if s.guided != 2 {
+		t.Errorf("%d guided runs, want 2", s.guided)
+	}
+
+	// A negative price voids a guided run and the unguided rerun reports
+	// it; a ledger with a negative idle price never guides, since a guided
+	// run might not meet the price the unguided one panics on.
+	panics := func(f func()) (v any) {
+		defer func() { v = recover() }()
+		f()
+		return nil
+	}
+	if v := panics(func() { g.ScaledPathInto(&s, 0, 59, 1, func(int) float64 { return -1 }, nil) }); v != "core: negative cost in Dijkstra" {
+		t.Errorf("negative node price: recovered %v", v)
+	}
+	if s.fallbacks != 1 {
+		t.Errorf("%d fallbacks after a negative price, want 1", s.fallbacks)
+	}
+	g.SetNodeWeight(30, -1)
+	l := g.NewLedger([]Demand{{Src: 0, Dst: 59}}, EvalConfig{TIdle: 1, TData: 1})
+	if !l.unguided {
+		t.Error("a ledger with a negative idle price guides its reroutes")
 	}
 }
 

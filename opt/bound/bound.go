@@ -372,11 +372,10 @@ func (inst *instance) share(w int) {
 	}
 }
 
-// commCost is demand i's edge cost: the energy its packets spend crossing e.
-func (inst *instance) commCost(i int) core.EdgeCostFunc {
-	factor := inst.pkts[i] * inst.eval.TData
-	return func(_, _ int, w float64) float64 { return factor * w }
-}
+// commScale is demand i's edge cost per unit of weight: the energy its
+// packets spend crossing edge e is commScale(i)·w(e). The passes price it
+// through ScaledPathInto, which guides the run toward the destination.
+func (inst *instance) commScale(i int) float64 { return inst.pkts[i] * inst.eval.TData }
 
 // combinatorial computes the tier-1 floors. The communication floor sums,
 // per demand, the cheapest-energy path as if relays were free — any route
@@ -395,7 +394,7 @@ func (inst *instance) combinatorial() (comm, idle float64, err error) {
 	zeroEdge := func(_, _ int, _ float64) float64 { return 0 }
 	inst.forEachDemand(func(s *spWorker, i int) {
 		dm := inst.demands[i]
-		s.path, inst.cost[i] = inst.g.ShortestPathInto(&s.sp, dm.Src, dm.Dst, inst.commCost(i), nil, s.path)
+		s.path, inst.cost[i] = inst.g.ScaledPathInto(&s.sp, dm.Src, dm.Dst, inst.commScale(i), nil, s.path)
 		s.path, inst.idleCost[i] = inst.g.ShortestPathInto(&s.sp, dm.Src, dm.Dst, zeroEdge, idleCost, s.path)
 	})
 	for i, dm := range inst.demands {
@@ -439,7 +438,7 @@ func (inst *instance) evaluate(lam [][]float64, sumLam []float64, x [][]bool, op
 			}
 			return 0
 		}
-		s.path, inst.cost[i] = inst.g.ShortestPathInto(&s.sp, dm.Src, dm.Dst, inst.commCost(i), nodeCost, s.path)
+		s.path, inst.cost[i] = inst.g.ScaledPathInto(&s.sp, dm.Src, dm.Dst, inst.commScale(i), nodeCost, s.path)
 		xi := x[i]
 		clear(xi)
 		for _, v := range s.path {

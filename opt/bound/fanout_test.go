@@ -10,6 +10,7 @@ import (
 	"eend"
 	"eend/internal/exec"
 	"eend/opt"
+	"eend/opt/bound"
 )
 
 // The process-wide scheduler is sized at its first use. Size it here, at
@@ -67,6 +68,34 @@ func TestFingerprintAtAnyGOMAXPROCS(t *testing.T) {
 					c.name, procs, math.Float64bits(got.Value), math.Float64bits(got.Combinatorial),
 					math.Float64bits(want.Value), math.Float64bits(want.Combinatorial))
 			}
+		}
+	}
+}
+
+// TestGuidedTraceMatchesUnguidedField1k: on the benchmark's field-1k
+// instance (40 flows), the guided passes give the unguided trace bit for
+// bit at the benchmark's 20 iterations and at the default 150.
+func TestGuidedTraceMatchesUnguidedField1k(t *testing.T) {
+	preset, err := eend.ParseFieldPreset("field-1k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := problem(t, append(preset.Options(), eend.WithSeed(1),
+		eend.WithRandomFlows(40, 4096, 128), eend.WithDuration(60*time.Second))...)
+	plain := bound.UnguidedCopy(p.Graph)
+	for _, iters := range []int{20, 150} {
+		o := bound.Options{Tier: bound.Lagrangian, Eval: p.Eval, Seed: 1, Iterations: iters, Trace: true}
+		guided, err := bound.Compute(p.Graph, p.Demands, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unguided, err := bound.Compute(plain, p.Demands, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if guided.Fingerprint() != unguided.Fingerprint() || !reflect.DeepEqual(guided, unguided) {
+			t.Errorf("%d iterations: guided bound %.17g (%d iterations), unguided %.17g (%d)",
+				iters, guided.Value, guided.Iterations, unguided.Value, unguided.Iterations)
 		}
 	}
 }
