@@ -91,8 +91,9 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 //
 // pot caches, per destination, the edge-weight distance D(v,dst) that
 // guides both kernels toward dst (see guide). A table is built on first
-// request, under potMu, and never for a graph with a negative or non-finite
-// weight (guidable false); it goes with the index when AddEdge drops it.
+// request, under potMu on potSP, and never for a graph with a negative or
+// non-finite weight (guidable false); it goes with the index when AddEdge
+// drops it.
 type edgeIndex struct {
 	nbr   [][]nbrEdge
 	edgeW []float64 // packed edge id -> weight
@@ -100,12 +101,10 @@ type edgeIndex struct {
 	arcs  []nbrEdge
 
 	guidable bool
-	pot      []atomic.Pointer[potential]
+	pot      []atomic.Pointer[[]float64]
 	potMu    sync.Mutex
+	potSP    SPScratch
 }
-
-// potential is one destination's distance table: d[v] = D(v,dst).
-type potential struct{ d []float64 }
 
 type nbrEdge struct {
 	to int32
@@ -182,7 +181,7 @@ func (g *Graph) index() *edgeIndex {
 			ix.guidable = ix.guidable && e.w >= 0 && !math.IsInf(e.w, 1)
 		}
 	}
-	ix.pot = make([]atomic.Pointer[potential], g.n)
+	ix.pot = make([]atomic.Pointer[[]float64], g.n)
 	g.idx.Store(ix)
 	return ix
 }
@@ -206,17 +205,17 @@ func (ix *edgeIndex) guide(g *Graph, dst int, scale float64) []float64 {
 		return nil
 	}
 	if p := ix.pot[dst].Load(); p != nil {
-		return p.d
+		return *p
 	}
 	ix.potMu.Lock()
 	defer ix.potMu.Unlock()
 	if p := ix.pot[dst].Load(); p != nil {
-		return p.d
+		return *p
 	}
-	var s SPScratch
-	g.dijkstra(&s, dst, -1, 1, nil, nil, nil)
-	ix.pot[dst].Store(&potential{d: s.dist})
-	return s.dist
+	g.dijkstra(&ix.potSP, dst, -1, 1, nil, nil, nil)
+	d := slices.Clone(ix.potSP.dist)
+	ix.pot[dst].Store(&d)
+	return d
 }
 
 // find binary-searches u's sorted neighbor list for v.
