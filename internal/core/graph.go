@@ -188,8 +188,8 @@ func (g *Graph) index() *edgeIndex {
 
 // guideMargin scales the potential just below scale·D, so that rounding in
 // D, in the product and along a path cannot lift it above a true remaining
-// cost; guideTol is the relative distance under which a heap key still
-// waiting when dst settles counts as a near-tie (ARCHITECTURE, "Accelerations").
+// cost; guideTol is the relative gap under which a key still waiting when
+// dst settles is a near-tie (ARCHITECTURE, "The potential").
 const (
 	guideMargin = 1 - 1e-9
 	guideTol    = 1e-12
