@@ -209,7 +209,7 @@ func TestPricedPathMatchesClosures(t *testing.T) {
 }
 
 // checkGuideCounts asserts what a scratch's counters must show after an
-// instance's runs: every run guided, at least one fallback on the unit
+// instance's runs: some run guided, at least one fallback on the unit
 // grid, at least one guided result kept on real weights.
 func checkGuideCounts(t *testing.T, name string, s SPScratch) {
 	t.Helper()
