@@ -89,21 +89,29 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 // are arcs[off[u]:off[u+1]], parallel edges kept with their own weight, each
 // carrying its collapsed pair's id. pricedPath walks it.
 //
-// pot caches, per destination, the edge-weight distance D(v,dst) that
-// guides both kernels toward dst (see guide). A table is built on first
-// request, under potMu on potSP, and never for a graph with a negative or
-// non-finite weight (guidable false); it goes with the index when AddEdge
-// drops it.
+// pot holds, per destination, the guide of both kernels toward it (see
+// guide): the edge-weight distance D(v,dst), built on first request under
+// potMu, and the tally of the runs it guided. No table is built for a graph
+// with a negative or non-finite weight (guidable false), nor beyond
+// maxTables; they go with the index when AddEdge drops it.
 type edgeIndex struct {
 	nbr   [][]nbrEdge
 	edgeW []float64 // packed edge id -> weight
 	off   []int32
 	arcs  []nbrEdge
 
-	guidable bool
-	pot      []atomic.Pointer[[]float64]
-	potMu    sync.Mutex
-	potSP    SPScratch
+	guidable  bool
+	pot       []potSlot
+	potMu     sync.Mutex
+	tables    atomic.Int64 // tables built, added to under potMu
+	maxTables int64        // see index
+}
+
+// potSlot is one destination's guide: its distance table, and how many runs
+// it guided and how many of those were voided and rerun unguided.
+type potSlot struct {
+	table       atomic.Pointer[[]float64]
+	runs, voids atomic.Int64
 }
 
 type nbrEdge struct {
@@ -181,7 +189,15 @@ func (g *Graph) index() *edgeIndex {
 			ix.guidable = ix.guidable && e.w >= 0 && !math.IsInf(e.w, 1)
 		}
 	}
-	ix.pot = make([]atomic.Pointer[[]float64], g.n)
+	ix.pot = make([]potSlot, g.n)
+	// The tables may take at most the memory the index takes, counted in
+	// 8-byte words: two per nbrEdge in arcs and nbr, one per edge weight,
+	// three per neighbor-list header, half per offset. A table takes n.
+	words := 2*len(ix.arcs) + len(ix.edgeW) + 3*g.n + len(ix.off)/2
+	for _, list := range ix.nbr {
+		words += 2 * len(list)
+	}
+	ix.maxTables = int64(max(1, words/max(1, g.n)))
 	g.idx.Store(ix)
 	return ix
 }
@@ -189,33 +205,62 @@ func (g *Graph) index() *edgeIndex {
 // guideMargin scales the potential just below scale·D, so that rounding in
 // D, in the product and along a path cannot lift it above a true remaining
 // cost; guideTol is the relative gap under which a key still waiting when
-// dst settles is a near-tie (ARCHITECTURE, "The potential").
+// dst settles is a near-tie (ARCHITECTURE, "The potential"). guideProbe is
+// how many runs to a destination the guide tallies before it judges them.
 const (
 	guideMargin = 1 - 1e-9
 	guideTol    = 1e-12
+	guideProbe  = 16
 )
 
 // guide returns the distance table that guides a run to dst whose every arc
 // costs at least scale·w, or nil when the run must go unguided: scale not
-// positive and finite, or a graph with a negative or non-finite weight. The
-// table is computed once per destination, by a plain full Dijkstra over the
-// edge weights from dst, and shared by every caller after that.
-func (ix *edgeIndex) guide(g *Graph, dst int, scale float64) []float64 {
+// positive and finite, a graph with a negative or non-finite weight, a
+// destination left without a table once maxTables were built, or one whose
+// runs were voided more often than not over guideProbe or more (a voided
+// run costs its guided part on top of the unguided rerun; a lattice with
+// equal weights voids most). The table is computed once per destination, by
+// a plain full Dijkstra over the edge weights from dst on the caller's
+// scratch s, and shared by every caller after that.
+func (ix *edgeIndex) guide(g *Graph, s *SPScratch, dst int, scale float64) []float64 {
 	if !ix.guidable || !(scale > 0) || math.IsInf(scale, 1) {
 		return nil
 	}
-	if p := ix.pot[dst].Load(); p != nil {
+	slot := &ix.pot[dst]
+	if p := slot.table.Load(); p != nil {
+		if runs := slot.runs.Load(); runs >= guideProbe && 2*slot.voids.Load() > runs {
+			return nil
+		}
 		return *p
+	}
+	if ix.tables.Load() == ix.maxTables {
+		return nil
 	}
 	ix.potMu.Lock()
 	defer ix.potMu.Unlock()
-	if p := ix.pot[dst].Load(); p != nil {
+	if p := slot.table.Load(); p != nil {
 		return *p
 	}
-	g.dijkstra(&ix.potSP, dst, -1, 1, nil, nil, nil)
-	d := slices.Clone(ix.potSP.dist)
-	ix.pot[dst].Store(&d)
+	if ix.tables.Load() == ix.maxTables {
+		return nil
+	}
+	g.dijkstra(s, dst, -1, 1, nil, nil, nil)
+	d := slices.Clone(s.dist)
+	slot.table.Store(&d)
+	ix.tables.Add(1)
 	return d
+}
+
+// tally records that a run to dst went guided, and whether its result was
+// kept, on the scratch and on dst's guide; it returns kept.
+func (ix *edgeIndex) tally(s *SPScratch, dst int, kept bool) bool {
+	s.guided++
+	ix.pot[dst].runs.Add(1)
+	if !kept {
+		s.fallbacks++
+		ix.pot[dst].voids.Add(1)
+	}
+	return kept
 }
 
 // find binary-searches u's sorted neighbor list for v.
@@ -501,12 +546,9 @@ func (g *Graph) ShortestPathInto(s *SPScratch, src, dst int, edgeCost EdgeCostFu
 func (g *Graph) ScaledPathInto(s *SPScratch, src, dst int, scale float64, nodeCost NodeCostFunc, path []int) ([]int, float64) {
 	g.check(src)
 	g.check(dst)
-	if pot := g.index().guide(g, dst, scale); pot != nil {
-		s.guided++
-		if g.dijkstra(s, src, dst, scale, nil, nodeCost, pot) {
-			return s.pathTo(dst, path)
-		}
-		s.fallbacks++
+	ix := g.index()
+	if pot := ix.guide(g, s, dst, scale); pot != nil && ix.tally(s, dst, g.dijkstra(s, src, dst, scale, nil, nodeCost, pot)) {
+		return s.pathTo(dst, path)
 	}
 	g.dijkstra(s, src, dst, scale, nil, nodeCost, nil)
 	return s.pathTo(dst, path)
@@ -542,12 +584,8 @@ func (s *SPScratch) pathTo(dst int, path []int) ([]int, float64) {
 // only ever raises it), so pot — guide's table for dst, or nil — guides the
 // run exactly as it guides dijkstra, with the same fallback.
 func (ix *edgeIndex) pricedPath(s *SPScratch, src, dst int, scale, penalty float64, stamp []uint32, epoch uint32, price, pot []float64, path []int) ([]int, float64) {
-	if pot != nil {
-		s.guided++
-		if ix.pricedRun(s, src, dst, scale, penalty, stamp, epoch, price, pot) {
-			return s.pathTo(dst, path)
-		}
-		s.fallbacks++
+	if pot != nil && ix.tally(s, dst, ix.pricedRun(s, src, dst, scale, penalty, stamp, epoch, price, pot)) {
+		return s.pathTo(dst, path)
 	}
 	ix.pricedRun(s, src, dst, scale, penalty, stamp, epoch, price, nil)
 	return s.pathTo(dst, path)

@@ -73,7 +73,7 @@ func (g *Graph) NewLedger(demands []Demand, cfg EvalConfig) *Ledger {
 		l.pkts[i] = cfg.PacketsPerDemand * dm.rate()
 		l.endpoint[dm.Src] = true
 		l.endpoint[dm.Dst] = true
-		ix.guide(g, dm.Dst, 1)
+		ix.guide(g, &l.sp, dm.Dst, 1)
 	}
 	l.Reset(&Design{})
 	return l
@@ -173,7 +173,7 @@ func (l *Ledger) Reroute(src, dst int, cur []int, scale, penalty float64, forbid
 	}
 	var pot []float64
 	if !l.unguided {
-		pot = l.ix.guide(l.g, dst, scale)
+		pot = l.ix.guide(l.g, &l.sp, dst, scale)
 	}
 	path, cost := l.ix.pricedPath(&l.sp, src, dst, scale, penalty, l.stamp, l.epoch, l.price, pot, path)
 	l.wake(cur)

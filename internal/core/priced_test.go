@@ -397,7 +397,7 @@ func TestPotentialConcurrentFirstUse(t *testing.T) {
 				}
 				got[w] = append(got[w], fmt.Sprintf("%v %016x", p, math.Float64bits(c)))
 			}
-			tables[w] = g.index().guide(g, dst, 1)
+			tables[w] = g.index().guide(g, &s, dst, 1)
 		}()
 	}
 	wg.Wait()
@@ -420,7 +420,7 @@ func TestPotentialBuiltOnlyWhereExact(t *testing.T) {
 	for _, w := range []float64{-1, math.NaN(), math.Inf(1)} {
 		g := unitGrid(4)
 		g.AddEdge(0, 15, w)
-		if g.index().guide(g, 15, 1) != nil || g.index().pot[15].Load() != nil {
+		if g.index().guide(g, new(SPScratch), 15, 1) != nil || g.index().pot[15].table.Load() != nil {
 			t.Errorf("weight %v: a potential table was built", w)
 		}
 	}
@@ -442,7 +442,7 @@ func TestPotentialBuiltOnlyWhereExact(t *testing.T) {
 		}
 	}
 	check("before AddEdge")
-	if g.index().pot[59].Load() == nil {
+	if g.index().pot[59].table.Load() == nil {
 		t.Fatal("no table cached for destination 59")
 	}
 	g.AddEdge(0, 59, 1e-3)
@@ -472,6 +472,66 @@ func TestPotentialBuiltOnlyWhereExact(t *testing.T) {
 	l := g.NewLedger([]Demand{{Src: 0, Dst: 59}}, EvalConfig{TIdle: 1, TData: 1})
 	if !l.unguided {
 		t.Error("a ledger with a negative idle price guides its reroutes")
+	}
+}
+
+// TestPotentialBudgetAndGiveUp: the index builds no more tables than fit in
+// the memory it takes itself and runs every other destination unguided, and
+// it stops guiding runs to a destination once more than half of them were
+// voided, while one whose runs keep their results stays guided. Every run
+// still returns the unguided path and cost.
+func TestPotentialBudgetAndGiveUp(t *testing.T) {
+	check := func(g *Graph, s *SPScratch, src, dst int) {
+		t.Helper()
+		want, wantCost := g.ShortestPathInto(new(SPScratch), src, dst, nil, nil, nil)
+		got, cost := g.ScaledPathInto(s, src, dst, 1, nil, nil)
+		if math.Float64bits(cost) != math.Float64bits(wantCost) || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%d->%d: ScaledPathInto = %v cost %v, unguided %v cost %v", src, dst, got, cost, want, wantCost)
+		}
+	}
+
+	// A sparse ring with chords: far fewer tables fit than there are nodes.
+	rng := rand.New(rand.NewPCG(35, 1))
+	ring := NewGraph(200)
+	for v := 0; v < 200; v++ {
+		ring.AddEdge(v, (v+1)%200, 0.1+rng.Float64())
+	}
+	ring.AddEdge(0, 100, 0.5)
+	var s SPScratch
+	for dst := 0; dst < 200; dst++ {
+		check(ring, &s, (dst+50)%200, dst)
+	}
+	ix := ring.index()
+	if ix.maxTables >= 200 || ix.tables.Load() != ix.maxTables {
+		t.Errorf("%d tables built, budget %d, on a 200-node ring", ix.tables.Load(), ix.maxTables)
+	}
+	if int64(s.guided) != ix.maxTables {
+		t.Errorf("%d runs guided, want one per table (%d)", s.guided, ix.maxTables)
+	}
+	if ix.guide(ring, &s, 199, 1) != nil {
+		t.Error("a destination past the budget got a table")
+	}
+
+	// The unit grid voids most runs toward its corner; real weights keep
+	// theirs.
+	for _, c := range []struct {
+		name  string
+		g     *Graph
+		given bool
+	}{{"grid", unitGrid(8), true}, {"real", realGraph(rng, 64), false}} {
+		var s SPScratch
+		for round := 0; round < 3; round++ {
+			for src := 1; src < c.g.Len(); src++ {
+				check(c.g, &s, src, 0)
+			}
+		}
+		slot := &c.g.index().pot[0]
+		runs, voids := slot.runs.Load(), slot.voids.Load()
+		t.Logf("%s: %d runs guided, %d voided", c.name, runs, voids)
+		if runs < guideProbe || (c.g.index().guide(c.g, &s, 0, 1) == nil) != c.given {
+			t.Errorf("%s: %d runs guided, %d voided; guide given up: %v, want %v",
+				c.name, runs, voids, !c.given, c.given)
+		}
 	}
 }
 
