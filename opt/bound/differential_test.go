@@ -1,10 +1,12 @@
 package bound
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand/v2"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -168,93 +170,16 @@ func TestResultJSONNoNaN(t *testing.T) {
 	}
 }
 
-// UnguidedCopy rebuilds g with two more nodes, joined to each other only,
-// by an edge of weight −5e-324, the least negative float. Every node keeps
-// its adjacency in g's order — the order relaxations, and so ties, go in —
-// and the new edge is out of every demand's reach and too small to move
-// IdleFirst's sum of the weights, so every demand of g routes, prices and
-// bounds on the copy exactly as on g; but core builds no potential for a
-// graph with a negative weight, so every run on the copy is unguided.
-// Compute on the copy is the reference a guided Compute is held to (the
-// package's external tests use it too).
-func UnguidedCopy(g *core.Graph) *core.Graph {
-	n := g.Len()
-	// Number the undirected edges; the k-th u–v entry of u's list and the
-	// k-th of v's are the same edge (AddEdge appends both at once).
-	type pair struct{ u, v, k int }
-	ids := map[pair]int{}
-	var ends [][2]int
-	var weights []float64
-	order := make([][]int, n) // per node: its edges in adjacency order
-	for u := 0; u < n; u++ {
-		seen := map[int]int{}
-		for _, e := range g.Neighbors(u) {
-			p := pair{min(u, e.To), max(u, e.To), seen[e.To]}
-			seen[e.To]++
-			id, ok := ids[p]
-			if !ok {
-				id = len(ends)
-				ids[p] = id
-				ends = append(ends, [2]int{u, e.To})
-				weights = append(weights, e.W)
-			}
-			order[u] = append(order[u], id)
-		}
-	}
-	// Add an edge once it heads what is left of both endpoints' lists: a
-	// topological order of the per-node chains, which g's own insertion
-	// order proves acyclic.
-	c := core.NewGraph(n + 2)
-	for v := 0; v < n; v++ {
-		c.SetNodeWeight(v, g.NodeWeight(v))
-	}
-	pos := make([]int, n)
-	queued := make([]bool, len(ends))
-	var queue []int
-	offer := func(u int) {
-		if pos[u] == len(order[u]) {
-			return
-		}
-		id := order[u][pos[u]]
-		a, b := ends[id][0], ends[id][1]
-		if !queued[id] && order[a][pos[a]] == id && order[b][pos[b]] == id {
-			queued[id] = true
-			queue = append(queue, id)
-		}
-	}
-	for u := 0; u < n; u++ {
-		offer(u)
-	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		a, b := ends[id][0], ends[id][1]
-		c.AddEdge(a, b, weights[id])
-		pos[a]++
-		pos[b]++
-		offer(a)
-		offer(b)
-	}
-	c.AddEdge(n, n+1, -math.SmallestNonzeroFloat64)
-	return c
-}
-
-// checkCopy fails the test unless c is g plus the two-node tail: same
-// weights, same adjacency order.
-func checkCopy(t testing.TB, g, c *core.Graph) {
-	t.Helper()
-	for v := 0; v < g.Len(); v++ {
-		if g.NodeWeight(v) != c.NodeWeight(v) || !reflect.DeepEqual(g.Neighbors(v), c.Neighbors(v)) {
-			t.Fatalf("node %d: copy has weight %v adjacency %v, graph %v %v",
-				v, c.NodeWeight(v), c.Neighbors(v), g.NodeWeight(v), g.Neighbors(v))
-		}
-	}
-}
+// guidedTraceDigest is the SHA-256, over each case's Result.Fingerprint and
+// a newline, of TestGuidedTraceMatchesUnguided's cases as the passes traced
+// them when every run was unguided. Since the guide, the passes run guided
+// and must still give every trace bit for bit.
+const guidedTraceDigest = "ae66c49b0ef086339b831cb8598c2252219d3d82f9edefba1074234ebed037ff"
 
 // TestGuidedTraceMatchesUnguided: the passes run guided toward each
 // destination (core.Graph.ScaledPathInto), and the Lagrangian trace — every
 // iterate, step and floor, Result.Fingerprint — is the one the unguided
-// runs give, on the suite's random instances and on a unit grid whose ties
+// runs gave, on the suite's random instances and on a unit grid whose ties
 // make the guided runs fall back. Field-1k is the external test's half.
 func TestGuidedTraceMatchesUnguided(t *testing.T) {
 	var cases []testInstance
@@ -274,21 +199,16 @@ func TestGuidedTraceMatchesUnguided(t *testing.T) {
 	}
 	cases = append(cases, testInstance{g: grid, eval: core.EvalConfig{TIdle: 2, TData: 1, PacketsPerDemand: 1},
 		demands: []core.Demand{{Src: 0, Dst: 48}, {Src: 6, Dst: 42, Rate: 2}, {Src: 3, Dst: 45}, {Src: 21, Dst: 27, Rate: 3}}})
+	h := sha256.New()
 	for k, ti := range cases {
-		c := UnguidedCopy(ti.g)
-		checkCopy(t, ti.g, c)
-		o := Options{Tier: Lagrangian, Eval: ti.eval, Seed: uint64(k + 1), Trace: true}
-		guided, err := Compute(ti.g, ti.demands, o)
+		r, err := Compute(ti.g, ti.demands, Options{Tier: Lagrangian, Eval: ti.eval, Seed: uint64(k + 1), Trace: true})
 		if err != nil {
 			t.Fatalf("case %d: %v", k, err)
 		}
-		unguided, err := Compute(c, ti.demands, o)
-		if err != nil {
-			t.Fatalf("case %d unguided: %v", k, err)
-		}
-		if guided.Fingerprint() != unguided.Fingerprint() || !reflect.DeepEqual(guided, unguided) {
-			t.Errorf("case %d: guided bound %.17g (%d iterations), unguided %.17g (%d)",
-				k, guided.Value, guided.Iterations, unguided.Value, unguided.Iterations)
-		}
+		t.Logf("case %d: %s", k, r.Fingerprint())
+		fmt.Fprintln(h, r.Fingerprint())
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != guidedTraceDigest {
+		t.Fatalf("the traces moved (each case's fingerprint is in the verbose log):\n got %s\nwant %s", got, guidedTraceDigest)
 	}
 }

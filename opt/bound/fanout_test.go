@@ -73,8 +73,9 @@ func TestFingerprintAtAnyGOMAXPROCS(t *testing.T) {
 }
 
 // TestGuidedTraceMatchesUnguidedField1k: on the benchmark's field-1k
-// instance (40 flows), the guided passes give the unguided trace bit for
-// bit at the benchmark's 20 iterations and at the default 150.
+// instance (40 flows), the guided passes give the trace the unguided passes
+// gave, pinned here by its fingerprint, at the benchmark's 20 iterations and
+// at the default 150.
 func TestGuidedTraceMatchesUnguidedField1k(t *testing.T) {
 	preset, err := eend.ParseFieldPreset("field-1k")
 	if err != nil {
@@ -82,20 +83,20 @@ func TestGuidedTraceMatchesUnguidedField1k(t *testing.T) {
 	}
 	p := problem(t, append(preset.Options(), eend.WithSeed(1),
 		eend.WithRandomFlows(40, 4096, 128), eend.WithDuration(60*time.Second))...)
-	plain := bound.UnguidedCopy(p.Graph)
-	for _, iters := range []int{20, 150} {
-		o := bound.Options{Tier: bound.Lagrangian, Eval: p.Eval, Seed: 1, Iterations: iters, Trace: true}
-		guided, err := bound.Compute(p.Graph, p.Demands, o)
+	for _, c := range []struct {
+		iters int
+		want  string
+	}{
+		{20, "b13355cfc37c520b4ef8fe4bac86f1a6da6d7097ba530c588f334e16c9e12468"},
+		{150, "b38444e105f558b6dd302fa02bacbb2b424382a1609e0c34ea2b8d417dabcb6e"},
+	} {
+		r, err := bound.Compute(p.Graph, p.Demands, bound.Options{Tier: bound.Lagrangian, Eval: p.Eval, Seed: 1, Iterations: c.iters, Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		unguided, err := bound.Compute(plain, p.Demands, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if guided.Fingerprint() != unguided.Fingerprint() || !reflect.DeepEqual(guided, unguided) {
-			t.Errorf("%d iterations: guided bound %.17g (%d iterations), unguided %.17g (%d)",
-				iters, guided.Value, guided.Iterations, unguided.Value, unguided.Iterations)
+		if got := r.Fingerprint(); got != c.want {
+			t.Errorf("%d iterations: bound %.17g after %d iterations, trace fingerprint\n got %s\nwant %s",
+				c.iters, r.Value, r.Iterations, got, c.want)
 		}
 	}
 }
