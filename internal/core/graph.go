@@ -498,19 +498,20 @@ func (g *Graph) dijkstra(s *SPScratch, src, dst int, scale float64, edgeCost Edg
 				}
 				panic("core: negative cost in Dijkstra")
 			}
-			if nd := du + c; nd < dist[v] {
-				key := nd
-				if pot != nil {
-					if done[v] {
-						return false
-					}
-					key += float64(float64(scale*pot[v]) * guideMargin)
+			nd := du + c
+			if pot != nil { // guided: void the run on a tie or on improving a settled node
+				if nd == dist[v] && !math.IsInf(nd, 1) || nd < dist[v] && done[v] {
+					return false
 				}
+				if nd < dist[v] {
+					dist[v] = nd
+					parent[v] = u
+					s.heapPush(pqItem{node: v, dist: nd + float64(float64(scale*pot[v])*guideMargin)})
+				}
+			} else if nd < dist[v] {
 				dist[v] = nd
 				parent[v] = u
-				s.heapPush(pqItem{node: v, dist: key})
-			} else if pot != nil && nd == dist[v] && !math.IsInf(nd, 1) {
-				return false
+				s.heapPush(pqItem{node: v, dist: nd})
 			}
 		}
 	}
@@ -619,19 +620,20 @@ func (ix *edgeIndex) pricedRun(s *SPScratch, src, dst int, scale, penalty float6
 				}
 				panic("core: negative cost in Dijkstra")
 			}
-			if nd := du + c; nd < dist[e.to] {
-				key := nd
-				if pot != nil {
-					if done[e.to] {
-						return false
-					}
-					key += float64(float64(scale*pot[e.to]) * guideMargin)
+			nd := du + c
+			if pot != nil { // guided: void the run on a tie or on improving a settled node
+				if nd == dist[e.to] && !math.IsInf(nd, 1) || nd < dist[e.to] && done[e.to] {
+					return false
 				}
+				if nd < dist[e.to] {
+					dist[e.to] = nd
+					parent[e.to] = u
+					s.heapPush(pqItem{node: int(e.to), dist: nd + float64(float64(scale*pot[e.to])*guideMargin)})
+				}
+			} else if nd < dist[e.to] {
 				dist[e.to] = nd
 				parent[e.to] = u
-				s.heapPush(pqItem{node: int(e.to), dist: key})
-			} else if pot != nil && nd == dist[e.to] && !math.IsInf(nd, 1) {
-				return false
+				s.heapPush(pqItem{node: int(e.to), dist: nd})
 			}
 		}
 	}
