@@ -18,6 +18,7 @@
 package cache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -68,19 +69,20 @@ func seal(value []byte) []byte {
 }
 
 // unseal verifies an envelope and returns its payload; ok is false for
-// anything malformed or checksum-mismatched.
+// anything malformed or checksum-mismatched. The computed sum is written
+// out in lower-case hex on the stack and compared byte for byte, so a
+// header in any other spelling of the same sum is rejected and a verified
+// entry allocates nothing.
 func unseal(data []byte) ([]byte, bool) {
 	headLen := len(envelopeMagic) + sha256.Size*2 + 1
-	if len(data) < headLen || string(data[:len(envelopeMagic)]) != envelopeMagic {
-		return nil, false
-	}
-	sumHex := string(data[len(envelopeMagic) : headLen-1])
-	if data[headLen-1] != '\n' {
+	if len(data) < headLen || string(data[:len(envelopeMagic)]) != envelopeMagic || data[headLen-1] != '\n' {
 		return nil, false
 	}
 	payload := data[headLen:]
 	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != sumHex {
+	var sumHex [sha256.Size * 2]byte
+	hex.Encode(sumHex[:], sum[:])
+	if !bytes.Equal(sumHex[:], data[len(envelopeMagic):headLen-1]) {
 		return nil, false
 	}
 	return payload, true

@@ -150,3 +150,36 @@ func FuzzUnseal(f *testing.F) {
 		}
 	})
 }
+
+// sealed16K is a sealed 16 KB payload, the size of a 50-node paper-grid
+// entry.
+func sealed16K() []byte {
+	return seal(bytes.Repeat([]byte(`{"idle_j":1.5},`), 16<<10/15+1)[:16<<10])
+}
+
+// TestUnsealAllocs: verifying an entry allocates nothing, so a cache hit
+// costs its read and its hash.
+func TestUnsealAllocs(t *testing.T) {
+	data := sealed16K()
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, ok := unseal(data); !ok {
+			t.Fatal("unseal rejects a sealed entry")
+		}
+	}); allocs != 0 {
+		t.Fatalf("unseal of a 16 KB entry costs %.0f allocations, want 0", allocs)
+	}
+}
+
+// BenchmarkUnseal is a cache hit's envelope check: one op verifies the
+// SHA-256 of a sealed 16 KB entry. 0 allocs/op, CI-gated.
+func BenchmarkUnseal(b *testing.B) {
+	data := sealed16K()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := unseal(data); !ok {
+			b.Fatal("unseal rejects a sealed entry")
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 
 	"eend/internal/geom"
@@ -13,18 +14,32 @@ import (
 )
 
 // This file is the one decoder of a Results, the reading half of the codec
-// (encode.go writes): a byte cursor with a key switch per struct, written
-// against the schema instead of reflecting over it. A warm sweep point is a
-// cache read, and with encoding/json three quarters of that read was
-// reflection over an 11.7 KB entry.
+// (encode.go writes): a byte cursor with an index switch per struct,
+// written against the schema instead of reflecting over it. A warm sweep
+// point is a cache read, and with encoding/json three quarters of that read
+// was reflection over an 11.7 KB entry.
+//
+// Every document the repository decodes — a cache entry, a dist evaluate
+// response, a /v1/evaluate body — was written by Writer: each struct's keys
+// in one order, compact or indented. So the member loop predicts them.
+// Each struct lists its keys in writer order as `"name":` prefixes; where
+// the bytes after a separator and its whitespace are the next one, the
+// member's index is known without reading its key. Anything else — a
+// reordered, unknown, escaped, case-folded or repeated key, or space
+// before a colon — misses, and that member is read by key as any JSON
+// object's is; prediction resumes after the key it found. Both ways end in
+// the same index switch, so prediction cannot change a value. Counts the
+// writer writes are read the same way: a plain run of at most 18 digits is
+// converted directly, which is exact because it always fits, and any other
+// literal takes the strconv call below.
 //
 // The decoder accepts what encoding/json accepts for the same type and
 // produces the same value: any key order and whitespace, unknown keys
 // skipped (their values still validated), null a no-op on a scalar or
 // struct and a reset on per_node, a repeated key decoded again over the
-// first, every integer through the strconv call encoding/json makes, every
-// float through float.go's exact reader or, where it declines, that same
-// strconv call, so every float64 is bit-identical. Keys are matched
+// first, every other integer through the strconv call encoding/json makes,
+// every float through float.go's exact reader or, where it declines, that
+// same strconv call, so every float64 is bit-identical. Keys are matched
 // exactly; one that misses is retried once under encoding/json's case
 // folding before it is skipped, so the two decoders agree on every input.
 // Three things are handed to encoding/json on their raw extent, because
@@ -46,11 +61,15 @@ func DecodeResults(data []byte) (*Results, error) {
 // decoder, so every decoder of the type is the same code.
 func (r *Results) UnmarshalJSON(data []byte) error {
 	d := decoder{data: data}
-	object(&d, r, resultsField)
+	d.results(r)
+	return d.err
+}
+
+func (d *decoder) results(r *Results) {
+	object(d, r, resultsKeys, resultsField)
 	if d.space(); d.pos < len(d.data) {
 		d.fail("trailing data")
 	}
-	return d.err
 }
 
 // maxDepth is encoding/json's nesting limit; a deeper document is an error
@@ -59,12 +78,14 @@ const maxDepth = 10000
 
 // decoder is a cursor over one JSON document. The first fault is recorded
 // and moves the cursor to the end of the input, where every read sees end
-// of input and every loop stops; callers check err once.
+// of input and every loop stops; callers check err once. predicted and
+// keyed count the object members read each way, for the tests.
 type decoder struct {
-	data  []byte
-	pos   int
-	depth int
-	err   error
+	data             []byte
+	pos              int
+	depth            int
+	err              error
+	predicted, keyed int
 }
 
 func (d *decoder) fail(msg string) {
@@ -74,9 +95,9 @@ func (d *decoder) fail(msg string) {
 	d.pos = len(d.data)
 }
 
-// space skips JSON whitespace.
+// space skips JSON whitespace, every byte of which is at most ' '.
 func (d *decoder) space() {
-	for d.pos < len(d.data) {
+	for d.pos < len(d.data) && d.data[d.pos] <= ' ' {
 		switch d.data[d.pos] {
 		case ' ', '\t', '\r', '\n':
 			d.pos++
@@ -135,11 +156,13 @@ func (d *decoder) open(c, close byte) bool {
 	return !d.closed(close)
 }
 
-// next consumes the separator after a member and reports whether another
-// member follows; the alternative is the closing bracket.
+// next consumes the separator after a member, and the whitespace after it,
+// and reports whether another member follows; the alternative is the
+// closing bracket.
 func (d *decoder) next(close byte) bool {
 	if d.peek() == ',' {
 		d.pos++
+		d.space()
 		return true
 	}
 	if !d.closed(close) {
@@ -157,26 +180,59 @@ func (d *decoder) closed(close byte) bool {
 	return true
 }
 
-// object walks one JSON object into v, handing each member to field, which
-// decodes the value of a key it knows and reports false for one it does
-// not. null leaves v as it is.
-func object[T any](d *decoder, v *T, field func(*decoder, *T, []byte) bool) {
+// object walks one JSON object into v. keys are T's members in writer
+// order as `"name":` prefixes, and field decodes the value of member i.
+// Where the bytes after a separator are the next member's prefix, the
+// member is read by prediction; otherwise its key is read, and a key that
+// names no member is skipped with its value. null leaves v as it is.
+func object[T any](d *decoder, v *T, keys []string, field func(*decoder, *T, int)) {
 	if d.null() {
 		return
 	}
-	for more := d.open('{', '}'); more; more = d.next('}') {
+	for i, more := 0, d.open('{', '}'); more; more = d.next('}') {
+		if i < len(keys) && bytes.HasPrefix(d.data[d.pos:], []byte(keys[i])) {
+			d.pos += len(keys[i])
+			d.predicted++
+			field(d, v, i)
+			i++
+			continue
+		}
 		key, ok := d.text()
 		if !ok {
 			d.fail("expected a key")
 		}
 		d.expect(':')
-		if field(d, v, key) {
-			continue
-		}
-		if folded := foldKey(key); folded == nil || !field(d, v, folded) {
+		d.keyed++
+		if j := member(keys, key); j >= 0 {
+			field(d, v, j)
+			i = j + 1
+		} else {
 			d.skip()
 		}
 	}
+}
+
+// members returns the prefixes object predicts for names, in that order.
+func members(names ...string) []string {
+	keys := make([]string, len(names))
+	for i, name := range names {
+		keys[i] = `"` + name + `":`
+	}
+	return keys
+}
+
+// member returns the index of the member key names, matched exactly or,
+// failing that, under encoding/json's case folding; -1 for none.
+func member(keys []string, key []byte) int {
+	for i, k := range keys {
+		if k[1:len(k)-2] == string(key) {
+			return i
+		}
+	}
+	if folded := foldKey(key); folded != nil {
+		return member(keys, folded) // a folded key folds to itself
+	}
+	return -1
 }
 
 // foldKey returns key as encoding/json's case-insensitive fallback matches
@@ -282,11 +338,33 @@ func (d *decoder) digits() bool {
 	return i > start
 }
 
+// plain reads the integer literal at the cursor when it is a run of at most
+// 18 digits without a leading zero, a fraction or an exponent, and at most
+// max: every count the writer writes. It reports whether it did; when it
+// did not, it has consumed whitespace at most. Eighteen digits always fit
+// in a uint64, so the value is exact.
+func (d *decoder) plain(max uint64) (uint64, bool) {
+	d.space()
+	data, i, v := d.data, d.pos, uint64(0)
+	for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+		if i-d.pos == 18 {
+			return 0, false
+		}
+		v = v*10 + uint64(data[i]-'0')
+	}
+	if n := i - d.pos; n == 0 || n > 1 && data[d.pos] == '0' || v > max ||
+		i < len(data) && (data[i] == '.' || data[i]|0x20 == 'e') {
+		return 0, false
+	}
+	d.pos = i
+	return v, true
+}
+
 // The number readers make the strconv call encoding/json makes for the
 // field's kind, so they accept, reject and round exactly as it does: a
 // float or a negative literal in an unsigned field and an integer out of
 // range are errors. float first tries the exact conversions of float.go,
-// which decline rather than round differently.
+// and the integer readers plain, which decline rather than differ.
 
 func (d *decoder) float(p *float64) {
 	if v, ok := d.fastFloat(); ok {
@@ -304,6 +382,10 @@ func (d *decoder) float(p *float64) {
 }
 
 func (d *decoder) uint(p *uint64) {
+	if v, ok := d.plain(math.MaxUint64); ok {
+		*p = v
+		return
+	}
 	if lit := d.number(); lit != nil {
 		v, err := strconv.ParseUint(string(lit), 10, 64)
 		if err != nil {
@@ -315,6 +397,10 @@ func (d *decoder) uint(p *uint64) {
 }
 
 func (d *decoder) int64(p *int64) {
+	if v, ok := d.plain(math.MaxInt64); ok {
+		*p = int64(v)
+		return
+	}
 	if lit := d.number(); lit != nil {
 		v, err := strconv.ParseInt(string(lit), 10, 64)
 		if err != nil {
@@ -326,6 +412,10 @@ func (d *decoder) int64(p *int64) {
 }
 
 func (d *decoder) int(p *int) {
+	if v, ok := d.plain(math.MaxInt); ok {
+		*p = int(v)
+		return
+	}
 	if lit := d.number(); lit != nil {
 		v, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
 		if err != nil {
@@ -374,56 +464,61 @@ func (d *decoder) delegate(v any) {
 	}
 }
 
-func resultsField(d *decoder, r *Results, key []byte) bool {
-	switch string(key) {
-	case "stack":
+// resultsKeys are Results' members in the order Writer.Results writes
+// them, and resultsField's cases are their indices; so for every struct
+// below.
+var resultsKeys = members("stack", "duration_ns", "sent", "delivered", "delivery_ratio", "delivered_bits",
+	"energy", "energy_goodput", "tx_energy_j", "tx_amp_energy_j", "relays", "routing", "mac", "events",
+	"lifetime", "replicates", "per_node")
+
+func resultsField(d *decoder, r *Results, i int) {
+	switch i {
+	case 0: // stack
 		if s, ok := d.text(); ok {
 			r.Stack = string(s)
 		}
-	case "duration_ns":
+	case 1: // duration_ns
 		d.int64((*int64)(&r.Duration))
-	case "sent":
+	case 2: // sent
 		d.uint(&r.Sent)
-	case "delivered":
+	case 3: // delivered
 		d.uint(&r.Delivered)
-	case "delivery_ratio":
+	case 4: // delivery_ratio
 		d.float(&r.DeliveryRatio)
-	case "delivered_bits":
+	case 5: // delivered_bits
 		d.float(&r.DeliveredBits)
-	case "energy":
-		object(d, &r.Energy, breakdownField)
-	case "energy_goodput":
+	case 6: // energy
+		object(d, &r.Energy, breakdownKeys, breakdownField)
+	case 7: // energy_goodput
 		d.float(&r.EnergyGoodput)
-	case "tx_energy_j":
+	case 8: // tx_energy_j
 		d.float(&r.TxEnergy)
-	case "tx_amp_energy_j":
+	case 9: // tx_amp_energy_j
 		d.float(&r.TxAmpEnergy)
-	case "relays":
+	case 10: // relays
 		d.int(&r.Relays)
-	case "routing":
-		object(d, &r.Routing, routingField)
-	case "mac":
-		object(d, &r.MAC, macField)
-	case "events":
+	case 11: // routing
+		object(d, &r.Routing, routingKeys, routingField)
+	case 12: // mac
+		object(d, &r.MAC, macKeys, macField)
+	case 13: // events
 		d.uint(&r.Events)
-	case "lifetime":
+	case 14: // lifetime
 		d.delegate(&r.Lifetime)
-	case "replicates":
+	case 15: // replicates
 		d.delegate(&r.Replicates)
-	case "per_node":
+	case 16: // per_node
 		d.nodes(&r.PerNode)
-	default:
-		return false
 	}
-	return true
 }
 
 // nodes decodes per_node. A second per_node key in one document decodes
 // over the first element by element, as encoding/json's slice decoding
-// does. The first one sizes the slice before filling it: in the encoder's
-// own output "},{" occurs between two elements and nowhere else, so the
-// count is exact for a cache entry — one allocation however many nodes it
-// holds — and for anything else a hint that append corrects.
+// does. The first one sizes the slice before filling it: in the writer's
+// own output per_node comes last and each element opens three objects (its
+// own, pos and energy), so a third of the '{' left is exact for a cache
+// entry — one allocation however many nodes it holds — and for anything
+// else a hint that append corrects.
 func (d *decoder) nodes(p *[]NodeResults) {
 	if d.null() {
 		*p = nil
@@ -436,11 +531,11 @@ func (d *decoder) nodes(p *[]NodeResults) {
 		case n < cap(s):
 			s = s[:n+1]
 		case n == 0:
-			s = make([]NodeResults, 1, bytes.Count(d.data[d.pos:], []byte("},{"))+1)
+			s = make([]NodeResults, 1, max(1, bytes.Count(d.data[d.pos:], []byte("{"))/3))
 		default:
 			s = append(s, NodeResults{})
 		}
-		object(d, &s[n], nodeField)
+		object(d, &s[n], nodeKeys, nodeField)
 		n++
 	}
 	if d.err != nil {
@@ -452,108 +547,55 @@ func (d *decoder) nodes(p *[]NodeResults) {
 	*p = s
 }
 
-func nodeField(d *decoder, n *NodeResults, key []byte) bool {
-	switch string(key) {
-	case "id":
+var nodeKeys = members("id", "pos", "energy", "forwarded", "delivered", "sent", "final_mode")
+
+func nodeField(d *decoder, n *NodeResults, i int) {
+	switch i {
+	case 0: // id
 		d.int(&n.ID)
-	case "pos":
-		object(d, &n.Pos, pointField)
-	case "energy":
-		object(d, &n.Energy, breakdownField)
-	case "forwarded":
+	case 1: // pos
+		object(d, &n.Pos, pointKeys, pointField)
+	case 2: // energy
+		object(d, &n.Energy, breakdownKeys, breakdownField)
+	case 3: // forwarded
 		d.uint(&n.Forwarded)
-	case "delivered":
+	case 4: // delivered
 		d.uint(&n.Delivered)
-	case "sent":
+	case 5: // sent
 		d.uint(&n.Sent)
-	case "final_mode":
+	case 6: // final_mode
 		if name, ok := d.text(); ok {
 			if err := n.FinalMode.UnmarshalText(name); err != nil {
 				d.fail(err.Error())
 			}
 		}
-	default:
-		return false
 	}
-	return true
 }
 
-func pointField(d *decoder, p *geom.Point, key []byte) bool {
-	switch string(key) {
-	case "x":
-		d.float(&p.X)
-	case "y":
-		d.float(&p.Y)
-	default:
-		return false
-	}
-	return true
+var pointKeys = members("x", "y")
+
+func pointField(d *decoder, p *geom.Point, i int) {
+	d.float([...]*float64{&p.X, &p.Y}[i])
 }
 
-func breakdownField(d *decoder, b *radio.Breakdown, key []byte) bool {
-	switch string(key) {
-	case "tx_data_j":
-		d.float(&b.TxData)
-	case "tx_control_j":
-		d.float(&b.TxControl)
-	case "rx_j":
-		d.float(&b.Rx)
-	case "idle_j":
-		d.float(&b.Idle)
-	case "sleep_j":
-		d.float(&b.Sleep)
-	case "switch_j":
-		d.float(&b.Switch)
-	case "tx_amp_j":
-		d.float(&b.TxAmp)
-	default:
-		return false
-	}
-	return true
+var breakdownKeys = members("tx_data_j", "tx_control_j", "rx_j", "idle_j", "sleep_j", "switch_j", "tx_amp_j")
+
+func breakdownField(d *decoder, b *radio.Breakdown, i int) {
+	d.float([...]*float64{&b.TxData, &b.TxControl, &b.Rx, &b.Idle, &b.Sleep, &b.Switch, &b.TxAmp}[i])
 }
 
-func routingField(d *decoder, s *routing.Stats, key []byte) bool {
-	switch string(key) {
-	case "data_sent":
-		d.uint(&s.DataSent)
-	case "data_forwarded":
-		d.uint(&s.DataForwarded)
-	case "data_delivered":
-		d.uint(&s.DataDelivered)
-	case "data_dropped":
-		d.uint(&s.DataDropped)
-	case "rreq_sent":
-		d.uint(&s.RREQSent)
-	case "rrep_sent":
-		d.uint(&s.RREPSent)
-	case "rerr_sent":
-		d.uint(&s.RERRSent)
-	case "updates_sent":
-		d.uint(&s.UpdatesSent)
-	default:
-		return false
-	}
-	return true
+var routingKeys = members("data_sent", "data_forwarded", "data_delivered", "data_dropped",
+	"rreq_sent", "rrep_sent", "rerr_sent", "updates_sent")
+
+func routingField(d *decoder, s *routing.Stats, i int) {
+	d.uint([...]*uint64{&s.DataSent, &s.DataForwarded, &s.DataDelivered, &s.DataDropped,
+		&s.RREQSent, &s.RREPSent, &s.RERRSent, &s.UpdatesSent}[i])
 }
 
-func macField(d *decoder, s *mac.Stats, key []byte) bool {
-	switch string(key) {
-	case "unicast_sent":
-		d.uint(&s.UnicastSent)
-	case "unicast_failed":
-		d.uint(&s.UnicastFailed)
-	case "broadcast_sent":
-		d.uint(&s.BroadcastSent)
-	case "queue_drops":
-		d.uint(&s.QueueDrops)
-	case "retries":
-		d.uint(&s.Retries)
-	case "atim_sent":
-		d.uint(&s.ATIMSent)
-	case "collisions_seen":
-		d.uint(&s.CollisionsSeen)
-	default:
-		return false
-	}
-	return true
+var macKeys = members("unicast_sent", "unicast_failed", "broadcast_sent", "queue_drops",
+	"retries", "atim_sent", "collisions_seen")
+
+func macField(d *decoder, s *mac.Stats, i int) {
+	d.uint([...]*uint64{&s.UnicastSent, &s.UnicastFailed, &s.BroadcastSent, &s.QueueDrops,
+		&s.Retries, &s.ATIMSent, &s.CollisionsSeen}[i])
 }

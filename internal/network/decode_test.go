@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -207,6 +208,118 @@ func TestDecodeResultsCorners(t *testing.T) {
 		`{"replicates":{"n":2,"seeds":[1,2],"sent":{"mean":1.5,"ci95":0.25}}}`,
 	} {
 		agree(t, []byte(doc))
+	}
+}
+
+// TestDecodeResultsPredictsWriterLayout pins the member loop's fast path
+// to the writer: decoding the writer's own output of every paper stack,
+// compact or indented, reads every member by prediction, except one by key
+// after each run of optional keys the writer omitted. A writer change that
+// reorders or renames a key fails here instead of silently taking the
+// keyed path.
+func TestDecodeResultsPredictsWriterLayout(t *testing.T) {
+	extra := realResults(t, paperStacks["titan-pc-odpm"], 20, eend.WithBattery(30), eend.WithReplicates(2))
+	for name, stack := range paperStacks {
+		for _, nodes := range []int{20, 50} {
+			res := realResults(t, stack, nodes)
+			for shape := range 8 {
+				v := *res
+				v.Lifetime, v.Replicates = nil, nil
+				if shape&1 != 0 {
+					v.Lifetime = extra.Lifetime
+				}
+				if shape&2 != 0 {
+					v.Replicates = extra.Replicates
+				}
+				if shape&4 != 0 {
+					v.PerNode = nil
+				}
+				// events is always written; an optional key read after one the
+				// writer omitted is the only miss.
+				want, prev := 0, true
+				for _, present := range []bool{v.Lifetime != nil, v.Replicates != nil, len(v.PerNode) > 0} {
+					if present && !prev {
+						want++
+					}
+					prev = present
+				}
+				for _, indent := range []bool{false, true} {
+					w := network.Writer{Indent: indent}
+					w.Results(&v)
+					got, predicted, keyed, err := network.DecodeCounted(w.Buf)
+					if err != nil || !reflect.DeepEqual(got, &v) {
+						t.Fatalf("%s/%d/shape %d/indent %v: round trip failed (%v)", name, nodes, shape, indent, err)
+					}
+					if keyed != want || predicted == 0 {
+						t.Errorf("%s/%d/shape %d/indent %v: %d members read by prediction and %d by key, want %d by key",
+							name, nodes, shape, indent, predicted, keyed, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// fallbackCases are documents off the writer's layout, each a small edit
+// of one it writes: every way a member can miss the predicted key, and the
+// integer literals around the direct reader's limits, in every integer
+// kind of the schema.
+func fallbackCases() []struct{ name, doc string } {
+	data, err := json.Marshal(&network.Results{
+		Stack: "DSR-ODPM", Duration: 40 * time.Second, Sent: 12, Delivered: 9, DeliveryRatio: 0.75,
+		Energy: radio.Breakdown{Rx: 1.25, Idle: 30.5}, Relays: 2, Events: 1234,
+		PerNode: []network.NodeResults{
+			{ID: 3, Pos: geom.Point{X: 1.5, Y: 2}, Energy: radio.Breakdown{Rx: 0.25}, Sent: 5, FinalMode: mac.AM},
+			{ID: 4, Delivered: 4, FinalMode: mac.PSM},
+		},
+	})
+	if err != nil {
+		panic(err)
+	}
+	base := string(data)
+	cases := []struct{ name, doc string }{
+		{"writer", base},
+		{"reordered", strings.Replace(strings.Replace(base, `"sent":12,`, ``, 1), `"per_node"`, `"sent":12,"per_node"`, 1)},
+		{"reordered-node", strings.Replace(base, `"id":3,"pos":{"x":1.5,"y":2}`, `"pos":{"y":2,"x":1.5},"id":3`, 1)},
+		{"spaces", strings.ReplaceAll(strings.ReplaceAll(base, ",", " ,\n "), `":`, `" :`+"\t")},
+		{"duplicate", strings.Replace(base, `"delivered":9,`, `"delivered":9,"sent":99,`, 1)},
+		{"case-folded", strings.ReplaceAll(base, `"rx_j"`, `"RX_J"`)},
+		{"unknown", strings.ReplaceAll(base, `"rx_j":`, `"future":[1,{"a":null}],"rx_j":`)},
+		{"escaped", strings.ReplaceAll(base, `"rx_j"`, `"rx\u005fj"`)},
+		{"missing", strings.Replace(strings.Replace(base, `"delivered":9,`, ``, 1), `"pos":{"x":1.5,"y":2},`, ``, 1)},
+	}
+	number := regexp.MustCompile(`-?[0-9]+$`)
+	set := func(key, lit string) string {
+		at := strings.Index(base, `"`+key+`":`) + len(key) + 3
+		end := at + len(number.FindString(base[at:at+strings.IndexAny(base[at:], ",}")]))
+		return base[:at] + lit + base[end:]
+	}
+	for _, lit := range []string{"0", "00", "01", "-0", "999999999999999999", "123456789012345678",
+		"1234567890123456789", "9999999999999999999", "12345678901234567890",
+		"18446744073709551615", "9223372036854775807", "9223372036854775808"} {
+		for _, key := range []string{"sent", "duration_ns", "relays", "id"} { // uint64, int64, int, int
+			cases = append(cases, struct{ name, doc string }{key + "=" + lit, set(key, lit)})
+		}
+	}
+	for _, lit := range []string{"1e3", "1.0", "-1"} {
+		cases = append(cases, struct{ name, doc string }{"sent=" + lit, set("sent", lit)})
+	}
+	return cases
+}
+
+// TestDecodeResultsFallback: off the writer's layout, and at the direct
+// integer reader's limits, the decoder gives encoding/json's answer — the
+// same value, or an error where it has one.
+func TestDecodeResultsFallback(t *testing.T) {
+	for _, c := range fallbackCases() {
+		want, werr := reference([]byte(c.doc))
+		got, gerr := network.DecodeResults([]byte(c.doc))
+		switch {
+		case (werr == nil) != (gerr == nil):
+			t.Errorf("%s: DecodeResults says %v, encoding/json says %v\n%s", c.name, gerr, werr, c.doc)
+		case werr == nil && !reflect.DeepEqual(got, want):
+			t.Errorf("%s: decoders disagree:\n got %+v\nwant %+v", c.name, got, want)
+		}
 	}
 }
 
@@ -435,6 +548,9 @@ func FuzzDecodeResults(f *testing.F) {
 		`"per_node":[{"id":0,"pos":{"x":1.5,"y":2},"energy":{"rx_j":0.25},"forwarded":1,"final_mode":"AM"},{"id":1,"final_mode":"PSM"}]}`))
 	f.Add([]byte(`{"STACK":"x","ſent":7,"per_node":[{"id":1}],"per_node":[null,{}],"unknown":{"a":[1,"\u00e9"]}}`))
 	f.Add([]byte(` null `))
+	for _, c := range fallbackCases() {
+		f.Add([]byte(c.doc))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if got, err := network.DecodeResults(data); err == nil {
 			want, err := reference(data)
